@@ -61,10 +61,11 @@ class CavityConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must satisfy 0 <= rho < 1, got {self.rho}")
-        if not self.k_r_mirror >= MIN_K_R_MIRROR:
+        if not (math.isfinite(self.k_r_mirror)
+                and self.k_r_mirror >= MIN_K_R_MIRROR):
             raise ValueError(
-                f"k_r_mirror must be >= {MIN_K_R_MIRROR:g} for the asymptotic "
-                f"mirror model, got {self.k_r_mirror}"
+                f"k_r_mirror must be finite and >= {MIN_K_R_MIRROR:g} for the "
+                f"asymptotic mirror model, got {self.k_r_mirror}"
             )
         if not 0.0 < self.theta_m < math.pi / 2:
             raise ValueError(
@@ -153,6 +154,13 @@ class DipoleOrientation:
         if self.kind == PERPENDICULAR:
             return np.array(_X_HAT)
         return np.array(self.d_hat)
+
+    @property
+    def axial_fraction(self) -> float | None:
+        """d_z**2, the share of the dipole along the cavity axis, or None
+        for the isotropic average."""
+        d = self.unit_vector
+        return None if d is None else float(d[2] * d[2])
 
 
 @dataclass(frozen=True)
@@ -275,17 +283,22 @@ def polarization_weight(d_hat, omega_hat) -> float | np.ndarray:
     return 1.5 * (1.0 - cos * cos)
 
 
-def aberration_phase(phi0: float, kr, omega_hat, k_r_mirror: float):
-    """Round-trip half phase for a ray through point kr along omega_hat.
+def ray_phase(phi0, kr_sq, u, k_r_mirror: float):
+    """Round-trip half phase of the ray through a point at squared
+    distance kr_sq from the center, with u = omega_hat . kr.
 
     Rays with a nonzero impact parameter pick up the spherical-aberration
-    phase (|kr|^2 - (omega_hat . kr)^2) / (2 kR) on top of phi0.
+    phase (|kr|^2 - u^2) / (2 kR) on top of phi0.  u may be an array.
     """
+    return phi0 + (kr_sq - u * u) / (2.0 * k_r_mirror)
+
+
+def aberration_phase(phi0: float, kr, omega_hat, k_r_mirror: float):
+    """ray_phase for a point kr and a direction (or (..., 3) array of
+    directions) omega_hat."""
     kr = np.asarray(kr, dtype=float)
     omega = np.asarray(omega_hat, dtype=float)
-    kr_sq = float(kr @ kr)
-    u = omega @ kr
-    return phi0 + (kr_sq - u * u) / (2.0 * k_r_mirror)
+    return ray_phase(phi0, float(kr @ kr), omega @ kr, k_r_mirror)
 
 
 def phase_fwhm(rho: float) -> float:
@@ -320,29 +333,33 @@ def detuning_to_phase(linewidths: float, rho: float) -> float:
     return phi0
 
 
-def _center_weights(kind: str, cos_theta: float) -> tuple[float, float]:
-    """Solid-angle weights (vacuum part, cavity part) of the polarization
-    factor for the three symmetric orientations.
+def aperture_weights(orientation: DipoleOrientation,
+                     cos_theta: float) -> tuple[float, float]:
+    """Polarization-weighted solid-angle shares (vacuum band, mirror caps)
+    of the sphere split at |cos(theta)| = cos_theta.
 
-    The two parts sum to 1 for every orientation, so rho = 0 reproduces
+    With a = d_z**2 the band share is
+    1.5 (c - a c^3/3 - (1 - a)(c - c^3/3)/2) = c (1 + (1 - c^2) k),
+    k = (3a - 1)/4, and the isotropic average has k = 0, so exactly c.
+    The two shares sum to 1 for every orientation, so rho = 0 reproduces
     free space identically.
     """
     c = cos_theta
-    if kind == PARALLEL:
-        vac = c * (1.0 + (1.0 - c * c) / 2.0)
-        cav = (1.0 - c) * (1.0 - c * (1.0 + c) / 2.0)
-    elif kind == PERPENDICULAR:
-        vac = c * (1.0 - (1.0 - c * c) / 4.0)
-        cav = (1.0 - c) * (1.0 + c * (1.0 + c) / 4.0)
-    elif kind == ISOTROPIC:
-        vac = c
-        cav = 1.0 - c
-    else:
+    a = orientation.axial_fraction
+    k = 0.0 if a is None else (3.0 * a - 1.0) / 4.0
+    vac = c * (1.0 + (1.0 - c * c) * k)
+    cav = (1.0 - c) * (1.0 - c * (1.0 + c) * k)
+    return vac, cav
+
+
+def _center_weights(orientation: DipoleOrientation,
+                    config: CavityConfig) -> tuple[float, float]:
+    if orientation.kind == FIXED:
         raise ValueError(
             "center closed forms cover parallel/perpendicular/isotropic "
             "orientations only; use the sphere quadrature for a fixed d_hat"
         )
-    return vac, cav
+    return aperture_weights(orientation, math.cos(effective_theta(config)))
 
 
 def center_gamma(orientation: DipoleOrientation, config: CavityConfig, phi0):
@@ -352,13 +369,13 @@ def center_gamma(orientation: DipoleOrientation, config: CavityConfig, phi0):
     there), so the result is vacuum_weight + cavity_weight * l_odd.
     phi0 may be an array for detuning scans.
     """
-    vac, cav = _center_weights(orientation.kind, math.cos(effective_theta(config)))
+    vac, cav = _center_weights(orientation, config)
     return vac + cav * airy_factors(config.rho, phi0).l_odd
 
 
 def center_shift(orientation: DipoleOrientation, config: CavityConfig, phi0):
     """Level-shift ratio Delta'(0)/Gamma_vac at the cavity center."""
-    _, cav = _center_weights(orientation.kind, math.cos(effective_theta(config)))
+    _, cav = _center_weights(orientation, config)
     return cav * airy_factors(config.rho, phi0).d_odd
 
 

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 
@@ -34,10 +35,10 @@ import numpy as np
 from . import __version__
 from .cavity import (
     POSITION_MAX_RADIUS,
+    Detuning,
     DipoleOrientation,
     center_gamma,
     center_shift,
-    phase_fwhm,
 )
 from .config import ConfigError, RunConfig, load_config
 from .fields import ScanSpec, run_scan, trap_minimum
@@ -58,6 +59,20 @@ _SCAN_DEFAULTS = {
 }
 
 
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a positive finite {kind.__name__}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vactrap",
@@ -71,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file (stdout if omitted)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default csv)")
-    common.add_argument("--tolerance", type=float, default=1e-9,
+    common.add_argument("--tolerance", type=_positive(float), default=1e-9,
                         help="quadrature doubling tolerance (default 1e-9)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive(int), default=1,
                         help="worker threads for scan points (default 1)")
     common.add_argument("--quadrature", action="store_true",
                         help="force full sphere quadrature where closed "
@@ -119,19 +134,6 @@ def _check_spatial_range(start: float, stop: float, plane: bool) -> None:
             f"{POSITION_MAX_RADIUS:g}/k region")
 
 
-def _phases_for(coords: np.ndarray, rho: float) -> np.ndarray:
-    """Detuning coordinates (linewidths) to phase offsets; free space has
-    no linewidth, so every detuning maps to phase 0 there."""
-    if rho == 0.0:
-        return np.zeros_like(coords)
-    phases = coords * phase_fwhm(rho)
-    if np.max(np.abs(phases)) > math.pi / 2:
-        raise ConfigError(
-            "detuning scan leaves the single-resonance window "
-            "(|phi0| > pi/2); narrow the scan range")
-    return phases
-
-
 def _format_value(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
 
@@ -160,10 +162,19 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    tmp_path = out_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp_path, out_path)
+    fd, tmp_path = tempfile.mkstemp(
+        dir=os.path.dirname(out_path) or ".",
+        prefix=os.path.basename(out_path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp creates it 0600
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def _base_metadata(command: str, args, run: RunConfig) -> dict:
@@ -233,7 +244,8 @@ def cmd_center(args, run: RunConfig) -> int:
         non_converged = sorted(set(res_par.non_converged)
                                | set(res_perp.non_converged))
     else:
-        phases = _phases_for(coords, cavity.rho)
+        phases = np.array([Detuning(float(c)).phase(cavity.rho)
+                           for c in coords])
         rows = list(zip(
             coords,
             np.atleast_1d(center_gamma(parallel, cavity, phases)),

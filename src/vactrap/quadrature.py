@@ -6,19 +6,21 @@ The integrand at direction omega_hat is
     shift:  w * (d_odd cos^2(u) + d_even sin^2(u))
 
 with u = omega_hat . kr, w the polarization weight (1 for the isotropic
-average) and the resonance factors evaluated at the aberration phase of
-the ray through kr.  The mirror reflectivity applies only inside the
-double cap |cos(theta)| >= cos(theta_eff); outside it the factors reduce
-exactly to (1, 0) since T = 1 and both denominators are 1 there, so the
-sample collapses to (w, 0).
+average) and the resonance factors of ``cavity.airy_factors`` evaluated
+at the aberration phase ``cavity.ray_phase`` of the ray through kr.  The
+mirror reflectivity applies only inside the double cap
+|cos(theta)| >= cos(theta_eff).  Outside it, in the vacuum band, the
+factors are exactly (1, 0), so the sample is (w, 0) whatever kr is.
 
-The integrand oscillates with spatial frequency up to |kr| across the
-sphere, so node counts scale linearly in |kr| (with a floor), and the
-reflectivity jump at the cap edge forces a subdomain split: panels are
-[0, theta_eff], [theta_eff, pi - theta_eff], [pi - theta_eff, pi], each
-integrated with Gauss-Legendre nodes in cos(theta) and a uniform
-periodic rule in azimuth.  Everything here is pure; summation order is
-fixed, so results are bit-stable no matter how callers parallelize.
+Only the two caps are integrated numerically.  The band contributes the
+position-independent constant ``cavity.aperture_weights`` to gamma and
+nothing to the shift or its gradient.  The integrand oscillates with
+spatial frequency up to |kr| across the sphere, so node counts scale
+linearly in |kr| (with a floor).  Each cap, [0, theta_eff] and
+[pi - theta_eff, pi], gets Gauss-Legendre nodes in cos(theta) and a
+uniform periodic rule in azimuth; on the axis the azimuth integral is
+done exactly.  Everything here is pure; summation order is fixed, so
+results are bit-stable no matter how callers parallelize.
 """
 
 from __future__ import annotations
@@ -30,13 +32,15 @@ from functools import lru_cache
 import numpy as np
 
 from .cavity import (
-    ISOTROPIC,
-    PARALLEL,
+    FIXED,
     CavityConfig,
     DipoleOrientation,
     Position,
     Response,
+    airy_factors,
+    aperture_weights,
     effective_theta,
+    ray_phase,
 )
 
 _EDGE_TOL = 1e-12
@@ -143,73 +147,49 @@ class IntegrandSample:
 def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):
     d = orientation.unit_vector
     if d is None:
-        return None  # isotropic: weight is identically 1
+        return np.ones_like(oz)  # isotropic: weight is identically 1
     cos = ox * d[0] + oy * d[1] + oz * d[2]
     return 1.5 * (1.0 - cos * cos)
 
 
-def _resonant_terms(rho: float, phi, u):
-    """Damping/dispersive brackets inside the reflective caps."""
-    t = 1.0 - rho * rho
-    sin_phi_sq = np.sin(phi) ** 2
-    a = (1.0 - rho) ** 2 + 4.0 * rho * sin_phi_sq
-    b = (1.0 + rho) ** 2 - 4.0 * rho * sin_phi_sq
-    sin_2phi = np.sin(2.0 * phi)
+def _cap_terms(rho: float, phi, u, with_gradient: bool = False):
+    """Gamma and shift brackets inside the reflective caps.
+
+    With ``with_gradient`` also the chain-rule pieces of d(shift)/d(kr),
+    else None: ``u_part`` multiplies omega_hat (standing-wave factors),
+    ``phase_part`` multiplies grad(phi) = (kr - u omega_hat)/kR, with
+    d(d_odd)/dphi = 2 rho cos(2 phi) l_odd/T - 4 d_odd^2 and
+    d(d_even)/dphi = -2 rho cos(2 phi) l_even/T - 4 d_even^2.
+    """
+    f = airy_factors(rho, phi)
     cos_u_sq = np.cos(u) ** 2
     sin_u_sq = 1.0 - cos_u_sq
-    gamma = (t / a) * cos_u_sq + (t / b) * sin_u_sq
-    shift = (rho * sin_2phi / a) * cos_u_sq - (rho * sin_2phi / b) * sin_u_sq
-    return gamma, shift
-
-
-def _dispersive_derivatives(rho: float, phi):
-    """d/dphi of the odd and even dispersive factors."""
-    sin_phi_sq = np.sin(phi) ** 2
-    a = (1.0 - rho) ** 2 + 4.0 * rho * sin_phi_sq
-    b = (1.0 + rho) ** 2 - 4.0 * rho * sin_phi_sq
-    sin_2phi = np.sin(2.0 * phi)
-    cos_2phi = np.cos(2.0 * phi)
-    dd_odd = 2.0 * rho * cos_2phi / a - 4.0 * rho**2 * sin_2phi**2 / a**2
-    dd_even = -2.0 * rho * cos_2phi / b - 4.0 * rho**2 * sin_2phi**2 / b**2
-    return dd_odd, dd_even
-
-
-def _gradient_parts(rho: float, phi, u):
-    """Pieces of d(shift integrand)/d(kr), by the chain rule: ``u_part``
-    multiplies Omega_hat (standing-wave factors), ``phase_part``
-    multiplies grad(phi) = (kr - u Omega_hat)/kR (resonance factors)."""
-    sin_phi_sq = np.sin(phi) ** 2
-    a = (1.0 - rho) ** 2 + 4.0 * rho * sin_phi_sq
-    b = (1.0 + rho) ** 2 - 4.0 * rho * sin_phi_sq
-    sin_2phi = np.sin(2.0 * phi)
-    d_odd = rho * sin_2phi / a
-    d_even = -rho * sin_2phi / b
-    dd_odd, dd_even = _dispersive_derivatives(rho, phi)
-    cos_u_sq = np.cos(u) ** 2
-    phase_part = dd_odd * cos_u_sq + dd_even * (1.0 - cos_u_sq)
-    u_part = (d_even - d_odd) * np.sin(2.0 * u)
-    return u_part, phase_part
+    gamma = f.l_odd * cos_u_sq + f.l_even * sin_u_sq
+    shift = f.d_odd * cos_u_sq + f.d_even * sin_u_sq
+    if not with_gradient:
+        return gamma, shift, None, None
+    slope = 2.0 * rho * np.cos(2.0 * phi) / (1.0 - rho * rho)
+    dd_odd = slope * f.l_odd - 4.0 * f.d_odd ** 2
+    dd_even = -slope * f.l_even - 4.0 * f.d_even ** 2
+    phase_part = dd_odd * cos_u_sq + dd_even * sin_u_sq
+    u_part = (f.d_even - f.d_odd) * np.sin(2.0 * u)
+    return gamma, shift, u_part, phase_part
 
 
 def _sample_terms(dirs: np.ndarray, kr: np.ndarray,
                   orientation: DipoleOrientation, config: CavityConfig,
                   phi0: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized integrand over an (n, 3) array of unit directions."""
-    ox, oy, oz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    w = _pol_weight(orientation, ox, oy, oz)
-    if w is None:
-        w = np.ones_like(oz)
+    w = _pol_weight(orientation, dirs[:, 0], dirs[:, 1], dirs[:, 2])
     gamma = w.copy()
     shift = np.zeros_like(w)
-    if config.rho > 0.0:
-        inside = np.abs(oz) >= math.cos(effective_theta(config))
-        if np.any(inside):
-            u = dirs[inside] @ kr
-            kr_sq = float(kr @ kr)
-            phi = phi0 + (kr_sq - u * u) / (2.0 * config.k_r_mirror)
-            g, s = _resonant_terms(config.rho, phi, u)
-            gamma[inside] = w[inside] * g
-            shift[inside] = w[inside] * s
+    inside = np.abs(dirs[:, 2]) >= math.cos(effective_theta(config))
+    if np.any(inside):
+        u = dirs[inside] @ kr
+        phi = ray_phase(phi0, float(kr @ kr), u, config.k_r_mirror)
+        g, s, _, _ = _cap_terms(config.rho, phi, u)
+        gamma[inside] = w[inside] * g
+        shift[inside] = w[inside] * s
     return gamma, shift
 
 
@@ -232,23 +212,20 @@ def integrand_at(omega_hat, kr, orientation: DipoleOrientation,
     )
 
 
-def _panels(config: CavityConfig, grid: AngularGrid):
-    """Panels in c = cos(theta), north to south, with reflectivity flag."""
-    lo, hi = grid.subdomain_boundaries
-    c_edge = math.cos(lo)
-    return [
-        (c_edge, 1.0, True),
-        (-c_edge, c_edge, False),
-        (-1.0, -c_edge, True),
-    ]
+def _cap_rules(grid: AngularGrid):
+    """Gauss-Legendre nodes and weights in c = cos(theta) on the north
+    and the south reflective cap."""
+    x, w_gl = _leggauss(grid.n_polar)
+    c_edge = math.cos(grid.subdomain_boundaries[0])
+    for c_lo, c_hi in ((c_edge, 1.0), (-1.0, -c_edge)):
+        yield (0.5 * (c_hi - c_lo) * x + 0.5 * (c_hi + c_lo),
+               0.5 * (c_hi - c_lo) * w_gl)
 
 
 def _integrate_general(kr, orientation, config, phi0, grid, with_gradient):
     kx, ky, kz = kr
     kr_sq = float(kr @ kr)
-    rho = config.rho
     kR = config.k_r_mirror
-    d = orientation.unit_vector
 
     az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
     w_az = 2.0 * math.pi / grid.n_azimuth
@@ -257,39 +234,25 @@ def _integrate_general(kr, orientation, config, phi0, grid, with_gradient):
     gamma = 0.0
     shift = 0.0
     grad = np.zeros(3) if with_gradient else None
-    for c_lo, c_hi, reflective in _panels(config, grid):
-        x, w_gl = _leggauss(grid.n_polar)
-        c = 0.5 * (c_hi - c_lo) * x + 0.5 * (c_hi + c_lo)
-        wc = 0.5 * (c_hi - c_lo) * w_gl
+    for c, wc in _cap_rules(grid):
         s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-
         ox = s[:, None] * cos_az[None, :]
         oy = s[:, None] * sin_az[None, :]
         oz = np.broadcast_to(c[:, None], ox.shape)
+        w_pol = _pol_weight(orientation, ox, oy, oz)
 
-        if d is None:
-            w_pol = np.ones_like(ox)
-        else:
-            cos_d = ox * d[0] + oy * d[1] + oz * d[2]
-            w_pol = 1.5 * (1.0 - cos_d * cos_d)
-
-        if reflective and rho > 0.0:
-            u = ox * kx + oy * ky + oz * kz
-            phi = phi0 + (kr_sq - u * u) / (2.0 * kR)
-            g, sh = _resonant_terms(rho, phi, u)
-            f_gamma = w_pol * g
-            f_shift = w_pol * sh
-            shift += wc @ f_shift.sum(axis=1) * w_az
-            if with_gradient:
-                u_part, phase_part = _gradient_parts(rho, phi, u)
-                for axis, (o_axis, k_axis) in enumerate(
-                        [(ox, kx), (oy, ky), (oz, kz)]):
-                    f = w_pol * (u_part * o_axis
-                                 + phase_part * (k_axis - u * o_axis) / kR)
-                    grad[axis] += wc @ f.sum(axis=1) * w_az
-        else:
-            f_gamma = w_pol
-        gamma += wc @ f_gamma.sum(axis=1) * w_az
+        u = ox * kx + oy * ky + oz * kz
+        phi = ray_phase(phi0, kr_sq, u, kR)
+        g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u,
+                                               with_gradient)
+        gamma += wc @ (w_pol * g).sum(axis=1) * w_az
+        shift += wc @ (w_pol * sh).sum(axis=1) * w_az
+        if with_gradient:
+            for axis, (o_axis, k_axis) in enumerate(
+                    [(ox, kx), (oy, ky), (oz, kz)]):
+                f = w_pol * (u_part * o_axis
+                             + phase_part * (k_axis - u * o_axis) / kR)
+                grad[axis] += wc @ f.sum(axis=1) * w_az
 
     norm = 4.0 * math.pi
     grad = grad / norm if with_gradient else None
@@ -297,33 +260,30 @@ def _integrate_general(kr, orientation, config, phi0, grid, with_gradient):
 
 
 def _integrate_on_axis(kz, orientation, config, phi0, grid, with_gradient):
-    """Azimuth-reduced rule for on-axis positions with axis-parallel or
-    isotropic dipoles: the integrand has no azimuthal dependence, so the
-    azimuth integral is exactly 2*pi."""
-    rho = config.rho
+    """Azimuth-reduced rule for on-axis positions: only the dipole weight
+    depends on azimuth there, and its azimuth average is
+    1.5 (1 - a c^2 - (1 - a) s^2 / 2) with a = d_z^2."""
     kR = config.k_r_mirror
+    a = orientation.axial_fraction
     gamma = 0.0
     shift = 0.0
     grad_z = 0.0
-    for c_lo, c_hi, reflective in _panels(config, grid):
-        x, w_gl = _leggauss(grid.n_polar)
-        c = 0.5 * (c_hi - c_lo) * x + 0.5 * (c_hi + c_lo)
-        wc = 0.5 * (c_hi - c_lo) * w_gl
-        s_sq = np.clip(1.0 - c * c, 0.0, None)
-        w_pol = 1.5 * s_sq if orientation.kind == PARALLEL else np.ones_like(c)
-
-        if reflective and rho > 0.0:
-            u = kz * c
-            phi = phi0 + kz * kz * s_sq / (2.0 * kR)
-            g, sh = _resonant_terms(rho, phi, u)
-            gamma += wc @ (w_pol * g)
-            shift += wc @ (w_pol * sh)
-            if with_gradient:
-                u_part, phase_part = _gradient_parts(rho, phi, u)
-                f = w_pol * (u_part * c + phase_part * (kz - u * c) / kR)
-                grad_z += wc @ f
+    for c, wc in _cap_rules(grid):
+        if a is None:
+            w_pol = np.ones_like(c)
         else:
-            gamma += wc @ w_pol
+            s_sq = np.clip(1.0 - c * c, 0.0, None)
+            w_pol = 1.5 * (1.0 - a * c * c - (1.0 - a) * s_sq / 2.0)
+
+        u = kz * c
+        phi = ray_phase(phi0, kz * kz, u, kR)
+        g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u,
+                                               with_gradient)
+        gamma += wc @ (w_pol * g)
+        shift += wc @ (w_pol * sh)
+        if with_gradient:
+            f = w_pol * (u_part * c + phase_part * (kz - u * c) / kR)
+            grad_z += wc @ f
 
     grad = np.array([0.0, 0.0, grad_z / 2.0]) if with_gradient else None
     return gamma / 2.0, shift / 2.0, grad
@@ -331,12 +291,17 @@ def _integrate_on_axis(kz, orientation, config, phi0, grid, with_gradient):
 
 def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
                     use_fast_path):
+    """Caps by quadrature, plus the vacuum band's closed-form share."""
     on_axis = kr[0] == 0.0 and kr[1] == 0.0
-    if use_fast_path and on_axis and orientation.kind in (PARALLEL, ISOTROPIC):
-        return _integrate_on_axis(kr[2], orientation, config, phi0, grid,
-                                  with_gradient)
-    return _integrate_general(kr, orientation, config, phi0, grid,
-                              with_gradient)
+    if use_fast_path and on_axis and orientation.kind != FIXED:
+        gamma, shift, grad = _integrate_on_axis(
+            kr[2], orientation, config, phi0, grid, with_gradient)
+    else:
+        gamma, shift, grad = _integrate_general(
+            kr, orientation, config, phi0, grid, with_gradient)
+    band, _ = aperture_weights(orientation,
+                               math.cos(grid.subdomain_boundaries[0]))
+    return band + gamma, shift, grad
 
 
 def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,

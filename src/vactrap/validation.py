@@ -155,7 +155,7 @@ def check_rotation_symmetry(config: CavityConfig, phi0: float,
 
 def check_fast_path(config: CavityConfig, phi0: float) -> CheckResult:
     worst = 0.0
-    for orientation in (_ORIENTATIONS[0], _ORIENTATIONS[2]):
+    for orientation in _ORIENTATIONS:
         for kz in (0.0, 3.7, 21.0):
             fast = integrate_sphere([0.0, 0.0, kz], orientation, config,
                                     phi0, use_fast_path=True)

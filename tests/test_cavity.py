@@ -296,6 +296,8 @@ def test_cavity_config_invariants():
     with pytest.raises(ValueError):
         CavityConfig(rho=0.9, k_r_mirror=500.0)
     with pytest.raises(ValueError):
+        CavityConfig(rho=0.9, k_r_mirror=math.inf)
+    with pytest.raises(ValueError):
         CavityConfig(rho=0.9, theta_m=math.pi / 2)
     with pytest.raises(ValueError):
         CavityConfig(rho=0.9, theta_m=0.0)

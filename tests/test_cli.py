@@ -2,10 +2,14 @@
 determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 from numpy.testing import assert_allclose
+
+import vactrap.cli as cli
 
 from vactrap.cavity import (
     CavityConfig,
@@ -67,6 +71,16 @@ def test_center_quadrature_matches_closed_forms(tmp_path):
     _, rows_q = parse_csv(quad.stdout)
     for rc, rq in zip(rows_c, rows_q):
         assert_allclose(rq[1:], rc[1:], rtol=1e-6, atol=1e-9)
+
+
+def test_center_scan_outside_resonance_window(tmp_path):
+    config = write(tmp_path / "c.ini",
+                   "[scan]\nstart = -300.0\nstop = 300.0\nn_points = 5\n")
+    out = tmp_path / "never.csv"
+    proc = run_cli("center", "--config", config, "--out", str(out))
+    assert proc.returncode == 2
+    assert "single-resonance window" in proc.stderr
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- axial
@@ -287,6 +301,39 @@ def test_timings_flag_adds_metadata(tmp_path):
     payload = json.loads(proc.stdout)
     assert "timings" in payload["metadata"]
     assert payload["metadata"]["timings"]["compute_seconds"] > 0.0
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tolerance", "-1"),
+    ("--tolerance", "0"),
+    ("--tolerance", "nan"),
+    ("--threads", "-3"),
+    ("--threads", "0"),
+])
+def test_bad_flag_values_rejected(tmp_path, capsys, flag, value):
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["center", f"{flag}={value}", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_written_atomically(tmp_path, monkeypatch):
+    out = tmp_path / "center.csv"
+    assert cli.main(["center", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["center.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli.main(["center", "--out", str(tmp_path / "second.csv")])
+    assert [p.name for p in tmp_path.iterdir()] == ["center.csv"]
 
 
 def test_unknown_command_rejected():

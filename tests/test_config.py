@@ -85,6 +85,7 @@ def test_comments_and_case():
 
 @pytest.mark.parametrize("text,line,fragment", [
     ("[mirrors]\nrho = 1.2\n", 2, "rho"),
+    ("[mirrors]\nkR = inf\n", 2, "finite"),
     ("[mirrors]\nrho = abc\n", 2, "number"),
     ("[mirrors]\nwobble = 1\n", 2, "unknown key"),
     ("[warp]\nrho = 0.9\n", 1, "unknown section"),

@@ -242,8 +242,7 @@ def test_rotation_symmetry_about_axis():
 def test_fast_path_matches_general():
     config = CavityConfig(rho=0.98)
     phi0 = 0.5 * phase_fwhm(0.98)
-    for orientation in (DipoleOrientation.parallel(),
-                        DipoleOrientation.isotropic()):
+    for orientation in ORIENTATIONS:
         for kz in (0.0, 2.3, 21.0, 60.0):
             fast = integrate_sphere([0.0, 0.0, kz], orientation, config,
                                     phi0, with_gradient=True,

@@ -170,6 +170,11 @@ class Position:
     kr: tuple[float, float, float]
 
     def __post_init__(self):
+        bad = [f"{name}={x}" for name, x in zip(("kx", "ky", "kz"), self.kr)
+               if not math.isfinite(x)]
+        if bad:
+            raise ValueError(
+                f"position components must be finite, got {', '.join(bad)}")
         norm = math.sqrt(sum(x * x for x in self.kr))
         if norm > POSITION_MAX_RADIUS:
             raise ValueError(

@@ -8,9 +8,9 @@ Subcommands
     potential  trapping-potential profile (needs a drive)
     validate   run the internal oracle suite, emit a JSON report
 
-Exit codes: 0 success, 2 configuration error, 3 numerical trouble
-(non-converged or out-of-regime rows; the table is still written),
-4 validation failure.
+Exit codes: 0 success, 2 configuration error or unwritable output,
+3 numerical trouble (non-converged or out-of-regime rows; the table is
+still written), 4 validation failure.
 
 All output is dimensionless (rates over Gamma_vac, lengths in 1/k,
 energies in hbar*Gamma_vac, forces in hbar*k*Gamma_vac).  Identical
@@ -162,19 +162,24 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    fd, tmp_path = tempfile.mkstemp(
-        dir=os.path.dirname(out_path) or ".",
-        prefix=os.path.basename(out_path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp creates it 0600
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
+        fd, tmp_path = tempfile.mkstemp(
+            dir=os.path.dirname(out_path) or ".",
+            prefix=os.path.basename(out_path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp creates it 0600
+            os.replace(tmp_path, out_path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
+    except OSError as err:
+        # an unwritable --out is a usage error: exit 2, no traceback
+        raise ConfigError(
+            f"cannot write {out_path}: {err.strerror or err}") from err
 
 
 def _base_metadata(command: str, args, run: RunConfig) -> dict:
@@ -366,10 +371,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args, run)
-    except ConfigError as err:
-        print(f"vactrap: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
+    except (ConfigError, ValueError) as err:
         print(f"vactrap: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as err:

@@ -14,19 +14,27 @@ factors are exactly (1, 0), so the sample is (w, 0) whatever kr is.
 
 Only the two caps are integrated numerically.  The band contributes the
 position-independent constant ``cavity.aperture_weights`` to gamma and
-nothing to the shift or its gradient.  The integrand oscillates with
-spatial frequency up to |kr| across the sphere, so node counts scale
-linearly in |kr| (with a floor).  Each cap, [0, theta_eff] and
-[pi - theta_eff, pi], gets Gauss-Legendre nodes in cos(theta) and a
-uniform periodic rule in azimuth; on the axis the azimuth integral is
-done exactly.  Everything here is pure; summation order is fixed, so
-results are bit-stable no matter how callers parallelize.
+nothing to the shift or its gradient.  One integrator, ``_integrate_once``,
+is fed cap by cap with directions and weights by one of two rules:
+
+* the sphere rule: Gauss-Legendre nodes in cos(theta) on each cap,
+  [0, theta_eff] and [pi - theta_eff, pi], times a uniform periodic rule
+  in azimuth, weighted by the polarization weight;
+* the on-axis rule: the same polar nodes placed on the axis, where only
+  the dipole weight depends on azimuth, weighted by its exact azimuth
+  average.
+
+An ``AngularGrid`` is node counts only; the cap edge comes from the
+cavity configuration.  The integrand oscillates with spatial frequency up
+to |kr| across the sphere, so node counts scale linearly in |kr| (with a
+floor).  Everything here is pure; summation order is fixed, so results
+are bit-stable no matter how callers parallelize.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,8 +50,6 @@ from .cavity import (
     effective_theta,
     ray_phase,
 )
-
-_EDGE_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -74,46 +80,36 @@ def azimuth_node_floor(kr_perp: float) -> int:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Node counts plus the polar angles where the integrand is only
-    piecewise smooth (the cap edges)."""
+    """Node counts of a sphere rule: Gauss-Legendre nodes per cap and
+    uniform azimuth nodes.  Where the caps end is not part of the grid;
+    the integrator reads it from the cavity configuration."""
 
     n_polar: int
     n_azimuth: int
-    subdomain_boundaries: tuple[float, float]
 
     def __post_init__(self):
         if self.n_polar < 1 or self.n_azimuth < 1:
             raise ValueError("node counts must be positive")
-        lo, hi = self.subdomain_boundaries
-        if not (0.0 < lo < hi < math.pi):
-            raise ValueError(
-                "subdomain boundaries must be strictly increasing inside "
-                f"(0, pi), got {self.subdomain_boundaries}"
-            )
 
     @classmethod
-    def for_position(cls, kr, config: CavityConfig,
-                     scale: float = 1.0) -> "AngularGrid":
+    def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
         """Default grid for a position: the node floors, plus a fixed
         azimuth margin (the periodic rule needs ~16 modes beyond the
-        integrand's band edge before its spectral tail dies).  ``scale``
-        (>= 1) buys extra margin on both counts."""
+        integrand's band edge before its spectral tail dies).  The counts
+        depend on kr alone; ``config`` does not change them."""
         kr = Position.of(kr).vec
         kr_norm = float(np.linalg.norm(kr))
         kr_perp = float(math.hypot(kr[0], kr[1]))
-        theta = effective_theta(config)
         return cls(
-            n_polar=math.ceil(scale * polar_node_floor(kr_norm)),
-            n_azimuth=math.ceil(scale * (azimuth_node_floor(kr_perp) + 16)),
-            subdomain_boundaries=(theta, math.pi - theta),
+            n_polar=polar_node_floor(kr_norm),
+            n_azimuth=azimuth_node_floor(kr_perp) + 16,
         )
 
     def doubled(self) -> "AngularGrid":
-        return replace(self, n_polar=2 * self.n_polar,
-                       n_azimuth=2 * self.n_azimuth)
+        return AngularGrid(2 * self.n_polar, 2 * self.n_azimuth)
 
-    def check_admissible(self, kr: np.ndarray, config: CavityConfig) -> None:
-        """Reject grids below the node floor or with stale cap edges."""
+    def check_admissible(self, kr: np.ndarray) -> None:
+        """Reject grids below the node floor for this position."""
         kr_norm = float(np.linalg.norm(kr))
         kr_perp = float(math.hypot(kr[0], kr[1]))
         if self.n_polar < polar_node_floor(kr_norm):
@@ -125,13 +121,6 @@ class AngularGrid:
             raise ValueError(
                 f"n_azimuth={self.n_azimuth} is below the floor "
                 f"{azimuth_node_floor(kr_perp)} for |kr_perp|={kr_perp:.2f}"
-            )
-        theta = effective_theta(config)
-        lo, hi = self.subdomain_boundaries
-        if abs(lo - theta) > _EDGE_TOL or abs(hi - (math.pi - theta)) > _EDGE_TOL:
-            raise ValueError(
-                "grid subdomain boundaries do not match the cap edges of "
-                "this cavity configuration"
             )
 
 
@@ -212,95 +201,82 @@ def integrand_at(omega_hat, kr, orientation: DipoleOrientation,
     )
 
 
-def _cap_rules(grid: AngularGrid):
+def _cap_rules(n_polar: int, c_edge: float):
     """Gauss-Legendre nodes and weights in c = cos(theta) on the north
     and the south reflective cap."""
-    x, w_gl = _leggauss(grid.n_polar)
-    c_edge = math.cos(grid.subdomain_boundaries[0])
+    x, w_gl = _leggauss(n_polar)
     for c_lo, c_hi in ((c_edge, 1.0), (-1.0, -c_edge)):
         yield (0.5 * (c_hi - c_lo) * x + 0.5 * (c_hi + c_lo),
                0.5 * (c_hi - c_lo) * w_gl)
 
 
-def _integrate_general(kr, orientation, config, phi0, grid, with_gradient):
-    kx, ky, kz = kr
-    kr_sq = float(kr @ kr)
-    kR = config.k_r_mirror
-
+def _sphere_rule(orientation, grid, c_edge):
+    """Per cap, (ox, oy, oz, weight) on the n_polar x n_azimuth grid; the
+    weight is the polar weight times the azimuth step times the
+    polarization weight, over the 4 pi of the full solid angle."""
     az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
-    w_az = 2.0 * math.pi / grid.n_azimuth
+    w_az = 0.5 / grid.n_azimuth  # (2 pi / n_azimuth) / (4 pi)
     cos_az, sin_az = np.cos(az), np.sin(az)
-
-    gamma = 0.0
-    shift = 0.0
-    grad = np.zeros(3) if with_gradient else None
-    for c, wc in _cap_rules(grid):
+    for c, wc in _cap_rules(grid.n_polar, c_edge):
         s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
         ox = s[:, None] * cos_az[None, :]
         oy = s[:, None] * sin_az[None, :]
         oz = np.broadcast_to(c[:, None], ox.shape)
-        w_pol = _pol_weight(orientation, ox, oy, oz)
-
-        u = ox * kx + oy * ky + oz * kz
-        phi = ray_phase(phi0, kr_sq, u, kR)
-        g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u,
-                                               with_gradient)
-        gamma += wc @ (w_pol * g).sum(axis=1) * w_az
-        shift += wc @ (w_pol * sh).sum(axis=1) * w_az
-        if with_gradient:
-            for axis, (o_axis, k_axis) in enumerate(
-                    [(ox, kx), (oy, ky), (oz, kz)]):
-                f = w_pol * (u_part * o_axis
-                             + phase_part * (k_axis - u * o_axis) / kR)
-                grad[axis] += wc @ f.sum(axis=1) * w_az
-
-    norm = 4.0 * math.pi
-    grad = grad / norm if with_gradient else None
-    return gamma / norm, shift / norm, grad
+        yield ox, oy, oz, (wc * w_az)[:, None] * _pol_weight(
+            orientation, ox, oy, oz)
 
 
-def _integrate_on_axis(kz, orientation, config, phi0, grid, with_gradient):
-    """Azimuth-reduced rule for on-axis positions: only the dipole weight
-    depends on azimuth there, and its azimuth average is
-    1.5 (1 - a c^2 - (1 - a) s^2 / 2) with a = d_z^2."""
-    kR = config.k_r_mirror
+def _axis_rule(orientation, grid, c_edge):
+    """Per cap, the polar nodes on the axis (ox = oy = 0).  There only the
+    dipole weight depends on azimuth; its azimuth average is
+    1.5 (1 - a c^2 - (1 - a) s^2 / 2) with a = d_z^2, and the azimuth
+    integral over 4 pi leaves a factor 1/2."""
     a = orientation.axial_fraction
-    gamma = 0.0
-    shift = 0.0
-    grad_z = 0.0
-    for c, wc in _cap_rules(grid):
+    for c, wc in _cap_rules(grid.n_polar, c_edge):
         if a is None:
-            w_pol = np.ones_like(c)
+            w_pol = 1.0
         else:
             s_sq = np.clip(1.0 - c * c, 0.0, None)
             w_pol = 1.5 * (1.0 - a * c * c - (1.0 - a) * s_sq / 2.0)
-
-        u = kz * c
-        phi = ray_phase(phi0, kz * kz, u, kR)
-        g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u,
-                                               with_gradient)
-        gamma += wc @ (w_pol * g)
-        shift += wc @ (w_pol * sh)
-        if with_gradient:
-            f = w_pol * (u_part * c + phase_part * (kz - u * c) / kR)
-            grad_z += wc @ f
-
-    grad = np.array([0.0, 0.0, grad_z / 2.0]) if with_gradient else None
-    return gamma / 2.0, shift / 2.0, grad
+        yield 0.0, 0.0, c, wc * w_pol / 2.0
 
 
 def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
                     use_fast_path):
-    """Caps by quadrature, plus the vacuum band's closed-form share."""
+    """Caps by quadrature, plus the vacuum band's closed-form share.
+
+    The cap edge is read once from the configuration.  On the axis, with
+    the fast path allowed and an orientation that is symmetric about the
+    axis, the on-axis rule replaces the sphere rule; everything after the
+    rule is the same.  The gradient is d(shift)/d(kr) = sum of
+    weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR).
+    """
+    c_edge = math.cos(effective_theta(config))
     on_axis = kr[0] == 0.0 and kr[1] == 0.0
     if use_fast_path and on_axis and orientation.kind != FIXED:
-        gamma, shift, grad = _integrate_on_axis(
-            kr[2], orientation, config, phi0, grid, with_gradient)
+        rule = _axis_rule
     else:
-        gamma, shift, grad = _integrate_general(
-            kr, orientation, config, phi0, grid, with_gradient)
-    band, _ = aperture_weights(orientation,
-                               math.cos(grid.subdomain_boundaries[0]))
+        rule = _sphere_rule
+    kx, ky, kz = kr
+    kr_sq = float(kr @ kr)
+    kR = config.k_r_mirror
+
+    gamma = 0.0
+    shift = 0.0
+    grad = np.zeros(3) if with_gradient else None
+    for ox, oy, oz, weight in rule(orientation, grid, c_edge):
+        u = ox * kx + oy * ky + oz * kz
+        phi = ray_phase(phi0, kr_sq, u, kR)
+        g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u,
+                                               with_gradient)
+        gamma += np.sum(weight * g)
+        shift += np.sum(weight * sh)
+        if with_gradient:
+            for axis, (o_axis, k_axis) in enumerate(
+                    [(ox, kx), (oy, ky), (oz, kz)]):
+                grad[axis] += np.sum(weight * (
+                    u_part * o_axis + phase_part * (k_axis - u * o_axis) / kR))
+    band, _ = aperture_weights(orientation, c_edge)
     return band + gamma, shift, grad
 
 
@@ -319,7 +295,7 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     kr = Position.of(kr).vec
     if grid is None:
         grid = AngularGrid.for_position(kr, config)
-    grid.check_admissible(kr, config)
+    grid.check_admissible(kr)
 
     gamma, shift, grad = _integrate_once(kr, orientation, config, phi0, grid,
                                          with_gradient, use_fast_path)

@@ -23,6 +23,7 @@ from vactrap.cavity import (
     phase_fwhm,
     polarization_weight,
 )
+from vactrap.quadrature import integrate_sphere
 
 # frozen oracle values (direct arithmetic / dense reference integration)
 PHASE_FWHM_098 = 0.020203394496123118
@@ -328,6 +329,13 @@ def test_orientation_invariants():
 def test_position_limits():
     with pytest.raises(ValueError):
         Position.of([0.0, 0.0, 301.0])
+    with pytest.raises(ValueError, match=r"must be finite, got kx=nan$"):
+        Position.of([math.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"got ky=inf, kz=nan$"):
+        Position.of([0.0, math.inf, math.nan])
+    with pytest.raises(ValueError, match=r"must be finite, got kx=nan$"):
+        integrate_sphere([math.nan, 0.0, 0.0], DipoleOrientation.isotropic(),
+                         CavityConfig(rho=0.9), 0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         Position.of([0.0, 0.0, 150.0])

@@ -331,9 +331,16 @@ def test_output_written_atomically(tmp_path, monkeypatch):
         raise OSError("simulated failure")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        cli.main(["center", "--out", str(tmp_path / "second.csv")])
+    assert cli.main(["center", "--out", str(tmp_path / "second.csv")]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["center.csv"]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["center", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"vactrap: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_rejected():

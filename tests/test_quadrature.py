@@ -108,9 +108,6 @@ def test_grid_for_position():
     grid = AngularGrid.for_position([30.0, 0.0, 40.0], config)
     assert grid.n_polar >= polar_node_floor(50.0)
     assert grid.n_azimuth >= azimuth_node_floor(30.0)
-    lo, hi = grid.subdomain_boundaries
-    assert_allclose(lo, math.pi / 4)
-    assert_allclose(hi, math.pi - math.pi / 4)
     doubled = grid.doubled()
     assert doubled.n_polar == 2 * grid.n_polar
     assert doubled.n_azimuth == 2 * grid.n_azimuth
@@ -118,26 +115,16 @@ def test_grid_for_position():
 
 def test_grid_invariants():
     with pytest.raises(ValueError):
-        AngularGrid(0, 16, (0.7, math.pi - 0.7))
+        AngularGrid(0, 16)
     with pytest.raises(ValueError):
-        AngularGrid(32, 16, (1.2, 0.7))
-    with pytest.raises(ValueError):
-        AngularGrid(32, 16, (0.0, math.pi))
+        AngularGrid(32, 0)
 
 
 def test_undersized_grid_rejected():
     config = CavityConfig(rho=0.98)
-    grid = AngularGrid(32, 16, (math.pi / 4, math.pi - math.pi / 4))
+    grid = AngularGrid(32, 16)
     with pytest.raises(ValueError):
         integrate_sphere([0.0, 0.0, 50.0], DipoleOrientation.isotropic(),
-                         config, 0.0, grid=grid)
-
-
-def test_stale_grid_boundaries_rejected():
-    config = CavityConfig(rho=0.98)
-    grid = AngularGrid(64, 32, (0.5, math.pi - 0.5))
-    with pytest.raises(ValueError):
-        integrate_sphere([0.0, 0.0, 0.0], DipoleOrientation.isotropic(),
                          config, 0.0, grid=grid)
 
 

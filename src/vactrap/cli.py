@@ -1,12 +1,21 @@
 """Command-line front end.
 
-Subcommands
+Subcommands and the flags each one reads
     center     damping/shift at the cavity center vs detuning
-    axial      damping/shift along the cavity axis
+               (scan flags, plus --quadrature)
+    axial      damping/shift along the cavity axis (scan flags)
     plane      damping/shift on a (z, x) grid through the center
-    force      vacuum-force profile (needs a drive)
-    potential  trapping-potential profile (needs a drive)
+               (scan flags)
+    force      vacuum-force profile along [scan] type, axial or
+               transverse (scan flags; needs a [drive] section)
+    potential  trapping-potential profile, as force
     validate   run the internal oracle suite, emit a JSON report
+               (base flags, plus --seed)
+
+Base flags are --config, --out and --timings; scan flags are the base
+flags plus --format, --tolerance and --threads.  A flag that a command
+does not read is rejected like an unknown one.  axial and plane ignore
+[drive] and [scan] type.
 
 Exit codes: 0 success, 2 configuration error or unwritable output,
 3 numerical trouble (non-converged or out-of-regime rows; the table is
@@ -16,7 +25,8 @@ All output is dimensionless (rates over Gamma_vac, lengths in 1/k,
 energies in hbar*Gamma_vac, forces in hbar*k*Gamma_vac).  Identical
 configuration yields byte-identical output regardless of --threads;
 wall-clock timings therefore only appear in JSON metadata when
---timings is passed explicitly.
+--timings is passed explicitly, and --timings with CSV output is an
+error.
 """
 
 from __future__ import annotations
@@ -79,35 +89,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cavity-modified spontaneous emission and "
                     "vacuum-induced trapping near a spherical-mirror "
                     "cavity center.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="configuration file (defaults used if omitted)")
-    common.add_argument("--out", metavar="PATH",
-                        help="output file (stdout if omitted)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv)")
-    common.add_argument("--tolerance", type=_positive(float), default=1e-9,
-                        help="quadrature doubling tolerance (default 1e-9)")
-    common.add_argument("--threads", type=_positive(int), default=1,
-                        help="worker threads for scan points (default 1)")
-    common.add_argument("--quadrature", action="store_true",
-                        help="force full sphere quadrature where closed "
-                             "forms would be used")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for Monte-Carlo checks (default 0)")
-    common.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in JSON metadata "
-                             "(breaks byte-for-byte reproducibility)")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", metavar="PATH",
+                      help="configuration file (defaults used if omitted)")
+    base.add_argument("--out", metavar="PATH",
+                      help="output file (stdout if omitted)")
+    base.add_argument("--timings", action="store_true",
+                      help="include wall-clock timings in JSON metadata "
+                           "(breaks byte-for-byte reproducibility)")
+    scan = argparse.ArgumentParser(add_help=False, parents=[base])
+    scan.add_argument("--format", choices=("csv", "json"), default=None,
+                      help="output format (default csv)")
+    scan.add_argument("--tolerance", type=_positive(float), default=1e-9,
+                      help="quadrature doubling tolerance (default 1e-9)")
+    scan.add_argument("--threads", type=_positive(int), default=1,
+                      help="worker threads for scan points (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser(
+        "center", parents=[scan],
+        help="detuning scan of the center damping and shift",
+    ).add_argument("--quadrature", action="store_true",
+                   help="force full sphere quadrature where closed forms "
+                        "would be used")
     for name, help_text in [
-        ("center", "detuning scan of the center damping and shift"),
         ("axial", "on-axis spatial scan"),
         ("plane", "(z, x) plane scan"),
         ("force", "vacuum-force profile"),
         ("potential", "trapping-potential profile"),
-        ("validate", "run the internal consistency suite"),
     ]:
-        sub.add_parser(name, parents=[common], help=help_text)
+        sub.add_parser(name, parents=[scan], help=help_text)
+    validate = sub.add_parser("validate", parents=[base],
+                              help="run the internal consistency suite")
+    validate.add_argument("--seed", type=int, default=0,
+                          help="seed for Monte-Carlo checks (default 0)")
+    validate.set_defaults(format="json")  # the report is always JSON
     return parser
 
 
@@ -182,43 +197,41 @@ def _emit(text: str, out_path: str | None) -> None:
             f"cannot write {out_path}: {err.strerror or err}") from err
 
 
-def _base_metadata(command: str, args, run: RunConfig) -> dict:
-    return {
-        "command": command,
+def _metadata(args, run: RunConfig, started: float, **entries) -> dict:
+    metadata = {
+        "command": args.command,
         "version": __version__,
         "config": run.to_metadata(),
-        "tolerance": args.tolerance,
+        **entries,
     }
+    if args.timings:
+        metadata["timings"] = {
+            "compute_seconds": time.perf_counter() - started}
+    return metadata
 
 
-def _emit_table(args, run: RunConfig, command: str, columns, rows,
-                non_converged=(), weak_excitation=(), extra_metadata=None,
-                started=None) -> int:
-    out_format = args.format or run.out_format
-    out_path = args.out if args.out is not None else run.out_path
-    if out_format == "json":
-        metadata = _base_metadata(command, args, run)
-        metadata["non_converged_rows"] = list(non_converged)
-        metadata["weak_excitation_rows"] = list(weak_excitation)
-        if extra_metadata:
-            metadata.update(extra_metadata)
-        if args.timings and started is not None:
-            metadata["timings"] = {
-                "compute_seconds": time.perf_counter() - started}
+def _emit_table(args, run: RunConfig, columns, rows, started: float,
+                non_converged=(), weak_excitation=(),
+                extra_metadata=None) -> int:
+    if args.format == "json":
+        metadata = _metadata(args, run, started, tolerance=args.tolerance,
+                             non_converged_rows=list(non_converged),
+                             weak_excitation_rows=list(weak_excitation),
+                             **(extra_metadata or {}))
         text = _render_json(columns, rows, metadata, run.precision)
     else:
         text = _render_csv(columns, rows, run.precision)
-    _emit(text, out_path)
+    _emit(text, args.out)
     status = EXIT_OK
     if non_converged:
-        print(f"vactrap {command}: {len(non_converged)} row(s) failed the "
-              f"convergence check: {list(non_converged)[:10]}",
+        print(f"vactrap {args.command}: {len(non_converged)} row(s) failed "
+              f"the convergence check: {list(non_converged)[:10]}",
               file=sys.stderr)
         status = EXIT_NUMERICAL
     if weak_excitation:
-        print(f"vactrap {command}: {len(weak_excitation)} row(s) exceed the "
-              f"weak-excitation limit: {list(weak_excitation)[:10]}",
-              file=sys.stderr)
+        print(f"vactrap {args.command}: {len(weak_excitation)} row(s) "
+              f"exceed the weak-excitation limit: "
+              f"{list(weak_excitation)[:10]}", file=sys.stderr)
         status = EXIT_NUMERICAL
     return status
 
@@ -258,75 +271,48 @@ def cmd_center(args, run: RunConfig) -> int:
             np.atleast_1d(center_shift(parallel, cavity, phases)),
             np.atleast_1d(center_shift(perpendicular, cavity, phases)),
         ))
-    return _emit_table(args, run, "center", columns, rows,
-                       non_converged=non_converged, started=started)
+    return _emit_table(args, run, columns, rows, started,
+                       non_converged=non_converged)
 
 
-def _spatial_scan(args, run: RunConfig, command: str, axis: str) -> int:
+# The value columns that force and potential keep of a force scan.
+_PROFILE_COLUMNS = {
+    "force": ("force_x", "force_y", "force_z", "potential"),
+    "potential": ("potential",),
+}
+
+
+def cmd_spatial(args, run: RunConfig) -> int:
+    """axial and plane scan the response; force and potential scan a
+    drive's profile along [scan] type (axial unless transverse)."""
     started = time.perf_counter()
+    command = args.command
+    profile = _PROFILE_COLUMNS.get(command)
+    axis, drive = command, {}
+    if profile:
+        if run.pi_e is None and run.weak_drive is None:
+            raise ConfigError(f"{command} profiles need a [drive] section "
+                              "(pi_e, or rabi with laser_detuning)")
+        axis = run.scan_type or "axial"
+        drive = {"pi_e": run.pi_e, "weak_drive": run.weak_drive}
     start, stop, n_points = _scan_range(run, command)
     _check_spatial_range(start, stop, plane=(axis == "plane"))
     spec = ScanSpec(axis, start, stop, n_points, run.cavity, run.orientation,
                     detuning=run.detuning)
-    drive = run.drive
-    pi_e = drive[1] if drive is not None and drive[0] == "pi_e" else None
-    weak = (drive[1], drive[2]) if drive is not None and drive[0] == "weak" \
-        else None
     result = run_scan(spec, tolerance=args.tolerance, n_workers=args.threads,
-                      pi_e=pi_e, weak_drive=weak)
-
-    if command == "force":
-        keep = tuple(c for c in result.columns
-                     if c in ("kz", "kx") or c.startswith("force")
-                     or c == "potential")
-    elif command == "potential":
-        keep = tuple(c for c in result.columns
-                     if c in ("kz", "kx", "potential"))
-    else:
-        keep = result.columns
-    indices = [result.columns.index(c) for c in keep]
-    rows = [tuple(row[i] for i in indices) for row in result.rows]
-
-    extra = None
-    if command in ("force", "potential"):
+                      **drive)
+    columns, extra = result.columns, None
+    if profile:
+        columns = columns[:1] + profile
         trap = trap_minimum(result)
-        if trap is not None:
-            extra = {"trap": {
-                "potential_min": trap["potential_min"],
-                "coordinates": trap["coordinates"],
-            }}
-    return _emit_table(args, run, command, keep, rows,
+        extra = {"trap": {"potential_min": trap["potential_min"],
+                          "coordinates": trap["coordinates"]}}
+    indices = [result.columns.index(c) for c in columns]
+    rows = [tuple(row[i] for i in indices) for row in result.rows]
+    return _emit_table(args, run, columns, rows, started,
                        non_converged=result.non_converged,
                        weak_excitation=result.weak_excitation,
-                       extra_metadata=extra, started=started)
-
-
-def cmd_axial(args, run: RunConfig) -> int:
-    return _spatial_scan(args, run, "axial", "axial")
-
-
-def cmd_plane(args, run: RunConfig) -> int:
-    return _spatial_scan(args, run, "plane", "plane")
-
-
-def _force_axis(run: RunConfig) -> str:
-    if run.scan_type in ("axial", "transverse"):
-        return run.scan_type
-    return "axial"
-
-
-def cmd_force(args, run: RunConfig) -> int:
-    if run.drive is None:
-        raise ConfigError("force profiles need a [drive] section "
-                          "(pi_e, or rabi with laser_detuning)")
-    return _spatial_scan(args, run, "force", _force_axis(run))
-
-
-def cmd_potential(args, run: RunConfig) -> int:
-    if run.drive is None:
-        raise ConfigError("potential profiles need a [drive] section "
-                          "(pi_e, or rabi with laser_detuning)")
-    return _spatial_scan(args, run, "potential", _force_axis(run))
+                       extra_metadata=extra)
 
 
 def cmd_validate(args, run: RunConfig) -> int:
@@ -334,16 +320,11 @@ def cmd_validate(args, run: RunConfig) -> int:
     checks = run_validation_suite(run.cavity, run.detuning, seed=args.seed)
     passed = all(check.passed for check in checks)
     report = {
-        "metadata": _base_metadata("validate", args, run),
+        "metadata": _metadata(args, run, started, seed=args.seed),
         "passed": passed,
         "checks": [asdict(check) for check in checks],
     }
-    report["metadata"]["seed"] = args.seed
-    if args.timings:
-        report["metadata"]["timings"] = {
-            "compute_seconds": time.perf_counter() - started}
-    out_path = args.out if args.out is not None else run.out_path
-    _emit(json.dumps(report, indent=2) + "\n", out_path)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     if not passed:
         failed = [check.name for check in checks if not check.passed]
         print(f"vactrap validate: FAILED checks: {', '.join(failed)}",
@@ -354,10 +335,10 @@ def cmd_validate(args, run: RunConfig) -> int:
 
 _COMMANDS = {
     "center": cmd_center,
-    "axial": cmd_axial,
-    "plane": cmd_plane,
-    "force": cmd_force,
-    "potential": cmd_potential,
+    "axial": cmd_spatial,
+    "plane": cmd_spatial,
+    "force": cmd_spatial,
+    "potential": cmd_spatial,
     "validate": cmd_validate,
 }
 
@@ -366,10 +347,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = load_config(args.config) if args.config else RunConfig.defaults()
-    except ConfigError as err:
-        print(f"vactrap: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args.format = args.format or run.out_format
+        if args.out is None:
+            args.out = run.out_path
+        if args.timings and args.format != "json":
+            raise ConfigError("--timings needs JSON output "
+                              "(--format json or [output] format = json)")
         return _COMMANDS[args.command](args, run)
     except (ConfigError, ValueError) as err:
         print(f"vactrap: {err}", file=sys.stderr)

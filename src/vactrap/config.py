@@ -15,11 +15,11 @@ File format (all sections and keys optional; defaults below):
     [detuning]
     linewidths = 0.0
 
-    [drive]
+    [drive]                        # read by force and potential only
     pi_e = 0.05                    # or rabi = ... with laser_detuning = ...
 
     [scan]
-    type = axial                   # detuning | axial | transverse | plane
+    type = axial                   # axial | transverse (force, potential)
     start = -100.0
     stop = 100.0
     n_points = 401
@@ -50,7 +50,7 @@ _SECTIONS = {
     "output": ("path", "format", "precision"),
 }
 
-_SCAN_TYPES = ("detuning", "axial", "transverse", "plane")
+_SCAN_TYPES = ("axial", "transverse")
 
 
 class ConfigError(Exception):
@@ -63,8 +63,7 @@ class RunConfig:
     orientation: DipoleOrientation
     detuning: Detuning
     pi_e: float | None = None
-    rabi: float | None = None
-    laser_detuning: float | None = None
+    weak_drive: tuple[float, float] | None = None  # (rabi, laser_detuning)
     scan_type: str | None = None
     scan_start: float | None = None
     scan_stop: float | None = None
@@ -80,15 +79,6 @@ class RunConfig:
             orientation=DipoleOrientation.isotropic(),
             detuning=Detuning(0.0),
         )
-
-    @property
-    def drive(self) -> tuple | None:
-        """('pi_e', value) or ('weak', rabi, laser_detuning) or None."""
-        if self.pi_e is not None:
-            return ("pi_e", self.pi_e)
-        if self.rabi is not None:
-            return ("weak", self.rabi, self.laser_detuning)
-        return None
 
     def to_metadata(self) -> dict:
         orientation = (list(self.orientation.d_hat)
@@ -108,12 +98,11 @@ class RunConfig:
             "output": {"format": self.out_format,
                        "precision": self.precision},
         }
-        if self.drive is not None:
-            if self.pi_e is not None:
-                meta["drive"] = {"pi_e": self.pi_e}
-            else:
-                meta["drive"] = {"rabi": self.rabi,
-                                 "laser_detuning": self.laser_detuning}
+        if self.pi_e is not None:
+            meta["drive"] = {"pi_e": self.pi_e}
+        elif self.weak_drive is not None:
+            rabi, laser_detuning = self.weak_drive
+            meta["drive"] = {"rabi": rabi, "laser_detuning": laser_detuning}
         if self.scan_type is not None or self.scan_start is not None:
             meta["scan"] = {"type": self.scan_type, "start": self.scan_start,
                             "stop": self.scan_stop,
@@ -269,9 +258,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(
                 f"{source}:{drive['rabi'][1]}: rabi requires "
                 "laser_detuning in the same section")
-        run.rabi = _as_float(drive["rabi"], source, "rabi")
-        run.laser_detuning = _as_float(drive["laser_detuning"], source,
-                                       "laser_detuning")
+        run.weak_drive = (_as_float(drive["rabi"], source, "rabi"),
+                          _as_float(drive["laser_detuning"], source,
+                                    "laser_detuning"))
     elif "laser_detuning" in drive:
         raise ConfigError(
             f"{source}:{drive['laser_detuning'][1]}: laser_detuning "
@@ -283,7 +272,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if value.lower() not in _SCAN_TYPES:
             raise ConfigError(
                 f"{source}:{lineno}: scan type must be one of "
-                f"{', '.join(_SCAN_TYPES)}, got {value!r}")
+                f"{', '.join(_SCAN_TYPES)} (the axis of force and "
+                f"potential profiles), got {value!r}")
         run.scan_type = value.lower()
     if "start" in scan:
         run.scan_start = _as_float(scan["start"], source, "start")

@@ -169,6 +169,13 @@ def check_fast_path(config: CavityConfig, phi0: float) -> CheckResult:
 
 def check_monte_carlo(config: CavityConfig, phi0: float, seed: int,
                       n_samples: int = 200_000) -> CheckResult:
+    """Quadrature against seeded Monte-Carlo sampling at three points.
+
+    Six z-scores are compared, so the bound is 5 standard errors: a
+    correct program then fails on about 3e-6 of seeds, where a bound of
+    3 would fail on about 1.6% of them.
+    """
+    max_z = 5.0
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     for i in range(3):
@@ -181,9 +188,9 @@ def check_monte_carlo(config: CavityConfig, phi0: float, seed: int,
         z_g = abs(quad.gamma_ratio - mc.gamma_ratio) / max(se_g, 1e-12)
         z_s = abs(quad.shift_ratio - mc.shift_ratio) / max(se_s, 1e-12)
         worst_z = max(worst_z, z_g, z_s)
-    return CheckResult("monte_carlo_agreement", worst_z < 3.0,
-                       {"worst_z_score": worst_z, "n_samples": n_samples,
-                        "seed": seed})
+    return CheckResult("monte_carlo_agreement", worst_z < max_z,
+                       {"worst_z_score": worst_z, "tolerance": max_z,
+                        "n_samples": n_samples, "seed": seed})
 
 
 def check_gradient(config: CavityConfig, detuning: Detuning,

@@ -3,6 +3,7 @@ determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -89,9 +90,11 @@ AXIAL_SMALL = "[scan]\nstart = -6.0\nstop = 6.0\nn_points = 25\n"
 
 
 def test_axial_center_row_consistency(tmp_path):
+    # axial ignores the drive: no gradient, no force columns
     config = write(tmp_path / "a.ini",
                    "[dipole]\norientation = parallel\n"
-                   "[detuning]\nlinewidths = 0.5\n" + AXIAL_SMALL)
+                   "[detuning]\nlinewidths = 0.5\n"
+                   "[drive]\npi_e = 0.05\n" + AXIAL_SMALL)
     proc = run_cli("axial", "--config", config)
     assert proc.returncode == 0
     header, rows = parse_csv(proc.stdout)
@@ -294,29 +297,62 @@ def test_nonconvergent_scan_exit_code(tmp_path):
     assert len(rows) == 9  # estimates still reported
 
 
-def test_timings_flag_adds_metadata(tmp_path):
+def test_timings_flag_adds_metadata(tmp_path, capsys):
     config = write(tmp_path / "c.ini", AXIAL_SMALL)
     proc = run_cli("axial", "--config", config, "--format", "json",
                    "--timings")
     payload = json.loads(proc.stdout)
     assert "timings" in payload["metadata"]
     assert payload["metadata"]["timings"]["compute_seconds"] > 0.0
+    # timings only go into JSON: with CSV output the flag is an error
+    out = tmp_path / "timed.json"
+    assert cli.main(["center", "--timings", "--out", str(out)]) == 2
+    assert "--timings needs JSON output" in capsys.readouterr().err
+    csv_config = write(tmp_path / "csv.ini", "[output]\nformat = csv\n")
+    assert cli.main(["center", "--timings", "--config", csv_config,
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    json_config = write(tmp_path / "json.ini", "[output]\nformat = json\n")
+    assert cli.main(["center", "--timings", "--config", json_config,
+                     "--out", str(out)]) == 0
+    assert "timings" in json.loads(out.read_text())["metadata"]
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--tolerance", "-1"),
-    ("--tolerance", "0"),
-    ("--tolerance", "nan"),
-    ("--threads", "-3"),
-    ("--threads", "0"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(["center", "--tolerance=-1"], id="--tolerance--1"),
+    pytest.param(["center", "--tolerance=0"], id="--tolerance-0"),
+    pytest.param(["center", "--tolerance=nan"], id="--tolerance-nan"),
+    pytest.param(["center", "--threads=-3"], id="--threads--3"),
+    pytest.param(["center", "--threads=0"], id="--threads-0"),
+    # flags of other commands: each command takes only what it reads
+    pytest.param(["axial", "--seed", "1"], id="axial --seed"),
+    pytest.param(["plane", "--quadrature"], id="plane --quadrature"),
+    pytest.param(["center", "--seed", "3"], id="center --seed"),
+    pytest.param(["validate", "--format", "json"], id="validate --format"),
+    pytest.param(["validate", "--tolerance", "1e-3"],
+                 id="validate --tolerance"),
+    pytest.param(["validate", "--threads", "2"], id="validate --threads"),
 ])
-def test_bad_flag_values_rejected(tmp_path, capsys, flag, value):
+def test_bad_flag_values_rejected(tmp_path, capsys, argv):
     out = tmp_path / "never.csv"
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["center", f"{flag}={value}", "--out", str(out)])
+        cli.main([*argv, "--out", str(out)])
     assert excinfo.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert argv[1].split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_only_the_flags_read(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    flags = set(re.findall(r"(--[a-z]+)", capsys.readouterr().out))
+    expected = {"--help", "--config", "--out", "--timings"}
+    if command != "validate":
+        expected |= {"--format", "--tolerance", "--threads"}
+    expected |= {"center": {"--quadrature"},
+                 "validate": {"--seed"}}.get(command, set())
+    assert flags == expected
 
 
 def test_output_written_atomically(tmp_path, monkeypatch):

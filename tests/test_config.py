@@ -46,7 +46,7 @@ def test_parse_full_config():
     assert run.orientation.kind == "parallel"
     assert run.detuning.linewidths == -0.5
     assert run.pi_e == 0.02
-    assert run.drive == ("pi_e", 0.02)
+    assert run.weak_drive is None
     assert run.scan_type == "axial"
     assert (run.scan_start, run.scan_stop, run.scan_points) == (-30.0, 30.0, 61)
     assert run.out_path == "scan.csv"
@@ -61,7 +61,7 @@ def test_defaults():
     assert run.cavity.apply_diffraction_correction is False
     assert run.orientation.kind == "isotropic"
     assert run.detuning.linewidths == 0.0
-    assert run.drive is None
+    assert run.pi_e is None and run.weak_drive is None
     assert run.out_format == "csv"
     assert run.precision == 17
 
@@ -93,6 +93,7 @@ def test_comments_and_case():
     ("[mirrors]\nrho 0.9\n", 2, "key = value"),
     ("[mirrors]\nrho = 0.9\nrho = 0.8\n", 3, "duplicate"),
     ("[scan]\ntype = spiral\n", 2, "scan type"),
+    ("[scan]\ntype = plane\n", 2, "scan type"),
     ("[scan]\nstart = 2\nstop = 1\n", 2, "below stop"),
     ("[scan]\nn_points = 1\n", 2, ">= 2"),
     ("[output]\nformat = xml\n", 2, "csv or json"),
@@ -123,7 +124,8 @@ def test_weak_drive_requires_both_keys():
     with pytest.raises(ConfigError):
         parse_config("[drive]\nlaser_detuning = 0.0\n")
     run = parse_config("[drive]\nrabi = 0.1\nlaser_detuning = -0.2\n")
-    assert run.drive == ("weak", 0.1, -0.2)
+    assert run.weak_drive == (0.1, -0.2)
+    assert run.pi_e is None
 
 
 def test_pi_e_range():

@@ -200,30 +200,44 @@ def test_accepts_position_instance():
 
 
 def test_position_parity():
+    # damping and shift are even under kr -> -kr, so the gradient is odd
     config = CavityConfig(rho=0.95, theta_m=0.7)
     rng = np.random.default_rng(9)
+    fixed = DipoleOrientation.fixed(np.array([2.0, -1.0, 2.0]) / 3.0)
     for _ in range(4):
         kr = rng.normal(size=3)
         kr *= rng.uniform(1, 40) / np.linalg.norm(kr)
-        for orientation in ORIENTATIONS:
-            plus = integrate_sphere(kr, orientation, config, 0.02)
-            minus = integrate_sphere(-kr, orientation, config, 0.02)
+        for orientation in ORIENTATIONS + (fixed,):
+            plus = integrate_sphere(kr, orientation, config, 0.02,
+                                    with_gradient=True)
+            minus = integrate_sphere(-kr, orientation, config, 0.02,
+                                     with_gradient=True)
             assert abs(plus.gamma_ratio - minus.gamma_ratio) < 1e-12
             assert abs(plus.shift_ratio - minus.shift_ratio) < 1e-12
+            assert_allclose(plus.shift_gradient, -minus.shift_gradient,
+                            rtol=0, atol=1e-12)
 
 
 def test_rotation_symmetry_about_axis():
+    # rotating the position about the axis rotates the gradient with it
     config = CavityConfig(rho=0.98)
     rng = np.random.default_rng(13)
     for orientation in (DipoleOrientation.parallel(),
                         DipoleOrientation.isotropic()):
         r_perp, z = 17.0, -9.0
-        base = integrate_sphere([r_perp, 0.0, z], orientation, config, 0.01)
+        base = integrate_sphere([r_perp, 0.0, z], orientation, config, 0.01,
+                                with_gradient=True)
         for angle in rng.uniform(0, 2 * math.pi, 3):
             kr = [r_perp * math.cos(angle), r_perp * math.sin(angle), z]
-            rot = integrate_sphere(kr, orientation, config, 0.01)
+            rot = integrate_sphere(kr, orientation, config, 0.01,
+                                   with_gradient=True)
             assert abs(rot.gamma_ratio - base.gamma_ratio) < 1e-8
             assert abs(rot.shift_ratio - base.shift_ratio) < 1e-8
+            c, s = math.cos(angle), math.sin(angle)
+            rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            assert_allclose(rot.shift_gradient,
+                            rotation @ base.shift_gradient,
+                            rtol=0, atol=1e-10)
 
 
 def test_fast_path_matches_general():

@@ -83,6 +83,18 @@ def _positive(kind):
     return parse
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It rejects the arguments it does not take
+    itself, so the error names the command and shows its usage, not the
+    top-level parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vactrap",
@@ -104,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="quadrature doubling tolerance (default 1e-9)")
     scan.add_argument("--threads", type=_positive(int), default=1,
                       help="worker threads for scan points (default 1)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     sub.add_parser(
         "center", parents=[scan],
         help="detuning scan of the center damping and shift",
@@ -348,6 +361,7 @@ def main(argv=None) -> int:
     try:
         run = load_config(args.config) if args.config else RunConfig.defaults()
         args.format = args.format or run.out_format
+        run.out_format = args.format  # metadata records the format written
         if args.out is None:
             args.out = run.out_path
         if args.timings and args.format != "json":

@@ -183,6 +183,18 @@ def test_force_json_trap_metadata(tmp_path):
     assert "timings" not in payload["metadata"]
 
 
+def test_json_metadata_records_format_written(tmp_path, capsys):
+    # the config leaves the format at its CSV default: the metadata must
+    # name the JSON that --format asked for and validate always writes
+    config = write(tmp_path / "run.ini", "[scan]\nn_points = 3\n")
+    assert cli.main(["axial", "--config", config, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"]["config"]["output"]["format"] == "json"
+    assert cli.main(["validate", "--config", config]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["metadata"]["config"]["output"]["format"] == "json"
+
+
 def test_potential_sign_flips_with_detuning(tmp_path):
     blue = write(tmp_path / "blue.ini", FORCE_INI)
     red = write(tmp_path / "red.ini",
@@ -338,7 +350,11 @@ def test_bad_flag_values_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([*argv, "--out", str(out)])
     assert excinfo.value.code == 2
-    assert argv[1].split("=")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert argv[1].split("=")[0] in err
+    # the command's own parser reports it, with that command's usage
+    assert err.startswith(f"usage: vactrap {argv[0]} ")
+    assert f"vactrap {argv[0]}: error:" in err
     assert not out.exists()
 
 

@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.polynomial.legendre import leggauss, legval
+from numpy.testing import assert_allclose, assert_array_equal
 
+from vactrap import quadrature
 from vactrap.cavity import (
     CavityConfig,
     DipoleOrientation,
@@ -15,6 +17,7 @@ from vactrap.cavity import (
     center_shift,
     phase_fwhm,
 )
+from vactrap.config import RunConfig
 from vactrap.quadrature import (
     AngularGrid,
     ConvergenceError,
@@ -92,6 +95,45 @@ def test_integrand_pointwise_nonnegative():
         sample = integrand_at(v, kr, DipoleOrientation.isotropic(), config,
                               rng.uniform(-1.5, 1.5))
         assert sample.gamma_term >= 0.0
+
+
+# --------------------------------------------------------------- rules
+
+def check_rule_exactness(n, x, w):
+    """(x, w) is an ascending, mirror-symmetric n-point rule on [-1, 1]
+    that integrates the Legendre polynomials up to degree 2n - 1 exactly
+    (their integral is 0 for k >= 1)."""
+    assert np.all(np.diff(x) > 0)
+    assert_array_equal(x, -x[::-1])
+    assert_array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 4e-15
+    for k in {1, 2, n, 2 * n - 1}:
+        if k <= 2 * n - 1:
+            p_k = legval(x, np.eye(k + 1)[k])
+            assert abs(np.sum(w * p_k)) <= 1e-14, (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 101, 404, 808, 1616])
+def test_gauss_legendre_rule_matches_numpy(n):
+    x, w = quadrature._leggauss(n)
+    x_ref, _ = leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 4e-16
+    check_rule_exactness(n, x, w)
+
+
+def test_gauss_legendre_largest_rule():
+    # the polar floor at the largest admissible |kr| = 300, doubled by the
+    # tolerance check; the numpy reference would take seconds here
+    n = 2408
+    x, w = quadrature._leggauss(n)
+    assert len(x) == n
+    check_rule_exactness(n, x, w)
+
+
+def test_gauss_legendre_newton_is_bounded(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="n=33"):
+        quadrature._leggauss.__wrapped__(33)
 
 
 # ---------------------------------------------------------------- grid
@@ -275,6 +317,22 @@ def test_doubling_convergence_default_grids():
                 < 1e-6 * max(1.0, abs(fine.gamma_ratio))
             assert abs(fine.shift_ratio - base.shift_ratio) \
                 < 1e-6 * max(1.0, abs(fine.shift_ratio))
+
+
+def test_refined_grids_agree_at_far_axis_point():
+    # kz = -99.5 is next to the end of the default axial scan: its doubled
+    # and twice-doubled grids agree to rounding when the Gauss-Legendre
+    # weights are exact (eigensolver weights moved it by 1.3e-13)
+    run = RunConfig.defaults()
+    phi0 = run.detuning.phase(run.cavity.rho)
+    kr = [0.0, 0.0, -99.5]
+    grid = AngularGrid.for_position(kr, run.cavity).doubled()
+    fine = integrate_sphere(kr, run.orientation, run.cavity, phi0, grid=grid)
+    finer = integrate_sphere(kr, run.orientation, run.cavity, phi0,
+                             grid=grid.doubled())
+    for a, b in ((fine.gamma_ratio, finer.gamma_ratio),
+                 (fine.shift_ratio, finer.shift_ratio)):
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
 
 def test_convergence_error_reports_estimate():

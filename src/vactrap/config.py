@@ -22,7 +22,7 @@ File format (all sections and keys optional; defaults below):
     type = axial                   # axial | transverse (force, potential)
     start = -100.0
     stop = 100.0
-    n_points = 401
+    n_points = 401                 # 2 to 10001
 
     [output]
     path = out.csv
@@ -51,6 +51,9 @@ _SECTIONS = {
 }
 
 _SCAN_TYPES = ("axial", "transverse")
+
+# 25 times the largest default scan; plane maps cost n_points squared
+_MAX_SCAN_POINTS = 10_001
 
 
 class ConfigError(Exception):
@@ -285,9 +288,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             f"{source}:{scan['start'][1]}: scan start must be below stop")
     if "n_points" in scan:
         run.scan_points = _as_int(scan["n_points"], source, "n_points")
-        if run.scan_points < 2:
+        if not 2 <= run.scan_points <= _MAX_SCAN_POINTS:
             raise ConfigError(
-                f"{source}:{scan['n_points'][1]}: n_points must be >= 2")
+                f"{source}:{scan['n_points'][1]}: n_points must be >= 2 "
+                f"and <= {_MAX_SCAN_POINTS}")
 
     output = sections.get("output", {})
     if "path" in output:

@@ -12,14 +12,18 @@ mirror reflectivity applies only inside the double cap
 |cos(theta)| >= cos(theta_eff).  Outside it, in the vacuum band, the
 factors are exactly (1, 0), so the sample is (w, 0) whatever kr is.
 
-Only the two caps are integrated numerically.  The band contributes the
+Only the caps are integrated numerically; the band contributes the
 position-independent constant ``cavity.aperture_weights`` to gamma and
-nothing to the shift or its gradient.  One integrator, ``_integrate_once``,
-is fed cap by cap with directions and weights by one of two rules:
+nothing to the shift or its gradient.  Inversion omega_hat -> -omega_hat
+maps the south cap onto the north one and leaves every integrand
+unchanged (u enters only as u^2 and as sin(2u) omega_hat, the dipole only
+as (d . omega_hat)^2), so the north cap with doubled weights carries
+both.  One integrator, ``_integrate_once``, makes one pass over the
+directions and weights of one of two rules:
 
-* the sphere rule: Gauss-Legendre nodes in cos(theta) on each cap,
-  [0, theta_eff] and [pi - theta_eff, pi], times a uniform periodic rule
-  in azimuth, weighted by the polarization weight;
+* the sphere rule: Gauss-Legendre nodes in cos(theta) on [0, theta_eff]
+  times a uniform periodic rule in azimuth, weighted by the polarization
+  weight;
 * the on-axis rule: the same polar nodes placed on the axis, where only
   the dipole weight depends on azimuth, weighted by its exact azimuth
   average.
@@ -31,8 +35,9 @@ no eigensolver; each rule is cached by its node count.
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
-floor).  Everything here is pure; summation order is fixed, so results
-are bit-stable no matter how callers parallelize.
+floor), the polar count rounded up to a multiple of 16 so that scan
+points share cached rules.  Everything here is pure; summation order is
+fixed, so results are bit-stable no matter how callers parallelize.
 """
 
 from __future__ import annotations
@@ -130,9 +135,9 @@ def azimuth_node_floor(kr_perp: float) -> int:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Node counts of a sphere rule: Gauss-Legendre nodes per cap and
-    uniform azimuth nodes.  Where the caps end is not part of the grid;
-    the integrator reads it from the cavity configuration."""
+    """Node counts of a sphere rule: Gauss-Legendre nodes on the folded
+    cap and uniform azimuth nodes.  Where the cap ends is not part of the
+    grid; the integrator reads it from the cavity configuration."""
 
     n_polar: int
     n_azimuth: int
@@ -143,15 +148,17 @@ class AngularGrid:
 
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
-        """Default grid for a position: the node floors, plus a fixed
-        azimuth margin (the periodic rule needs ~16 modes beyond the
-        integrand's band edge before its spectral tail dies).  The counts
-        depend on kr alone; ``config`` does not change them."""
+        """Default grid for a position: the polar floor rounded up to a
+        multiple of 16, a ladder on which doubled grids also lie, so that
+        up to |kr| = 100 all grids need only 38 cached rules; and the
+        azimuth floor plus a margin of 16 (the periodic rule needs ~16
+        modes beyond the integrand's band edge before its spectral tail
+        dies).  The counts depend on kr alone, not on ``config``."""
         kr = Position.of(kr).vec
         kr_norm = float(np.linalg.norm(kr))
         kr_perp = float(math.hypot(kr[0], kr[1]))
         return cls(
-            n_polar=polar_node_floor(kr_norm),
+            n_polar=16 * math.ceil(polar_node_floor(kr_norm) / 16),
             n_azimuth=azimuth_node_floor(kr_perp) + 16,
         )
 
@@ -253,53 +260,55 @@ def integrand_at(omega_hat, kr, orientation: DipoleOrientation,
 
 def _cap_rules(n_polar: int, c_edge: float):
     """Gauss-Legendre nodes and weights in c = cos(theta) on the north
-    and the south reflective cap."""
+    reflective cap [c_edge, 1], with the weights doubled: the south cap
+    is its mirror image under omega_hat -> -omega_hat, where every
+    integrand takes the same value."""
     x, w_gl = _leggauss(n_polar)
-    for c_lo, c_hi in ((c_edge, 1.0), (-1.0, -c_edge)):
-        yield (0.5 * (c_hi - c_lo) * x + 0.5 * (c_hi + c_lo),
-               0.5 * (c_hi - c_lo) * w_gl)
+    return (0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge),
+            (1.0 - c_edge) * w_gl)
 
 
 def _sphere_rule(orientation, grid, c_edge):
-    """Per cap, (ox, oy, oz, weight) on the n_polar x n_azimuth grid; the
-    weight is the polar weight times the azimuth step times the
+    """(ox, oy, oz, weight) on the n_polar x n_azimuth grid of the folded
+    cap; the weight is the polar weight times the azimuth step times the
     polarization weight, over the 4 pi of the full solid angle."""
     az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
     w_az = 0.5 / grid.n_azimuth  # (2 pi / n_azimuth) / (4 pi)
-    cos_az, sin_az = np.cos(az), np.sin(az)
-    for c, wc in _cap_rules(grid.n_polar, c_edge):
-        s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-        ox = s[:, None] * cos_az[None, :]
-        oy = s[:, None] * sin_az[None, :]
-        oz = np.broadcast_to(c[:, None], ox.shape)
-        yield ox, oy, oz, (wc * w_az)[:, None] * _pol_weight(
-            orientation, ox, oy, oz)
+    c, wc = _cap_rules(grid.n_polar, c_edge)
+    s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    ox = s[:, None] * np.cos(az)[None, :]
+    oy = s[:, None] * np.sin(az)[None, :]
+    oz = np.broadcast_to(c[:, None], ox.shape)
+    return ox, oy, oz, (wc * w_az)[:, None] * _pol_weight(
+        orientation, ox, oy, oz)
 
 
 def _axis_rule(orientation, grid, c_edge):
-    """Per cap, the polar nodes on the axis (ox = oy = 0).  There only the
-    dipole weight depends on azimuth; its azimuth average is
+    """The polar nodes of the folded cap on the axis (ox = oy = 0).  There
+    only the dipole weight depends on azimuth; its azimuth average is
     1.5 (1 - a c^2 - (1 - a) s^2 / 2) with a = d_z^2, and the azimuth
     integral over 4 pi leaves a factor 1/2."""
     a = orientation.axial_fraction
-    for c, wc in _cap_rules(grid.n_polar, c_edge):
-        if a is None:
-            w_pol = 1.0
-        else:
-            s_sq = np.clip(1.0 - c * c, 0.0, None)
-            w_pol = 1.5 * (1.0 - a * c * c - (1.0 - a) * s_sq / 2.0)
-        yield 0.0, 0.0, c, wc * w_pol / 2.0
+    c, wc = _cap_rules(grid.n_polar, c_edge)
+    if a is None:
+        w_pol = 1.0
+    else:
+        s_sq = np.clip(1.0 - c * c, 0.0, None)
+        w_pol = 1.5 * (1.0 - a * c * c - (1.0 - a) * s_sq / 2.0)
+    return 0.0, 0.0, c, wc * w_pol / 2.0
 
 
 def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
                     use_fast_path):
-    """Caps by quadrature, plus the vacuum band's closed-form share.
+    """The folded cap by quadrature, in one pass through the kernel, plus
+    the vacuum band's closed-form share.
 
     The cap edge is read once from the configuration.  On the axis, with
     the fast path allowed and an orientation that is symmetric about the
     axis, the on-axis rule replaces the sphere rule; everything after the
     rule is the same.  The gradient is d(shift)/d(kr) = sum of
-    weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR).
+    weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR),
+    whose integrand is also even under omega_hat -> -omega_hat.
     """
     c_edge = math.cos(effective_theta(config))
     on_axis = kr[0] == 0.0 and kr[1] == 0.0
@@ -307,27 +316,18 @@ def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
         rule = _axis_rule
     else:
         rule = _sphere_rule
-    kx, ky, kz = kr
-    kr_sq = float(kr @ kr)
     kR = config.k_r_mirror
-
-    gamma = 0.0
-    shift = 0.0
-    grad = np.zeros(3) if with_gradient else None
-    for ox, oy, oz, weight in rule(orientation, grid, c_edge):
-        u = ox * kx + oy * ky + oz * kz
-        phi = ray_phase(phi0, kr_sq, u, kR)
-        g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u,
-                                               with_gradient)
-        gamma += np.sum(weight * g)
-        shift += np.sum(weight * sh)
-        if with_gradient:
-            for axis, (o_axis, k_axis) in enumerate(
-                    [(ox, kx), (oy, ky), (oz, kz)]):
-                grad[axis] += np.sum(weight * (
-                    u_part * o_axis + phase_part * (k_axis - u * o_axis) / kR))
+    ox, oy, oz, weight = rule(orientation, grid, c_edge)
+    u = ox * kr[0] + oy * kr[1] + oz * kr[2]
+    phi = ray_phase(phi0, float(kr @ kr), u, kR)
+    g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u, with_gradient)
+    grad = None
+    if with_gradient:
+        grad = np.array([
+            np.sum(weight * (u_part * o + phase_part * (k - u * o) / kR))
+            for o, k in zip((ox, oy, oz), kr)])
     band, _ = aperture_weights(orientation, c_edge)
-    return band + gamma, shift, grad
+    return band + np.sum(weight * g), np.sum(weight * sh), grad
 
 
 def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,

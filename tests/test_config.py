@@ -96,6 +96,7 @@ def test_comments_and_case():
     ("[scan]\ntype = plane\n", 2, "scan type"),
     ("[scan]\nstart = 2\nstop = 1\n", 2, "below stop"),
     ("[scan]\nn_points = 1\n", 2, ">= 2"),
+    ("[scan]\nn_points = 10002\n", 2, "<= 10001"),
     ("[output]\nformat = xml\n", 2, "csv or json"),
     ("[output]\nprecision = 40\n", 2, "precision"),
     ("[detuning]\nlinewidths = 1e9\n", 2, "single-resonance"),

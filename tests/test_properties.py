@@ -3,11 +3,33 @@ rules."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vactrap.cavity import CavityConfig, DipoleOrientation
-from vactrap.quadrature import integrate_sphere
+from vactrap.cavity import (
+    CavityConfig,
+    DipoleOrientation,
+    aperture_weights,
+    effective_theta,
+    ray_phase,
+)
+from vactrap.quadrature import (
+    AngularGrid,
+    _cap_terms,
+    _leggauss,
+    _pol_weight,
+    integrate_sphere,
+)
+
+# fixed dipoles off every symmetry axis of the cavity, and on two of them
+FIXED_DIPOLES = tuple(
+    DipoleOrientation.fixed(np.array(d) / np.linalg.norm(d))
+    for d in ((0.3, 0.4, 0.866), (1.0, -2.0, 0.5), (0.0, 0.0, 1.0),
+              (1.0, 0.0, 0.0)))
+ORIENTATIONS = FIXED_DIPOLES + (DipoleOrientation.isotropic(),
+                                DipoleOrientation.parallel(),
+                                DipoleOrientation.perpendicular())
 
 
 def close(x, y):
@@ -38,3 +60,96 @@ def test_on_axis_orientation_decomposition(kz, rho, phi0, d_z, azimuth):
                  a * par.gamma_ratio + (1.0 - a) * perp.gamma_ratio)
     assert close(resp.shift_ratio,
                  a * par.shift_ratio + (1.0 - a) * perp.shift_ratio)
+
+
+def _weighted_terms(omega, kr, orientation, rho, phi0, k_r_mirror):
+    """Polarization-weighted gamma, shift and gradient integrands at the
+    directions omega (an (n, 3) array)."""
+    u = omega @ kr
+    w = _pol_weight(orientation, omega[:, 0], omega[:, 1], omega[:, 2])
+    phi = ray_phase(phi0, float(kr @ kr), u, k_r_mirror)
+    g, sh, u_part, phase_part = _cap_terms(rho, phi, u, with_gradient=True)
+    grad = (u_part[:, None] * omega
+            + phase_part[:, None] * (kr[None, :] - u[:, None] * omega)
+            / k_r_mirror)
+    return w * g, w * sh, w[:, None] * grad
+
+
+coordinate = st.floats(-40.0, 40.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(kr=st.tuples(coordinate, coordinate, coordinate),
+       rho=st.floats(0.0, 0.99),
+       phi0=st.floats(-1.5, 1.5),
+       cos_theta=st.floats(-1.0, 1.0),
+       azimuth=st.floats(0.0, 2.0 * math.pi))
+def test_fold_identity_pointwise(kr, rho, phi0, cos_theta, azimuth):
+    # inversion omega -> -omega leaves all three integrands unchanged, so
+    # one cap with doubled weights carries both
+    kr = np.array(kr)
+    s = math.sqrt(1.0 - cos_theta * cos_theta)
+    omega = np.array([[s * math.cos(azimuth), s * math.sin(azimuth),
+                       cos_theta]])
+    for orientation in ORIENTATIONS:
+        here = _weighted_terms(omega, kr, orientation, rho, phi0, 8e4)
+        there = _weighted_terms(-omega, kr, orientation, rho, phi0, 8e4)
+        for x, y in zip(here, there):
+            assert np.all(np.abs(x - y) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+
+
+def _two_cap_reference(kr, orientation, config, phi0):
+    """Both caps summed on their own nodes, the south ones the mirror
+    images of the north ones, plus the band: the integral before the
+    fold."""
+    c_edge = math.cos(effective_theta(config))
+    grid = AngularGrid.for_position(kr, config)
+    x, w_gl = _leggauss(grid.n_polar)
+    c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
+    s = np.sqrt(1.0 - c * c)
+    az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
+    north = np.stack([np.outer(s, np.cos(az)), np.outer(s, np.sin(az)),
+                      np.outer(c, np.ones_like(az))], axis=-1).reshape(-1, 3)
+    weight = np.repeat(0.5 * (1.0 - c_edge) * w_gl * 0.5 / grid.n_azimuth,
+                       grid.n_azimuth)
+    gamma, shift, grad = aperture_weights(orientation, c_edge)[0], 0.0, 0.0
+    for omega in (north, -north):
+        g, sh, gr = _weighted_terms(omega, kr, orientation, config.rho,
+                                    phi0, config.k_r_mirror)
+        gamma += np.sum(weight * g)
+        shift += np.sum(weight * sh)
+        grad += np.sum(weight[:, None] * gr, axis=0)
+    return gamma, shift, grad
+
+
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(kr=st.tuples(st.floats(0.5, 30.0), st.floats(-30.0, 30.0),
+                    st.floats(-30.0, 30.0)),
+       phi0=st.floats(-0.1, 0.1),
+       dipole=st.sampled_from(FIXED_DIPOLES[:2]))
+def test_fold_matches_two_cap_sum(kr, phi0, dipole):
+    config = CavityConfig(rho=0.98)
+    kr = np.array(kr)
+    resp = integrate_sphere(kr, dipole, config, phi0, with_gradient=True)
+    gamma, shift, grad = _two_cap_reference(kr, dipole, config, phi0)
+    for x, y in ((gamma, resp.gamma_ratio), (shift, resp.shift_ratio),
+                 *zip(grad, resp.shift_gradient)):
+        assert abs(x - y) <= 1e-13 * max(1.0, abs(x)), (x, y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(kr=st.tuples(coordinate, coordinate, coordinate),
+       on_axis=st.booleans(),
+       phi0=st.floats(-1.5, 1.5),
+       orientation=st.sampled_from(ORIENTATIONS))
+def test_free_space_any_position_and_orientation(kr, on_axis, phi0,
+                                                 orientation):
+    # rho = 0 is free space: (1, 0) and no force wherever the atom sits;
+    # a wrong fold weight moves gamma away from 1
+    if on_axis:
+        kr = (0.0, 0.0, kr[2])
+    resp = integrate_sphere(kr, orientation, CavityConfig(rho=0.0), phi0,
+                            with_gradient=True)
+    assert abs(resp.gamma_ratio - 1.0) <= 1e-13
+    assert resp.shift_ratio == 0.0
+    assert np.all(resp.shift_gradient == 0.0)

@@ -18,6 +18,7 @@ from vactrap.cavity import (
     phase_fwhm,
 )
 from vactrap.config import RunConfig
+from vactrap.fields import ScanSpec, run_scan
 from vactrap.quadrature import (
     AngularGrid,
     ConvergenceError,
@@ -153,6 +154,29 @@ def test_grid_for_position():
     doubled = grid.doubled()
     assert doubled.n_polar == 2 * grid.n_polar
     assert doubled.n_azimuth == 2 * grid.n_azimuth
+    # n_polar sits on the 16-node ladder, and so does every doubled grid:
+    # up to |kr| = 100 all grids together need no more than 38 rules
+    rules = set()
+    for kz in np.linspace(0.0, 100.0, 2001):
+        floor = polar_node_floor(kz)
+        grid = AngularGrid.for_position([0.0, 0.0, kz], config)
+        assert grid.n_polar % 16 == 0
+        assert floor <= grid.n_polar < floor + 16
+        assert grid.doubled().n_polar % 16 == 0
+        rules |= {grid.n_polar, grid.doubled().n_polar}
+    assert len(rules) == 38
+
+
+def test_default_axial_scan_reuses_rules():
+    # the default 401-point axial scan asks for a rule at every point and
+    # again at its doubled grid; off the ladder that built 652 rules
+    run = RunConfig.defaults()
+    spec = ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation)
+    quadrature._leggauss.cache_clear()
+    run_scan(spec)
+    info = quadrature._leggauss.cache_info()
+    assert info.hits + info.misses == 802
+    assert info.misses <= 40
 
 
 def test_grid_invariants():

@@ -11,15 +11,12 @@ from .cavity import (
     Position,
     Response,
     ValidityWarning,
-    aberration_phase,
     airy_factors,
     center_gamma,
-    center_response,
     center_shift,
     detuning_to_phase,
     effective_theta,
     phase_fwhm,
-    polarization_weight,
 )
 from .fields import (
     ForceResult,
@@ -36,8 +33,6 @@ from .fields import (
 from .quadrature import (
     AngularGrid,
     ConvergenceError,
-    IntegrandSample,
-    integrand_at,
     integrate_sphere,
     monte_carlo_reference,
 )
@@ -52,27 +47,22 @@ __all__ = [
     "Detuning",
     "DipoleOrientation",
     "ForceResult",
-    "IntegrandSample",
     "Position",
     "Response",
     "ScanResult",
     "ScanSpec",
     "ValidityWarning",
     "WeakExcitationError",
-    "aberration_phase",
     "airy_factors",
     "center_gamma",
-    "center_response",
     "center_shift",
     "detuning_to_phase",
     "effective_theta",
     "excited_population",
     "force_at",
-    "integrand_at",
     "integrate_sphere",
     "monte_carlo_reference",
     "phase_fwhm",
-    "polarization_weight",
     "response_at",
     "run_scan",
     "shift_gradient",

@@ -270,24 +270,6 @@ def airy_factors(rho: float, phi) -> AiryFactors:
     )
 
 
-def polarization_weight(d_hat, omega_hat) -> float | np.ndarray:
-    """Transverse-field weight (3/2)(1 - (d_hat . omega_hat)^2).
-
-    Both arguments must be unit vectors; omega_hat may be an (..., 3)
-    array of directions.  The isotropic orientation corresponds to the
-    angular average of this weight, which is exactly 1.
-    """
-    d = np.asarray(d_hat, dtype=float)
-    omega = np.asarray(omega_hat, dtype=float)
-    if abs(np.dot(d, d) - 1.0) > 1e-9:
-        raise ValueError("d_hat must be a unit vector")
-    norms = np.sum(omega * omega, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("omega_hat must be a unit vector")
-    cos = omega @ d
-    return 1.5 * (1.0 - cos * cos)
-
-
 def ray_phase(phi0, kr_sq, u, k_r_mirror: float):
     """Round-trip half phase of the ray through a point at squared
     distance kr_sq from the center, with u = omega_hat . kr.
@@ -296,14 +278,6 @@ def ray_phase(phi0, kr_sq, u, k_r_mirror: float):
     phase (|kr|^2 - u^2) / (2 kR) on top of phi0.  u may be an array.
     """
     return phi0 + (kr_sq - u * u) / (2.0 * k_r_mirror)
-
-
-def aberration_phase(phi0: float, kr, omega_hat, k_r_mirror: float):
-    """ray_phase for a point kr and a direction (or (..., 3) array of
-    directions) omega_hat."""
-    kr = np.asarray(kr, dtype=float)
-    omega = np.asarray(omega_hat, dtype=float)
-    return ray_phase(phi0, float(kr @ kr), omega @ kr, k_r_mirror)
 
 
 def phase_fwhm(rho: float) -> float:
@@ -330,7 +304,7 @@ def detuning_to_phase(linewidths: float, rho: float) -> float:
     if linewidths == 0.0:
         return 0.0
     phi0 = linewidths * phase_fwhm(rho)
-    if abs(phi0) > math.pi / 2:
+    if not abs(phi0) <= math.pi / 2:
         raise ValueError(
             f"detuning of {linewidths} linewidths leaves the "
             "single-resonance window (|phi0| > pi/2)"
@@ -382,13 +356,3 @@ def center_shift(orientation: DipoleOrientation, config: CavityConfig, phi0):
     """Level-shift ratio Delta'(0)/Gamma_vac at the cavity center."""
     _, cav = _center_weights(orientation, config)
     return cav * airy_factors(config.rho, phi0).d_odd
-
-
-def center_response(orientation: DipoleOrientation, config: CavityConfig,
-                    phi0: float) -> Response:
-    """Both center ratios packaged as a Response (gradient is zero at the
-    center by parity and is omitted)."""
-    return Response(
-        gamma_ratio=float(center_gamma(orientation, config, phi0)),
-        shift_ratio=float(center_shift(orientation, config, phi0)),
-    )

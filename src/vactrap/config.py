@@ -150,11 +150,13 @@ def _parse_sections(text: str, source: str) -> dict:
 def _as_float(entry, source, name) -> float:
     value, lineno = entry
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
         raise ConfigError(
-            f"{source}:{lineno}: {name} must be a number, got {value!r}"
-        ) from None
+            f"{source}:{lineno}: {name} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_int(entry, source, name) -> int:
@@ -196,9 +198,10 @@ def _parse_orientation(entry, source) -> DipoleOrientation:
                 f"{source}:{lineno}: orientation components must be "
                 f"numbers, got {value!r}") from None
         norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
+        if not 0.0 < norm < math.inf:
             raise ConfigError(
-                f"{source}:{lineno}: orientation vector must be nonzero")
+                f"{source}:{lineno}: orientation vector must be finite and "
+                f"nonzero, got {value!r}")
         return DipoleOrientation.fixed(vec / norm)
     raise ConfigError(
         f"{source}:{lineno}: orientation must be parallel, perpendicular, "

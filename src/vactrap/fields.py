@@ -80,7 +80,7 @@ def shift_gradient(position, orientation: DipoleOrientation,
 
     Computed by differentiating the integrand analytically (chain rule
     through the standing-wave factors and the aberration phase) and
-    integrating with the same sphere rule, which is far quieter than
+    integrating with the same quadrature rule, which is far quieter than
     finite-differencing the oscillatory quadrature.
     """
     resp = response_at(position, orientation, config, detuning,

@@ -19,14 +19,15 @@ maps the south cap onto the north one and leaves every integrand
 unchanged (u enters only as u^2 and as sin(2u) omega_hat, the dipole only
 as (d . omega_hat)^2), so the north cap with doubled weights carries
 both.  One integrator, ``_integrate_once``, makes one pass over the
-directions and weights of one of two rules:
-
-* the sphere rule: Gauss-Legendre nodes in cos(theta) on [0, theta_eff]
-  times a uniform periodic rule in azimuth, weighted by the polarization
-  weight;
-* the on-axis rule: the same polar nodes placed on the axis, where only
-  the dipole weight depends on azimuth, weighted by its exact azimuth
-  average.
+directions and weights of a rule, and one rule serves every position:
+the zonal rule, whose nodes are rings about kr.  On such a ring u is
+constant, so its integral over the arc inside the cap is closed form, and
+what is left is a 1-D Gauss-Legendre integral over the ring angle in two
+panels (a Funk-Hecke reduction restricted to a cap; Atkinson & Han,
+Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
+The 2-D rule, Gauss-Legendre in cos(theta) times a uniform azimuth rule,
+is kept only as the independent reference that ``validate`` and the
+tests compare the zonal rule with.
 
 Gauss-Legendre rules are built by Newton's method on the three-term
 Legendre recurrence (``_leggauss``), in O(n^2) work and O(n) memory, with
@@ -35,9 +36,11 @@ no eigensolver; each rule is cached by its node count.
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
-floor), the polar count rounded up to a multiple of 16 so that scan
-points share cached rules.  Everything here is pure; summation order is
-fixed, so results are bit-stable no matter how callers parallelize.
+floor); the polar count also grows with the resonance linewidths that the
+aberration phase sweeps, and is rounded up to a multiple of 16 so that
+scan points share cached rules.  Everything here is pure; summation
+order is fixed, so results are bit-stable no matter how callers
+parallelize.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from functools import lru_cache
 import numpy as np
 
 from .cavity import (
-    FIXED,
     CavityConfig,
     DipoleOrientation,
     Position,
@@ -123,8 +125,8 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def polar_node_floor(kr_norm: float) -> int:
-    """Minimum Gauss-Legendre nodes per polar subdomain: at least four
-    nodes per oscillation period, never fewer than 32."""
+    """Minimum Gauss-Legendre nodes per polar panel: at least four nodes
+    per oscillation period, never fewer than 32."""
     return max(32, math.ceil(4.0 * (kr_norm + 1.0)))
 
 
@@ -135,9 +137,10 @@ def azimuth_node_floor(kr_perp: float) -> int:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Node counts of a sphere rule: Gauss-Legendre nodes on the folded
-    cap and uniform azimuth nodes.  Where the cap ends is not part of the
-    grid; the integrator reads it from the cavity configuration."""
+    """Node counts: Gauss-Legendre nodes per panel of the zonal rule (and
+    in cos(theta) for the 2-D reference rule), and uniform azimuth nodes
+    of the 2-D rule.  Where the cap ends is not part of the grid; the
+    integrator reads it from the cavity configuration."""
 
     n_polar: int
     n_azimuth: int
@@ -148,17 +151,27 @@ class AngularGrid:
 
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
-        """Default grid for a position: the polar floor rounded up to a
-        multiple of 16, a ladder on which doubled grids also lie, so that
-        up to |kr| = 100 all grids need only 38 cached rules; and the
-        azimuth floor plus a margin of 16 (the periodic rule needs ~16
-        modes beyond the integrand's band edge before its spectral tail
-        dies).  The counts depend on kr alone, not on ``config``."""
+        """Default grid for a position and mirrors.
+
+        n_polar is the polar floor, or four nodes per resonance linewidth
+        that the aberration phase sweeps where that is more:
+        2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
+        |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in
+        phase.  With the default mirrors that term stays below the floor.
+        n_polar is rounded up to a multiple of 16, a ladder on which
+        doubled grids also lie, so that up to |kr| = 100 the default
+        grids need only 38 cached rules.  n_azimuth, read by the 2-D
+        reference rule only, is the azimuth floor plus a margin of 16
+        (the periodic rule needs ~16 modes beyond the integrand's band
+        edge before its spectral tail dies)."""
         kr = Position.of(kr).vec
         kr_norm = float(np.linalg.norm(kr))
         kr_perp = float(math.hypot(kr[0], kr[1]))
+        sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
+                 / (config.k_r_mirror * (1.0 - config.rho)))
+        n_polar = max(polar_node_floor(kr_norm), math.ceil(sweep))
         return cls(
-            n_polar=16 * math.ceil(polar_node_floor(kr_norm) / 16),
+            n_polar=16 * math.ceil(n_polar / 16),
             n_azimuth=azimuth_node_floor(kr_perp) + 16,
         )
 
@@ -166,28 +179,14 @@ class AngularGrid:
         return AngularGrid(2 * self.n_polar, 2 * self.n_azimuth)
 
     def check_admissible(self, kr: np.ndarray) -> None:
-        """Reject grids below the node floor for this position."""
+        """Reject grids below the polar node floor for this position (the
+        azimuth count is read by the 2-D reference rule only)."""
         kr_norm = float(np.linalg.norm(kr))
-        kr_perp = float(math.hypot(kr[0], kr[1]))
         if self.n_polar < polar_node_floor(kr_norm):
             raise ValueError(
                 f"n_polar={self.n_polar} is below the floor "
                 f"{polar_node_floor(kr_norm)} for |kr|={kr_norm:.2f}"
             )
-        if self.n_azimuth < azimuth_node_floor(kr_perp):
-            raise ValueError(
-                f"n_azimuth={self.n_azimuth} is below the floor "
-                f"{azimuth_node_floor(kr_perp)} for |kr_perp|={kr_perp:.2f}"
-            )
-
-
-@dataclass(frozen=True)
-class IntegrandSample:
-    """Pointwise value of both direction integrands."""
-
-    direction: tuple[float, float, float]
-    gamma_term: float
-    shift_term: float
 
 
 def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):
@@ -239,85 +238,128 @@ def _sample_terms(dirs: np.ndarray, kr: np.ndarray,
     return gamma, shift
 
 
-def integrand_at(omega_hat, kr, orientation: DipoleOrientation,
-                 config: CavityConfig, phi0: float) -> IntegrandSample:
-    """Evaluate both integrands for a single direction.
-
-    The reflectivity seen by the ray is rho inside the double cap and 0
-    outside, where the sample reduces exactly to (w, 0).
-    """
-    omega = np.asarray(omega_hat, dtype=float)
-    if abs(omega @ omega - 1.0) > 1e-9:
-        raise ValueError("omega_hat must be a unit vector")
-    kr = Position.of(kr).vec
-    gamma, shift = _sample_terms(omega[None, :], kr, orientation, config, phi0)
-    return IntegrandSample(
-        direction=(omega[0], omega[1], omega[2]),
-        gamma_term=float(gamma[0]),
-        shift_term=float(shift[0]),
-    )
-
-
-def _cap_rules(n_polar: int, c_edge: float):
-    """Gauss-Legendre nodes and weights in c = cos(theta) on the north
-    reflective cap [c_edge, 1], with the weights doubled: the south cap
-    is its mirror image under omega_hat -> -omega_hat, where every
-    integrand takes the same value."""
-    x, w_gl = _leggauss(n_polar)
-    return (0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge),
-            (1.0 - c_edge) * w_gl)
-
-
-def _sphere_rule(orientation, grid, c_edge):
-    """(ox, oy, oz, weight) on the n_polar x n_azimuth grid of the folded
-    cap; the weight is the polar weight times the azimuth step times the
-    polarization weight, over the 4 pi of the full solid angle."""
-    az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
-    w_az = 0.5 / grid.n_azimuth  # (2 pi / n_azimuth) / (4 pi)
-    c, wc = _cap_rules(grid.n_polar, c_edge)
+def _sphere_rule(orientation, grid, theta, kr):
+    """The 2-D reference rule: (ox, oy, oz, weight) on the n_polar x
+    n_azimuth grid of the folded cap, Gauss-Legendre nodes in cos(theta)
+    on [cos(theta_eff), 1] times a uniform azimuth rule.  The weight is
+    the polar weight, doubled for the south cap, times the azimuth step
+    and the polarization weight, over the 4 pi of the full solid angle.
+    It does not depend on kr.  Integrals use the zonal rule; this one is
+    the independent check that ``validate`` and the tests compare it
+    with."""
+    c_edge = math.cos(theta)
+    x, w_gl = _leggauss(grid.n_polar)
+    c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
     ox = s[:, None] * np.cos(az)[None, :]
     oy = s[:, None] * np.sin(az)[None, :]
     oz = np.broadcast_to(c[:, None], ox.shape)
-    return ox, oy, oz, (wc * w_az)[:, None] * _pol_weight(
-        orientation, ox, oy, oz)
+    weight = (1.0 - c_edge) * w_gl * (0.5 / grid.n_azimuth)
+    return ox, oy, oz, weight[:, None] * _pol_weight(orientation, ox, oy, oz)
 
 
-def _axis_rule(orientation, grid, c_edge):
-    """The polar nodes of the folded cap on the axis (ox = oy = 0).  There
-    only the dipole weight depends on azimuth; its azimuth average is
-    1.5 (1 - a c^2 - (1 - a) s^2 / 2) with a = d_z^2, and the azimuth
-    integral over 4 pi leaves a factor 1/2."""
-    a = orientation.axial_fraction
-    c, wc = _cap_rules(grid.n_polar, c_edge)
-    if a is None:
-        w_pol = 1.0
-    else:
-        s_sq = np.clip(1.0 - c * c, 0.0, None)
-        w_pol = 1.5 * (1.0 - a * c * c - (1.0 - a) * s_sq / 2.0)
-    return 0.0, 0.0, c, wc * w_pol / 2.0
+def _zonal_rule(orientation, grid, theta, kr):
+    """(ox, oy, oz, weight) with one node per ring about r = kr/|kr|.
+
+    The folded cap is taken about n = sign(kz) z, at the angle
+    beta <= pi/2 from r (r = n at kr = 0).  On the ring at angle alpha
+    from r, omega = cos(alpha) r + sin(alpha) (cos(psi) e1 + sin(psi) e2)
+    with e1 towards n, so u = |kr| cos(alpha) is constant and the ring
+    meets the cap on the arc |psi| <= psi0.  The node carries
+    W = integral of w dpsi over the arc and the direction V / W, with
+    V = integral of w omega dpsi: kr . V / W = u, and every integrand,
+    gradient included, is w f(u) or linear in omega, so the node
+    reproduces the ring exactly.  The moments of 1, cos, cos^2, sin^2,
+    cos^3 and cos sin^2 over the arc are closed forms, and so are W and V
+    (w is quadratic in omega).
+
+    Alpha runs over two panels of n_polar Gauss-Legendre nodes each:
+    whole rings on [0, theta - beta] (psi0 = pi) and cut rings on
+    [|theta - beta|, theta + beta], both mapped by
+    alpha = a + (b - a) (1 - cos(tau)) / 2, which removes the square-root
+    behaviour of psi0 at the panel ends.  psi0 comes from the half-angle
+    formula of the spherical triangle (r, n, edge point), with
+    s = (alpha + beta + theta) / 2:
+    tan(psi0 / 2) = sqrt(sin(s - alpha) sin(s - beta)
+                         / (sin(s) sin(s - theta))),
+    its small factors taken from the map, not by subtraction.
+    """
+    kx, ky, kz = kr
+    k_perp = math.hypot(kx, ky)
+    beta = math.atan2(k_perp, abs(kz))
+    sign = -1.0 if kz < 0.0 else 1.0
+    cos_p, sin_p = (kx / k_perp, ky / k_perp) if k_perp > 0.0 else (1.0, 0.0)
+    cb, sb = math.cos(beta), math.sin(beta)
+    frame = ((sb * cos_p, sb * sin_p, sign * cb),  # r
+             (-cb * cos_p, -cb * sin_p, sign * sb),  # e1
+             (-sin_p, cos_p, 0.0))  # e2
+    # w = 1.5 (1 - omega . D omega) with D = d d^T, or I/3 for the
+    # isotropic average; q is D in the frame (r, e1, e2).  The ring
+    # integrals below spend trace(D) = 1 so that nothing cancels: the
+    # form 1.5 (m0 - integral of omega . D omega) gives 0/0 for a dipole
+    # along r.
+    d = orientation.unit_vector
+    v = None if d is None else np.array(frame) @ d
+    q = (np.eye(3) / 3.0 if d is None else np.outer(v, v)).tolist()
+    k_c, k_s = 1.5 * (q[1][1] + q[2][2]), 1.5 * q[0][0]
+    k_cs, k_1, k_2 = -3.0 * q[0][1], 1.5 * q[1][1], 1.5 * q[2][2]
+
+    x, w_gl = _leggauss(grid.n_polar)
+    half_tau = 0.25 * math.pi * (x + 1.0)
+    lo = np.sin(half_tau) ** 2  # (alpha - a) / (b - a)
+    hi = np.cos(half_tau) ** 2  # (b - alpha) / (b - a)
+    # d(alpha) per unit of b - a, over the 2 pi of the folded sphere
+    d_alpha = 0.125 * np.sin(2.0 * half_tau) * w_gl
+    panels = []  # (alpha, d_alpha, psi0, sin(psi0), cos(psi0))
+    if beta < theta:
+        width = theta - beta
+        panels.append((width * lo, width * d_alpha, math.pi, 0.0, -1.0))
+    if beta > 0.0:
+        a = abs(theta - beta)
+        width = theta + beta - a
+        alpha = a + width * lo
+        grows = np.sin(0.5 * width * lo)  # sin of (alpha - a) / 2
+        stays = np.sin(0.5 * (alpha + a))
+        sin_sb, sin_st = (grows, stays) if beta >= theta else (stays, grows)
+        psi0 = 2.0 * np.arctan2(
+            np.sqrt(np.sin(0.5 * width * hi) * sin_sb),
+            np.sqrt(np.sin(0.5 * (alpha + beta + theta)) * sin_st))
+        panels.append((alpha, width * d_alpha, psi0, np.sin(psi0),
+                       np.cos(psi0)))
+    nodes = []
+    for alpha, d_alpha, psi0, sin0, cos0 in panels:
+        # moments of 1, cos, cos^2, sin^2, cos sin^2 and cos^3 on the arc
+        m0, mc = 2.0 * psi0, 2.0 * sin0
+        mcc, mss = psi0 + sin0 * cos0, psi0 - sin0 * cos0
+        mcss = 2.0 * sin0 ** 3 / 3.0
+        mccc = mc - mcss
+        c, s = np.cos(alpha), np.sin(alpha)
+        cs, ss = c * s, s * s
+        tilt = k_c * c * c + k_s * ss
+        ring = tilt * m0 + cs * (k_cs * mc) + ss * (k_1 * mss + k_2 * mcc)
+        ring_c = tilt * mc + cs * (k_cs * mcc) + ss * (k_1 * mcss + k_2 * mccc)
+        ring_s = cs * (-3.0 * q[0][2] * mss) + ss * (-3.0 * q[1][2] * mcss)
+        nodes.append((c, s * ring_c / ring, s * ring_s / ring,
+                      s * d_alpha * ring))
+    c, t1, t2, weight = (np.concatenate(part) for part in zip(*nodes))
+    ox, oy, oz = (c * r + t1 * e + t2 * f for r, e, f in zip(*frame))
+    return ox, oy, oz, weight
 
 
 def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
-                    use_fast_path):
+                    rule=_zonal_rule):
     """The folded cap by quadrature, in one pass through the kernel, plus
     the vacuum band's closed-form share.
 
-    The cap edge is read once from the configuration.  On the axis, with
-    the fast path allowed and an orientation that is symmetric about the
-    axis, the on-axis rule replaces the sphere rule; everything after the
-    rule is the same.  The gradient is d(shift)/d(kr) = sum of
+    The cap edge is read once from the configuration.  The gradient is
+    d(shift)/d(kr) = sum of
     weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR),
     whose integrand is also even under omega_hat -> -omega_hat.
     """
-    c_edge = math.cos(effective_theta(config))
-    on_axis = kr[0] == 0.0 and kr[1] == 0.0
-    if use_fast_path and on_axis and orientation.kind != FIXED:
-        rule = _axis_rule
-    else:
-        rule = _sphere_rule
+    theta = effective_theta(config)
     kR = config.k_r_mirror
-    ox, oy, oz, weight = rule(orientation, grid, c_edge)
+    ox, oy, oz, weight = rule(orientation, grid, theta, kr)
     u = ox * kr[0] + oy * kr[1] + oz * kr[2]
     phi = ray_phase(phi0, float(kr @ kr), u, kR)
     g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u, with_gradient)
@@ -326,7 +368,7 @@ def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
         grad = np.array([
             np.sum(weight * (u_part * o + phase_part * (k - u * o) / kR))
             for o, k in zip((ox, oy, oz), kr)])
-    band, _ = aperture_weights(orientation, c_edge)
+    band, _ = aperture_weights(orientation, math.cos(theta))
     return band + np.sum(weight * g), np.sum(weight * sh), grad
 
 
@@ -334,13 +376,14 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                      phi0: float, grid: AngularGrid | None = None,
                      tolerance: float | None = None,
                      with_gradient: bool = False,
-                     use_fast_path: bool = True) -> Response:
+                     _rule=_zonal_rule) -> Response:
     """Average both integrands over the full solid angle.
 
     With a ``tolerance``, the grid is doubled once and the refined result
     is returned; if the two estimates disagree by more than the tolerance
     (relative, floored at 1 in absolute terms) a ConvergenceError is
-    raised carrying the refined estimate.
+    raised carrying the refined estimate.  ``_rule`` is for the checks:
+    ``_sphere_rule`` puts the 2-D reference rule in place of the zonal one.
     """
     kr = Position.of(kr).vec
     if grid is None:
@@ -348,11 +391,11 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     grid.check_admissible(kr)
 
     gamma, shift, grad = _integrate_once(kr, orientation, config, phi0, grid,
-                                         with_gradient, use_fast_path)
+                                         with_gradient, _rule)
     if tolerance is not None:
         gamma2, shift2, grad2 = _integrate_once(
             kr, orientation, config, phi0, grid.doubled(), with_gradient,
-            use_fast_path)
+            _rule)
         d_gamma = abs(gamma2 - gamma)
         d_shift = abs(shift2 - shift)
         ok = (d_gamma <= tolerance * max(1.0, abs(gamma2))

@@ -1,11 +1,11 @@
 """Self-checking oracle suite behind the ``validate`` subcommand.
 
 Every check pits one computation path against an independent one:
-closed forms against the sphere quadrature, the quadrature against
-Monte-Carlo sampling, the analytic gradient against Richardson finite
-differences, and the resonance factors against their period-average sum
-rules.  A failure here means the numerics cannot be trusted for the
-given configuration.
+closed forms against the sphere quadrature, its zonal rule against the
+2-D reference rule, the quadrature against Monte-Carlo sampling, the
+analytic gradient against Richardson finite differences, and the
+resonance factors against their period-average sum rules.  A failure
+here means the numerics cannot be trusted for the given configuration.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .cavity import (
 )
 from .fields import response_at
 from .quadrature import AngularGrid, integrate_sphere, monte_carlo_reference
+from .quadrature import _sphere_rule, _zonal_rule
 
 _ORIENTATIONS = (
     DipoleOrientation.parallel(),
@@ -153,17 +154,21 @@ def check_rotation_symmetry(config: CavityConfig, phi0: float,
                        {"worst_abs_difference": worst, "tolerance": 1e-8})
 
 
-def check_fast_path(config: CavityConfig, phi0: float) -> CheckResult:
+def check_zonal_vs_sphere_rule(config: CavityConfig,
+                               phi0: float) -> CheckResult:
+    """The zonal rule of every integral against the 2-D reference rule,
+    gradient included, on and off the axis."""
     worst = 0.0
     for orientation in _ORIENTATIONS:
-        for kz in (0.0, 3.7, 21.0):
-            fast = integrate_sphere([0.0, 0.0, kz], orientation, config,
-                                    phi0, use_fast_path=True)
-            slow = integrate_sphere([0.0, 0.0, kz], orientation, config,
-                                    phi0, use_fast_path=False)
-            worst = max(worst, abs(fast.gamma_ratio - slow.gamma_ratio),
-                        abs(fast.shift_ratio - slow.shift_ratio))
-    return CheckResult("fast_path", worst < 1e-10,
+        for kr in ([0.0, 0.0, 0.0], [0.0, 0.0, 3.7], [0.0, 0.0, -21.0],
+                   [3.7, 0.0, 0.0], [-12.0, 5.0, 16.0]):
+            a, b = (integrate_sphere(kr, orientation, config, phi0,
+                                     with_gradient=True, _rule=rule)
+                    for rule in (_zonal_rule, _sphere_rule))
+            worst = max(worst, abs(a.gamma_ratio - b.gamma_ratio),
+                        abs(a.shift_ratio - b.shift_ratio),
+                        *np.abs(a.shift_gradient - b.shift_gradient))
+    return CheckResult("zonal_vs_sphere_rule", worst < 1e-10,
                        {"worst_abs_difference": worst, "tolerance": 1e-10})
 
 
@@ -221,7 +226,7 @@ def run_validation_suite(config: CavityConfig, detuning: Detuning,
         check_fsr_sum_rule(config),
         check_parity(config, phi0, seed),
         check_rotation_symmetry(config, phi0, seed),
-        check_fast_path(config, phi0),
+        check_zonal_vs_sphere_rule(config, phi0),
         check_monte_carlo(config, phi0, seed),
         check_gradient(config, detuning, seed),
     ]

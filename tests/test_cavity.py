@@ -13,17 +13,15 @@ from vactrap.cavity import (
     DipoleOrientation,
     Position,
     ValidityWarning,
-    aberration_phase,
     airy_factors,
     center_gamma,
-    center_response,
     center_shift,
     detuning_to_phase,
     effective_theta,
     phase_fwhm,
-    polarization_weight,
+    ray_phase,
 )
-from vactrap.quadrature import integrate_sphere
+from vactrap.quadrature import _pol_weight, integrate_sphere
 
 # frozen oracle values (direct arithmetic / dense reference integration)
 PHASE_FWHM_098 = 0.020203394496123118
@@ -104,48 +102,46 @@ def test_fsr_sum_rule_check_tracks_finesse():
 # ------------------------------------------------------- polarization
 
 def test_polarization_weight_perpendicular():
-    assert polarization_weight([0, 0, 1], [1, 0, 0]) == 1.5
+    assert _pol_weight(DipoleOrientation.parallel(), 1.0, 0.0, 0.0) == 1.5
 
 
 def test_polarization_weight_parallel():
-    assert polarization_weight([0, 0, 1], [0, 0, 1]) == 0.0
+    assert _pol_weight(DipoleOrientation.parallel(), 0.0, 0.0, 1.0) == 0.0
 
 
 def test_polarization_weight_sphere_average():
     # Gauss-Legendre in cos(theta) x uniform azimuth; <cos^2> = 1/3
     nodes, gl_weights = np.polynomial.legendre.leggauss(24)
     az = 2 * math.pi * np.arange(32) / 32
-    d = np.array([1.0, 2.0, -2.0]) / 3.0
+    dipole = DipoleOrientation.fixed(np.array([1.0, 2.0, -2.0]) / 3.0)
     total = 0.0
     for c, w in zip(nodes, gl_weights):
         s = math.sqrt(1 - c * c)
-        dirs = np.column_stack(
-            [s * np.cos(az), s * np.sin(az), np.full_like(az, c)])
-        total += w * np.sum(polarization_weight(d, dirs)) * (2 * math.pi / 32)
+        weights = _pol_weight(dipole, s * np.cos(az), s * np.sin(az),
+                              np.full_like(az, c))
+        total += w * np.sum(weights) * (2 * math.pi / 32)
     assert_allclose(total / (4 * math.pi), 1.0, rtol=1e-12)
-
-
-def test_polarization_weight_rejects_non_unit():
-    with pytest.raises(ValueError):
-        polarization_weight([0, 0, 2], [1, 0, 0])
-    with pytest.raises(ValueError):
-        polarization_weight([0, 0, 1], [0.5, 0, 0])
 
 
 # ---------------------------------------------------------- aberration
 
+def aberration(phi0, kr, omega):
+    kr = np.asarray(kr, dtype=float)
+    return ray_phase(phi0, float(kr @ kr), float(np.dot(omega, kr)), 8.0e4)
+
+
 def test_aberration_phase_center():
-    assert aberration_phase(0.17, [0, 0, 0], [0, 0, 1], 8.0e4) == 0.17
+    assert aberration(0.17, [0, 0, 0], [0, 0, 1]) == 0.17
 
 
 def test_aberration_phase_longitudinal():
     # displacement along the ray has zero impact parameter
-    phi = aberration_phase(0.0, [0, 0, 100.0], [0, 0, 1], 8.0e4)
+    phi = aberration(0.0, [0, 0, 100.0], [0, 0, 1])
     assert abs(phi) < 1e-15
 
 
 def test_aberration_phase_transverse():
-    phi = aberration_phase(0.2, [100.0, 0, 0], [0, 0, 1], 8.0e4)
+    phi = aberration(0.2, [100.0, 0, 0], [0, 0, 1])
     assert_allclose(phi, 0.2 + 0.0625, rtol=1e-14)
 
 
@@ -192,6 +188,12 @@ def test_detuning_sign_convention():
 def test_detuning_window():
     with pytest.raises(ValueError):
         detuning_to_phase(90.0, 0.98)
+
+
+@pytest.mark.parametrize("linewidths", [math.nan, math.inf])
+def test_detuning_rejects_non_finite(linewidths):
+    with pytest.raises(ValueError, match="single-resonance window"):
+        detuning_to_phase(linewidths, 0.98)
 
 
 def test_detuning_low_reflectivity_domain():
@@ -279,12 +281,12 @@ def test_center_rejects_fixed_orientation():
         center_shift(fixed, config, 0.0)
 
 
-def test_center_response_wrapper():
+def test_center_isotropic_on_resonance():
     config = CavityConfig(rho=0.98)
-    resp = center_response(DipoleOrientation.isotropic(), config, 0.0)
-    assert_allclose(resp.gamma_ratio, CENTER_GAMMA_ISO, rtol=1e-12)
-    assert resp.shift_ratio == 0.0
-    assert resp.shift_gradient is None
+    iso = DipoleOrientation.isotropic()
+    assert_allclose(center_gamma(iso, config, 0.0), CENTER_GAMMA_ISO,
+                    rtol=1e-12)
+    assert center_shift(iso, config, 0.0) == 0.0
 
 
 # -------------------------------------------------------- invariants

@@ -298,6 +298,22 @@ def test_output_file_not_written_on_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text", [
+    ("axial", "[detuning]\nlinewidths = nan\n"),
+    ("force", "[drive]\nrabi = nan\nlaser_detuning = 0.0\n"),
+])
+def test_non_finite_config_number_rejected(tmp_path, command, text):
+    # NaN once gave all-NaN rows (exit 3 for axial, 0 for force)
+    config = write(tmp_path / "nan.ini", text)
+    out = tmp_path / "never.csv"
+    proc = run_cli(command, "--config", config, "--out", str(out))
+    assert proc.returncode == 2
+    assert "nan.ini:2: " in proc.stderr
+    assert "must be a finite number" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_nonconvergent_scan_exit_code(tmp_path):
     config = write(tmp_path / "hard.ini",
                    "[mirrors]\nrho = 0.995\nkR = 1.0e3\ntheta_m_deg = 50.0\n"

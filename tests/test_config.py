@@ -86,6 +86,9 @@ def test_comments_and_case():
 @pytest.mark.parametrize("text,line,fragment", [
     ("[mirrors]\nrho = 1.2\n", 2, "rho"),
     ("[mirrors]\nkR = inf\n", 2, "finite"),
+    ("[detuning]\nlinewidths = nan\n", 2, "linewidths must be a finite"),
+    ("[drive]\nrabi = -inf\nlaser_detuning = 0\n", 2, "rabi must be a finite"),
+    ("[dipole]\norientation = nan 0 1\n", 2, "finite and nonzero"),
     ("[mirrors]\nrho = abc\n", 2, "number"),
     ("[mirrors]\nwobble = 1\n", 2, "unknown key"),
     ("[warp]\nrho = 0.9\n", 1, "unknown section"),

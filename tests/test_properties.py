@@ -14,11 +14,14 @@ from vactrap.cavity import (
     effective_theta,
     ray_phase,
 )
+from vactrap.fields import DEFAULT_TOLERANCE
 from vactrap.quadrature import (
     AngularGrid,
     _cap_terms,
     _leggauss,
     _pol_weight,
+    _sphere_rule,
+    _zonal_rule,
     integrate_sphere,
 )
 
@@ -43,9 +46,7 @@ def close(x, y):
        d_z=st.floats(-1.0, 1.0),
        azimuth=st.floats(0.0, 2.0 * math.pi))
 def test_on_axis_orientation_decomposition(kz, rho, phi0, d_z, azimuth):
-    # on the axis R(d) = d_z^2 R_par + (1 - d_z^2) R_perp: a fixed dipole
-    # goes through the sphere rule, parallel and perpendicular through
-    # the on-axis rule
+    # on the axis R(d) = d_z^2 R_par + (1 - d_z^2) R_perp
     config = CavityConfig(rho=rho)
     kr = [0.0, 0.0, kz]
     s = math.sqrt(1.0 - d_z * d_z)
@@ -153,3 +154,41 @@ def test_free_space_any_position_and_orientation(kr, on_axis, phi0,
     assert abs(resp.gamma_ratio - 1.0) <= 1e-13
     assert resp.shift_ratio == 0.0
     assert np.all(resp.shift_gradient == 0.0)
+
+
+@st.composite
+def positions(draw):
+    """Positions with 0.5 <= |kr| <= 42, with the cases of the zonal rule
+    drawn on purpose: near the axis (sin(beta) <= 1e-3) on both sides, on
+    the edge of the 45 degree cap (beta = theta exactly, as atan2(r, r)
+    is pi/4) and in the mid-plane (beta = pi/2)."""
+    kind = draw(st.sampled_from(("any", "near_axis", "edge", "mid_plane")))
+    r = draw(st.floats(0.5, 30.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if kind == "edge":
+        return (r, 0.0, sign * r)
+    sin_beta = draw({"any": st.floats(0.0, 1.0),
+                     "near_axis": st.floats(1e-12, 1e-3),
+                     "mid_plane": st.just(1.0)}[kind])
+    azimuth = draw(st.floats(0.0, 2.0 * math.pi))
+    cos_beta = math.sqrt(1.0 - sin_beta * sin_beta)
+    return (r * sin_beta * math.cos(azimuth), r * sin_beta * math.sin(azimuth),
+            sign * r * cos_beta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(kr=positions(), rho=st.floats(0.5, 0.99), phi0=st.floats(-0.3, 0.3))
+def test_zonal_rule_matches_sphere_rule(kr, rho, phi0):
+    # the refined estimates of the zonal and the 2-D rule agree, gradient
+    # included, for every orientation
+    config = CavityConfig(rho=rho)
+    for orientation in ORIENTATIONS:
+        zonal, sphere = (
+            integrate_sphere(kr, orientation, config, phi0,
+                             tolerance=DEFAULT_TOLERANCE, with_gradient=True,
+                             _rule=rule)
+            for rule in (_zonal_rule, _sphere_rule))
+        for x, y in ((sphere.gamma_ratio, zonal.gamma_ratio),
+                     (sphere.shift_ratio, zonal.shift_ratio),
+                     *zip(sphere.shift_gradient, zonal.shift_gradient)):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (orientation, x, y)

@@ -27,7 +27,6 @@ from .fields import (
     force_at,
     response_at,
     run_scan,
-    shift_gradient,
     trap_minimum,
 )
 from .quadrature import (
@@ -65,7 +64,6 @@ __all__ = [
     "phase_fwhm",
     "response_at",
     "run_scan",
-    "shift_gradient",
     "trap_minimum",
     "__version__",
 ]

@@ -21,6 +21,7 @@ Unit conventions used across the package:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -163,6 +164,16 @@ class DipoleOrientation:
         return None if d is None else float(d[2] * d[2])
 
 
+def _outside_stacklevel() -> int:
+    """``stacklevel`` of a warning issued by the caller of this function
+    that names the innermost frame outside the package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class Position:
     """Atom displacement from the cavity center, in units of 1/k."""
@@ -182,11 +193,13 @@ class Position:
                 f"(<= {POSITION_MAX_RADIUS:g})"
             )
         if norm > POSITION_WARN_RADIUS:
+            # one message, attributed to the caller outside the package:
+            # the default filter then shows it once, not once per point
             warnings.warn(
-                f"|kr| = {norm:.1f} is beyond ~{POSITION_WARN_RADIUS:g}/k; "
-                "the ray model degrades out here",
+                f"positions beyond ~{POSITION_WARN_RADIUS:g}/k; "
+                "the ray model degrades out there",
                 ValidityWarning,
-                stacklevel=3,
+                stacklevel=_outside_stacklevel(),
             )
 
     @classmethod
@@ -331,28 +344,22 @@ def aperture_weights(orientation: DipoleOrientation,
     return vac, cav
 
 
-def _center_weights(orientation: DipoleOrientation,
-                    config: CavityConfig) -> tuple[float, float]:
-    if orientation.kind == FIXED:
-        raise ValueError(
-            "center closed forms cover parallel/perpendicular/isotropic "
-            "orientations only; use the sphere quadrature for a fixed d_hat"
-        )
-    return aperture_weights(orientation, math.cos(effective_theta(config)))
-
-
 def center_gamma(orientation: DipoleOrientation, config: CavityConfig, phi0):
     """Damping ratio Gamma(0)/Gamma_vac at the cavity center.
 
     Only odd modes contribute at the center (even modes have a node
-    there), so the result is vacuum_weight + cavity_weight * l_odd.
-    phi0 may be an array for detuning scans.
+    there), so the result is vacuum_weight + cavity_weight * l_odd.  The
+    weights depend on the dipole only through d_z**2, as the caps are
+    symmetric about the axis, so this holds for every orientation,
+    fixed dipoles included.  phi0 may be an array for detuning scans.
     """
-    vac, cav = _center_weights(orientation, config)
+    vac, cav = aperture_weights(orientation,
+                                math.cos(effective_theta(config)))
     return vac + cav * airy_factors(config.rho, phi0).l_odd
 
 
 def center_shift(orientation: DipoleOrientation, config: CavityConfig, phi0):
-    """Level-shift ratio Delta'(0)/Gamma_vac at the cavity center."""
-    _, cav = _center_weights(orientation, config)
+    """Level-shift ratio Delta'(0)/Gamma_vac at the cavity center, for
+    every orientation as ``center_gamma``."""
+    _, cav = aperture_weights(orientation, math.cos(effective_theta(config)))
     return cav * airy_factors(config.rho, phi0).d_odd

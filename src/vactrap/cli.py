@@ -45,6 +45,7 @@ import numpy as np
 from . import __version__
 from .cavity import (
     POSITION_MAX_RADIUS,
+    CavityConfig,
     Detuning,
     DipoleOrientation,
     center_gamma,
@@ -52,7 +53,7 @@ from .cavity import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .fields import ScanSpec, run_scan, trap_minimum
-from .quadrature import ConvergenceError
+from .quadrature import ConvergenceError, polar_node_count
 from .validation import run_validation_suite
 
 EXIT_OK = 0
@@ -152,7 +153,11 @@ def _scan_range(run: RunConfig, command: str) -> tuple[float, float, int]:
     return start, stop, n_points
 
 
-def _check_spatial_range(start: float, stop: float, plane: bool) -> None:
+def _check_spatial_range(start: float, stop: float, plane: bool,
+                         cavity: CavityConfig) -> None:
+    """Reject, before any row is computed, a scan whose farthest point
+    lies beyond the supported region (ConfigError) or needs more polar
+    nodes than the quadrature's cap (ValueError)."""
     reach = max(abs(start), abs(stop))
     if plane:
         reach *= math.sqrt(2.0)
@@ -160,6 +165,7 @@ def _check_spatial_range(start: float, stop: float, plane: bool) -> None:
         raise ConfigError(
             f"scan reaches |kr| = {reach:.1f}, beyond the supported "
             f"{POSITION_MAX_RADIUS:g}/k region")
+    polar_node_count(reach, cavity)
 
 
 def _format_value(value: float, precision: int) -> str:
@@ -309,7 +315,7 @@ def cmd_spatial(args, run: RunConfig) -> int:
         axis = run.scan_type or "axial"
         drive = {"pi_e": run.pi_e, "weak_drive": run.weak_drive}
     start, stop, n_points = _scan_range(run, command)
-    _check_spatial_range(start, stop, plane=(axis == "plane"))
+    _check_spatial_range(start, stop, axis == "plane", run.cavity)
     spec = ScanSpec(axis, start, stop, n_points, run.cavity, run.orientation,
                     detuning=run.detuning)
     result = run_scan(spec, tolerance=args.tolerance, n_workers=args.threads,

@@ -106,10 +106,10 @@ class RunConfig:
         elif self.weak_drive is not None:
             rabi, laser_detuning = self.weak_drive
             meta["drive"] = {"rabi": rabi, "laser_detuning": laser_detuning}
-        if self.scan_type is not None or self.scan_start is not None:
-            meta["scan"] = {"type": self.scan_type, "start": self.scan_start,
-                            "stop": self.scan_stop,
-                            "n_points": self.scan_points}
+        scan = {"type": self.scan_type, "start": self.scan_start,
+                "stop": self.scan_stop, "n_points": self.scan_points}
+        if any(value is not None for value in scan.values()):
+            meta["scan"] = scan
         return meta
 
 

@@ -1,15 +1,19 @@
-"""Physical outputs: responses on grids, shift gradients, forces, traps.
+"""Physical outputs: responses on grids, forces, traps.
 
 The vacuum-induced force on a weakly excited atom is the negative
-gradient of the level shift scaled by the excited-state population:
+gradient of the level shift scaled by the excited-state population,
+and the trapping potential is the shift so scaled:
 
-    F = -pi_e * d(shift)/d(kr)        [hbar k Gamma_vac]
-    U = +pi_e * shift_ratio           [hbar Gamma_vac]
+    F = -pi_e grad(shift_ratio)       [hbar k Gamma_vac]
+    U = +pi_e shift_ratio             [hbar Gamma_vac]
 
 so the potential is zero far from the cavity's influence where the shift
-vanishes.  Scans are embarrassingly parallel over grid points; rows are
-always assembled in coordinate order with per-point evaluation untouched
-by the worker count, so output is bit-identical for any --threads value.
+vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
+differentiated analytically under the integral.  Every scan row is one
+``integrate_sphere`` call.  Scans are embarrassingly parallel over grid
+points; rows are always assembled in coordinate order with per-point
+evaluation untouched by the worker count, so output is bit-identical for
+any --threads value.
 """
 
 from __future__ import annotations
@@ -19,18 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import (
-    CavityConfig,
-    Detuning,
-    DipoleOrientation,
-    Position,
-    Response,
-)
+from .cavity import CavityConfig, Detuning, DipoleOrientation, Response
 from .quadrature import ConvergenceError, integrate_sphere
 
 DEFAULT_TOLERANCE = 1e-9
 
-SCAN_AXES = ("detuning", "axial", "transverse", "plane")
+# Each scan axis and the coordinate columns its rows start with.
+_AXIS_COLUMNS = {
+    "detuning": ("detuning_linewidths",),
+    "axial": ("kz",),
+    "transverse": ("kx",),
+    "plane": ("kz", "kx"),
+}
 
 # Weak-excitation treatment is only trusted up to this population.
 MAX_WEAK_POPULATION = 0.1
@@ -65,27 +69,16 @@ def response_at(position, orientation: DipoleOrientation,
     """Damping and shift ratios at one point, by sphere quadrature.
 
     The angular grid is sized automatically from the position; with a
-    tolerance the doubling check runs and non-convergence raises.
-    """
-    position = Position.of(position)
-    phi0 = detuning.phase(config.rho)
-    return integrate_sphere(position.vec, orientation, config, phi0,
-                            tolerance=tolerance, with_gradient=with_gradient)
-
-
-def shift_gradient(position, orientation: DipoleOrientation,
-                   config: CavityConfig, detuning: Detuning,
-                   tolerance: float | None = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Gradient of the shift ratio with respect to kr.
-
-    Computed by differentiating the integrand analytically (chain rule
-    through the standing-wave factors and the aberration phase) and
-    integrating with the same quadrature rule, which is far quieter than
+    tolerance the doubling check runs and non-convergence raises.  With
+    ``with_gradient`` the response carries d(shift)/d(kr), computed by
+    differentiating the integrand analytically (chain rule through the
+    standing-wave factors and the aberration phase) and integrating with
+    the same quadrature rule, which is far quieter than
     finite-differencing the oscillatory quadrature.
     """
-    resp = response_at(position, orientation, config, detuning,
-                       tolerance=tolerance, with_gradient=True)
-    return resp.shift_gradient
+    return integrate_sphere(position, orientation, config,
+                            detuning.phase(config.rho), tolerance=tolerance,
+                            with_gradient=with_gradient)
 
 
 def excited_population(rabi: float, laser_detuning: float,
@@ -105,6 +98,11 @@ def excited_population(rabi: float, laser_detuning: float,
     return pi_e
 
 
+def _force(resp: Response, pi_e: float) -> tuple[np.ndarray, float]:
+    """Force F = -pi_e grad(shift) and potential U = pi_e shift."""
+    return -pi_e * resp.shift_gradient, pi_e * resp.shift_ratio
+
+
 def force_at(position, orientation: DipoleOrientation, config: CavityConfig,
              detuning: Detuning, pi_e: float,
              tolerance: float | None = DEFAULT_TOLERANCE) -> ForceResult:
@@ -114,21 +112,17 @@ def force_at(position, orientation: DipoleOrientation, config: CavityConfig,
         raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
     resp = response_at(position, orientation, config, detuning,
                        tolerance=tolerance, with_gradient=True)
-    return ForceResult(
-        force=-pi_e * resp.shift_gradient,
-        potential=pi_e * resp.shift_ratio,
-        excited_population=pi_e,
-    )
+    return ForceResult(*_force(resp, pi_e), excited_population=pi_e)
 
 
 @dataclass(frozen=True)
 class ScanSpec:
     """One scan axis plus everything held fixed along it.
 
-    axis 'detuning' sweeps the detuning in linewidths at the fixed
-    position; 'axial'/'transverse' sweep kz/kx at the fixed detuning
-    (the other position components are taken from ``position``); 'plane'
-    sweeps kz and kx over the same range, n_points per axis.
+    axis 'detuning' sweeps the detuning in linewidths at the cavity
+    center; 'axial'/'transverse' sweep kz/kx along the cavity axis or
+    the x axis at the fixed detuning; 'plane' sweeps kz and kx over the
+    same range, n_points per axis, in the y = 0 plane.
     """
 
     axis: str
@@ -138,10 +132,9 @@ class ScanSpec:
     config: CavityConfig
     orientation: DipoleOrientation
     detuning: Detuning = Detuning(0.0)
-    position: Position = Position((0.0, 0.0, 0.0))
 
     def __post_init__(self):
-        if self.axis not in SCAN_AXES:
+        if self.axis not in _AXIS_COLUMNS:
             raise ValueError(f"unknown scan axis {self.axis!r}")
         if not self.start < self.stop:
             raise ValueError("scan requires start < stop")
@@ -167,24 +160,20 @@ class ScanResult:
 
 
 def _scan_points(spec: ScanSpec):
-    """(coordinate tuple, Detuning, Position) for every scan point, in
-    output row order."""
-    coords = spec.coordinates()
-    px, py, pz = spec.position.kr
+    """(coordinate tuple, phi0, kr) for every scan point, in output row
+    order.  The phase is computed once per scan, or per point on the
+    detuning axis; positions are checked where they are integrated."""
+    coords = [float(c) for c in spec.coordinates()]
+    rho = spec.config.rho
     if spec.axis == "detuning":
-        return [((c,), Detuning(float(c)), spec.position) for c in coords]
+        return [((c,), Detuning(c).phase(rho), (0.0, 0.0, 0.0))
+                for c in coords]
+    phi0 = spec.detuning.phase(rho)
     if spec.axis == "axial":
-        return [((c,), spec.detuning, Position((px, py, float(c))))
-                for c in coords]
+        return [((c,), phi0, (0.0, 0.0, c)) for c in coords]
     if spec.axis == "transverse":
-        return [((c,), spec.detuning, Position((float(c), py, pz)))
-                for c in coords]
-    points = []
-    for z in coords:
-        for x in coords:
-            points.append(((float(z), float(x)), spec.detuning,
-                           Position((float(x), py, float(z)))))
-    return points
+        return [((c,), phi0, (c, 0.0, 0.0)) for c in coords]
+    return [((z, x), phi0, (x, 0.0, z)) for z in coords for x in coords]
 
 
 def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
@@ -205,24 +194,17 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
         raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
     with_force = pi_e is not None or weak_drive is not None
 
-    coord_names = ("kz", "kx") if spec.axis == "plane" else {
-        "detuning": ("detuning_linewidths",),
-        "axial": ("kz",),
-        "transverse": ("kx",),
-    }[spec.axis]
-    columns = coord_names + ("gamma_ratio", "shift_ratio")
+    columns = _AXIS_COLUMNS[spec.axis] + ("gamma_ratio", "shift_ratio")
     if with_force:
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
-    points = _scan_points(spec)
-
     def evaluate(point):
-        coords, detuning, position = point
+        coords, phi0, kr = point
         converged = True
         try:
-            resp = response_at(position, spec.orientation, spec.config,
-                               detuning, tolerance=tolerance,
-                               with_gradient=with_force)
+            resp = integrate_sphere(kr, spec.orientation, spec.config, phi0,
+                                    tolerance=tolerance,
+                                    with_gradient=with_force)
         except ConvergenceError as err:
             resp = err.estimate
             converged = False
@@ -238,11 +220,12 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
                     weak_ok = False
             else:
                 point_pi_e = pi_e
-            f = -point_pi_e * resp.shift_gradient
+            f, potential = _force(resp, point_pi_e)
             values = values + (float(f[0]), float(f[1]), float(f[2]),
-                               point_pi_e * resp.shift_ratio)
+                               potential)
         return values, converged, weak_ok
 
+    points = _scan_points(spec)
     if n_workers <= 1:
         evaluated = [evaluate(p) for p in points]
     else:

@@ -73,6 +73,15 @@ class ConvergenceError(RuntimeError):
         self.change = change
 
 
+# Rules the cache keeps.  Up to |kr| = 300 the default mirrors ask for
+# 113 node counts (the ladder's rungs and their doubles), about 3 MB.
+RULE_CACHE_SIZE = 128
+
+# Most Gauss-Legendre nodes per panel that a default grid may take: the
+# O(n^2) builder needs over a second for a rule this large, and a scan
+# asking for more would run for hours.
+MAX_POLAR_NODES = 16_384
+
 # Newton on the Legendre recurrence converges from Tricomi's guesses in at
 # most four steps for every n up to 2500; the cap only stops a runaway.
 _NEWTON_TOL = 1e-15
@@ -88,7 +97,7 @@ def _legendre_with_derivative(n: int, x: np.ndarray):
     return p, n * (p_prev - x * p) / (1.0 - x * x)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=RULE_CACHE_SIZE)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -130,6 +139,30 @@ def polar_node_floor(kr_norm: float) -> int:
     return max(32, math.ceil(4.0 * (kr_norm + 1.0)))
 
 
+def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
+    """Gauss-Legendre nodes per panel of the default grid at |kr|.
+
+    The polar floor, or four nodes per resonance linewidth that the
+    aberration phase sweeps where that is more:
+    2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
+    |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in phase.
+    With the default mirrors that term stays below the floor.  The count
+    is rounded up to a multiple of 16, a ladder on which doubled grids
+    also lie, so that up to |kr| = 300 the default grids need 113 rules,
+    which the rule cache holds.  Above MAX_POLAR_NODES it raises
+    ValueError.
+    """
+    sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
+             / (config.k_r_mirror * (1.0 - config.rho)))
+    n_polar = 16 * math.ceil(max(polar_node_floor(kr_norm),
+                                 math.ceil(sweep)) / 16)
+    if n_polar > MAX_POLAR_NODES:
+        raise ValueError(
+            f"|kr| = {kr_norm:.1f} needs {n_polar} polar nodes with these "
+            f"mirrors, above the cap of {MAX_POLAR_NODES}")
+    return n_polar
+
+
 def azimuth_node_floor(kr_perp: float) -> int:
     """Minimum uniform azimuth nodes, scaled by the transverse offset."""
     return max(16, math.ceil(4.0 * (kr_perp + 1.0)))
@@ -151,28 +184,15 @@ class AngularGrid:
 
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
-        """Default grid for a position and mirrors.
-
-        n_polar is the polar floor, or four nodes per resonance linewidth
-        that the aberration phase sweeps where that is more:
-        2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
-        |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in
-        phase.  With the default mirrors that term stays below the floor.
-        n_polar is rounded up to a multiple of 16, a ladder on which
-        doubled grids also lie, so that up to |kr| = 100 the default
-        grids need only 38 cached rules.  n_azimuth, read by the 2-D
-        reference rule only, is the azimuth floor plus a margin of 16
-        (the periodic rule needs ~16 modes beyond the integrand's band
-        edge before its spectral tail dies)."""
+        """Default grid for a position and mirrors: ``polar_node_count``
+        nodes per polar panel, and for the 2-D reference rule the
+        azimuth floor plus a margin of 16 (the periodic rule needs ~16
+        modes beyond the integrand's band edge before its spectral tail
+        dies)."""
         kr = Position.of(kr).vec
-        kr_norm = float(np.linalg.norm(kr))
-        kr_perp = float(math.hypot(kr[0], kr[1]))
-        sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
-                 / (config.k_r_mirror * (1.0 - config.rho)))
-        n_polar = max(polar_node_floor(kr_norm), math.ceil(sweep))
         return cls(
-            n_polar=16 * math.ceil(n_polar / 16),
-            n_azimuth=azimuth_node_floor(kr_perp) + 16,
+            n_polar=polar_node_count(float(np.linalg.norm(kr)), config),
+            n_azimuth=azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16,
         )
 
     def doubled(self) -> "AngularGrid":
@@ -385,9 +405,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     raised carrying the refined estimate.  ``_rule`` is for the checks:
     ``_sphere_rule`` puts the 2-D reference rule in place of the zonal one.
     """
-    kr = Position.of(kr).vec
+    position = Position.of(kr)
+    kr = position.vec
     if grid is None:
-        grid = AngularGrid.for_position(kr, config)
+        grid = AngularGrid.for_position(position, config)
     grid.check_admissible(kr)
 
     gamma, shift, grad = _integrate_once(kr, orientation, config, phi0, grid,

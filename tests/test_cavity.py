@@ -272,13 +272,23 @@ def test_center_detuning_parity():
         assert_allclose(shift, -shift[::-1], rtol=1e-12, atol=1e-15)
 
 
-def test_center_rejects_fixed_orientation():
-    config = CavityConfig(rho=0.9)
-    fixed = DipoleOrientation.fixed([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        center_gamma(fixed, config, 0.0)
-    with pytest.raises(ValueError):
-        center_shift(fixed, config, 0.0)
+def test_center_closed_forms_cover_fixed_dipoles():
+    # the cap weights read the dipole only through d_z**2, so the closed
+    # forms hold for fixed dipoles too (they used to refuse them)
+    config = CavityConfig(rho=0.98)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        d = rng.normal(size=3)
+        fixed = DipoleOrientation.fixed(d / np.linalg.norm(d))
+        for linewidths in (-0.5, 0.0, 0.3):
+            phi0 = Detuning(linewidths).phase(config.rho)
+            resp = integrate_sphere([0.0, 0.0, 0.0], fixed, config, phi0,
+                                    tolerance=1e-9)
+            for closed, quad in ((center_gamma(fixed, config, phi0),
+                                  resp.gamma_ratio),
+                                 (center_shift(fixed, config, phi0),
+                                  resp.shift_ratio)):
+                assert abs(closed - quad) <= 1e-12 * max(1.0, abs(quad))
 
 
 def test_center_isotropic_on_resonance():

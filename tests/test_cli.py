@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from numpy.testing import assert_allclose
@@ -133,6 +134,23 @@ def test_axial_range_guard(tmp_path):
     assert "beyond" in proc.stderr
 
 
+def test_axial_node_cap_checked_before_any_row(tmp_path):
+    # the farthest point needs 1.8e6 polar nodes: refused up front, where
+    # the scan once started and ran for hours
+    config = write(tmp_path / "a.ini",
+                   "[mirrors]\nrho = 0.9999\nkR = 1e3\n"
+                   "[scan]\nstart = 0\nstop = 300\n")
+    out = tmp_path / "never.csv"
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "vactrap.cli", "axial",
+                           "--config", config, "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 5.0
+    assert proc.returncode == 2
+    assert "cap of 16384" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
 # ----------------------------------------------------------------- plane
 
 def test_plane_columns(tmp_path):
@@ -194,6 +212,20 @@ def test_json_metadata_records_format_written(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["metadata"]["config"]["output"]["format"] == "json"
 
+
+@pytest.mark.parametrize("text,scan", [
+    ("[scan]\nn_points = 3\n", {"n_points": 3}),
+    ("[scan]\nstop = 5\nn_points = 3\n", {"stop": 5.0, "n_points": 3}),
+], ids=["n_points", "stop"])
+def test_json_metadata_records_scan_range(tmp_path, capsys, text, scan):
+    # [scan] was left out of the metadata unless type or start was set
+    config = write(tmp_path / "run.ini", text)
+    assert cli.main(["axial", "--config", config, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    unset = dict.fromkeys(("type", "start", "stop", "n_points"))
+    assert payload["metadata"]["config"]["scan"] == {**unset, **scan}
+    assert len(payload["rows"]) == 3
+    assert payload["rows"][-1][0] == scan.get("stop", 100.0)
 
 def test_potential_sign_flips_with_detuning(tmp_path):
     blue = write(tmp_path / "blue.ini", FORCE_INI)

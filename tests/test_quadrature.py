@@ -13,6 +13,7 @@ from vactrap import quadrature
 from vactrap.cavity import (
     CavityConfig,
     DipoleOrientation,
+    ValidityWarning,
     center_gamma,
     center_shift,
     phase_fwhm,
@@ -167,6 +168,27 @@ def test_grid_for_position():
         assert grid.doubled().n_polar % 16 == 0
         rules |= {grid.n_polar, grid.doubled().n_polar}
     assert len(rules) == 38
+    # out to the supported 300/k they need 113, and the cache holds them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for kz in np.linspace(100.0, 300.0, 4001):
+            grid = AngularGrid.for_position([0.0, 0.0, kz], config)
+            rules |= {grid.n_polar, grid.doubled().n_polar}
+    assert len(rules) == 113
+    assert len(rules) <= quadrature._leggauss.cache_info().maxsize
+
+
+def test_grid_node_cap():
+    # the linewidth term grows as |kr|^2 / (1 - rho) without bound; past
+    # the cap the grid is refused instead of taking hours to build
+    narrow = CavityConfig(rho=0.9999, k_r_mirror=1.0e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(ValueError, match=r"\|kr\| = 300\.0 needs "
+                           r"1799920 polar nodes .* cap of 16384"):
+            AngularGrid.for_position([0.0, 0.0, 300.0], narrow)
+    # below it the linewidth term still sizes the grid: 2879.9 nodes
+    assert AngularGrid.for_position([0.0, 0.0, 12.0], narrow).n_polar == 2880
 
 
 def test_default_axial_scan_reuses_rules():

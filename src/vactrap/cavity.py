@@ -239,7 +239,9 @@ class Detuning:
 @dataclass(frozen=True, eq=False)
 class Response:
     """(Gamma/Gamma_vac, Delta'/Gamma_vac) at one point, with the shift
-    gradient d(shift_ratio)/d(kr) when it was requested."""
+    gradient d(shift_ratio)/d(kr) when it was requested.  For a block of
+    points from ``integrate_sphere`` the fields are arrays, one entry (or
+    gradient row) per point."""
 
     gamma_ratio: float
     shift_ratio: float

@@ -52,7 +52,7 @@ from .cavity import (
     center_shift,
 )
 from .config import ConfigError, RunConfig, load_config
-from .fields import ScanSpec, run_scan, trap_minimum
+from .fields import MAX_THREADS, ScanSpec, run_scan, trap_minimum
 from .quadrature import ConvergenceError, polar_node_count
 from .validation import run_validation_suite
 
@@ -70,8 +70,9 @@ _SCAN_DEFAULTS = {
 }
 
 
-def _positive(kind):
-    """argparse type: a finite number of ``kind`` above zero."""
+def _positive(kind, most=math.inf):
+    """argparse type: a finite number of ``kind`` above zero and at most
+    ``most``."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -80,6 +81,9 @@ def _positive(kind):
         if not (value > 0 and math.isfinite(value)):
             raise argparse.ArgumentTypeError(
                 f"must be a positive finite {kind.__name__}, got {text!r}")
+        if value > most:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {most}, got {text!r}")
         return value
     return parse
 
@@ -115,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format (default csv)")
     scan.add_argument("--tolerance", type=_positive(float), default=1e-9,
                       help="quadrature doubling tolerance (default 1e-9)")
-    scan.add_argument("--threads", type=_positive(int), default=1,
-                      help="worker threads for scan points (default 1)")
+    scan.add_argument("--threads", type=_positive(int, MAX_THREADS),
+                      default=1,
+                      help="worker threads for blocks of scan points "
+                           f"(default 1, at most {MAX_THREADS})")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
     sub.add_parser(

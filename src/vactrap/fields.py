@@ -9,10 +9,12 @@ and the trapping potential is the shift so scaled:
 
 so the potential is zero far from the cavity's influence where the shift
 vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
-differentiated analytically under the integral.  Every scan row is one
-``integrate_sphere`` call.  Scans are embarrassingly parallel over grid
-points; rows are always assembled in coordinate order with per-point
-evaluation untouched by the worker count, so output is bit-identical for
+differentiated analytically under the integral.  A scan first plans
+every point (``quadrature.plan_blocks``: its position checked, its rung
+of the node ladder chosen, every rule built in one sweep), then makes one
+``integrate_sphere`` call per block of points on one rung.  Worker
+threads share the blocks; a row's bits do not depend on its block, and
+rows are assembled in coordinate order, so output is bit-identical for
 any --threads value.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import CavityConfig, Detuning, DipoleOrientation, Response
-from .quadrature import ConvergenceError, integrate_sphere
+from .quadrature import ConvergenceError, integrate_sphere, plan_blocks
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -35,6 +37,11 @@ _AXIS_COLUMNS = {
     "transverse": ("kx",),
     "plane": ("kz", "kx"),
 }
+
+# Most worker threads a scan may use.  Blocks hold the interpreter lock
+# for much of their time, so threads beyond the cores buy nothing, and a
+# slip of the keyboard should not start thousands of them.
+MAX_THREADS = 64
 
 # Weak-excitation treatment is only trusted up to this population.
 MAX_WEAK_POPULATION = 0.1
@@ -188,6 +195,9 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
     ``non_converged``; rows outside the weak-excitation regime are listed
     in ``weak_excitation``.  Worker count never changes the numbers.
     """
+    if n_workers > MAX_THREADS:
+        raise ValueError(f"n_workers must be at most {MAX_THREADS}, "
+                         f"got {n_workers}")
     if pi_e is not None and weak_drive is not None:
         raise ValueError("give either pi_e or weak_drive, not both")
     if pi_e is not None and not 0.0 <= pi_e <= 0.5:
@@ -198,42 +208,54 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
     if with_force:
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
-    def evaluate(point):
-        coords, phi0, kr = point
-        converged = True
-        try:
-            resp = integrate_sphere(kr, spec.orientation, spec.config, phi0,
-                                    tolerance=tolerance,
-                                    with_gradient=with_force)
-        except ConvergenceError as err:
-            resp = err.estimate
-            converged = False
-        values = coords + (resp.gamma_ratio, resp.shift_ratio)
-        weak_ok = True
-        if with_force:
-            if weak_drive is not None:
-                try:
-                    point_pi_e = excited_population(weak_drive[0],
-                                                    weak_drive[1], resp)
-                except WeakExcitationError as err:
-                    point_pi_e = err.population
-                    weak_ok = False
-            else:
-                point_pi_e = pi_e
-            f, potential = _force(resp, point_pi_e)
-            values = values + (float(f[0]), float(f[1]), float(f[2]),
-                               potential)
-        return values, converged, weak_ok
-
     points = _scan_points(spec)
+    kr = np.array([p[2] for p in points])
+    phi0 = np.array([p[1] for p in points])
+    blocks = plan_blocks(kr, spec.config, doubled=tolerance is not None)
+
+    def evaluate(block):
+        grid, rows = block
+        failed = ()
+        try:
+            block_resp = integrate_sphere(
+                kr[rows], spec.orientation, spec.config, phi0[rows],
+                grid=grid, tolerance=tolerance, with_gradient=with_force)
+        except ConvergenceError as err:
+            block_resp, failed = err.estimate, err.rows
+        grad = block_resp.shift_gradient
+        evaluated = []
+        for j, idx in enumerate(rows):
+            resp = Response(float(block_resp.gamma_ratio[j]),
+                            float(block_resp.shift_ratio[j]),
+                            None if grad is None else grad[j])
+            values = points[idx][0] + (resp.gamma_ratio, resp.shift_ratio)
+            weak_ok = True
+            if with_force:
+                if weak_drive is not None:
+                    try:
+                        point_pi_e = excited_population(weak_drive[0],
+                                                        weak_drive[1], resp)
+                    except WeakExcitationError as err:
+                        point_pi_e = err.population
+                        weak_ok = False
+                else:
+                    point_pi_e = pi_e
+                f, potential = _force(resp, point_pi_e)
+                values = values + (float(f[0]), float(f[1]), float(f[2]),
+                                   potential)
+            evaluated.append((idx, values, j not in failed, weak_ok))
+        return evaluated
+
+    n_workers = min(n_workers, len(blocks))
     if n_workers <= 1:
-        evaluated = [evaluate(p) for p in points]
+        evaluated = [evaluate(b) for b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            evaluated = list(pool.map(evaluate, points))
+            evaluated = list(pool.map(evaluate, blocks))
 
     result = ScanResult(columns=columns, rows=[])
-    for idx, (values, converged, weak_ok) in enumerate(evaluated):
+    for idx, values, converged, weak_ok in sorted(
+            row for block in evaluated for row in block):
         result.rows.append(values)
         if not converged:
             result.non_converged.append(idx)

@@ -30,28 +30,38 @@ is kept only as the independent reference that ``validate`` and the
 tests compare the zonal rule with.
 
 Gauss-Legendre rules are built by Newton's method on the three-term
-Legendre recurrence (``_leggauss``), in O(n^2) work and O(n) memory, with
-no eigensolver; each rule is cached by its node count.
+Legendre recurrence, in O(n^2) work and O(n) memory per rule, with no
+eigensolver.  ``_build_rules`` builds any set of rules in one sweep: the
+nodes of all of them share one array, each Newton step is one pass of
+the recurrence, and each rule stops on its own test, so a rule is
+bit-identical whichever set it was built with.  ``_leggauss`` is the
+one-rule lookup of the cache that holds them.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
 floor); the polar count also grows with the resonance linewidths that the
-aberration phase sweeps, and is rounded up to a multiple of 16 so that
-scan points share cached rules.  Everything here is pure; summation
-order is fixed, so results are bit-stable no matter how callers
-parallelize.
+aberration phase sweeps, and is rounded up to a multiple of 16, the rungs
+of a ladder.  ``plan_blocks`` groups a scan's positions by rung into
+blocks of at most BLOCK_NODES nodes and builds every rule they need in
+one sweep; ``integrate_sphere`` integrates a block in one pass through
+the kernel over (points x nodes) arrays, one position being a block of
+one.  Every operation is elementwise along the rows and each row is
+summed on its own in a fixed order, so a row's bits depend neither on
+its block nor on how callers parallelize.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cavity import (
+    POSITION_MAX_RADIUS,
     CavityConfig,
     DipoleOrientation,
     Position,
@@ -65,12 +75,15 @@ from .cavity import (
 
 class ConvergenceError(RuntimeError):
     """Doubling the node counts moved the result more than the requested
-    tolerance.  Carries the refined estimate and the observed change."""
+    tolerance.  Carries the refined estimate, the observed change and
+    ``rows``, the rows of a block that failed ([0] for one position)."""
 
-    def __init__(self, message: str, estimate: Response, change: tuple):
+    def __init__(self, message: str, estimate: Response, change: tuple,
+                 rows: list[int]):
         super().__init__(message)
         self.estimate = estimate
         self.change = change
+        self.rows = rows
 
 
 # Rules the cache keeps.  Up to |kr| = 300 the default mirrors ask for
@@ -82,55 +95,149 @@ RULE_CACHE_SIZE = 128
 # asking for more would run for hours.
 MAX_POLAR_NODES = 16_384
 
+# Points times nodes of the doubled pass (4 n_polar per point) that one
+# block of a scan may take.  Larger blocks spread the Python work of a
+# pass over more points but hold larger kernel temporaries: on a 15 x 15
+# plane scan on two threads a budget of 1,024 was slower, and one of
+# 8,192 took 1.6 MB more peak memory than this one for no speed.
+BLOCK_NODES = 4096
+
 # Newton on the Legendre recurrence converges from Tricomi's guesses in at
 # most four steps for every n up to 2500; the cap only stops a runaway.
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_STEPS = 10
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, n * (p_prev - x * p) / (1.0 - x * x)
+def _legendre_with_derivative(degree: np.ndarray, x: np.ndarray):
+    """P_n(x) and P_n'(x) at each node for its own degree n, |x| < 1, by
+    one pass of the three-term recurrence over all nodes together.
+
+    ``degree`` must not increase along the array, so the nodes still in
+    the recurrence at step k are a prefix; each degree's P_n and P_{n-1}
+    are taken at step k = n.  A node's arithmetic is the same as in a
+    pass of its degree alone.
+    """
+    p_prev, p = np.ones_like(x), x.copy()
+    out_prev, out = p_prev.copy(), p.copy()
+    ends = np.flatnonzero(np.diff(degree, append=0)) + 1  # past each degree
+    starts = np.concatenate([[0], ends[:-1]])
+    reached = 1  # p holds P_reached
+    for start, end in zip(starts[::-1], ends[::-1]):  # degrees ascending
+        n = int(degree[start])
+        xs, p, p_prev = x[:end], p[:end], p_prev[:end]
+        for k in range(reached + 1, n + 1):
+            p_prev, p = p, ((2 * k - 1) * xs * p - (k - 1) * p_prev) / k
+        reached = n
+        out[start:end], out_prev[start:end] = p[start:], p_prev[start:]
+    return out, degree * (out_prev - x * out) / (1.0 - x * x)
 
 
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
+    node count in ``ns``, in one Newton sweep.
 
     Newton's method on P_n finds the nodes in (0, 1) from Tricomi's
     initial guesses; the node 0 of odd n is exact from the start, as
-    P_n(0) = 0.  The weights are 2 / ((1 - x^2) P_n'(x)^2), and both halves
-    are mirrored.  O(n^2) work and O(n) memory, where the eigensolver of
-    the dense companion matrix takes O(n^3) and O(n^2).
+    P_n(0) = 0.  The nodes of all rules share one array and each Newton
+    step is one recurrence pass to the largest n; a rule stops when all
+    of its own steps are below _NEWTON_TOL, so every rule is bit-identical
+    to one built alone.  The weights are 2 / ((1 - x^2) P_n'(x)^2), and
+    both halves are mirrored.  O(n^2) work and O(n) memory per rule,
+    where the eigensolver of the dense companion matrix takes O(n^3) and
+    O(n^2).
     """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = ((1.0 - 1.0 / (8.0 * n ** 2) + 1.0 / (8.0 * n ** 3))
-         * np.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
-    if n % 2:
-        x[-1] = 0.0
+    ns = sorted(set(ns), reverse=True)
+    sizes = [(n + 1) // 2 for n in ns]
+    degree = np.repeat(ns, sizes)
+    k = np.concatenate([np.arange(1, size + 1) for size in sizes])
+    x = ((1.0 - 1.0 / (8.0 * degree ** 2) + 1.0 / (8.0 * degree ** 3))
+         * np.cos(math.pi * (4 * k - 1) / (4 * degree + 2)))
+    x[2 * k - 1 == degree] = 0.0
+    rule = np.repeat(np.arange(len(ns)), sizes)
+    live = np.ones(len(ns), dtype=bool)
+    x_last, step, p, dp = (np.empty_like(x) for _ in range(4))
     for _ in range(_NEWTON_MAX_STEPS):
-        p, dp = _legendre_with_derivative(n, x)
-        step = p / dp
-        x_last, x = x, x - step
-        if np.all(np.abs(step) <= _NEWTON_TOL):
+        on = live[rule]
+        x_on = x[on]
+        p_on, dp_on = _legendre_with_derivative(degree[on], x_on)
+        step_on = p_on / dp_on
+        x[on] = x_on - step_on
+        # a rule is done when every step of its own is small
+        small = np.ones(len(ns), dtype=bool)
+        np.logical_and.at(small, rule[on], np.abs(step_on) <= _NEWTON_TOL)
+        done = on & small[rule]
+        keep = done[on]
+        x_last[done], step[done] = x_on[keep], step_on[keep]
+        p[done], dp[done] = p_on[keep], dp_on[keep]
+        live &= ~small
+        if not live.any():
             break
     else:
         raise RuntimeError(
-            f"Gauss-Legendre nodes for n={n} did not converge in "
-            f"{_NEWTON_MAX_STEPS} Newton steps")
+            "Gauss-Legendre nodes for "
+            + ", ".join(f"n={n}" for n, bad in zip(ns, live) if bad)
+            + f" did not converge in {_NEWTON_MAX_STEPS} Newton steps")
     # P_n' at the converged nodes by one Taylor step from the last iterate,
     # with P_n'' from Legendre's equation: this saves a recurrence pass,
     # and the weights come out closer to exact than from a fresh one
-    d2p = (2.0 * x_last * dp - n * (n + 1) * p) / (1.0 - x_last * x_last)
+    d2p = ((2.0 * x_last * dp - degree * (degree + 1) * p)
+           / (1.0 - x_last * x_last))
     dp = dp - step * d2p
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    half = n // 2  # the node 0 of odd n is not mirrored
-    return (np.concatenate([-x[:half], x[::-1]]),
-            np.concatenate([w[:half], w[::-1]]))
+    rules, start = {}, 0
+    for n, size in zip(ns, sizes):
+        xr, wr = x[start:start + size], w[start:start + size]
+        start += size
+        half = n // 2  # the node 0 of odd n is not mirrored
+        nodes = np.concatenate([-xr[:half], xr[::-1]])
+        weights = np.concatenate([wr[:half], wr[::-1]])
+        nodes.flags.writeable = weights.flags.writeable = False
+        rules[n] = nodes, weights
+    return rules
+
+
+class _RuleCache:
+    """Gauss-Legendre rules by node count, the least recently used
+    evicted past ``maxsize``.  The rules a request misses are built
+    together in one sweep.  ``hits`` and ``misses`` count rules; one
+    lock guards the whole lookup, so worker threads share the cache."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._rules: OrderedDict[int, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def get(self, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        wanted = list(dict.fromkeys(ns))
+        with self._lock:
+            found = {n: self._rules[n] for n in wanted if n in self._rules}
+            for n in found:
+                self._rules.move_to_end(n)
+            missing = [n for n in wanted if n not in found]
+            self.hits += len(found)
+            self.misses += len(missing)
+            if missing:
+                built = _build_rules(missing)
+                found.update(built)
+                self._rules.update(built)
+                while len(self._rules) > self.maxsize:
+                    self._rules.popitem(last=False)
+            return found
+
+    def clear(self) -> None:
+        with self._lock:
+            self._rules.clear()
+            self.hits = self.misses = 0
+
+
+_RULES = _RuleCache(RULE_CACHE_SIZE)
+
+
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] (nodes ascending), from
+    the cache or built as the one-degree case of ``_build_rules``."""
+    return _RULES.get((n,))[n]
 
 
 def polar_node_floor(kr_norm: float) -> int:
@@ -259,14 +366,15 @@ def _sample_terms(dirs: np.ndarray, kr: np.ndarray,
 
 
 def _sphere_rule(orientation, grid, theta, kr):
-    """The 2-D reference rule: (ox, oy, oz, weight) on the n_polar x
-    n_azimuth grid of the folded cap, Gauss-Legendre nodes in cos(theta)
-    on [cos(theta_eff), 1] times a uniform azimuth rule.  The weight is
-    the polar weight, doubled for the south cap, times the azimuth step
-    and the polarization weight, over the 4 pi of the full solid angle.
-    It does not depend on kr.  Integrals use the zonal rule; this one is
-    the independent check that ``validate`` and the tests compare it
-    with."""
+    """The 2-D reference rule: (ox, oy, oz, weight), each of shape
+    (1, n_polar * n_azimuth), on the grid of the folded cap:
+    Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1] times a
+    uniform azimuth rule.  The weight is the polar weight, doubled for
+    the south cap, times the azimuth step and the polarization weight,
+    over the 4 pi of the full solid angle.  It does not depend on kr, so
+    one row serves every row of a block.  Integrals use the zonal rule;
+    this one is the independent check that ``validate`` and the tests
+    compare it with."""
     c_edge = math.cos(theta)
     x, w_gl = _leggauss(grid.n_polar)
     c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
@@ -276,11 +384,13 @@ def _sphere_rule(orientation, grid, theta, kr):
     oy = s[:, None] * np.sin(az)[None, :]
     oz = np.broadcast_to(c[:, None], ox.shape)
     weight = (1.0 - c_edge) * w_gl * (0.5 / grid.n_azimuth)
-    return ox, oy, oz, weight[:, None] * _pol_weight(orientation, ox, oy, oz)
+    weight = weight[:, None] * _pol_weight(orientation, ox, oy, oz)
+    return tuple(a.reshape(1, -1) for a in (ox, oy, oz, weight))
 
 
 def _zonal_rule(orientation, grid, theta, kr):
-    """(ox, oy, oz, weight) with one node per ring about r = kr/|kr|.
+    """(ox, oy, oz, weight), each of shape (P, 2 n_polar), with one node
+    per ring about r = kr/|kr| for each row of the (P, 3) block kr.
 
     The folded cap is taken about n = sign(kz) z, at the angle
     beta <= pi/2 from r (r = n at kr = 0).  On the ring at angle alpha
@@ -294,8 +404,9 @@ def _zonal_rule(orientation, grid, theta, kr):
     cos^3 and cos sin^2 over the arc are closed forms, and so are W and V
     (w is quadratic in omega).
 
-    Alpha runs over two panels of n_polar Gauss-Legendre nodes each:
-    whole rings on [0, theta - beta] (psi0 = pi) and cut rings on
+    Alpha runs over two panels of n_polar Gauss-Legendre nodes each,
+    columns [0, n_polar) and [n_polar, 2 n_polar): whole rings on
+    [0, theta - beta] (psi0 = pi) and cut rings on
     [|theta - beta|, theta + beta], both mapped by
     alpha = a + (b - a) (1 - cos(tau)) / 2, which removes the square-root
     behaviour of psi0 at the panel ends.  psi0 comes from the half-angle
@@ -303,25 +414,38 @@ def _zonal_rule(orientation, grid, theta, kr):
     s = (alpha + beta + theta) / 2:
     tan(psi0 / 2) = sqrt(sin(s - alpha) sin(s - beta)
                          / (sin(s) sin(s - theta))),
-    its small factors taken from the map, not by subtraction.
+    its small factors taken from the map, not by subtraction.  A row
+    without one of the panels (beta >= theta, or beta = 0) lays its
+    nodes over a stand-in of width theta, where every ring weight is
+    positive, and gives them weight exactly 0, so no 0/0 reaches a sum.
+
+    Every operation is elementwise along the rows, so a row's values do
+    not depend on the other rows of its block.
     """
-    kx, ky, kz = kr
-    k_perp = math.hypot(kx, ky)
-    beta = math.atan2(k_perp, abs(kz))
-    sign = -1.0 if kz < 0.0 else 1.0
-    cos_p, sin_p = (kx / k_perp, ky / k_perp) if k_perp > 0.0 else (1.0, 0.0)
-    cb, sb = math.cos(beta), math.sin(beta)
+    kx, ky, kz = kr.T.copy()
+    k_perp = np.hypot(kx, ky)
+    beta = np.arctan2(k_perp, np.abs(kz))
+    sign = np.where(kz < 0.0, -1.0, 1.0)
+    on_axis = k_perp == 0.0
+    k_perp[on_axis] = 1.0
+    cos_p = np.where(on_axis, 1.0, kx / k_perp)
+    sin_p = np.where(on_axis, 0.0, ky / k_perp)
+    cb, sb = np.cos(beta), np.sin(beta)
     frame = ((sb * cos_p, sb * sin_p, sign * cb),  # r
              (-cb * cos_p, -cb * sin_p, sign * sb),  # e1
-             (-sin_p, cos_p, 0.0))  # e2
+             (-sin_p, cos_p, np.zeros_like(cb)))  # e2
     # w = 1.5 (1 - omega . D omega) with D = d d^T, or I/3 for the
-    # isotropic average; q is D in the frame (r, e1, e2).  The ring
-    # integrals below spend trace(D) = 1 so that nothing cancels: the
-    # form 1.5 (m0 - integral of omega . D omega) gives 0/0 for a dipole
-    # along r.
+    # isotropic average; q is D in the frame (r, e1, e2), one value per
+    # row.  The ring integrals below spend trace(D) = 1 so that nothing
+    # cancels: the form 1.5 (m0 - integral of omega . D omega) gives 0/0
+    # for a dipole along r.
     d = orientation.unit_vector
-    v = None if d is None else np.array(frame) @ d
-    q = (np.eye(3) / 3.0 if d is None else np.outer(v, v)).tolist()
+    if d is None:
+        q = [[1.0 / 3.0 if i == j else 0.0 for j in range(3)]
+             for i in range(3)]
+    else:
+        v = [f[0] * d[0] + f[1] * d[1] + f[2] * d[2] for f in frame]
+        q = [[(v[i] * v[j])[:, None] for j in range(3)] for i in range(3)]
     k_c, k_s = 1.5 * (q[1][1] + q[2][2]), 1.5 * q[0][0]
     k_cs, k_1, k_2 = -3.0 * q[0][1], 1.5 * q[1][1], 1.5 * q[2][2]
 
@@ -331,24 +455,30 @@ def _zonal_rule(orientation, grid, theta, kr):
     hi = np.cos(half_tau) ** 2  # (b - alpha) / (b - a)
     # d(alpha) per unit of b - a, over the 2 pi of the folded sphere
     d_alpha = 0.125 * np.sin(2.0 * half_tau) * w_gl
-    panels = []  # (alpha, d_alpha, psi0, sin(psi0), cos(psi0))
-    if beta < theta:
-        width = theta - beta
-        panels.append((width * lo, width * d_alpha, math.pi, 0.0, -1.0))
-    if beta > 0.0:
-        a = abs(theta - beta)
-        width = theta + beta - a
-        alpha = a + width * lo
-        grows = np.sin(0.5 * width * lo)  # sin of (alpha - a) / 2
-        stays = np.sin(0.5 * (alpha + a))
-        sin_sb, sin_st = (grows, stays) if beta >= theta else (stays, grows)
-        psi0 = 2.0 * np.arctan2(
-            np.sqrt(np.sin(0.5 * width * hi) * sin_sb),
-            np.sqrt(np.sin(0.5 * (alpha + beta + theta)) * sin_st))
-        panels.append((alpha, width * d_alpha, psi0, np.sin(psi0),
-                       np.cos(psi0)))
+
+    def panel(width):
+        """Width of the nodes' interval and of their weight per row."""
+        present = width > 0.0
+        return (np.where(present, width, theta)[:, None],
+                np.where(present, width, 0.0)[:, None] * d_alpha)
+
+    a = np.abs(theta - beta)
+    width, weight_w = panel(np.maximum(theta - beta, 0.0))
+    panels = [(width * lo, weight_w, math.pi, 0.0, -1.0)]
+    width, weight_c = panel(theta + beta - a)
+    a = a[:, None]
+    alpha = a + width * lo
+    grows = np.sin(0.5 * width * lo)  # sin of (alpha - a) / 2
+    stays = np.sin(0.5 * (alpha + a))
+    outside = (beta >= theta)[:, None]
+    psi0 = 2.0 * np.arctan2(
+        np.sqrt(np.sin(0.5 * width * hi)
+                * np.where(outside, grows, stays)),
+        np.sqrt(np.sin(0.5 * (alpha + beta[:, None] + theta))
+                * np.where(outside, stays, grows)))
+    panels.append((alpha, weight_c, psi0, np.sin(psi0), np.cos(psi0)))
     nodes = []
-    for alpha, d_alpha, psi0, sin0, cos0 in panels:
+    for alpha, d_weight, psi0, sin0, cos0 in panels:
         # moments of 1, cos, cos^2, sin^2, cos sin^2 and cos^3 on the arc
         m0, mc = 2.0 * psi0, 2.0 * sin0
         mcc, mss = psi0 + sin0 * cos0, psi0 - sin0 * cos0
@@ -361,81 +491,138 @@ def _zonal_rule(orientation, grid, theta, kr):
         ring_c = tilt * mc + cs * (k_cs * mcc) + ss * (k_1 * mcss + k_2 * mccc)
         ring_s = cs * (-3.0 * q[0][2] * mss) + ss * (-3.0 * q[1][2] * mcss)
         nodes.append((c, s * ring_c / ring, s * ring_s / ring,
-                      s * d_alpha * ring))
-    c, t1, t2, weight = (np.concatenate(part) for part in zip(*nodes))
-    ox, oy, oz = (c * r + t1 * e + t2 * f for r, e, f in zip(*frame))
+                      s * d_weight * ring))
+    c, t1, t2, weight = (np.concatenate(part, axis=1) for part in zip(*nodes))
+    ox, oy, oz = (c * r[:, None] + t1 * e[:, None] + t2 * f[:, None]
+                  for r, e, f in zip(*frame))
     return ox, oy, oz, weight
 
 
 def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
                     rule=_zonal_rule):
-    """The folded cap by quadrature, in one pass through the kernel, plus
-    the vacuum band's closed-form share.
+    """The folded cap by quadrature for each row of the (P, 3) block kr,
+    in one pass through the kernel over (P, nodes) arrays, plus the
+    vacuum band's closed-form share.
 
     The cap edge is read once from the configuration.  The gradient is
     d(shift)/d(kr) = sum of
     weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR),
-    whose integrand is also even under omega_hat -> -omega_hat.
+    whose integrand is also even under omega_hat -> -omega_hat.  Each row
+    is summed on its own along the contiguous node axis, so its bits do
+    not depend on the block.  Returns (P,) gamma and shift and the
+    (P, 3) gradient or None.
     """
     theta = effective_theta(config)
     kR = config.k_r_mirror
     ox, oy, oz, weight = rule(orientation, grid, theta, kr)
-    u = ox * kr[0] + oy * kr[1] + oz * kr[2]
-    phi = ray_phase(phi0, float(kr @ kr), u, kR)
+    kx, ky, kz = (k[:, None] for k in kr.T.copy())
+    u = ox * kx + oy * ky + oz * kz
+    phi = ray_phase(phi0[:, None], kx * kx + ky * ky + kz * kz, u, kR)
     g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u, with_gradient)
     grad = None
     if with_gradient:
-        grad = np.array([
-            np.sum(weight * (u_part * o + phase_part * (k - u * o) / kR))
-            for o, k in zip((ox, oy, oz), kr)])
+        grad = np.stack([
+            np.sum(weight * (u_part * o + phase_part * (k - u * o) / kR),
+                   axis=-1)
+            for o, k in zip((ox, oy, oz), (kx, ky, kz))], axis=-1)
     band, _ = aperture_weights(orientation, math.cos(theta))
-    return band + np.sum(weight * g), np.sum(weight * sh), grad
+    return (band + np.sum(weight * g, axis=-1),
+            np.sum(weight * sh, axis=-1), grad)
 
 
 def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
-                     phi0: float, grid: AngularGrid | None = None,
+                     phi0, grid: AngularGrid | None = None,
                      tolerance: float | None = None,
                      with_gradient: bool = False,
                      _rule=_zonal_rule) -> Response:
-    """Average both integrands over the full solid angle.
+    """Average both integrands over the full solid angle, at one position
+    or at each row of a block.
+
+    A block is a (P, 3) array of positions that share ``grid``, with
+    ``phi0`` one phase or one per row; without a grid it takes the
+    default grid of its farthest row.  Its Response holds (P,) ratios and
+    a (P, 3) gradient, and each row is bit-identical to a call at that
+    row alone with the same n_polar: one position is the block of one.
 
     With a ``tolerance``, the grid is doubled once and the refined result
-    is returned; if the two estimates disagree by more than the tolerance
-    (relative, floored at 1 in absolute terms) a ConvergenceError is
-    raised carrying the refined estimate.  ``_rule`` is for the checks:
+    is returned; if the two estimates of a row disagree by more than the
+    tolerance (relative, floored at 1 in absolute terms) a
+    ConvergenceError is raised carrying the refined estimate of every
+    row and the rows that failed.  ``_rule`` is for the checks:
     ``_sphere_rule`` puts the 2-D reference rule in place of the zonal one.
     """
-    position = Position.of(kr)
-    kr = position.vec
+    block = np.ndim(kr) == 2
+    if block:
+        kr = np.array(kr, dtype=float)
+        if kr.shape[0] == 0 or kr.shape[1] != 3:
+            raise ValueError(f"a block of positions has shape (P, 3), got "
+                             f"{kr.shape}")
+        # a row that is not finite or is out of range raises as Position
+        # does; the ValidityWarning is left to whoever built the block,
+        # as it names the caller's line and a worker thread has none
+        for row in kr[~(np.linalg.norm(kr, axis=1) <= POSITION_MAX_RADIUS)]:
+            Position.of(row)
+    else:
+        kr = Position.of(kr).vec[None, :]
+    farthest = kr[np.argmax(np.linalg.norm(kr, axis=1))]
     if grid is None:
-        grid = AngularGrid.for_position(position, config)
-    grid.check_admissible(kr)
+        grid = AngularGrid.for_position(farthest, config)
+    grid.check_admissible(farthest)
+    phi0 = np.broadcast_to(np.asarray(phi0, dtype=float), len(kr)).copy()
 
     gamma, shift, grad = _integrate_once(kr, orientation, config, phi0, grid,
                                          with_gradient, _rule)
+    failed = []
     if tolerance is not None:
         gamma2, shift2, grad2 = _integrate_once(
             kr, orientation, config, phi0, grid.doubled(), with_gradient,
             _rule)
-        d_gamma = abs(gamma2 - gamma)
-        d_shift = abs(shift2 - shift)
-        ok = (d_gamma <= tolerance * max(1.0, abs(gamma2))
-              and d_shift <= tolerance * max(1.0, abs(shift2)))
+        d_gamma = np.abs(gamma2 - gamma)
+        d_shift = np.abs(shift2 - shift)
+        ok = ((d_gamma <= tolerance * np.maximum(1.0, np.abs(gamma2)))
+              & (d_shift <= tolerance * np.maximum(1.0, np.abs(shift2))))
         if with_gradient:
-            d_grad = float(np.linalg.norm(grad2 - grad))
-            ok = ok and d_grad <= tolerance * max(1.0, float(np.linalg.norm(grad2)))
+            d_grad = np.linalg.norm(grad2 - grad, axis=1)
+            ok &= d_grad <= tolerance * np.maximum(
+                1.0, np.linalg.norm(grad2, axis=1))
         gamma, shift, grad = gamma2, shift2, grad2
-        if not ok:
-            estimate = Response(float(gamma), float(shift), grad)
-            raise ConvergenceError(
-                f"sphere integral did not converge at |kr|="
-                f"{float(np.linalg.norm(kr)):.2f}: doubling changed "
-                f"(gamma, shift) by ({d_gamma:.3e}, {d_shift:.3e}) "
-                f"with tolerance {tolerance:g}",
-                estimate=estimate,
-                change=(d_gamma, d_shift),
-            )
-    return Response(float(gamma), float(shift), grad)
+        failed = np.flatnonzero(~ok).tolist()
+    if block:
+        result = Response(gamma, shift, grad)
+    else:
+        result = Response(float(gamma[0]), float(shift[0]),
+                          None if grad is None else grad[0])
+    if failed:
+        i = failed[0]
+        change = ((d_gamma, d_shift) if block
+                  else (float(d_gamma[0]), float(d_shift[0])))
+        raise ConvergenceError(
+            f"sphere integral did not converge at |kr|="
+            f"{float(np.linalg.norm(kr[i])):.2f}: doubling changed "
+            f"(gamma, shift) by ({d_gamma[i]:.3e}, {d_shift[i]:.3e}) "
+            f"with tolerance {tolerance:g}",
+            estimate=result, change=change, rows=failed)
+    return result
+
+
+def plan_blocks(kr, config: CavityConfig, doubled: bool
+                ) -> list[tuple[AngularGrid, list[int]]]:
+    """Blocks of a scan's positions: (grid, row indices) with the rows of
+    each block on one rung of the ladder, at most BLOCK_NODES // (4 n_polar)
+    of them (at least one).  Every position is checked and sized first,
+    so a bad one raises before any work; then every rule the blocks need,
+    with the doubles when ``doubled``, is built in one sweep."""
+    grids = [AngularGrid.for_position(k, config) for k in kr]
+    rungs: dict[int, list[int]] = {}
+    for i, grid in enumerate(grids):
+        rungs.setdefault(grid.n_polar, []).append(i)
+    _RULES.get(list(rungs) + ([2 * n for n in rungs] if doubled else []))
+    blocks = []
+    for n, rows in rungs.items():
+        size = max(1, BLOCK_NODES // (4 * n))
+        blocks += [(grids[rows[i]], rows[i:i + size])
+                   for i in range(0, len(rows), size)]
+    return blocks
 
 
 def monte_carlo_reference(kr, orientation: DipoleOrientation,

@@ -384,6 +384,8 @@ def test_timings_flag_adds_metadata(tmp_path, capsys):
     pytest.param(["center", "--tolerance=nan"], id="--tolerance-nan"),
     pytest.param(["center", "--threads=-3"], id="--threads--3"),
     pytest.param(["center", "--threads=0"], id="--threads-0"),
+    # parsed and refused: no thread is started
+    pytest.param(["plane", "--threads=65"], id="--threads-65"),
     # flags of other commands: each command takes only what it reads
     pytest.param(["axial", "--seed", "1"], id="axial --seed"),
     pytest.param(["plane", "--quadrature"], id="plane --quadrature"),
@@ -404,6 +406,13 @@ def test_bad_flag_values_rejected(tmp_path, capsys, argv):
     assert err.startswith(f"usage: vactrap {argv[0]} ")
     assert f"vactrap {argv[0]}: error:" in err
     assert not out.exists()
+
+
+def test_thread_cap_named(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["axial", f"--threads={cli.MAX_THREADS + 1}"])
+    assert excinfo.value.code == 2
+    assert f"must be at most {cli.MAX_THREADS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

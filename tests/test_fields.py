@@ -16,6 +16,7 @@ from vactrap.cavity import (
     center_shift,
 )
 from vactrap.fields import (
+    MAX_THREADS,
     ScanSpec,
     WeakExcitationError,
     excited_population,
@@ -215,6 +216,12 @@ def test_scan_worker_determinism():
     threaded = run_scan(spec, pi_e=0.05, n_workers=4)
     assert serial.rows == threaded.rows
     assert serial.columns == threaded.columns
+
+
+def test_scan_worker_count_bounded():
+    spec = ScanSpec("axial", -1.0, 1.0, 2, DEFAULT, ISO)
+    with pytest.raises(ValueError, match="at most 64"):
+        run_scan(spec, n_workers=MAX_THREADS + 1)
 
 
 def test_scan_with_constant_drive_columns():

@@ -4,19 +4,23 @@ rules."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vactrap import quadrature
 from vactrap.cavity import (
     CavityConfig,
+    Detuning,
     DipoleOrientation,
     aperture_weights,
     effective_theta,
     ray_phase,
 )
-from vactrap.fields import DEFAULT_TOLERANCE
+from vactrap.fields import DEFAULT_TOLERANCE, ScanSpec, _scan_points, run_scan
 from vactrap.quadrature import (
     AngularGrid,
+    ConvergenceError,
     _cap_terms,
     _leggauss,
     _pol_weight,
@@ -192,3 +196,46 @@ def test_zonal_rule_matches_sphere_rule(kr, rho, phi0):
                      (sphere.shift_ratio, zonal.shift_ratio),
                      *zip(sphere.shift_gradient, zonal.shift_gradient)):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (orientation, x, y)
+
+
+def _row_alone(coords, kr, phi0, spec, pi_e):
+    """A scan row from one integrate_sphere call at its point."""
+    try:
+        resp = integrate_sphere(kr, spec.orientation, spec.config, phi0,
+                                tolerance=DEFAULT_TOLERANCE,
+                                with_gradient=pi_e is not None)
+    except ConvergenceError as err:
+        resp = err.estimate
+    row = coords + (resp.gamma_ratio, resp.shift_ratio)
+    if pi_e is None:
+        return row
+    force = -pi_e * resp.shift_gradient
+    return row + (*map(float, force), pi_e * resp.shift_ratio)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(axis=st.sampled_from(("axial", "transverse", "plane", "detuning")),
+       start=st.floats(-30.0, 0.0), width=st.floats(0.5, 30.0),
+       n_points=st.integers(2, 6),
+       orientation=st.sampled_from(ORIENTATIONS),
+       pi_e=st.one_of(st.none(), st.floats(0.0, 0.5)))
+def test_scan_rows_do_not_depend_on_blocks_or_threads(
+        axis, start, width, n_points, orientation, pi_e):
+    # a row is the same bits whether its block holds one point, a few or
+    # the whole rung, whatever the worker count, and the same as a call at
+    # its point alone
+    if axis == "plane":
+        n_points = min(n_points, 4)
+    spec = ScanSpec(axis, start, start + width, n_points,
+                    CavityConfig(rho=0.98), orientation, Detuning(-0.5))
+    runs = []
+    for budget in (1, 3 * 4 * 32, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "BLOCK_NODES", budget)
+            for n_workers in (1, 2):
+                runs.append(run_scan(spec, n_workers=n_workers, pi_e=pi_e))
+    for result in runs[1:]:
+        assert result.rows == runs[0].rows
+        assert result.non_converged == runs[0].non_converged
+    for row, (coords, phi0, kr) in zip(runs[0].rows, _scan_points(spec)):
+        assert row == _row_alone(coords, kr, phi0, spec, pi_e)

@@ -2,7 +2,9 @@
 the Monte-Carlo oracle."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -136,8 +138,8 @@ def test_gauss_legendre_largest_rule():
 
 def test_gauss_legendre_newton_is_bounded(monkeypatch):
     monkeypatch.setattr(quadrature, "_NEWTON_MAX_STEPS", 1)
-    with pytest.raises(RuntimeError, match="n=33"):
-        quadrature._leggauss.__wrapped__(33)
+    with pytest.raises(RuntimeError, match="n=33 did not converge"):
+        quadrature._build_rules([33])
 
 
 # ---------------------------------------------------------------- grid
@@ -175,7 +177,7 @@ def test_grid_for_position():
             grid = AngularGrid.for_position([0.0, 0.0, kz], config)
             rules |= {grid.n_polar, grid.doubled().n_polar}
     assert len(rules) == 113
-    assert len(rules) <= quadrature._leggauss.cache_info().maxsize
+    assert len(rules) <= quadrature._RULES.maxsize
 
 
 def test_grid_node_cap():
@@ -192,15 +194,65 @@ def test_grid_node_cap():
 
 
 def test_default_axial_scan_reuses_rules():
-    # the default 401-point axial scan asks for a rule at every point and
-    # again at its doubled grid; off the ladder that built 652 rules
+    # the default 401-point axial scan needs 25 rungs and their doubles,
+    # 38 rules, which the plan looks up (and builds) once; then each of
+    # its 105 blocks looks up its rung's rule and the double once.  One
+    # lookup per point and pass, 802, built 652 rules off the ladder
     run = RunConfig.defaults()
     spec = ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation)
-    quadrature._leggauss.cache_clear()
+    quadrature._RULES.clear()
     run_scan(spec)
-    info = quadrature._leggauss.cache_info()
-    assert info.hits + info.misses == 802
-    assert info.misses <= 40
+    cache = quadrature._RULES
+    assert cache.hits + cache.misses == 38 + 2 * 105
+    assert cache.misses <= 40
+
+
+@pytest.mark.parametrize("ns", [range(1, 41), [416, 832, 2880]])
+def test_one_sweep_builds_the_rules_of_one_degree_sweeps(ns):
+    together = quadrature._build_rules(ns)
+    assert sorted(together) == sorted(ns)
+    for n in ns:
+        x, w = quadrature._build_rules([n])[n]
+        assert_array_equal(together[n][0], x)
+        assert_array_equal(together[n][1], w)
+
+
+def test_rule_cache_shared_by_threads():
+    # more threads than cores and a short switch interval: a rule built
+    # twice, a lost count or another rule returned would show here
+    cache = quadrature._RuleCache(maxsize=16)
+    ns = [16 * (1 + i % 12) for i in range(20_000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rules = list(pool.map(lambda n: cache.get([n])[n], ns,
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert cache.misses == 12
+    assert cache.hits + cache.misses == len(ns)
+    assert [len(x) for x, _ in rules] == ns
+
+
+def test_block_rows_checked():
+    config = CavityConfig(rho=0.9)
+    iso = DipoleOrientation.isotropic()
+    with pytest.raises(ValueError, match=r"must be finite, got kx=nan$"):
+        integrate_sphere([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0]], iso,
+                         config, 0.0)
+    with pytest.raises(ValueError, match="exceeds the supported region"):
+        integrate_sphere([[0.0, 0.0, 1.0], [0.0, 0.0, 301.0]], iso, config,
+                         0.0)
+    with pytest.raises(ValueError, match=r"shape \(P, 3\), got \(2, 2\)"):
+        integrate_sphere(np.zeros((2, 2)), iso, config, 0.0)
+    # without a grid a block takes its farthest row's, so that row is the
+    # same as a call at it alone
+    block = integrate_sphere([[0.0, 0.0, 1.0], [3.0, 0.0, 4.0]], iso, config,
+                             0.0)
+    assert block.gamma_ratio.shape == (2,)
+    far = integrate_sphere([3.0, 0.0, 4.0], iso, config, 0.0)
+    assert block.gamma_ratio[1] == far.gamma_ratio
 
 
 def test_grid_invariants():

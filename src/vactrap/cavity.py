@@ -213,10 +213,6 @@ class Position:
     def vec(self) -> np.ndarray:
         return np.array(self.kr)
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.kr))
-
 
 @dataclass(frozen=True)
 class Detuning:

@@ -147,15 +147,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scan_range(run: RunConfig, command: str) -> tuple[float, float, int]:
-    start, stop, n_points = _SCAN_DEFAULTS[command]
-    if run.scan_start is not None:
-        start = run.scan_start
-    if run.scan_stop is not None:
-        stop = run.scan_stop
-    if run.scan_points is not None:
-        n_points = run.scan_points
+    """The [scan] start, stop and n_points, each the command's default
+    where the config leaves it out."""
+    given = (run.scan_start, run.scan_stop, run.scan_points)
+    start, stop, n_points = (
+        default if value is None else value
+        for value, default in zip(given, _SCAN_DEFAULTS[command]))
     if not start < stop:
-        raise ConfigError("scan start must be below stop")
+        # the config refuses start >= stop when it gives both, so one of
+        # the two is the command's default: say which
+        def named(value, entry):
+            suffix = f" (the {command} default)" if entry is None else ""
+            return f"{float(value)!r}{suffix}"
+        raise ConfigError(f"scan start {named(start, run.scan_start)} must "
+                          f"be below stop {named(stop, run.scan_stop)}")
     return start, stop, n_points
 
 
@@ -272,30 +277,21 @@ def cmd_center(args, run: RunConfig) -> int:
                "shift_parallel", "shift_perpendicular")
     non_converged: list[int] = []
     if args.quadrature:
-        spec_par = ScanSpec("detuning", start, stop, n_points, cavity,
-                            parallel)
-        spec_perp = ScanSpec("detuning", start, stop, n_points, cavity,
-                             perpendicular)
-        res_par = run_scan(spec_par, tolerance=args.tolerance,
-                           n_workers=args.threads)
-        res_perp = run_scan(spec_perp, tolerance=args.tolerance,
-                            n_workers=args.threads)
-        rows = [
-            (c, rp[1], rq[1], rp[2], rq[2])
-            for c, rp, rq in zip(coords, res_par.rows, res_perp.rows)
-        ]
+        res_par, res_perp = (
+            run_scan(ScanSpec("detuning", start, stop, n_points, cavity, d),
+                     tolerance=args.tolerance, n_workers=args.threads)
+            for d in (parallel, perpendicular))
+        values = [res.column(name) for name in ("gamma_ratio", "shift_ratio")
+                  for res in (res_par, res_perp)]
         non_converged = sorted(set(res_par.non_converged)
                                | set(res_perp.non_converged))
     else:
         phases = np.array([Detuning(float(c)).phase(cavity.rho)
                            for c in coords])
-        rows = list(zip(
-            coords,
-            np.atleast_1d(center_gamma(parallel, cavity, phases)),
-            np.atleast_1d(center_gamma(perpendicular, cavity, phases)),
-            np.atleast_1d(center_shift(parallel, cavity, phases)),
-            np.atleast_1d(center_shift(perpendicular, cavity, phases)),
-        ))
+        values = [np.atleast_1d(form(d, cavity, phases))
+                  for form in (center_gamma, center_shift)
+                  for d in (parallel, perpendicular)]
+    rows = np.column_stack([coords] + values)
     return _emit_table(args, run, columns, rows, started,
                        non_converged=non_converged)
 
@@ -333,7 +329,7 @@ def cmd_spatial(args, run: RunConfig) -> int:
         extra = {"trap": {"potential_min": trap["potential_min"],
                           "coordinates": trap["coordinates"]}}
     indices = [result.columns.index(c) for c in columns]
-    rows = [tuple(row[i] for i in indices) for row in result.rows]
+    rows = result.values[:, indices]
     return _emit_table(args, run, columns, rows, started,
                        non_converged=result.non_converged,
                        weak_excitation=result.weak_excitation,

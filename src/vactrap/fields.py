@@ -9,17 +9,23 @@ and the trapping potential is the shift so scaled:
 
 so the potential is zero far from the cavity's influence where the shift
 vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
-differentiated analytically under the integral.  A scan first plans
-every point (``quadrature.plan_blocks``: its position checked, its rung
-of the node ladder chosen, every rule built in one sweep), then makes one
-``integrate_sphere`` call per block of points on one rung.  Worker
-threads share the blocks; a row's bits do not depend on its block, and
-rows are assembled in coordinate order, so output is bit-identical for
-any --threads value.
+differentiated analytically under the integral.
+
+A scan is a table of columns from start to finish.  Its points come as
+arrays (coordinates, phases, positions) in output row order; the scan
+plans them (``quadrature.plan_blocks``: every position checked, its rung
+of the node ladder chosen, every rule built in one sweep), makes one
+``integrate_sphere`` call per block of points on one rung and copies the
+block's arrays into whole-scan columns at the block's rows.  The force,
+the potential and a weak drive's population then come from one array
+formula each, shared with the one-point functions.  Worker threads share
+the blocks; a row's bits do not depend on its block, so the table is
+bit-identical for any --threads value.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,6 +43,8 @@ _AXIS_COLUMNS = {
     "transverse": ("kx",),
     "plane": ("kz", "kx"),
 }
+# The components of kr that those columns set on a spatial axis.
+_KR_AXES = {"axial": [2], "transverse": [0], "plane": [2, 0]}
 
 # Most worker threads a scan may use.  Blocks hold the interpreter lock
 # for much of their time, so threads beyond the cores buy nothing, and a
@@ -88,26 +96,50 @@ def response_at(position, orientation: DipoleOrientation,
                             with_gradient=with_gradient)
 
 
+def _population(rabi, laser_detuning, gamma, shift):
+    """Weak-drive excited population (rabi/2)^2 / ((laser_detuning -
+    shift)^2 + (gamma/2)^2), at one point or per row.  Squares are
+    written as products, so a row gets the same bits either way."""
+    half_rabi, half_gamma = rabi / 2.0, gamma / 2.0
+    delta = laser_detuning - shift
+    return half_rabi * half_rabi / (delta * delta + half_gamma * half_gamma)
+
+
+def _check_drive(pi_e=None, weak_drive=None) -> None:
+    """Reject a drive given both ways, a pi_e outside [0, 1/2] and a weak
+    drive (rabi, laser_detuning) that is not finite."""
+    if pi_e is not None and weak_drive is not None:
+        raise ValueError("give either pi_e or weak_drive, not both")
+    if pi_e is not None and not 0.0 <= pi_e <= 0.5:
+        raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
+    if weak_drive is not None and not all(map(math.isfinite, weak_drive)):
+        raise ValueError("weak drive (rabi, laser_detuning) must be finite, "
+                         f"got {tuple(weak_drive)}")
+
+
 def excited_population(rabi: float, laser_detuning: float,
                        response: Response) -> float:
     """Steady-state excited population of a weakly driven two-level atom.
 
-    All rates in units of the free-space damping rate: pi_e =
-    (rabi/2)^2 / ((laser_detuning - shift)^2 + (gamma/2)^2), using the
-    local cavity-modified shift and damping.  Raises WeakExcitationError
-    above MAX_WEAK_POPULATION, where the linear treatment breaks down.
+    All rates in units of the free-space damping rate, using the local
+    cavity-modified shift and damping (see ``_population``).  Raises
+    ValueError for a non-finite drive and WeakExcitationError where the
+    population is not at most MAX_WEAK_POPULATION, as there the linear
+    treatment breaks down.
     """
-    half_rabi = rabi / 2.0
-    delta = laser_detuning - response.shift_ratio
-    pi_e = half_rabi**2 / (delta**2 + (response.gamma_ratio / 2.0) ** 2)
-    if pi_e > MAX_WEAK_POPULATION:
+    _check_drive(weak_drive=(rabi, laser_detuning))
+    pi_e = _population(rabi, laser_detuning, response.gamma_ratio,
+                       response.shift_ratio)
+    if not pi_e <= MAX_WEAK_POPULATION:
         raise WeakExcitationError(pi_e)
     return pi_e
 
 
-def _force(resp: Response, pi_e: float) -> tuple[np.ndarray, float]:
-    """Force F = -pi_e grad(shift) and potential U = pi_e shift."""
-    return -pi_e * resp.shift_gradient, pi_e * resp.shift_ratio
+def _force(pi_e, grad, shift):
+    """Force F = -pi_e grad(shift) and potential U = pi_e shift, at one
+    point or per row (pi_e one value or one per row)."""
+    pi_e = np.asarray(pi_e, dtype=float)
+    return -pi_e[..., None] * grad, pi_e * shift
 
 
 def force_at(position, orientation: DipoleOrientation, config: CavityConfig,
@@ -115,11 +147,11 @@ def force_at(position, orientation: DipoleOrientation, config: CavityConfig,
              tolerance: float | None = DEFAULT_TOLERANCE) -> ForceResult:
     """Vacuum-induced force and trapping potential at one point for a
     given constant excited-state population."""
-    if not 0.0 <= pi_e <= 0.5:
-        raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
+    _check_drive(pi_e)
     resp = response_at(position, orientation, config, detuning,
                        tolerance=tolerance, with_gradient=True)
-    return ForceResult(*_force(resp, pi_e), excited_population=pi_e)
+    force, potential = _force(pi_e, resp.shift_gradient, resp.shift_ratio)
+    return ForceResult(force, float(potential), excited_population=pi_e)
 
 
 @dataclass(frozen=True)
@@ -154,33 +186,32 @@ class ScanSpec:
 
 @dataclass
 class ScanResult:
-    """Ordered scan table plus per-row trouble flags."""
+    """Scan table, one row per point in coordinate order, plus per-row
+    trouble flags."""
 
     columns: tuple[str, ...]
-    rows: list[tuple[float, ...]]
+    values: np.ndarray  # (rows, columns)
     non_converged: list[int] = field(default_factory=list)
     weak_excitation: list[int] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.values[:, self.columns.index(name)]
 
 
 def _scan_points(spec: ScanSpec):
-    """(coordinate tuple, phi0, kr) for every scan point, in output row
-    order.  The phase is computed once per scan, or per point on the
-    detuning axis; positions are checked where they are integrated."""
-    coords = [float(c) for c in spec.coordinates()]
+    """Coordinates (N, c), phi0 (N,) and kr (N, 3) of every scan point, in
+    output row order.  The phase is computed once per scan, or per point
+    on the detuning axis; positions are checked where they are planned."""
+    c = spec.coordinates()
     rho = spec.config.rho
     if spec.axis == "detuning":
-        return [((c,), Detuning(c).phase(rho), (0.0, 0.0, 0.0))
-                for c in coords]
-    phi0 = spec.detuning.phase(rho)
-    if spec.axis == "axial":
-        return [((c,), phi0, (0.0, 0.0, c)) for c in coords]
-    if spec.axis == "transverse":
-        return [((c,), phi0, (c, 0.0, 0.0)) for c in coords]
-    return [((z, x), phi0, (x, 0.0, z)) for z in coords for x in coords]
+        phi0 = np.array([Detuning(float(v)).phase(rho) for v in c])
+        return c[:, None], phi0, np.zeros((len(c), 3))
+    coords = (np.column_stack([np.repeat(c, len(c)), np.tile(c, len(c))])
+              if spec.axis == "plane" else c[:, None])
+    kr = np.zeros((len(coords), 3))
+    kr[:, _KR_AXES[spec.axis]] = coords
+    return coords, np.full(len(coords), spec.detuning.phase(rho)), kr
 
 
 def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
@@ -195,73 +226,51 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
     ``non_converged``; rows outside the weak-excitation regime are listed
     in ``weak_excitation``.  Worker count never changes the numbers.
     """
-    if n_workers > MAX_THREADS:
-        raise ValueError(f"n_workers must be at most {MAX_THREADS}, "
-                         f"got {n_workers}")
-    if pi_e is not None and weak_drive is not None:
-        raise ValueError("give either pi_e or weak_drive, not both")
-    if pi_e is not None and not 0.0 <= pi_e <= 0.5:
-        raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
+    if not 1 <= n_workers <= MAX_THREADS:
+        raise ValueError(f"n_workers must be at least 1 and at most "
+                         f"{MAX_THREADS}, got {n_workers}")
+    _check_drive(pi_e, weak_drive)
     with_force = pi_e is not None or weak_drive is not None
 
     columns = _AXIS_COLUMNS[spec.axis] + ("gamma_ratio", "shift_ratio")
     if with_force:
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
-    points = _scan_points(spec)
-    kr = np.array([p[2] for p in points])
-    phi0 = np.array([p[1] for p in points])
+    coords, phi0, kr = _scan_points(spec)
     blocks = plan_blocks(kr, spec.config, doubled=tolerance is not None)
+    gamma, shift = np.empty((2, len(kr)))
+    grad = np.empty(kr.shape)
+    converged = np.ones(len(kr), dtype=bool)
 
     def evaluate(block):
         grid, rows = block
-        failed = ()
         try:
-            block_resp = integrate_sphere(
+            resp = integrate_sphere(
                 kr[rows], spec.orientation, spec.config, phi0[rows],
                 grid=grid, tolerance=tolerance, with_gradient=with_force)
         except ConvergenceError as err:
-            block_resp, failed = err.estimate, err.rows
-        grad = block_resp.shift_gradient
-        evaluated = []
-        for j, idx in enumerate(rows):
-            resp = Response(float(block_resp.gamma_ratio[j]),
-                            float(block_resp.shift_ratio[j]),
-                            None if grad is None else grad[j])
-            values = points[idx][0] + (resp.gamma_ratio, resp.shift_ratio)
-            weak_ok = True
-            if with_force:
-                if weak_drive is not None:
-                    try:
-                        point_pi_e = excited_population(weak_drive[0],
-                                                        weak_drive[1], resp)
-                    except WeakExcitationError as err:
-                        point_pi_e = err.population
-                        weak_ok = False
-                else:
-                    point_pi_e = pi_e
-                f, potential = _force(resp, point_pi_e)
-                values = values + (float(f[0]), float(f[1]), float(f[2]),
-                                   potential)
-            evaluated.append((idx, values, j not in failed, weak_ok))
-        return evaluated
+            resp = err.estimate
+            converged[np.asarray(rows)[err.rows]] = False
+        gamma[rows], shift[rows] = resp.gamma_ratio, resp.shift_ratio
+        if with_force:
+            grad[rows] = resp.shift_gradient
 
     n_workers = min(n_workers, len(blocks))
-    if n_workers <= 1:
-        evaluated = [evaluate(b) for b in blocks]
+    if n_workers == 1:
+        for block in blocks:
+            evaluate(block)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            evaluated = list(pool.map(evaluate, blocks))
+            list(pool.map(evaluate, blocks))
 
-    result = ScanResult(columns=columns, rows=[])
-    for idx, values, converged, weak_ok in sorted(
-            row for block in evaluated for row in block):
-        result.rows.append(values)
-        if not converged:
-            result.non_converged.append(idx)
-        if not weak_ok:
-            result.weak_excitation.append(idx)
-    return result
+    values, weak = [coords, gamma, shift], []
+    if with_force:
+        if weak_drive is not None:
+            pi_e = _population(*weak_drive, gamma, shift)
+            weak = np.flatnonzero(~(pi_e <= MAX_WEAK_POPULATION)).tolist()
+        values += _force(pi_e, grad, shift)
+    return ScanResult(columns, np.column_stack(values),
+                      np.flatnonzero(~converged).tolist(), weak)
 
 
 def trap_minimum(result: ScanResult) -> dict | None:
@@ -272,9 +281,8 @@ def trap_minimum(result: ScanResult) -> dict | None:
     potential = result.column("potential")
     idx = int(np.argmin(potential))
     n_coords = result.columns.index("gamma_ratio")
-    coords = result.rows[idx][:n_coords]
     return {
         "potential_min": float(potential[idx]),
-        "coordinates": [float(c) for c in coords],
+        "coordinates": [float(c) for c in result.values[idx, :n_coords]],
         "row": idx,
     }

@@ -543,6 +543,8 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     default grid of its farthest row.  Its Response holds (P,) ratios and
     a (P, 3) gradient, and each row is bit-identical to a call at that
     row alone with the same n_polar: one position is the block of one.
+    A phase that is not finite, a count of phases other than one or P
+    and a ``tolerance`` that is not positive raise ValueError.
 
     With a ``tolerance``, the grid is doubled once and the refined result
     is returned; if the two estimates of a row disagree by more than the
@@ -551,6 +553,8 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     row and the rows that failed.  ``_rule`` is for the checks:
     ``_sphere_rule`` puts the 2-D reference rule in place of the zonal one.
     """
+    if tolerance is not None and not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     block = np.ndim(kr) == 2
     if block:
         kr = np.array(kr, dtype=float)
@@ -568,7 +572,14 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     if grid is None:
         grid = AngularGrid.for_position(farthest, config)
     grid.check_admissible(farthest)
-    phi0 = np.broadcast_to(np.asarray(phi0, dtype=float), len(kr)).copy()
+    phi0 = np.asarray(phi0, dtype=float)
+    if phi0.shape not in ((), (len(kr),)):
+        raise ValueError(f"{phi0.size} phases for {len(kr)} positions")
+    phi0 = np.broadcast_to(phi0, len(kr)).copy()
+    bad = np.flatnonzero(~np.isfinite(phi0))
+    if bad.size:
+        raise ValueError(f"phase phi0 of row {bad[0]} must be finite, "
+                         f"got {phi0[bad[0]]}")
 
     gamma, shift, grad = _integrate_once(kr, orientation, config, phi0, grid,
                                          with_gradient, _rule)

@@ -134,6 +134,19 @@ def test_axial_range_guard(tmp_path):
     assert "beyond" in proc.stderr
 
 
+@pytest.mark.parametrize("text,message", [
+    ("start = 150\n",
+     "scan start 150.0 must be below stop 100.0 (the axial default)"),
+    ("stop = -150\n",
+     "scan start -100.0 (the axial default) must be below stop -150.0"),
+])
+def test_scan_range_names_the_default(tmp_path, capsys, text, message):
+    # a start past the default stop once gave only "must be below stop"
+    config = write(tmp_path / "s.ini", "[scan]\n" + text)
+    assert cli.main(["axial", "--config", config]) == 2
+    assert capsys.readouterr().err == f"vactrap: {message}\n"
+
+
 def test_axial_node_cap_checked_before_any_row(tmp_path):
     # the farthest point needs 1.8e6 polar nodes: refused up front, where
     # the scan once started and ran for hours

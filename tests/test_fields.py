@@ -1,12 +1,14 @@
 """Responses on grids, gradients, forces and trap profiles."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vactrap import quadrature
 from vactrap.cavity import (
     CavityConfig,
     Detuning,
@@ -110,6 +112,13 @@ def test_excited_population_validity_limit():
     with pytest.raises(WeakExcitationError) as excinfo:
         excited_population(2.0, 0.0, Response(1.0, 0.0))
     assert excinfo.value.population > 0.1
+    # a population that is not a number is not a weak one
+    with pytest.raises(WeakExcitationError):
+        excited_population(0.1, 0.0, Response(math.nan, 0.0))
+    # nor is a drive that is not finite (it once gave NaN)
+    for rabi, laser_detuning in ((math.nan, 0.0), (0.1, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            excited_population(rabi, laser_detuning, Response(1.0, 0.0))
 
 
 def test_force_at_zero_population():
@@ -171,8 +180,8 @@ def test_scan_rows_match_response_at():
                     detuning=Detuning(0.5))
     result = run_scan(spec)
     assert result.columns == ("kz", "gamma_ratio", "shift_ratio")
-    assert len(result.rows) == 5
-    for kz, gamma, shift in result.rows:
+    assert result.values.shape == (5, 3)
+    for kz, gamma, shift in result.values:
         resp = response_at([0.0, 0.0, kz], ISO, DEFAULT, Detuning(0.5))
         assert gamma == resp.gamma_ratio
         assert shift == resp.shift_ratio
@@ -182,7 +191,7 @@ def test_detuning_scan_matches_closed_forms():
     spec = ScanSpec("detuning", -1.0, 1.0, 9, DEFAULT, PAR)
     result = run_scan(spec)
     assert result.columns[0] == "detuning_linewidths"
-    for lw, gamma, shift in result.rows:
+    for lw, gamma, shift in result.values:
         phi0 = Detuning(lw).phase(0.98)
         assert_allclose(gamma, center_gamma(PAR, DEFAULT, phi0), rtol=1e-8)
         assert_allclose(shift, center_shift(PAR, DEFAULT, phi0), rtol=1e-8,
@@ -193,11 +202,12 @@ def test_plane_scan_ordering():
     spec = ScanSpec("plane", -2.0, 2.0, 3, DEFAULT, ISO)
     result = run_scan(spec)
     assert result.columns[:2] == ("kz", "kx")
-    assert len(result.rows) == 9
-    coords = [(row[0], row[1]) for row in result.rows]
+    assert len(result.values) == 9
+    coords = [(row[0], row[1]) for row in result.values]
     assert coords == sorted(coords)
     # the (z, x) table is symmetric under x -> -x here
-    by_coord = {(row[0], row[1]): (row[2], row[3]) for row in result.rows}
+    by_coord = {(row[0], row[1]): (row[2], row[3])
+                for row in result.values}
     for (z, x), (g, s) in by_coord.items():
         assert_allclose(by_coord[(z, -x)][0], g, rtol=1e-12)
 
@@ -214,7 +224,7 @@ def test_scan_worker_determinism():
                     detuning=Detuning(-0.5))
     serial = run_scan(spec, pi_e=0.05, n_workers=1)
     threaded = run_scan(spec, pi_e=0.05, n_workers=4)
-    assert serial.rows == threaded.rows
+    assert np.array_equal(serial.values, threaded.values)
     assert serial.columns == threaded.columns
 
 
@@ -222,6 +232,43 @@ def test_scan_worker_count_bounded():
     spec = ScanSpec("axial", -1.0, 1.0, 2, DEFAULT, ISO)
     with pytest.raises(ValueError, match="at most 64"):
         run_scan(spec, n_workers=MAX_THREADS + 1)
+    for n_workers in (0, -3):  # once a silent serial scan
+        with pytest.raises(ValueError, match="at least 1"):
+            run_scan(spec, n_workers=n_workers)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"tolerance": -1.0}, "tolerance must be positive"),
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": math.nan}, "tolerance must be positive"),
+    ({"weak_drive": (math.nan, 0.0)}, "must be finite"),
+    ({"weak_drive": (0.1, math.inf)}, "must be finite"),
+])
+def test_scan_arguments_checked(kwargs, message):
+    # each of these once ran: every row non-converged, or NaN force rows
+    # that no flag named
+    spec = ScanSpec("axial", -1.0, 1.0, 2, DEFAULT, ISO)
+    with pytest.raises(ValueError, match=message):
+        run_scan(spec, **kwargs)
+
+
+def test_scan_threads_fill_disjoint_rows(monkeypatch):
+    # one block per row, more threads than cores and a short switch
+    # interval: a row or a convergence flag lost between threads would
+    # differ from the serial scan (the table starts uninitialized)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1)
+    spec = ScanSpec("plane", -3.0, 3.0, 6, DEFAULT, ISO,
+                    detuning=Detuning(-0.5))
+    serial = run_scan(spec, tolerance=1e-15, pi_e=0.05)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_scan(spec, tolerance=1e-15, pi_e=0.05, n_workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < len(serial.non_converged) < 36
+    assert threaded.non_converged == serial.non_converged
+    assert np.array_equal(threaded.values, serial.values)
 
 
 def test_scan_with_constant_drive_columns():
@@ -230,7 +277,7 @@ def test_scan_with_constant_drive_columns():
     result = run_scan(spec, pi_e=0.05)
     assert result.columns == ("kz", "gamma_ratio", "shift_ratio", "force_x",
                               "force_y", "force_z", "potential")
-    for row in result.rows:
+    for row in result.values:
         assert row[6] == 0.05 * row[2]  # potential = pi_e * shift
 
 
@@ -239,7 +286,7 @@ def test_scan_with_weak_drive():
                     detuning=Detuning(-0.5))
     result = run_scan(spec, weak_drive=(0.1, 0.0))
     assert not result.weak_excitation
-    for kz, gamma, shift, fx, fy, fz, pot in result.rows:
+    for kz, gamma, shift, fx, fy, fz, pot in result.values:
         pi_e = 0.0025 / (shift**2 + (gamma / 2.0) ** 2)
         assert_allclose(pot, pi_e * shift, rtol=1e-12)
 
@@ -250,7 +297,7 @@ def test_scan_weak_drive_violations_flagged():
     spec = ScanSpec("axial", 40.0, 44.0, 3, config, ISO)
     result = run_scan(spec, weak_drive=(2.0, 0.0))
     assert result.weak_excitation == [0, 1, 2]  # recorded, scan completed
-    assert len(result.rows) == 3
+    assert len(result.values) == 3
 
 
 def test_scan_nonconverged_rows_recorded():
@@ -261,8 +308,8 @@ def test_scan_nonconverged_rows_recorded():
         warnings.simplefilter("ignore")
         result = run_scan(spec, tolerance=1e-10)
     assert result.non_converged
-    assert len(result.rows) == 3
-    assert all(np.isfinite(row[1]) for row in result.rows)
+    assert len(result.values) == 3
+    assert np.isfinite(result.column("gamma_ratio")).all()
 
 
 def test_validity_warning_shown_once_per_scan():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vactrap import quadrature
@@ -17,7 +17,15 @@ from vactrap.cavity import (
     effective_theta,
     ray_phase,
 )
-from vactrap.fields import DEFAULT_TOLERANCE, ScanSpec, _scan_points, run_scan
+from vactrap.fields import (
+    DEFAULT_TOLERANCE,
+    ScanSpec,
+    WeakExcitationError,
+    _force,
+    _scan_points,
+    excited_population,
+    run_scan,
+)
 from vactrap.quadrature import (
     AngularGrid,
     ConvergenceError,
@@ -198,19 +206,28 @@ def test_zonal_rule_matches_sphere_rule(kr, rho, phi0):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (orientation, x, y)
 
 
-def _row_alone(coords, kr, phi0, spec, pi_e):
-    """A scan row from one integrate_sphere call at its point."""
+def _row_alone(coords, kr, phi0, spec, drive):
+    """A scan row from one integrate_sphere call at its point, with its
+    force from a constant population or from excited_population for a
+    weak drive; and whether that population is out of the weak regime."""
+    with_force = drive is not None
     try:
         resp = integrate_sphere(kr, spec.orientation, spec.config, phi0,
                                 tolerance=DEFAULT_TOLERANCE,
-                                with_gradient=pi_e is not None)
+                                with_gradient=with_force)
     except ConvergenceError as err:
         resp = err.estimate
-    row = coords + (resp.gamma_ratio, resp.shift_ratio)
-    if pi_e is None:
-        return row
-    force = -pi_e * resp.shift_gradient
-    return row + (*map(float, force), pi_e * resp.shift_ratio)
+    row = (*coords, resp.gamma_ratio, resp.shift_ratio)
+    if not with_force:
+        return row, False
+    pi_e, weak = drive, False
+    if isinstance(drive, tuple):
+        try:
+            pi_e = excited_population(*drive, resp)
+        except WeakExcitationError as err:
+            pi_e, weak = err.population, True
+    force, potential = _force(pi_e, resp.shift_gradient, resp.shift_ratio)
+    return row + (*force, potential), weak
 
 
 @settings(derandomize=True, deadline=None, max_examples=12, database=None)
@@ -218,24 +235,40 @@ def _row_alone(coords, kr, phi0, spec, pi_e):
        start=st.floats(-30.0, 0.0), width=st.floats(0.5, 30.0),
        n_points=st.integers(2, 6),
        orientation=st.sampled_from(ORIENTATIONS),
-       pi_e=st.one_of(st.none(), st.floats(0.0, 0.5)))
+       drive=st.one_of(st.none(), st.floats(0.0, 0.5),
+                       st.tuples(st.floats(0.0, 3.0), st.floats(-2.0, 2.0))))
+# populations 0.070, 0.097, 0.107, 0.085, 0.218 and 0.023: rows either
+# side of the weak-excitation limit
+@example(axis="axial", start=-30.0, width=30.0, n_points=6,
+         orientation=DipoleOrientation.isotropic(), drive=(3.2, 0.0))
 def test_scan_rows_do_not_depend_on_blocks_or_threads(
-        axis, start, width, n_points, orientation, pi_e):
+        axis, start, width, n_points, orientation, drive):
     # a row is the same bits whether its block holds one point, a few or
     # the whole rung, whatever the worker count, and the same as a call at
-    # its point alone
+    # its point alone; so are its force and its weak-drive flag.  drive is
+    # None, a constant pi_e or a weak drive (rabi, laser_detuning)
     if axis == "plane":
         n_points = min(n_points, 4)
     spec = ScanSpec(axis, start, start + width, n_points,
                     CavityConfig(rho=0.98), orientation, Detuning(-0.5))
+    weak_drive = drive if isinstance(drive, tuple) else None
+    pi_e = None if weak_drive else drive
     runs = []
     for budget in (1, 3 * 4 * 32, 10 ** 9):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quadrature, "BLOCK_NODES", budget)
             for n_workers in (1, 2):
-                runs.append(run_scan(spec, n_workers=n_workers, pi_e=pi_e))
+                runs.append(run_scan(spec, n_workers=n_workers, pi_e=pi_e,
+                                     weak_drive=weak_drive))
     for result in runs[1:]:
-        assert result.rows == runs[0].rows
+        assert np.array_equal(result.values, runs[0].values)
         assert result.non_converged == runs[0].non_converged
-    for row, (coords, phi0, kr) in zip(runs[0].rows, _scan_points(spec)):
-        assert row == _row_alone(coords, kr, phi0, spec, pi_e)
+        assert result.weak_excitation == runs[0].weak_excitation
+    weak = []
+    for i, (row, coords, phi0, kr) in enumerate(
+            zip(runs[0].values, *_scan_points(spec))):
+        alone, flagged = _row_alone(coords, kr, phi0, spec, drive)
+        assert tuple(row) == alone
+        if flagged:
+            weak.append(i)
+    assert runs[0].weak_excitation == weak

@@ -246,6 +246,22 @@ def test_block_rows_checked():
                          0.0)
     with pytest.raises(ValueError, match=r"shape \(P, 3\), got \(2, 2\)"):
         integrate_sphere(np.zeros((2, 2)), iso, config, 0.0)
+    # a NaN phase once gave NaN rows, or a "did not converge" error; a
+    # phase count off the block's, numpy's broadcast message
+    block = [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 0.0, 0.0]]
+    with pytest.raises(ValueError,
+                       match="phase phi0 of row 1 must be finite, got nan"):
+        integrate_sphere(block, iso, config, [0.1, math.nan, 0.1],
+                         tolerance=1e-9)
+    with pytest.raises(ValueError,
+                       match="phase phi0 of row 0 must be finite, got inf"):
+        integrate_sphere([0.0, 0.0, 1.0], iso, config, math.inf)
+    with pytest.raises(ValueError, match="^2 phases for 3 positions$"):
+        integrate_sphere(block, iso, config, [0.1, 0.2])
+    # a tolerance that is not positive once marked every row failed
+    for tolerance in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            integrate_sphere(block, iso, config, 0.1, tolerance=tolerance)
     # without a grid a block takes its farthest row's, so that row is the
     # same as a call at it alone
     block = integrate_sphere([[0.0, 0.0, 1.0], [3.0, 0.0, 4.0]], iso, config,

@@ -13,5 +13,6 @@ def test_library_quickstart_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 3
+    assert len(printed) == 4
     assert printed[0].startswith("29.7035")
+    assert float(printed[3]) < 0.0  # the scan's center row

@@ -107,11 +107,14 @@ def _population(rabi, laser_detuning, gamma, shift):
 
 def _check_drive(pi_e=None, weak_drive=None) -> None:
     """Reject a drive given both ways, a pi_e outside [0, 1/2] and a weak
-    drive (rabi, laser_detuning) that is not finite."""
+    drive that is not a finite pair (rabi, laser_detuning)."""
     if pi_e is not None and weak_drive is not None:
         raise ValueError("give either pi_e or weak_drive, not both")
     if pi_e is not None and not 0.0 <= pi_e <= 0.5:
         raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
+    if weak_drive is not None and len(weak_drive) != 2:
+        raise ValueError("weak drive must be a pair (rabi, laser_detuning), "
+                         f"got {tuple(weak_drive)}")
     if weak_drive is not None and not all(map(math.isfinite, weak_drive)):
         raise ValueError("weak drive (rabi, laser_detuning) must be finite, "
                          f"got {tuple(weak_drive)}")

@@ -34,8 +34,9 @@ Legendre recurrence, in O(n^2) work and O(n) memory per rule, with no
 eigensolver.  ``_build_rules`` builds any set of rules in one sweep: the
 nodes of all of them share one array, each Newton step is one pass of
 the recurrence, and each rule stops on its own test, so a rule is
-bit-identical whichever set it was built with.  ``_leggauss`` is the
-one-rule lookup of the cache that holds them.
+bit-identical whichever set it was built with.  ``_rules`` keeps every
+rule built in one store, which never evicts, and ``_leggauss`` is its
+one-rule lookup.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
@@ -54,8 +55,6 @@ its block nor on how callers parallelize.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +85,10 @@ class ConvergenceError(RuntimeError):
         self.rows = rows
 
 
-# Rules the cache keeps.  Up to |kr| = 300 the default mirrors ask for
-# 113 node counts (the ladder's rungs and their doubles), about 3 MB.
-RULE_CACHE_SIZE = 128
-
-# Most Gauss-Legendre nodes per panel that a default grid may take: the
-# O(n^2) builder needs over a second for a rule this large, and a scan
-# asking for more would run for hours.
+# Most Gauss-Legendre nodes per panel that a default grid may take, and
+# half of what any grid may take (a default grid doubled): the O(n^2)
+# builder needs over a second for a rule this large, and a scan asking
+# for more would run for hours.
 MAX_POLAR_NODES = 16_384
 
 # Points times nodes of the doubled pass (4 n_polar per point) that one
@@ -196,48 +192,29 @@ def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return rules
 
 
-class _RuleCache:
-    """Gauss-Legendre rules by node count, the least recently used
-    evicted past ``maxsize``.  The rules a request misses are built
-    together in one sweep.  ``hits`` and ``misses`` count rules; one
-    lock guards the whole lookup, so worker threads share the cache."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._rules: OrderedDict[int, tuple] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = self.misses = 0
-
-    def get(self, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        wanted = list(dict.fromkeys(ns))
-        with self._lock:
-            found = {n: self._rules[n] for n in wanted if n in self._rules}
-            for n in found:
-                self._rules.move_to_end(n)
-            missing = [n for n in wanted if n not in found]
-            self.hits += len(found)
-            self.misses += len(missing)
-            if missing:
-                built = _build_rules(missing)
-                found.update(built)
-                self._rules.update(built)
-                while len(self._rules) > self.maxsize:
-                    self._rules.popitem(last=False)
-            return found
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rules.clear()
-            self.hits = self.misses = 0
+# Gauss-Legendre rules by node count, never evicted.  The store is
+# bounded by the time it takes to fill: n <= 2 * MAX_POLAR_NODES (the
+# AngularGrid cap), and a rule holds 16 n bytes but costs O(n^2) to
+# build, so the whole 16-node ladder up to the cap, about 0.5 GB, takes
+# over an hour, and a scan holds a few MB.  No lock: a scan's plan fills
+# the store before its workers start, and two threads that race on a
+# missing rule elsewhere build bit-identical copies of it.
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-_RULES = _RuleCache(RULE_CACHE_SIZE)
+def _rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The store, after building in one sweep the rules of ``ns`` that it
+    lacks."""
+    missing = [n for n in ns if n not in _RULES]
+    if missing:
+        _RULES.update(_build_rules(missing))
+    return _RULES
 
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1] (nodes ascending), from
-    the cache or built as the one-degree case of ``_build_rules``."""
-    return _RULES.get((n,))[n]
+    the store or built as the one-degree case of ``_build_rules``."""
+    return _rules((n,))[n]
 
 
 def polar_node_floor(kr_norm: float) -> int:
@@ -255,9 +232,8 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
     |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in phase.
     With the default mirrors that term stays below the floor.  The count
     is rounded up to a multiple of 16, a ladder on which doubled grids
-    also lie, so that up to |kr| = 300 the default grids need 113 rules,
-    which the rule cache holds.  Above MAX_POLAR_NODES it raises
-    ValueError.
+    also lie, so that up to |kr| = 300 the default grids need 113 rules.
+    Above MAX_POLAR_NODES it raises ValueError.
     """
     sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
              / (config.k_r_mirror * (1.0 - config.rho)))
@@ -288,6 +264,9 @@ class AngularGrid:
     def __post_init__(self):
         if self.n_polar < 1 or self.n_azimuth < 1:
             raise ValueError("node counts must be positive")
+        if self.n_polar > 2 * MAX_POLAR_NODES:
+            raise ValueError(f"n_polar={self.n_polar} is above the cap of "
+                             f"{2 * MAX_POLAR_NODES}")
 
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
@@ -627,7 +606,7 @@ def plan_blocks(kr, config: CavityConfig, doubled: bool
     rungs: dict[int, list[int]] = {}
     for i, grid in enumerate(grids):
         rungs.setdefault(grid.n_polar, []).append(i)
-    _RULES.get(list(rungs) + ([2 * n for n in rungs] if doubled else []))
+    _rules(list(rungs) + ([2 * n for n in rungs] if doubled else []))
     blocks = []
     for n, rows in rungs.items():
         size = max(1, BLOCK_NODES // (4 * n))

@@ -243,10 +243,12 @@ def test_scan_worker_count_bounded():
     ({"tolerance": math.nan}, "tolerance must be positive"),
     ({"weak_drive": (math.nan, 0.0)}, "must be finite"),
     ({"weak_drive": (0.1, math.inf)}, "must be finite"),
+    ({"weak_drive": (0.1,)}, r"must be a pair .*, got \(0\.1,\)"),
+    ({"weak_drive": (0.1, 0.0, 0.0)}, "must be a pair"),
 ])
 def test_scan_arguments_checked(kwargs, message):
-    # each of these once ran: every row non-converged, or NaN force rows
-    # that no flag named
+    # each of these once ran: every row non-converged, NaN force rows
+    # that no flag named, or every row and then a TypeError
     spec = ScanSpec("axial", -1.0, 1.0, 2, DEFAULT, ISO)
     with pytest.raises(ValueError, match=message):
         run_scan(spec, **kwargs)

@@ -23,6 +23,7 @@ from vactrap.cavity import (
 from vactrap.config import RunConfig
 from vactrap.fields import ScanSpec, run_scan
 from vactrap.quadrature import (
+    MAX_POLAR_NODES,
     AngularGrid,
     ConvergenceError,
     _sample_terms,
@@ -170,14 +171,13 @@ def test_grid_for_position():
         assert grid.doubled().n_polar % 16 == 0
         rules |= {grid.n_polar, grid.doubled().n_polar}
     assert len(rules) == 38
-    # out to the supported 300/k they need 113, and the cache holds them
+    # out to the supported 300/k they need 113
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         for kz in np.linspace(100.0, 300.0, 4001):
             grid = AngularGrid.for_position([0.0, 0.0, kz], config)
             rules |= {grid.n_polar, grid.doubled().n_polar}
     assert len(rules) == 113
-    assert len(rules) <= quadrature._RULES.maxsize
 
 
 def test_grid_node_cap():
@@ -193,18 +193,45 @@ def test_grid_node_cap():
     assert AngularGrid.for_position([0.0, 0.0, 12.0], narrow).n_polar == 2880
 
 
-def test_default_axial_scan_reuses_rules():
+def count_builds(monkeypatch):
+    """An empty rule store, and the node counts of each ``_build_rules``
+    call made from now on."""
+    monkeypatch.setattr(quadrature, "_RULES", {})
+    calls = []
+    build = quadrature._build_rules
+
+    def counted(ns):
+        calls.append(sorted(set(ns)))
+        return build(ns)
+
+    monkeypatch.setattr(quadrature, "_build_rules", counted)
+    return calls
+
+
+def test_default_axial_scan_reuses_rules(monkeypatch):
     # the default 401-point axial scan needs 25 rungs and their doubles,
-    # 38 rules, which the plan looks up (and builds) once; then each of
-    # its 105 blocks looks up its rung's rule and the double once.  One
-    # lookup per point and pass, 802, built 652 rules off the ladder
+    # 38 rules, which the plan builds in one sweep; its 105 blocks then
+    # find them in the store.  One lookup per point and pass, 802, built
+    # 652 rules off the ladder
+    calls = count_builds(monkeypatch)
     run = RunConfig.defaults()
-    spec = ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation)
-    quadrature._RULES.clear()
-    run_scan(spec)
-    cache = quadrature._RULES
-    assert cache.hits + cache.misses == 38 + 2 * 105
-    assert cache.misses <= 40
+    run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity,
+                      run.orientation))
+    assert len(calls) == 1
+    assert len(calls[0]) == 38
+
+
+def test_scan_builds_each_rule_once_past_128_rules(monkeypatch):
+    # a narrow resonance and a short mirror radius put 86 rungs and their
+    # doubles, 131 rules, on 145 points; a 128-rule LRU cache evicted
+    # rules the plan had built and the blocks built them again one by one
+    calls = count_builds(monkeypatch)
+    config = CavityConfig(rho=0.995, k_r_mirror=1.0e3)
+    run_scan(ScanSpec("axial", 0.0, 60.0, 145, config,
+                      DipoleOrientation.isotropic()))
+    assert len(calls) == 1
+    assert len(calls[0]) == 131
+    assert sorted(quadrature._RULES) == calls[0]
 
 
 @pytest.mark.parametrize("ns", [range(1, 41), [416, 832, 2880]])
@@ -217,22 +244,36 @@ def test_one_sweep_builds_the_rules_of_one_degree_sweeps(ns):
         assert_array_equal(together[n][1], w)
 
 
-def test_rule_cache_shared_by_threads():
-    # more threads than cores and a short switch interval: a rule built
-    # twice, a lost count or another rule returned would show here
-    cache = quadrature._RuleCache(maxsize=16)
+def test_rule_cache_shared_by_threads(monkeypatch):
+    # more threads than cores and a short switch interval: another rule
+    # returned, or a rule torn by a racing build, would show here.  With
+    # no lock two threads may both build a missing rule, into
+    # bit-identical copies, so builds are not counted
+    monkeypatch.setattr(quadrature, "_RULES", {})
     ns = [16 * (1 + i % 12) for i in range(20_000)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            rules = list(pool.map(lambda n: cache.get([n])[n], ns,
+            rules = list(pool.map(lambda n: quadrature._rules([n])[n], ns,
                                   timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert cache.misses == 12
-    assert cache.hits + cache.misses == len(ns)
-    assert [len(x) for x, _ in rules] == ns
+    alone = {n: quadrature._build_rules([n])[n] for n in set(ns)}
+    for n, (x, w) in zip(ns, rules):
+        assert_array_equal(x, alone[n][0])
+        assert_array_equal(w, alone[n][1])
+    # in a scan the plan fills the store before the workers start, so
+    # they only read it and build nothing
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1)
+    spec = ScanSpec("plane", -3.0, 3.0, 6, CavityConfig(rho=0.98),
+                    DipoleOrientation.isotropic())
+    calls = count_builds(monkeypatch)
+    threaded = run_scan(spec, n_workers=2)
+    assert len(calls) == 1
+    monkeypatch.setattr(quadrature, "_RULES", {})
+    serial = run_scan(spec)
+    assert_array_equal(threaded.values, serial.values)
 
 
 def test_block_rows_checked():
@@ -276,6 +317,12 @@ def test_grid_invariants():
         AngularGrid(0, 16)
     with pytest.raises(ValueError):
         AngularGrid(32, 0)
+    # a grid past the cap once took hours in the O(n^2) rule builder; a
+    # default grid at the cap may still be doubled
+    with pytest.raises(ValueError, match="n_polar=32784 is above the cap "
+                       "of 32768"):
+        AngularGrid(2 * MAX_POLAR_NODES + 16, 16)
+    assert AngularGrid(MAX_POLAR_NODES, 16).doubled().n_polar == 32768
 
 
 def test_undersized_grid_rejected():

@@ -14,9 +14,9 @@ differentiated analytically under the integral.
 A scan is a table of columns from start to finish.  Its points come as
 arrays (coordinates, phases, positions) in output row order; the scan
 plans them (``quadrature.plan_blocks``: every position checked, its rung
-of the node ladder chosen, every rule built in one sweep), makes one
-``integrate_sphere`` call per block of points on one rung and copies the
-block's arrays into whole-scan columns at the block's rows.  The force,
+of the node ladder chosen, every rule built before any block runs),
+makes one ``integrate_sphere`` call per block of points on one rung and
+copies the block's arrays into whole-scan columns at the block's rows.  The force,
 the potential and a weak drive's population then come from one array
 formula each, shared with the one-point functions.  Worker threads share
 the blocks; a row's bits do not depend on its block, so the table is

@@ -29,27 +29,33 @@ The 2-D rule, Gauss-Legendre in cos(theta) times a uniform azimuth rule,
 is kept only as the independent reference that ``validate`` and the
 tests compare the zonal rule with.
 
-Gauss-Legendre rules are built by Newton's method on the three-term
-Legendre recurrence, in O(n^2) work and O(n) memory per rule, with no
-eigensolver.  ``_build_rules`` builds any set of rules in one sweep: the
-nodes of all of them share one array, each Newton step is one pass of
-the recurrence, and each rule stops on its own test, so a rule is
-bit-identical whichever set it was built with.  ``_rules`` keeps every
-rule built in one store, which never evicts, and ``_leggauss`` is its
-one-rule lookup.
+Gauss-Legendre rules of up to 512 nodes are built by Newton's method on
+the three-term Legendre recurrence, in O(n^2) work and O(n) memory per
+rule, with no eigensolver.  ``_build_rules`` builds any set of them in
+one sweep: the nodes of all of them share one array, each Newton step is
+one pass of the recurrence, and each rule stops on its own test, so a
+rule is bit-identical whichever set it was built with.  Larger rules come
+from asymptotic expansions in O(n) work with no loop over the degree
+(``_asymptotic_rules``; Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)
+A652): the Stieltjes-Szego expansion in the interior and the exact
+cosine series of P_n next to the ends, both in the angle theta of
+x = cos(theta).  ``_rules`` keeps every rule built in one store, which
+never evicts, and ``_leggauss`` is its one-rule lookup.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
 floor); the polar count also grows with the resonance linewidths that the
-aberration phase sweeps, and is rounded up to a multiple of 16, the rungs
-of a ladder.  ``plan_blocks`` groups a scan's positions by rung into
-blocks of at most BLOCK_NODES nodes and builds every rule they need in
-one sweep; ``integrate_sphere`` integrates a block in one pass through
-the kernel over (points x nodes) arrays, one position being a block of
-one.  Every operation is elementwise along the rows and each row is
-summed on its own in a fixed order, so a row's bits depend neither on
-its block nor on how callers parallelize.
+aberration phase sweeps, and is rounded up to a rung of an octave ladder:
+a multiple of 16 up to 512 nodes, and above that 16 rungs per octave,
+each 1/32 of the octave's top apart.
+``plan_blocks`` groups a scan's positions by rung into blocks of at most
+BLOCK_NODES nodes and builds every rule they need before any block runs;
+``integrate_sphere`` integrates a block in one pass through the kernel
+over (points x nodes) arrays, one position being a block of one.  Every
+operation is elementwise along the rows and each row is summed on its own
+in a fixed order, so a row's bits depend neither on its block nor on how
+callers parallelize.
 """
 
 from __future__ import annotations
@@ -86,9 +92,9 @@ class ConvergenceError(RuntimeError):
 
 
 # Most Gauss-Legendre nodes per panel that a default grid may take, and
-# half of what any grid may take (a default grid doubled): the O(n^2)
-# builder needs over a second for a rule this large, and a scan asking
-# for more would run for hours.
+# half of what any grid may take (a default grid doubled).  Large rules
+# build in O(n), so the cap bounds memory, not build time: the rule
+# store holds 16 bytes a node, and a block's kernel arrays grow with it.
 MAX_POLAR_NODES = 16_384
 
 # Points times nodes of the doubled pass (4 n_polar per point) that one
@@ -103,6 +109,22 @@ BLOCK_NODES = 4096
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_STEPS = 10
 
+# Rules of more nodes than this are built from asymptotic expansions in
+# O(n) work (``_asymptotic_rules``), the others by Newton on the
+# recurrence in O(n^2) (``_build_rules``).
+_NEWTON_MAX_NODES = 512
+# Terms of the Stieltjes-Szego expansion for the interior nodes of a
+# large rule, and the nodes at each end that come from the cosine series
+# instead: up to the tenth node from x = 1 the expansion's error, which
+# falls as (n sin theta)^-M, is still above rounding.
+_SZEGO_TERMS = 12
+_END_NODES = 10
+# The first _END_NODES zeros of the Bessel function J_0.
+_J0_ZEROS = (2.4048255576957728, 5.5200781102863106, 8.6537279129110122,
+             11.791534439014282, 14.930917708487786, 18.071063967910923,
+             21.211636629879259, 24.352471530749303, 27.493479132040255,
+             30.634606468431975)
+
 
 def _legendre_with_derivative(degree: np.ndarray, x: np.ndarray):
     """P_n(x) and P_n'(x) at each node for its own degree n, |x| < 1, by
@@ -110,19 +132,26 @@ def _legendre_with_derivative(degree: np.ndarray, x: np.ndarray):
 
     ``degree`` must not increase along the array, so the nodes still in
     the recurrence at step k are a prefix; each degree's P_n and P_{n-1}
-    are taken at step k = n.  A node's arithmetic is the same as in a
-    pass of its degree alone.
+    are taken at step k = n.  Each step writes into a prefix of three
+    buffers that take turns, so a pass allocates nothing per step.  A
+    node's arithmetic is the same as in a pass of its degree alone.
     """
-    p_prev, p = np.ones_like(x), x.copy()
+    p_prev, p, spare = np.ones_like(x), x.copy(), np.empty_like(x)
     out_prev, out = p_prev.copy(), p.copy()
     ends = np.flatnonzero(np.diff(degree, append=0)) + 1  # past each degree
     starts = np.concatenate([[0], ends[:-1]])
     reached = 1  # p holds P_reached
     for start, end in zip(starts[::-1], ends[::-1]):  # degrees ascending
         n = int(degree[start])
-        xs, p, p_prev = x[:end], p[:end], p_prev[:end]
+        xs, p, p_prev, spare = x[:end], p[:end], p_prev[:end], spare[:end]
         for k in range(reached + 1, n + 1):
-            p_prev, p = p, ((2 * k - 1) * xs * p - (k - 1) * p_prev) / k
+            # P_k = ((2k - 1) x P_{k-1} - (k - 1) P_{k-2}) / k, in place
+            np.multiply(xs, 2 * k - 1, out=spare)
+            spare *= p
+            p_prev *= k - 1
+            spare -= p_prev
+            spare /= k
+            p_prev, p, spare = p, spare, p_prev
         reached = n
         out[start:end], out_prev[start:end] = p[start:], p_prev[start:]
     return out, degree * (out_prev - x * out) / (1.0 - x * x)
@@ -180,6 +209,13 @@ def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
            / (1.0 - x_last * x_last))
     dp = dp - step * d2p
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return _mirrored(ns, sizes, x, w)
+
+
+def _mirrored(ns, sizes, x, w) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Whole read-only rules from their halves: for each n, in the order
+    of ``ns``, ``sizes`` = (n + 1) // 2 nodes of ``x`` in [0, 1),
+    descending, with their weights ``w``."""
     rules, start = {}, 0
     for n, size in zip(ns, sizes):
         xr, wr = x[start:start + size], w[start:start + size]
@@ -192,28 +228,161 @@ def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return rules
 
 
-# Gauss-Legendre rules by node count, never evicted.  The store is
-# bounded by the time it takes to fill: n <= 2 * MAX_POLAR_NODES (the
-# AngularGrid cap), and a rule holds 16 n bytes but costs O(n^2) to
-# build, so the whole 16-node ladder up to the cap, about 0.5 GB, takes
-# over an hour, and a scan holds a few MB.  No lock: a scan's plan fills
-# the store before its workers start, and two threads that race on a
-# missing rule elsewhere build bit-identical copies of it.
+def _gamma_quarter_ratio(z):
+    """Gamma(z + 1/4) / Gamma(z + 3/4) for z >= 64, to a few ulp, by its
+    asymptotic series: the log of z^(1/2) times the ratio is
+    sum over j >= 1 of E_2j / (4 j 16^j z^2j), with E the Euler numbers
+    -1, 5, -61, 1385, ..., and the first term left out is below 5e-18
+    there.  A running product of n factors j / (j + 1/2) drifts by
+    ~sqrt(n) ulp, which at n = 5120 moved the weights' sum off 2 by
+    3e-14."""
+    r = 1.0 / (z * z)
+    log_ratio = r * (-1 / 64 + r * (5 / 2048 - r * (61 / 49152)))
+    return np.exp(log_ratio) / np.sqrt(z)
+
+
+def _szego(degree, theta):
+    """P_n(cos theta) / C_n and its theta-derivative by M =
+    _SZEGO_TERMS terms of the Stieltjes-Szego expansion,
+
+        P_n(cos theta) = C_n sum over m < M of h_{n,m} cos(alpha_m)
+                         / (2 sin theta)^(m + 1/2),
+
+    alpha_m = (n + m + 1/2) theta - (m + 1/2) pi / 2, h_{n,0} = 1 and
+    h_{n,m} = h_{n,m-1} (m - 1/2)^2 / (m (n + m + 1/2)).  Each alpha_m is
+    the previous one turned by theta - pi/2.  For 0 < theta <= pi/2,
+    elementwise, with each node's own degree."""
+    sin, cos = np.sin(theta), np.cos(theta)
+    cot = cos / sin
+    alpha = (degree + 0.5) * theta - 0.25 * math.pi
+    c, s = np.cos(alpha), np.sin(alpha)
+    term = 1.0 / np.sqrt(2.0 * sin)  # h_{n,m} / (2 sin theta)^(m + 1/2)
+    p = term * c
+    dp = -term * ((degree + 0.5) * s + 0.5 * cot * c)
+    for m in range(1, _SZEGO_TERMS):
+        term = term * ((m - 0.5) ** 2 / m) / ((degree + m + 0.5) * 2.0 * sin)
+        c, s = c * sin + s * cos, s * sin - c * cos
+        p += term * c
+        dp -= term * ((degree + m + 0.5) * s + (m + 0.5) * cot * c)
+    return p, dp
+
+
+def _central_binomials(n: int) -> np.ndarray:
+    """a_k = C(2k, k) / 4^k = Gamma(k + 1/2) / (sqrt(pi) k!) for k <= n:
+    exact below k = 64, from ``_gamma_quarter_ratio`` at and above."""
+    k = np.arange(n + 1)
+    a = _gamma_quarter_ratio(np.maximum(k, 64) + 0.25) / math.sqrt(math.pi)
+    a[:64] = [math.comb(2 * i, i) / 4 ** i for i in range(min(n + 1, 64))]
+    return a
+
+
+def _cosine_series(n: int, theta, a):
+    """P_n(cos theta) and its theta-derivative at each theta, by the
+    finite cosine series P_n(cos theta) = sum over k <= n of
+    a_k a_{n-k} cos((n - 2k) theta), with a = ``_central_binomials`` to
+    n or beyond, its terms k and n - k summed as one.  Exact up to
+    rounding at any theta, in O(n) work per theta: its coefficients are
+    positive and sum to 1."""
+    k = np.arange(n // 2 + 1)
+    order = n - 2 * k
+    coeff = np.where(order > 0, 2.0, 1.0) * a[k] * a[n - k]
+    phase = theta[:, None] * order
+    return (np.sum(np.cos(phase) * coeff, axis=1),
+            -np.sum(np.sin(phase) * (coeff * order), axis=1))
+
+
+def _curvature(n, theta, p, dp):
+    """d^2 P_n(cos theta) / dtheta^2 from Legendre's equation in theta,
+    given P_n and its derivative there (or both scaled alike)."""
+    return -dp * np.cos(theta) / np.sin(theta) - n * (n + 1.0) * p
+
+
+def _asymptotic_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
+    node count in ``ns``, each above _NEWTON_MAX_NODES, in O(n) work.
+
+    The nodes x = cos(theta) in [0, 1) are found in theta.  The interior
+    ones, all but the _END_NODES nearest 1, take two Newton steps on the
+    Stieltjes-Szego expansion (``_szego``) from Tricomi's guesses, for
+    every rule at once.  Near theta = 0 that expansion has not converged,
+    so the end nodes take one Newton step on the exact cosine series
+    (``_cosine_series``) from theta = psi + (psi cot psi - 1)
+    / (8 psi rho^2), psi = j_k / rho, rho = n + 1/2, with j_k the zeros
+    of J_0, which is good to ~1e-13 relative here.  The weights are
+    2 / (dP_n/dtheta)^2, the derivative carried to the last step's node
+    by a Taylor step with P_n'' from Legendre's equation in theta; the
+    interior ones are scaled by C_n = (4 / pi) prod over j <= n of
+    j / (j + 1/2) = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2).  Taken
+    in theta, the weights keep their relative accuracy next to x = +-1,
+    where a weight from the rounded x is off by up to ulp(x) / (1 - |x|).
+    Each rule is bit-identical whichever set it was built with.
+    """
+    ns = sorted(set(ns), reverse=True)
+    sizes = [(n + 1) // 2 for n in ns]
+    degree = np.repeat(np.array(ns, dtype=float), sizes)
+    k = np.concatenate([np.arange(1, size + 1) for size in sizes])
+    theta = np.empty(len(k))
+    dp = np.empty(len(k))
+
+    inner = k > _END_NODES
+    n_in, k_in = degree[inner], k[inner]
+    # Tricomi's x = (1 - 1/(8 n^2) + 1/(8 n^3)) cos(phi), to first order
+    # in theta (arccos and tan would load more of numpy's code pages)
+    phi = math.pi * (4 * k_in - 1) / (4 * n_in + 2)
+    t = phi + ((1.0 / (8.0 * n_in ** 2) - 1.0 / (8.0 * n_in ** 3))
+               * np.cos(phi) / np.sin(phi))
+    for _ in range(2):
+        t_last = t
+        p, d = _szego(n_in, t_last)
+        step = p / d
+        t = t_last - step
+    theta[inner] = t
+    dp[inner] = ((d - step * _curvature(n_in, t_last, p, d))
+                 * (2.0 / math.sqrt(math.pi))
+                 * _gamma_quarter_ratio(n_in + 0.75))
+
+    ends = np.flatnonzero(~inner).reshape(len(ns), _END_NODES)
+    zeros = np.array(_J0_ZEROS)
+    a = _central_binomials(ns[0])
+    for n, at in zip(ns, ends):
+        rho = n + 0.5
+        psi = zeros / rho
+        t = psi + ((psi * np.cos(psi) / np.sin(psi) - 1.0)
+                   / (8.0 * psi * rho ** 2))
+        p, d = _cosine_series(n, t, a)
+        step = p / d
+        theta[at] = t - step
+        dp[at] = d - step * _curvature(n, t, p, d)
+    x = np.cos(theta)
+    x[2 * k - 1 == degree] = 0.0
+    return _mirrored(ns, sizes, x, 2.0 / (dp * dp))
+
+
+# Gauss-Legendre rules by node count, never evicted.  A rule holds 16 n
+# bytes, n <= 2 * MAX_POLAR_NODES (the AngularGrid cap): the 128 rungs of
+# the ladder up to the cap hold 12.8 MB, and a scan a few MB.  No lock: a
+# scan's plan fills the store before its workers start, and two threads
+# that race on a missing rule elsewhere build bit-identical copies of it.
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The store, after building in one sweep the rules of ``ns`` that it
-    lacks."""
-    missing = [n for n in ns if n not in _RULES]
-    if missing:
-        _RULES.update(_build_rules(missing))
+    """The store, after building the rules of ``ns`` that it lacks: those
+    of at most _NEWTON_MAX_NODES nodes in one Newton sweep, the larger
+    ones together from their asymptotic expansions."""
+    missing = {n for n in ns if n not in _RULES}
+    small = [n for n in missing if n <= _NEWTON_MAX_NODES]
+    large = [n for n in missing if n > _NEWTON_MAX_NODES]
+    if small:
+        _RULES.update(_build_rules(small))
+    if large:
+        _RULES.update(_asymptotic_rules(large))
     return _RULES
 
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1] (nodes ascending), from
-    the store or built as the one-degree case of ``_build_rules``."""
+    the store or built for it."""
     return _rules((n,))[n]
 
 
@@ -221,6 +390,12 @@ def polar_node_floor(kr_norm: float) -> int:
     """Minimum Gauss-Legendre nodes per polar panel: at least four nodes
     per oscillation period, never fewer than 32."""
     return max(32, math.ceil(4.0 * (kr_norm + 1.0)))
+
+
+def _ladder_step(n: int) -> int:
+    """Spacing of the octave ladder's rungs at n nodes: 1/32 of the power
+    of two at or above n, and at least 16."""
+    return max(16, (1 << (n - 1).bit_length()) // 32)
 
 
 def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
@@ -231,19 +406,33 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
     2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
     |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in phase.
     With the default mirrors that term stays below the floor.  The count
-    is rounded up to a multiple of 16, a ladder on which doubled grids
-    also lie, so that up to |kr| = 300 the default grids need 113 rules.
-    Above MAX_POLAR_NODES it raises ValueError.
+    is rounded up to a rung of the octave ladder, a multiple of
+    ``_ladder_step``: multiples of 16 up to 512, of 32 up to 1024, and so
+    on.  The ladder is closed under doubling, so doubled grids lie on it
+    too, and up to |kr| = 300 the default grids need 66 rules.  Above
+    MAX_POLAR_NODES it raises ValueError.
     """
     sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
              / (config.k_r_mirror * (1.0 - config.rho)))
-    n_polar = 16 * math.ceil(max(polar_node_floor(kr_norm),
-                                 math.ceil(sweep)) / 16)
+    need = max(polar_node_floor(kr_norm), math.ceil(sweep))
+    step = _ladder_step(need)
+    n_polar = step * -(-need // step)
     if n_polar > MAX_POLAR_NODES:
         raise ValueError(
             f"|kr| = {kr_norm:.1f} needs {n_polar} polar nodes with these "
             f"mirrors, above the cap of {MAX_POLAR_NODES}")
     return n_polar
+
+
+def _radius(kr):
+    """|kr| of a position (3,) or of each row of a block (P, 3), by the
+    one formula that checks positions, sizes grids and admits them: the
+    squares summed in order, as ``Position`` sums them, so a row gets the
+    same bits alone and in a block."""
+    kr = np.asarray(kr, dtype=float)
+    x, y, z = kr[..., 0], kr[..., 1], kr[..., 2]
+    with np.errstate(over="ignore"):  # an overflow is out of range anyway
+        return np.sqrt(x * x + y * y + z * z)
 
 
 def azimuth_node_floor(kr_perp: float) -> int:
@@ -277,7 +466,7 @@ class AngularGrid:
         dies)."""
         kr = Position.of(kr).vec
         return cls(
-            n_polar=polar_node_count(float(np.linalg.norm(kr)), config),
+            n_polar=polar_node_count(float(_radius(kr)), config),
             n_azimuth=azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16,
         )
 
@@ -287,7 +476,7 @@ class AngularGrid:
     def check_admissible(self, kr: np.ndarray) -> None:
         """Reject grids below the polar node floor for this position (the
         azimuth count is read by the 2-D reference rule only)."""
-        kr_norm = float(np.linalg.norm(kr))
+        kr_norm = float(_radius(kr))
         if self.n_polar < polar_node_floor(kr_norm):
             raise ValueError(
                 f"n_polar={self.n_polar} is below the floor "
@@ -543,11 +732,11 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
         # a row that is not finite or is out of range raises as Position
         # does; the ValidityWarning is left to whoever built the block,
         # as it names the caller's line and a worker thread has none
-        for row in kr[~(np.linalg.norm(kr, axis=1) <= POSITION_MAX_RADIUS)]:
+        for row in kr[~(_radius(kr) <= POSITION_MAX_RADIUS)]:
             Position.of(row)
     else:
         kr = Position.of(kr).vec[None, :]
-    farthest = kr[np.argmax(np.linalg.norm(kr, axis=1))]
+    farthest = kr[np.argmax(_radius(kr))]
     if grid is None:
         grid = AngularGrid.for_position(farthest, config)
     grid.check_admissible(farthest)
@@ -600,17 +789,29 @@ def plan_blocks(kr, config: CavityConfig, doubled: bool
     """Blocks of a scan's positions: (grid, row indices) with the rows of
     each block on one rung of the ladder, at most BLOCK_NODES // (4 n_polar)
     of them (at least one).  Every position is checked and sized first,
-    so a bad one raises before any work; then every rule the blocks need,
-    with the doubles when ``doubled``, is built in one sweep."""
-    grids = [AngularGrid.for_position(k, config) for k in kr]
+    in one pass over the radii, so a bad one raises before any work, as
+    ``Position`` would for the first bad row, and a scan beyond the
+    warning radius warns.  Then every rule the blocks need, with the
+    doubles when ``doubled``, is built before any block runs, and each
+    rung gets one grid, that of its first row."""
+    kr = np.asarray(kr, dtype=float)
+    radii = _radius(kr)
+    bad = np.flatnonzero(~(radii <= POSITION_MAX_RADIUS))
+    # raises for the first bad row, or warns if the farthest is beyond the
+    # warning radius: a rung's first row may lie inside it
+    Position.of(kr[bad[0] if bad.size else np.argmax(radii)])
+    counts: dict[float, int] = {}
     rungs: dict[int, list[int]] = {}
-    for i, grid in enumerate(grids):
-        rungs.setdefault(grid.n_polar, []).append(i)
+    for i, r in enumerate(radii.tolist()):
+        if r not in counts:
+            counts[r] = polar_node_count(r, config)
+        rungs.setdefault(counts[r], []).append(i)
     _rules(list(rungs) + ([2 * n for n in rungs] if doubled else []))
     blocks = []
     for n, rows in rungs.items():
+        grid = AngularGrid.for_position(kr[rows[0]], config)
         size = max(1, BLOCK_NODES // (4 * n))
-        blocks += [(grids[rows[i]], rows[i:i + size])
+        blocks += [(grid, rows[i:i + size])
                    for i in range(0, len(rows), size)]
     return blocks
 

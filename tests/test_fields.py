@@ -316,14 +316,17 @@ def test_scan_nonconverged_rows_recorded():
 
 def test_validity_warning_shown_once_per_scan():
     # the message once carried |kr|, so the default filter showed one
-    # warning per distinct radius, attributed to a line of the library
-    spec = ScanSpec("plane", -200.0, 200.0, 5, DEFAULT, ISO)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        run_scan(spec)
-    assert len(caught) == 1
-    assert caught[0].category is ValidityWarning
-    assert caught[0].filename == __file__
+    # warning per distinct radius, attributed to a line of the library.
+    # The axial scan is one rung (416 nodes) whose first row is inside
+    # the warning radius
+    for spec in (ScanSpec("plane", -200.0, 200.0, 5, DEFAULT, ISO),
+                 ScanSpec("axial", 99.0, 101.0, 3, DEFAULT, ISO)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_scan(spec)
+        assert len(caught) == 1
+        assert caught[0].category is ValidityWarning
+        assert caught[0].filename == __file__
 
 def test_scan_drive_exclusivity():
     spec = ScanSpec("axial", -1.0, 1.0, 2, DEFAULT, ISO)

@@ -21,7 +21,7 @@ from vactrap.cavity import (
     phase_fwhm,
 )
 from vactrap.config import RunConfig
-from vactrap.fields import ScanSpec, run_scan
+from vactrap.fields import ScanSpec, _scan_points, run_scan
 from vactrap.quadrature import (
     MAX_POLAR_NODES,
     AngularGrid,
@@ -129,12 +129,69 @@ def test_gauss_legendre_rule_matches_numpy(n):
 
 
 def test_gauss_legendre_largest_rule():
-    # the polar floor at the largest admissible |kr| = 300, doubled by the
-    # tolerance check; the numpy reference would take seconds here
-    n = 2408
+    # the largest default rule: rung 1216 at the largest admissible
+    # |kr| = 300, doubled by the tolerance check; the numpy reference
+    # would take seconds here
+    n = 2432
     x, w = quadrature._leggauss(n)
     assert len(x) == n
     check_rule_exactness(n, x, w)
+
+
+@pytest.mark.parametrize("n", [544, 832, 2432, 5120])
+def test_asymptotic_rule_matches_newton(n):
+    # above _NEWTON_MAX_NODES the rules come from asymptotic expansions;
+    # Newton on the recurrence is their oracle.  Its weights, taken from
+    # the rounded node, are off by up to ~100 ulp(x) / (1 - |x|) (6.4e-10
+    # for the end node at n = 5120 against 40-digit values), so they are
+    # compared where that is below 1e-13 and the ends are pinned to
+    # literals below
+    x, w = quadrature._asymptotic_rules([n])[n]
+    x_newton, w_newton = quadrature._build_rules([n])[n]
+    assert np.max(np.abs(x - x_newton)) <= 4.5e-16
+    trusted = 1.0 - np.abs(x) >= 1e-3
+    assert_allclose(w[trusted], w_newton[trusted], rtol=1e-12, atol=0)
+    check_rule_exactness(n, x, w)
+
+
+def test_asymptotic_rules_do_not_depend_on_their_set():
+    # odd counts off the ladder too; the store relies on a rule being the
+    # same whichever plan built it
+    together = quadrature._asymptotic_rules([513, 1001, 2432])
+    for n, (x, w) in together.items():
+        alone = quadrature._asymptotic_rules([n])[n]
+        assert_array_equal(x, alone[0])
+        assert_array_equal(w, alone[1])
+        check_rule_exactness(n, x, w)
+
+
+# (n, k, node, weight) to 30 digits, k = 1 the node nearest x = 1, from
+# Newton's method on the recurrence in 40-digit mpmath arithmetic
+GAUSS_LEGENDRE_LITERALS = [
+    (832, 1, "0.999995827769213459487564054850",
+     "0.0000107072840895168995689217872041"),
+    (832, 2, "0.999978016829776043612680628058",
+     "0.0000249243712586749697566493977398"),
+    (832, 10, "0.999323018077849738615657926021",
+     "0.000138815473019615715411218541137"),
+    (832, 11, "0.999177087417424809091620985325",
+     "0.000153045501844883652492731838202"),
+    (832, 208, "0.708106594423459305822380712738",
+     "0.00266461887470067880886714557266"),
+    (5120, 1, "0.999999889716024871444183516981",
+     "0.000000283024288937421837085288829"),
+    (5120, 11, "0.999978245179922265980052453446",
+     "0.00000404650765560122944502088573813"),
+    (5120, 2560, "0.000306766193666527980686446847657",
+     "0.000613532368087464856966433532740"),
+]
+
+
+@pytest.mark.parametrize("n, k, node, weight", GAUSS_LEGENDRE_LITERALS)
+def test_asymptotic_rule_matches_literals(n, k, node, weight):
+    x, w = quadrature._leggauss(n)
+    assert abs(x[n - k] - float(node)) <= 1.2e-16
+    assert abs(w[n - k] / float(weight) - 1.0) <= 1e-14
 
 
 def test_gauss_legendre_newton_is_bounded(monkeypatch):
@@ -160,24 +217,34 @@ def test_grid_for_position():
     doubled = grid.doubled()
     assert doubled.n_polar == 2 * grid.n_polar
     assert doubled.n_azimuth == 2 * grid.n_azimuth
-    # n_polar sits on the 16-node ladder, and so does every doubled grid:
-    # up to |kr| = 100 all grids together need no more than 38 rules
+    # n_polar sits on the octave ladder, a multiple of 16 up to 512, and so
+    # does every doubled grid: up to |kr| = 100 all grids together need no
+    # more than 38 rules
     rules = set()
+
+    def on_ladder(n):
+        return n % quadrature._ladder_step(n) == 0
+
     for kz in np.linspace(0.0, 100.0, 2001):
         floor = polar_node_floor(kz)
         grid = AngularGrid.for_position([0.0, 0.0, kz], config)
         assert grid.n_polar % 16 == 0
         assert floor <= grid.n_polar < floor + 16
-        assert grid.doubled().n_polar % 16 == 0
+        assert on_ladder(grid.doubled().n_polar)
         rules |= {grid.n_polar, grid.doubled().n_polar}
     assert len(rules) == 38
-    # out to the supported 300/k they need 113
+    # out to the supported 300/k they need 66 (113 on a 16-node ladder)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         for kz in np.linspace(100.0, 300.0, 4001):
+            floor = polar_node_floor(kz)
             grid = AngularGrid.for_position([0.0, 0.0, kz], config)
+            assert floor <= grid.n_polar < floor + quadrature._ladder_step(
+                floor)
+            assert on_ladder(grid.n_polar)
+            assert on_ladder(grid.doubled().n_polar)
             rules |= {grid.n_polar, grid.doubled().n_polar}
-    assert len(rules) == 113
+    assert len(rules) == 66
 
 
 def test_grid_node_cap():
@@ -187,51 +254,120 @@ def test_grid_node_cap():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         with pytest.raises(ValueError, match=r"\|kr\| = 300\.0 needs "
-                           r"1799920 polar nodes .* cap of 16384"):
+                           r"1835008 polar nodes .* cap of 16384"):
             AngularGrid.for_position([0.0, 0.0, 300.0], narrow)
-    # below it the linewidth term still sizes the grid: 2879.9 nodes
-    assert AngularGrid.for_position([0.0, 0.0, 12.0], narrow).n_polar == 2880
+    # below it the linewidth term still sizes the grid: 2879.9 nodes, on
+    # the octave ladder's rungs of 128 between 2048 and 4096
+    assert AngularGrid.for_position([0.0, 0.0, 12.0], narrow).n_polar == 2944
 
 
 def count_builds(monkeypatch):
-    """An empty rule store, and the node counts of each ``_build_rules``
-    call made from now on."""
+    """An empty rule store, and the node counts of each call to either
+    rule builder made from now on, by builder name."""
     monkeypatch.setattr(quadrature, "_RULES", {})
-    calls = []
-    build = quadrature._build_rules
+    calls = {"_build_rules": [], "_asymptotic_rules": []}
 
-    def counted(ns):
-        calls.append(sorted(set(ns)))
-        return build(ns)
+    def counted(name):
+        build = getattr(quadrature, name)
 
-    monkeypatch.setattr(quadrature, "_build_rules", counted)
+        def builder(ns):
+            calls[name].append(sorted(set(ns)))
+            return build(ns)
+        return builder
+
+    for name in calls:
+        monkeypatch.setattr(quadrature, name, counted(name))
     return calls
+
+
+def assert_built_once_by_threshold(calls):
+    """Each builder was called at most once, with its side of the
+    threshold, and no rule was built twice."""
+    small, large = calls["_build_rules"], calls["_asymptotic_rules"]
+    assert len(small) <= 1 and len(large) <= 1
+    small, large = sum(small, []), sum(large, [])
+    assert all(n <= quadrature._NEWTON_MAX_NODES for n in small)
+    assert all(n > quadrature._NEWTON_MAX_NODES for n in large)
+    assert sorted(quadrature._RULES) == sorted(small + large)
+    return small, large
 
 
 def test_default_axial_scan_reuses_rules(monkeypatch):
     # the default 401-point axial scan needs 25 rungs and their doubles,
-    # 38 rules, which the plan builds in one sweep; its 105 blocks then
-    # find them in the store.  One lookup per point and pass, 802, built
-    # 652 rules off the ladder
+    # 38 rules, which the plan builds before any block runs: 28 in one
+    # Newton sweep and the 10 doubles above 512 nodes from their
+    # expansions.  Its 105 blocks then find them in the store.  One
+    # lookup per point and pass, 802, built 652 rules off the ladder
     calls = count_builds(monkeypatch)
     run = RunConfig.defaults()
     run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity,
                       run.orientation))
-    assert len(calls) == 1
-    assert len(calls[0]) == 38
+    small, large = assert_built_once_by_threshold(calls)
+    assert (len(small), len(large)) == (28, 10)
 
 
 def test_scan_builds_each_rule_once_past_128_rules(monkeypatch):
-    # a narrow resonance and a short mirror radius put 86 rungs and their
-    # doubles, 131 rules, on 145 points; a 128-rule LRU cache evicted
-    # rules the plan had built and the blocks built them again one by one
+    # a narrow resonance and a short mirror radius put 145 points on 41
+    # rungs of the octave ladder (86 of the 16-node one) and their
+    # doubles, 70 rules (131 on the 16-node ladder); a 128-rule LRU cache
+    # evicted rules the plan had built and the blocks built them again
+    # one by one
     calls = count_builds(monkeypatch)
     config = CavityConfig(rho=0.995, k_r_mirror=1.0e3)
     run_scan(ScanSpec("axial", 0.0, 60.0, 145, config,
                       DipoleOrientation.isotropic()))
-    assert len(calls) == 1
-    assert len(calls[0]) == 131
-    assert sorted(quadrature._RULES) == calls[0]
+    small, large = assert_built_once_by_threshold(calls)
+    assert (len(small), len(large)) == (31, 39)
+
+
+def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
+    # rho = 0.9999 over the default axial range needs 83 rules up to 5120
+    # nodes; Newton on the recurrence, O(n^2) each, took seconds for them,
+    # and builds only the 31 of at most 512 nodes now
+    calls = count_builds(monkeypatch)
+    config = CavityConfig(rho=0.9999)
+    kr = np.zeros((401, 3))
+    kr[:, 2] = np.linspace(-100.0, 100.0, 401)
+    quadrature.plan_blocks(kr, config, doubled=True)
+    small, large = assert_built_once_by_threshold(calls)
+    assert (len(small), len(large)) == (31, 52)
+    assert max(large) == 5120
+
+
+def head_n_polar(row, config):
+    """n_polar as the 16-node ladder sized it, from the norm of the row
+    alone."""
+    r = float(np.linalg.norm(row))
+    sweep = (2.0 * r ** 2 * math.sqrt(config.rho)
+             / (config.k_r_mirror * (1.0 - config.rho)))
+    return 16 * math.ceil(max(polar_node_floor(r), math.ceil(sweep)) / 16)
+
+
+@pytest.mark.parametrize("axis, half_width, n_points", [
+    ("axial", 100.0, 401), ("plane", 20.0, 41), ("transverse", 50.0, 201),
+    ("axial", 50.0, 201), ("detuning", 3.0, 241),  # the CLI defaults
+    ("axial", 100.0, 41), ("transverse", 50.0, 21), ("plane", 20.0, 15),
+])  # and the benchmark's seed-0 grids
+def test_plan_sizes_rows_as_each_row_alone(axis, half_width, n_points):
+    # the plan sizes rows from the radii of the whole block; a radius
+    # taken another way can differ by an ulp (numpy's 1-D norm against
+    # its norm along rows, on the 15 x 15 plane), so the plan, the grid
+    # of a position and the admission check share one formula.  Every
+    # rung stays where the 16-node ladder put it on these grids
+    config = RunConfig.defaults().cavity
+    spec = ScanSpec(axis, -half_width, half_width, n_points, config,
+                    DipoleOrientation.isotropic())
+    _, _, kr = _scan_points(spec)
+    planned = np.zeros(len(kr), dtype=int)
+    for grid, rows in quadrature.plan_blocks(kr, config, doubled=True):
+        planned[rows] = grid.n_polar
+        grid.check_admissible(kr[rows][np.argmax(quadrature._radius(
+            kr[rows]))])
+    for row, n in zip(kr, planned):
+        assert AngularGrid.for_position(row, config).n_polar == n
+        assert head_n_polar(row, config) == n
+    assert_array_equal(quadrature._radius(kr),
+                       [quadrature._radius(row) for row in kr])
 
 
 @pytest.mark.parametrize("ns", [range(1, 41), [416, 832, 2880]])
@@ -270,7 +406,7 @@ def test_rule_cache_shared_by_threads(monkeypatch):
                     DipoleOrientation.isotropic())
     calls = count_builds(monkeypatch)
     threaded = run_scan(spec, n_workers=2)
-    assert len(calls) == 1
+    assert sum(map(len, calls.values())) == 1
     monkeypatch.setattr(quadrature, "_RULES", {})
     serial = run_scan(spec)
     assert_array_equal(threaded.values, serial.values)

@@ -53,7 +53,7 @@ from .cavity import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .fields import MAX_THREADS, ScanSpec, run_scan, trap_minimum
-from .quadrature import ConvergenceError, polar_node_count
+from .quadrature import ConvergenceError, _radius, polar_node_count
 from .validation import run_validation_suite
 
 EXIT_OK = 0
@@ -168,13 +168,14 @@ def _check_spatial_range(start: float, stop: float, plane: bool,
                          cavity: CavityConfig) -> None:
     """Reject, before any row is computed, a scan whose farthest point
     lies beyond the supported region (ConfigError) or needs more polar
-    nodes than the quadrature's cap (ValueError)."""
-    reach = max(abs(start), abs(stop))
-    if plane:
-        reach *= math.sqrt(2.0)
+    nodes than the quadrature's cap (ValueError).  The reach is the
+    farthest point's |kr| by the formula that the plan admits positions
+    with."""
+    far = max(abs(start), abs(stop))
+    reach = float(_radius([far, 0.0, far if plane else 0.0]))
     if reach > POSITION_MAX_RADIUS:
         raise ConfigError(
-            f"scan reaches |kr| = {reach:.1f}, beyond the supported "
+            f"scan reaches |kr| = {reach}, beyond the supported "
             f"{POSITION_MAX_RADIUS:g}/k region")
     polar_node_count(reach, cavity)
 

@@ -29,18 +29,15 @@ The 2-D rule, Gauss-Legendre in cos(theta) times a uniform azimuth rule,
 is kept only as the independent reference that ``validate`` and the
 tests compare the zonal rule with.
 
-Gauss-Legendre rules of up to 512 nodes are built by Newton's method on
-the three-term Legendre recurrence, in O(n^2) work and O(n) memory per
-rule, with no eigensolver.  ``_build_rules`` builds any set of them in
-one sweep: the nodes of all of them share one array, each Newton step is
-one pass of the recurrence, and each rule stops on its own test, so a
-rule is bit-identical whichever set it was built with.  Larger rules come
-from asymptotic expansions in O(n) work with no loop over the degree
-(``_asymptotic_rules``; Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)
+Gauss-Legendre rules are built from asymptotic expansions in O(n) work
+and memory per rule, with no eigensolver and no loop over the degree
+(``_build_rules``; Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)
 A652): the Stieltjes-Szego expansion in the interior and the exact
-cosine series of P_n next to the ends, both in the angle theta of
-x = cos(theta).  ``_rules`` keeps every rule built in one store, which
-never evicts, and ``_leggauss`` is its one-rule lookup.
+cosine series of P_n next to the ends and in small rules, both in the
+angle theta of x = cos(theta).  Any set of rules is built at once, and a
+rule is bit-identical whichever set it was built with.  ``_rules`` keeps
+every rule built in one store, which never evicts, and ``_leggauss`` is
+its one-rule lookup.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
@@ -104,112 +101,19 @@ MAX_POLAR_NODES = 16_384
 # 8,192 took 1.6 MB more peak memory than this one for no speed.
 BLOCK_NODES = 4096
 
-# Newton on the Legendre recurrence converges from Tricomi's guesses in at
-# most four steps for every n up to 2500; the cap only stops a runaway.
-_NEWTON_TOL = 1e-15
-_NEWTON_MAX_STEPS = 10
-
-# Rules of more nodes than this are built from asymptotic expansions in
-# O(n) work (``_asymptotic_rules``), the others by Newton on the
-# recurrence in O(n^2) (``_build_rules``).
-_NEWTON_MAX_NODES = 512
 # Terms of the Stieltjes-Szego expansion for the interior nodes of a
-# large rule, and the nodes at each end that come from the cosine series
+# rule, and the nodes at each end that come from the cosine series
 # instead: up to the tenth node from x = 1 the expansion's error, which
-# falls as (n sin theta)^-M, is still above rounding.
+# falls as (n sin theta)^-M, is still above rounding.  Rules of fewer
+# than _SZEGO_MIN_NODES nodes take every node from the cosine series.
 _SZEGO_TERMS = 12
 _END_NODES = 10
+_SZEGO_MIN_NODES = 32
 # The first _END_NODES zeros of the Bessel function J_0.
 _J0_ZEROS = (2.4048255576957728, 5.5200781102863106, 8.6537279129110122,
              11.791534439014282, 14.930917708487786, 18.071063967910923,
              21.211636629879259, 24.352471530749303, 27.493479132040255,
              30.634606468431975)
-
-
-def _legendre_with_derivative(degree: np.ndarray, x: np.ndarray):
-    """P_n(x) and P_n'(x) at each node for its own degree n, |x| < 1, by
-    one pass of the three-term recurrence over all nodes together.
-
-    ``degree`` must not increase along the array, so the nodes still in
-    the recurrence at step k are a prefix; each degree's P_n and P_{n-1}
-    are taken at step k = n.  Each step writes into a prefix of three
-    buffers that take turns, so a pass allocates nothing per step.  A
-    node's arithmetic is the same as in a pass of its degree alone.
-    """
-    p_prev, p, spare = np.ones_like(x), x.copy(), np.empty_like(x)
-    out_prev, out = p_prev.copy(), p.copy()
-    ends = np.flatnonzero(np.diff(degree, append=0)) + 1  # past each degree
-    starts = np.concatenate([[0], ends[:-1]])
-    reached = 1  # p holds P_reached
-    for start, end in zip(starts[::-1], ends[::-1]):  # degrees ascending
-        n = int(degree[start])
-        xs, p, p_prev, spare = x[:end], p[:end], p_prev[:end], spare[:end]
-        for k in range(reached + 1, n + 1):
-            # P_k = ((2k - 1) x P_{k-1} - (k - 1) P_{k-2}) / k, in place
-            np.multiply(xs, 2 * k - 1, out=spare)
-            spare *= p
-            p_prev *= k - 1
-            spare -= p_prev
-            spare /= k
-            p_prev, p, spare = p, spare, p_prev
-        reached = n
-        out[start:end], out_prev[start:end] = p[start:], p_prev[start:]
-    return out, degree * (out_prev - x * out) / (1.0 - x * x)
-
-
-def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
-    node count in ``ns``, in one Newton sweep.
-
-    Newton's method on P_n finds the nodes in (0, 1) from Tricomi's
-    initial guesses; the node 0 of odd n is exact from the start, as
-    P_n(0) = 0.  The nodes of all rules share one array and each Newton
-    step is one recurrence pass to the largest n; a rule stops when all
-    of its own steps are below _NEWTON_TOL, so every rule is bit-identical
-    to one built alone.  The weights are 2 / ((1 - x^2) P_n'(x)^2), and
-    both halves are mirrored.  O(n^2) work and O(n) memory per rule,
-    where the eigensolver of the dense companion matrix takes O(n^3) and
-    O(n^2).
-    """
-    ns = sorted(set(ns), reverse=True)
-    sizes = [(n + 1) // 2 for n in ns]
-    degree = np.repeat(ns, sizes)
-    k = np.concatenate([np.arange(1, size + 1) for size in sizes])
-    x = ((1.0 - 1.0 / (8.0 * degree ** 2) + 1.0 / (8.0 * degree ** 3))
-         * np.cos(math.pi * (4 * k - 1) / (4 * degree + 2)))
-    x[2 * k - 1 == degree] = 0.0
-    rule = np.repeat(np.arange(len(ns)), sizes)
-    live = np.ones(len(ns), dtype=bool)
-    x_last, step, p, dp = (np.empty_like(x) for _ in range(4))
-    for _ in range(_NEWTON_MAX_STEPS):
-        on = live[rule]
-        x_on = x[on]
-        p_on, dp_on = _legendre_with_derivative(degree[on], x_on)
-        step_on = p_on / dp_on
-        x[on] = x_on - step_on
-        # a rule is done when every step of its own is small
-        small = np.ones(len(ns), dtype=bool)
-        np.logical_and.at(small, rule[on], np.abs(step_on) <= _NEWTON_TOL)
-        done = on & small[rule]
-        keep = done[on]
-        x_last[done], step[done] = x_on[keep], step_on[keep]
-        p[done], dp[done] = p_on[keep], dp_on[keep]
-        live &= ~small
-        if not live.any():
-            break
-    else:
-        raise RuntimeError(
-            "Gauss-Legendre nodes for "
-            + ", ".join(f"n={n}" for n, bad in zip(ns, live) if bad)
-            + f" did not converge in {_NEWTON_MAX_STEPS} Newton steps")
-    # P_n' at the converged nodes by one Taylor step from the last iterate,
-    # with P_n'' from Legendre's equation: this saves a recurrence pass,
-    # and the weights come out closer to exact than from a fresh one
-    d2p = ((2.0 * x_last * dp - degree * (degree + 1) * p)
-           / (1.0 - x_last * x_last))
-    dp = dp - step * d2p
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return _mirrored(ns, sizes, x, w)
 
 
 def _mirrored(ns, sizes, x, w) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -229,15 +133,16 @@ def _mirrored(ns, sizes, x, w) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 
 def _gamma_quarter_ratio(z):
-    """Gamma(z + 1/4) / Gamma(z + 3/4) for z >= 64, to a few ulp, by its
+    """Gamma(z + 1/4) / Gamma(z + 3/4) for z >= 32, to a few ulp, by its
     asymptotic series: the log of z^(1/2) times the ratio is
     sum over j >= 1 of E_2j / (4 j 16^j z^2j), with E the Euler numbers
-    -1, 5, -61, 1385, ..., and the first term left out is below 5e-18
-    there.  A running product of n factors j / (j + 1/2) drifts by
+    -1, 5, -61, 1385, -50521, ..., and the first term left out is below
+    2e-18 there.  A running product of n factors j / (j + 1/2) drifts by
     ~sqrt(n) ulp, which at n = 5120 moved the weights' sum off 2 by
     3e-14."""
     r = 1.0 / (z * z)
-    log_ratio = r * (-1 / 64 + r * (5 / 2048 - r * (61 / 49152)))
+    log_ratio = r * (-1 / 64 + r * (5 / 2048 + r * (-61 / 49152
+                                                + r * (1385 / 1048576))))
     return np.exp(log_ratio) / np.sqrt(z)
 
 
@@ -297,62 +202,71 @@ def _curvature(n, theta, p, dp):
     return -dp * np.cos(theta) / np.sin(theta) - n * (n + 1.0) * p
 
 
-def _asymptotic_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
-    node count in ``ns``, each above _NEWTON_MAX_NODES, in O(n) work.
+def _newton(n, theta, expansion):
+    """Two Newton steps in theta on the zero of P_n(cos theta) from
+    ``theta``, with ``expansion(theta)`` = P_n and its theta-derivative
+    (or both scaled alike): the last node, and the derivative carried to
+    it from the last iterate by a Taylor step with P_n'' from Legendre's
+    equation."""
+    for _ in range(2):
+        last = theta
+        p, dp = expansion(last)
+        step = p / dp
+        theta = last - step
+    return theta, dp - step * _curvature(n, last, p, dp)
 
-    The nodes x = cos(theta) in [0, 1) are found in theta.  The interior
-    ones, all but the _END_NODES nearest 1, take two Newton steps on the
-    Stieltjes-Szego expansion (``_szego``) from Tricomi's guesses, for
-    every rule at once.  Near theta = 0 that expansion has not converged,
-    so the end nodes take one Newton step on the exact cosine series
-    (``_cosine_series``) from theta = psi + (psi cot psi - 1)
-    / (8 psi rho^2), psi = j_k / rho, rho = n + 1/2, with j_k the zeros
-    of J_0, which is good to ~1e-13 relative here.  The weights are
-    2 / (dP_n/dtheta)^2, the derivative carried to the last step's node
-    by a Taylor step with P_n'' from Legendre's equation in theta; the
-    interior ones are scaled by C_n = (4 / pi) prod over j <= n of
-    j / (j + 1/2) = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2).  Taken
-    in theta, the weights keep their relative accuracy next to x = +-1,
-    where a weight from the rounded x is off by up to ulp(x) / (1 - |x|).
-    Each rule is bit-identical whichever set it was built with.
+
+def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
+    node count in ``ns``, in O(n) work per rule.
+
+    The nodes x = cos(theta) in [0, 1) are found in theta, each by
+    ``_newton``.  The interior ones of a rule of at least _SZEGO_MIN_NODES
+    nodes, all but the _END_NODES nearest 1, step on the Stieltjes-Szego
+    expansion (``_szego``), for every rule at once.  Near theta = 0 that
+    expansion has not converged, and in a small rule nowhere, so the
+    other nodes step on the exact cosine series (``_cosine_series``).
+    Each starts from theta = psi + (psi cot psi - 1) / (8 psi rho^2),
+    psi = j_k / rho, rho = n + 1/2, with j_k the zeros of J_0, if it is
+    one of the _END_NODES nearest 1, and from Tricomi's guess otherwise.
+    The weights are 2 / (dP_n/dtheta)^2; the interior ones are scaled by
+    C_n = (4 / pi) prod over j <= n of j / (j + 1/2)
+    = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2).  Taken in theta, the
+    weights keep their relative accuracy next to x = +-1, where a weight
+    from the rounded x is off by up to ulp(x) / (1 - |x|).  Each rule is
+    bit-identical whichever set it was built with.
     """
     ns = sorted(set(ns), reverse=True)
     sizes = [(n + 1) // 2 for n in ns]
     degree = np.repeat(np.array(ns, dtype=float), sizes)
     k = np.concatenate([np.arange(1, size + 1) for size in sizes])
-    theta = np.empty(len(k))
-    dp = np.empty(len(k))
-
-    inner = k > _END_NODES
-    n_in, k_in = degree[inner], k[inner]
     # Tricomi's x = (1 - 1/(8 n^2) + 1/(8 n^3)) cos(phi), to first order
     # in theta (arccos and tan would load more of numpy's code pages)
-    phi = math.pi * (4 * k_in - 1) / (4 * n_in + 2)
-    t = phi + ((1.0 / (8.0 * n_in ** 2) - 1.0 / (8.0 * n_in ** 3))
-               * np.cos(phi) / np.sin(phi))
-    for _ in range(2):
-        t_last = t
-        p, d = _szego(n_in, t_last)
-        step = p / d
-        t = t_last - step
-    theta[inner] = t
-    dp[inner] = ((d - step * _curvature(n_in, t_last, p, d))
-                 * (2.0 / math.sqrt(math.pi))
+    phi = math.pi * (4 * k - 1) / (4 * degree + 2)
+    theta = phi + ((1.0 / (8.0 * degree ** 2) - 1.0 / (8.0 * degree ** 3))
+                   * np.cos(phi) / np.sin(phi))
+    end = k <= _END_NODES
+    rho = degree[end] + 0.5
+    psi = np.array(_J0_ZEROS)[k[end] - 1] / rho
+    theta[end] = psi + ((psi * np.cos(psi) / np.sin(psi) - 1.0)
+                        / (8.0 * psi * rho ** 2))
+    dp = np.empty(len(k))
+
+    inner = ~end & (degree >= _SZEGO_MIN_NODES)
+    n_in = degree[inner]
+    theta[inner], d = _newton(n_in, theta[inner],
+                              lambda t: _szego(n_in, t))
+    dp[inner] = (d * (2.0 / math.sqrt(math.pi))
                  * _gamma_quarter_ratio(n_in + 0.75))
 
-    ends = np.flatnonzero(~inner).reshape(len(ns), _END_NODES)
-    zeros = np.array(_J0_ZEROS)
     a = _central_binomials(ns[0])
-    for n, at in zip(ns, ends):
-        rho = n + 0.5
-        psi = zeros / rho
-        t = psi + ((psi * np.cos(psi) / np.sin(psi) - 1.0)
-                   / (8.0 * psi * rho ** 2))
-        p, d = _cosine_series(n, t, a)
-        step = p / d
-        theta[at] = t - step
-        dp[at] = d - step * _curvature(n, t, p, d)
+    start = 0
+    for n, size in zip(ns, sizes):
+        at = slice(start, start + (size if n < _SZEGO_MIN_NODES
+                                   else _END_NODES))
+        start += size
+        theta[at], dp[at] = _newton(n, theta[at],
+                                    lambda t: _cosine_series(n, t, a))
     x = np.cos(theta)
     x[2 * k - 1 == degree] = 0.0
     return _mirrored(ns, sizes, x, 2.0 / (dp * dp))
@@ -367,16 +281,11 @@ _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The store, after building the rules of ``ns`` that it lacks: those
-    of at most _NEWTON_MAX_NODES nodes in one Newton sweep, the larger
-    ones together from their asymptotic expansions."""
-    missing = {n for n in ns if n not in _RULES}
-    small = [n for n in missing if n <= _NEWTON_MAX_NODES]
-    large = [n for n in missing if n > _NEWTON_MAX_NODES]
-    if small:
-        _RULES.update(_build_rules(small))
-    if large:
-        _RULES.update(_asymptotic_rules(large))
+    """The store, after building the rules of ``ns`` that it lacks, all
+    together."""
+    missing = [n for n in ns if n not in _RULES]
+    if missing:
+        _RULES.update(_build_rules(missing))
     return _RULES
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +18,7 @@ from vactrap.cavity import (
     CavityConfig,
     Detuning,
     DipoleOrientation,
+    ValidityWarning,
     center_gamma,
 )
 
@@ -132,6 +134,21 @@ def test_axial_range_guard(tmp_path):
     proc = run_cli("axial", "--config", config)
     assert proc.returncode == 2
     assert "beyond" in proc.stderr
+
+
+@pytest.mark.parametrize("stop, code", [
+    (212.13203435596427, 0), (212.1320343559643, 2)])
+def test_plane_range_guard_at_the_edge(tmp_path, capsys, stop, code):
+    # the corner of the first plane lies at |kr| = 300.0 exactly, where
+    # stop * sqrt(2) gave 300.00000000000006 and refused it; the next
+    # float up is beyond
+    config = write(tmp_path / "p.ini", f"[scan]\nstart = {-stop!r}\n"
+                   f"stop = {stop!r}\nn_points = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        assert cli.main(["plane", "--config", config]) == code
+    err = capsys.readouterr().err
+    assert ("beyond" in err) == bool(code)
 
 
 @pytest.mark.parametrize("text,message", [

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss, legval
+from numpy.polynomial.legendre import Legendre, leggauss, legval
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vactrap import quadrature
@@ -116,11 +116,12 @@ def check_rule_exactness(n, x, w):
     assert abs(np.sum(w) - 2.0) <= 4e-15
     for k in {1, 2, n, 2 * n - 1}:
         if k <= 2 * n - 1:
-            p_k = legval(x, np.eye(k + 1)[k])
+            p_k = legval(x, np.eye(1, k + 1, k)[0])
             assert abs(np.sum(w * p_k)) <= 1e-14, (n, k)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 101, 404, 808, 1616])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 26, 31, 32, 33, 64, 101,
+                               404, 512, 808, 1616])
 def test_gauss_legendre_rule_matches_numpy(n):
     x, w = quadrature._leggauss(n)
     x_ref, _ = leggauss(n)
@@ -138,30 +139,57 @@ def test_gauss_legendre_largest_rule():
     check_rule_exactness(n, x, w)
 
 
+@pytest.mark.parametrize("z, ratio", [
+    (32.75, "0.174738266112015537266099032145"),
+    (48.75, "0.143222033235962207863267515613"),
+    (64.75, "0.124273490069507326944028010609"),
+])  # Gamma(z + 1/4) / Gamma(z + 3/4) in 40-digit mpmath arithmetic
+def test_gamma_quarter_ratio_matches_literals(z, ratio):
+    # z = n + 3/4 scales the interior weights of rules from n = 32 on;
+    # the series' E_8 term is 1.1e-15 relative at z = 32.75
+    value = quadrature._gamma_quarter_ratio(np.float64(z))
+    assert abs(value / float(ratio) - 1.0) <= 3e-16
+
+
 @pytest.mark.parametrize("n", [544, 832, 2432, 5120])
 def test_asymptotic_rule_matches_newton(n):
-    # above _NEWTON_MAX_NODES the rules come from asymptotic expansions;
-    # Newton on the recurrence is their oracle.  Its weights, taken from
-    # the rounded node, are off by up to ~100 ulp(x) / (1 - |x|) (6.4e-10
-    # for the end node at n = 5120 against 40-digit values), so they are
-    # compared where that is below 1e-13 and the ends are pinned to
+    # the rules come from asymptotic expansions in theta; the oracle is
+    # one Newton step in x on numpy's P_n, by Clenshaw's recurrence in
+    # the Legendre basis, which must not move a node.  Weights taken from
+    # the rounded node are off by up to ~100 ulp(x) / (1 - |x|), so they
+    # are compared where that is below 1e-13 and the ends are pinned to
     # literals below
-    x, w = quadrature._asymptotic_rules([n])[n]
-    x_newton, w_newton = quadrature._build_rules([n])[n]
-    assert np.max(np.abs(x - x_newton)) <= 4.5e-16
+    x, w = quadrature._build_rules([n])[n]
+    p_n = Legendre.basis(n)
+    dp = p_n.deriv()(x)
+    assert np.max(np.abs(p_n(x) / dp)) <= 4.5e-16
     trusted = 1.0 - np.abs(x) >= 1e-3
-    assert_allclose(w[trusted], w_newton[trusted], rtol=1e-12, atol=0)
+    assert_allclose(w[trusted], (2.0 / ((1.0 - x * x) * dp * dp))[trusted],
+                    rtol=1e-12, atol=0)
     check_rule_exactness(n, x, w)
 
 
 def test_asymptotic_rules_do_not_depend_on_their_set():
     # odd counts off the ladder too; the store relies on a rule being the
     # same whichever plan built it
-    together = quadrature._asymptotic_rules([513, 1001, 2432])
+    together = quadrature._build_rules([513, 1001, 2432])
     for n, (x, w) in together.items():
-        alone = quadrature._asymptotic_rules([n])[n]
+        alone = quadrature._build_rules([n])[n]
         assert_array_equal(x, alone[0])
         assert_array_equal(w, alone[1])
+        check_rule_exactness(n, x, w)
+
+
+@pytest.mark.parametrize("ns", [range(1, 41), [416, 832, 2880]])
+def test_one_sweep_builds_the_rules_of_one_degree_sweeps(ns):
+    # every count below _SZEGO_MIN_NODES, and ladder rungs on both sides
+    # of it: one call for the set builds what one call per count builds
+    together = quadrature._build_rules(ns)
+    assert sorted(together) == sorted(ns)
+    for n in ns:
+        x, w = quadrature._build_rules([n])[n]
+        assert_array_equal(together[n][0], x)
+        assert_array_equal(together[n][1], w)
         check_rule_exactness(n, x, w)
 
 
@@ -194,10 +222,36 @@ def test_asymptotic_rule_matches_literals(n, k, node, weight):
     assert abs(w[n - k] / float(weight) - 1.0) <= 1e-14
 
 
-def test_gauss_legendre_newton_is_bounded(monkeypatch):
-    monkeypatch.setattr(quadrature, "_NEWTON_MAX_STEPS", 1)
-    with pytest.raises(RuntimeError, match="n=33 did not converge"):
-        quadrature._build_rules([33])
+# the same at 32 and 512 nodes, the ends of the ladder's 16-node steps:
+# k = 1, the tenth and eleventh nodes, where the cosine series hands over
+# to the Stieltjes-Szego expansion, and the node nearest x = 0
+SMALL_RULE_LITERALS = [
+    (32, 1, "0.997263861849481563544981128665",
+     "0.00701861000947009660040706373885"),
+    (32, 10, "0.587715757240762329040745476402",
+     "0.0781938957870703064717409188283"),
+    (32, 11, "0.506899908932229390023747474378",
+     "0.0833119242269467552221990746043"),
+    (32, 16, "0.0483076656877383162348125704405",
+     "0.0965400885147278005667648300636"),
+    (512, 1, "0.999988990984381867987284124899",
+     "0.0000282526373739346920387450107845"),
+    (512, 10, "0.998214016581612795387692324594",
+     "0.000366149040035626853014130994255"),
+    (512, 11, "0.997829115393562846603647010356",
+     "0.00040365092653331987974471362095"),
+    (512, 256, "0.00306496218515939615292319328839",
+     "0.00612990517540578575915635106705"),
+]
+
+
+@pytest.mark.parametrize("n, k, node, weight", SMALL_RULE_LITERALS)
+def test_small_rule_matches_literals(n, k, node, weight):
+    # a node is cos(theta), and theta near pi/2 is within an ulp of its
+    # own, 2.2e-16, of exact
+    x, w = quadrature._leggauss(n)
+    assert abs(x[n - k] - float(node)) <= 2.3e-16
+    assert abs(w[n - k] / float(weight) - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------- grid
@@ -262,48 +316,38 @@ def test_grid_node_cap():
 
 
 def count_builds(monkeypatch):
-    """An empty rule store, and the node counts of each call to either
-    rule builder made from now on, by builder name."""
+    """An empty rule store, and the node counts of each call to the rule
+    builder made from now on."""
     monkeypatch.setattr(quadrature, "_RULES", {})
-    calls = {"_build_rules": [], "_asymptotic_rules": []}
+    calls = []
+    build = quadrature._build_rules
 
-    def counted(name):
-        build = getattr(quadrature, name)
+    def builder(ns):
+        calls.append(sorted(set(ns)))
+        return build(ns)
 
-        def builder(ns):
-            calls[name].append(sorted(set(ns)))
-            return build(ns)
-        return builder
-
-    for name in calls:
-        monkeypatch.setattr(quadrature, name, counted(name))
+    monkeypatch.setattr(quadrature, "_build_rules", builder)
     return calls
 
 
-def assert_built_once_by_threshold(calls):
-    """Each builder was called at most once, with its side of the
-    threshold, and no rule was built twice."""
-    small, large = calls["_build_rules"], calls["_asymptotic_rules"]
-    assert len(small) <= 1 and len(large) <= 1
-    small, large = sum(small, []), sum(large, [])
-    assert all(n <= quadrature._NEWTON_MAX_NODES for n in small)
-    assert all(n > quadrature._NEWTON_MAX_NODES for n in large)
-    assert sorted(quadrature._RULES) == sorted(small + large)
-    return small, large
+def assert_built_once(calls):
+    """The builder was called once, so before any block ran, and built
+    exactly the rules in the store; the node counts it built."""
+    assert len(calls) == 1
+    assert sorted(quadrature._RULES) == calls[0]
+    return calls[0]
 
 
 def test_default_axial_scan_reuses_rules(monkeypatch):
     # the default 401-point axial scan needs 25 rungs and their doubles,
-    # 38 rules, which the plan builds before any block runs: 28 in one
-    # Newton sweep and the 10 doubles above 512 nodes from their
-    # expansions.  Its 105 blocks then find them in the store.  One
-    # lookup per point and pass, 802, built 652 rules off the ladder
+    # 38 rules, which the plan builds together before any block runs.
+    # Its 105 blocks then find them in the store.  One lookup per point
+    # and pass, 802, built 652 rules off the ladder
     calls = count_builds(monkeypatch)
     run = RunConfig.defaults()
     run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity,
                       run.orientation))
-    small, large = assert_built_once_by_threshold(calls)
-    assert (len(small), len(large)) == (28, 10)
+    assert len(assert_built_once(calls)) == 38
 
 
 def test_scan_builds_each_rule_once_past_128_rules(monkeypatch):
@@ -316,22 +360,20 @@ def test_scan_builds_each_rule_once_past_128_rules(monkeypatch):
     config = CavityConfig(rho=0.995, k_r_mirror=1.0e3)
     run_scan(ScanSpec("axial", 0.0, 60.0, 145, config,
                       DipoleOrientation.isotropic()))
-    small, large = assert_built_once_by_threshold(calls)
-    assert (len(small), len(large)) == (31, 39)
+    assert len(assert_built_once(calls)) == 70
 
 
 def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
     # rho = 0.9999 over the default axial range needs 83 rules up to 5120
-    # nodes; Newton on the recurrence, O(n^2) each, took seconds for them,
-    # and builds only the 31 of at most 512 nodes now
+    # nodes; Newton on the recurrence, O(n^2) each, took seconds for them
     calls = count_builds(monkeypatch)
     config = CavityConfig(rho=0.9999)
     kr = np.zeros((401, 3))
     kr[:, 2] = np.linspace(-100.0, 100.0, 401)
     quadrature.plan_blocks(kr, config, doubled=True)
-    small, large = assert_built_once_by_threshold(calls)
-    assert (len(small), len(large)) == (31, 52)
-    assert max(large) == 5120
+    built = assert_built_once(calls)
+    assert len(built) == 83
+    assert max(built) == 5120
 
 
 def head_n_polar(row, config):
@@ -370,16 +412,6 @@ def test_plan_sizes_rows_as_each_row_alone(axis, half_width, n_points):
                        [quadrature._radius(row) for row in kr])
 
 
-@pytest.mark.parametrize("ns", [range(1, 41), [416, 832, 2880]])
-def test_one_sweep_builds_the_rules_of_one_degree_sweeps(ns):
-    together = quadrature._build_rules(ns)
-    assert sorted(together) == sorted(ns)
-    for n in ns:
-        x, w = quadrature._build_rules([n])[n]
-        assert_array_equal(together[n][0], x)
-        assert_array_equal(together[n][1], w)
-
-
 def test_rule_cache_shared_by_threads(monkeypatch):
     # more threads than cores and a short switch interval: another rule
     # returned, or a rule torn by a racing build, would show here.  With
@@ -406,7 +438,7 @@ def test_rule_cache_shared_by_threads(monkeypatch):
                     DipoleOrientation.isotropic())
     calls = count_builds(monkeypatch)
     threaded = run_scan(spec, n_workers=2)
-    assert sum(map(len, calls.values())) == 1
+    assert len(calls) == 1
     monkeypatch.setattr(quadrature, "_RULES", {})
     serial = run_scan(spec)
     assert_array_equal(threaded.values, serial.values)

@@ -92,13 +92,11 @@ class CavityConfig:
 
 def effective_theta(config: CavityConfig) -> float:
     """Half-aperture actually used: theta_m, minus the diffraction loss
-    angle when the correction is enabled."""
+    angle when the correction is enabled (positive: ``CavityConfig``
+    refuses a correction that removes the whole aperture)."""
     if not config.apply_diffraction_correction:
         return config.theta_m
-    theta = config.theta_m - config.diffraction_angle()
-    if theta <= 0.0:
-        raise ValueError("effective aperture is not positive")
-    return theta
+    return config.theta_m - config.diffraction_angle()
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ class Position:
         norm = math.sqrt(sum(x * x for x in self.kr))
         if norm > POSITION_MAX_RADIUS:
             raise ValueError(
-                f"|kr| = {norm:.3f} exceeds the supported region "
+                f"|kr| = {norm!r} exceeds the supported region "
                 f"(<= {POSITION_MAX_RADIUS:g})"
             )
         if norm > POSITION_WARN_RADIUS:

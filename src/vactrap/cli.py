@@ -44,8 +44,6 @@ import numpy as np
 
 from . import __version__
 from .cavity import (
-    POSITION_MAX_RADIUS,
-    CavityConfig,
     Detuning,
     DipoleOrientation,
     center_gamma,
@@ -53,7 +51,7 @@ from .cavity import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .fields import MAX_THREADS, ScanSpec, run_scan, trap_minimum
-from .quadrature import ConvergenceError, _radius, polar_node_count
+from .quadrature import ConvergenceError
 from .validation import run_validation_suite
 
 EXIT_OK = 0
@@ -162,22 +160,6 @@ def _scan_range(run: RunConfig, command: str) -> tuple[float, float, int]:
         raise ConfigError(f"scan start {named(start, run.scan_start)} must "
                           f"be below stop {named(stop, run.scan_stop)}")
     return start, stop, n_points
-
-
-def _check_spatial_range(start: float, stop: float, plane: bool,
-                         cavity: CavityConfig) -> None:
-    """Reject, before any row is computed, a scan whose farthest point
-    lies beyond the supported region (ConfigError) or needs more polar
-    nodes than the quadrature's cap (ValueError).  The reach is the
-    farthest point's |kr| by the formula that the plan admits positions
-    with."""
-    far = max(abs(start), abs(stop))
-    reach = float(_radius([far, 0.0, far if plane else 0.0]))
-    if reach > POSITION_MAX_RADIUS:
-        raise ConfigError(
-            f"scan reaches |kr| = {reach}, beyond the supported "
-            f"{POSITION_MAX_RADIUS:g}/k region")
-    polar_node_count(reach, cavity)
 
 
 def _format_value(value: float, precision: int) -> str:
@@ -318,7 +300,6 @@ def cmd_spatial(args, run: RunConfig) -> int:
         axis = run.scan_type or "axial"
         drive = {"pi_e": run.pi_e, "weak_drive": run.weak_drive}
     start, stop, n_points = _scan_range(run, command)
-    _check_spatial_range(start, stop, axis == "plane", run.cavity)
     spec = ScanSpec(axis, start, stop, n_points, run.cavity, run.orientation,
                     detuning=run.detuning)
     result = run_scan(spec, tolerance=args.tolerance, n_workers=args.threads,

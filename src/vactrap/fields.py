@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityConfig, Detuning, DipoleOrientation, Response
-from .quadrature import ConvergenceError, integrate_sphere, plan_blocks
+from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
+                     DipoleOrientation, Response)
+from .quadrature import (ConvergenceError, _radius, integrate_sphere,
+                         plan_blocks, polar_node_count)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -164,7 +166,10 @@ class ScanSpec:
     axis 'detuning' sweeps the detuning in linewidths at the cavity
     center; 'axial'/'transverse' sweep kz/kx along the cavity axis or
     the x axis at the fixed detuning; 'plane' sweeps kz and kx over the
-    same range, n_points per axis, in the y = 0 plane.
+    same range, n_points per axis, in the y = 0 plane.  A spatial scan
+    whose farthest point lies beyond the supported region, or needs more
+    polar nodes than the quadrature's cap, is refused here, before any
+    point is laid out.
     """
 
     axis: str
@@ -182,6 +187,17 @@ class ScanSpec:
             raise ValueError("scan requires start < stop")
         if self.n_points < 2:
             raise ValueError("scan requires n_points >= 2")
+        if self.axis in _KR_AXES:
+            # the farthest point's |kr| by the formula the plan admits
+            # positions with
+            far = max(abs(self.start), abs(self.stop))
+            reach = float(_radius(
+                [far, 0.0, far if self.axis == "plane" else 0.0]))
+            if reach > POSITION_MAX_RADIUS:
+                raise ValueError(
+                    f"scan reaches |kr| = {reach}, beyond the supported "
+                    f"{POSITION_MAX_RADIUS:g}/k region")
+            polar_node_count(reach, self.config)
 
     def coordinates(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)

@@ -33,11 +33,12 @@ Gauss-Legendre rules are built from asymptotic expansions in O(n) work
 and memory per rule, with no eigensolver and no loop over the degree
 (``_build_rules``; Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)
 A652): the Stieltjes-Szego expansion in the interior and the exact
-cosine series of P_n next to the ends and in small rules, both in the
-angle theta of x = cos(theta).  Any set of rules is built at once, and a
-rule is bit-identical whichever set it was built with.  ``_rules`` keeps
-every rule built in one store, which never evicts, and ``_leggauss`` is
-its one-rule lookup.
+cosine series of P_n next to the ends, both in the angle theta of
+x = cos(theta), for rules of MIN_POLAR_NODES nodes or more, the fewest
+that a grid takes.  Any set of rules is built at once, and a rule is
+bit-identical whichever set it was built with.  ``_rules`` keeps every
+rule built in one store, which never evicts, and ``_leggauss`` is its
+one-rule lookup.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
@@ -88,6 +89,10 @@ class ConvergenceError(RuntimeError):
         self.rows = rows
 
 
+# Fewest Gauss-Legendre nodes per panel of any grid, and the polar floor
+# at the center: the smallest rule that ``_build_rules`` makes.
+MIN_POLAR_NODES = 32
+
 # Most Gauss-Legendre nodes per panel that a default grid may take, and
 # half of what any grid may take (a default grid doubled).  Large rules
 # build in O(n), so the cap bounds memory, not build time: the rule
@@ -104,11 +109,9 @@ BLOCK_NODES = 4096
 # Terms of the Stieltjes-Szego expansion for the interior nodes of a
 # rule, and the nodes at each end that come from the cosine series
 # instead: up to the tenth node from x = 1 the expansion's error, which
-# falls as (n sin theta)^-M, is still above rounding.  Rules of fewer
-# than _SZEGO_MIN_NODES nodes take every node from the cosine series.
+# falls as (n sin theta)^-M, is still above rounding.
 _SZEGO_TERMS = 12
 _END_NODES = 10
-_SZEGO_MIN_NODES = 32
 # The first _END_NODES zeros of the Bessel function J_0.
 _J0_ZEROS = (2.4048255576957728, 5.5200781102863106, 8.6537279129110122,
              11.791534439014282, 14.930917708487786, 18.071063967910923,
@@ -218,17 +221,17 @@ def _newton(n, theta, expansion):
 
 def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
-    node count in ``ns``, in O(n) work per rule.
+    node count in ``ns``, each at least MIN_POLAR_NODES (``AngularGrid``
+    refuses fewer), in O(n) work per rule.
 
     The nodes x = cos(theta) in [0, 1) are found in theta, each by
-    ``_newton``.  The interior ones of a rule of at least _SZEGO_MIN_NODES
-    nodes, all but the _END_NODES nearest 1, step on the Stieltjes-Szego
-    expansion (``_szego``), for every rule at once.  Near theta = 0 that
-    expansion has not converged, and in a small rule nowhere, so the
-    other nodes step on the exact cosine series (``_cosine_series``).
-    Each starts from theta = psi + (psi cot psi - 1) / (8 psi rho^2),
-    psi = j_k / rho, rho = n + 1/2, with j_k the zeros of J_0, if it is
-    one of the _END_NODES nearest 1, and from Tricomi's guess otherwise.
+    ``_newton``.  The interior ones, all but the _END_NODES nearest 1,
+    step on the Stieltjes-Szego expansion (``_szego``), for every rule
+    at once, from Tricomi's guess.  Near theta = 0 that expansion has
+    not converged, so the _END_NODES nearest 1 step on the exact cosine
+    series (``_cosine_series``), from
+    theta = psi + (psi cot psi - 1) / (8 psi rho^2), psi = j_k / rho,
+    rho = n + 1/2, with j_k the zeros of J_0.
     The weights are 2 / (dP_n/dtheta)^2; the interior ones are scaled by
     C_n = (4 / pi) prod over j <= n of j / (j + 1/2)
     = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2).  Taken in theta, the
@@ -252,7 +255,7 @@ def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
                         / (8.0 * psi * rho ** 2))
     dp = np.empty(len(k))
 
-    inner = ~end & (degree >= _SZEGO_MIN_NODES)
+    inner = ~end
     n_in = degree[inner]
     theta[inner], d = _newton(n_in, theta[inner],
                               lambda t: _szego(n_in, t))
@@ -262,8 +265,7 @@ def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     a = _central_binomials(ns[0])
     start = 0
     for n, size in zip(ns, sizes):
-        at = slice(start, start + (size if n < _SZEGO_MIN_NODES
-                                   else _END_NODES))
+        at = slice(start, start + _END_NODES)
         start += size
         theta[at], dp[at] = _newton(n, theta[at],
                                     lambda t: _cosine_series(n, t, a))
@@ -297,8 +299,8 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def polar_node_floor(kr_norm: float) -> int:
     """Minimum Gauss-Legendre nodes per polar panel: at least four nodes
-    per oscillation period, never fewer than 32."""
-    return max(32, math.ceil(4.0 * (kr_norm + 1.0)))
+    per oscillation period, never fewer than MIN_POLAR_NODES."""
+    return max(MIN_POLAR_NODES, math.ceil(4.0 * (kr_norm + 1.0)))
 
 
 def _ladder_step(n: int) -> int:
@@ -360,8 +362,10 @@ class AngularGrid:
     n_azimuth: int
 
     def __post_init__(self):
-        if self.n_polar < 1 or self.n_azimuth < 1:
-            raise ValueError("node counts must be positive")
+        if self.n_polar < MIN_POLAR_NODES or self.n_azimuth < 1:
+            raise ValueError(f"a grid needs n_polar >= {MIN_POLAR_NODES} and "
+                             f"n_azimuth >= 1, got {self.n_polar} and "
+                             f"{self.n_azimuth}")
         if self.n_polar > 2 * MAX_POLAR_NODES:
             raise ValueError(f"n_polar={self.n_polar} is above the cap of "
                              f"{2 * MAX_POLAR_NODES}")

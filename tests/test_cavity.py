@@ -341,6 +341,13 @@ def test_orientation_invariants():
 def test_position_limits():
     with pytest.raises(ValueError):
         Position.of([0.0, 0.0, 301.0])
+    # the norm in full: one float past the plane corner at |kr| = 300,
+    # which three decimals printed as 300.000, inside the region
+    with pytest.raises(ValueError, match=r"^\|kr\| = 300\.00000000000006 "
+                       r"exceeds the supported region \(<= 300\)$"):
+        integrate_sphere([212.1320343559643, 0.0, 212.1320343559643],
+                         DipoleOrientation.isotropic(), CavityConfig(rho=0.9),
+                         0.0)
     with pytest.raises(ValueError, match=r"must be finite, got kx=nan$"):
         Position.of([math.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"got ky=inf, kz=nan$"):

@@ -133,7 +133,8 @@ def test_axial_range_guard(tmp_path):
                    "[scan]\nstart = -400.0\nstop = 400.0\nn_points = 5\n")
     proc = run_cli("axial", "--config", config)
     assert proc.returncode == 2
-    assert "beyond" in proc.stderr
+    assert proc.stderr == ("vactrap: scan reaches |kr| = 400.0, beyond the "
+                           "supported 300/k region\n")
 
 
 @pytest.mark.parametrize("stop, code", [

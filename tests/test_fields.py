@@ -175,6 +175,22 @@ def test_scan_spec_validation():
         ScanSpec("axial", 0.0, 1.0, 1, DEFAULT, ISO)
 
 
+def test_scan_spec_refuses_out_of_range_scans():
+    # refused when the spec is built, before the 16 million points of
+    # this plane are laid out
+    with pytest.raises(ValueError, match=r"^scan reaches \|kr\| = "
+                       r"565\.685424949238, beyond the supported 300/k "
+                       r"region$"):
+        ScanSpec("plane", -400.0, 400.0, 4001, DEFAULT, ISO)
+    # narrow resonances with a short mirror radius: the far end needs
+    # more polar nodes than the cap
+    narrow = CavityConfig(rho=0.9999, k_r_mirror=1e3)
+    with pytest.raises(ValueError, match="above the cap of 16384"):
+        ScanSpec("axial", 0.0, 300.0, 301, narrow, ISO)
+    # a detuning scan sits at the center, whatever its range
+    ScanSpec("detuning", -400.0, 400.0, 2, narrow, ISO)
+
+
 def test_scan_rows_match_response_at():
     spec = ScanSpec("axial", -4.0, 4.0, 5, DEFAULT, ISO,
                     detuning=Detuning(0.5))

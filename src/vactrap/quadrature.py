@@ -35,10 +35,10 @@ and memory per rule, with no eigensolver and no loop over the degree
 A652): the Stieltjes-Szego expansion in the interior and the exact
 cosine series of P_n next to the ends, both in the angle theta of
 x = cos(theta), for rules of MIN_POLAR_NODES nodes or more, the fewest
-that a grid takes.  Any set of rules is built at once, and a rule is
-bit-identical whichever set it was built with.  ``_rules`` keeps every
-rule built in one store, which never evicts, and ``_leggauss`` is its
-one-rule lookup.
+that a grid takes; the builder refuses fewer.  Any set of rules is
+built at once, and a rule is bit-identical whichever set it was built
+with.  ``_rules`` keeps every rule built in one store, which never
+evicts, and ``_leggauss`` is its one-rule lookup.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
@@ -221,8 +221,9 @@ def _newton(n, theta, expansion):
 
 def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
-    node count in ``ns``, each at least MIN_POLAR_NODES (``AngularGrid``
-    refuses fewer), in O(n) work per rule.
+    node count in ``ns``, in O(n) work per rule.  A count below
+    MIN_POLAR_NODES raises ValueError: the end nodes of such a rule would
+    run into the next rule of the set.
 
     The nodes x = cos(theta) in [0, 1) are found in theta, each by
     ``_newton``.  The interior ones, all but the _END_NODES nearest 1,
@@ -240,6 +241,9 @@ def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     bit-identical whichever set it was built with.
     """
     ns = sorted(set(ns), reverse=True)
+    if ns[-1] < MIN_POLAR_NODES:
+        raise ValueError(f"a Gauss-Legendre rule needs at least "
+                         f"{MIN_POLAR_NODES} nodes, got {ns[-1]}")
     sizes = [(n + 1) // 2 for n in ns]
     degree = np.repeat(np.array(ns, dtype=float), sizes)
     k = np.concatenate([np.arange(1, size + 1) for size in sizes])
@@ -738,6 +742,12 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     Returns the mean Response and the standard error of each component.
     Deterministic for a fixed seed; intended as an independent oracle for
     integrate_sphere, not for production use.
+
+    Every sample is drawn, but only the cap samples, selected by their
+    cos(theta) alone, get a direction and the cap integrand.  A band
+    sample counts its polarization weight to gamma and 0 to the shift,
+    and gets a direction only when the dipole has one: the isotropic
+    weight is 1.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10^4")
@@ -745,12 +755,31 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, n_samples)
     az = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    dirs = np.column_stack([s * np.cos(az), s * np.sin(az), z])
-    gamma, shift = _sample_terms(dirs, kr, orientation, config, phi0)
-    se_gamma = float(np.std(gamma, ddof=1) / math.sqrt(n_samples))
-    se_shift = float(np.std(shift, ddof=1) / math.sqrt(n_samples))
-    return (
-        Response(float(np.mean(gamma)), float(np.mean(shift))),
-        (se_gamma, se_shift),
-    )
+    in_cap = np.abs(z) >= math.cos(effective_theta(config))
+
+    def terms(rows):
+        zr, ar = z[rows], az[rows]
+        s = np.sqrt(np.clip(1.0 - zr * zr, 0.0, None))
+        dirs = np.column_stack([s * np.cos(ar), s * np.sin(ar), zr])
+        return _sample_terms(dirs, kr, orientation, config, phi0)
+
+    gamma, shift = terms(np.flatnonzero(in_cap))
+    band = 1.0
+    if orientation.unit_vector is not None:
+        band, _ = terms(np.flatnonzero(~in_cap))
+    mean_g, se_g = _mean_and_error(gamma, band, n_samples)
+    mean_s, se_s = _mean_and_error(shift, 0.0, n_samples)
+    return Response(mean_g, mean_s), (se_g, se_s)
+
+
+def _mean_and_error(cap: np.ndarray, band, n: int) -> tuple[float, float]:
+    """Mean and standard error of n samples: the array ``cap``, then the
+    rest, ``band``, either their array or the one value they all take."""
+    n_band = n - len(cap)
+
+    def band_sum(x):
+        return float(np.sum(x)) if np.ndim(x) else n_band * x
+
+    mean = (float(np.sum(cap)) + band_sum(band)) / n
+    squares = float(np.sum((cap - mean) ** 2)) + band_sum((band - mean) ** 2)
+    return mean, math.sqrt(squares / (n - 1)) / math.sqrt(n)

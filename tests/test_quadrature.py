@@ -417,7 +417,7 @@ def test_rule_cache_shared_by_threads(monkeypatch):
     # no lock two threads may both build a missing rule, into
     # bit-identical copies, so builds are not counted
     monkeypatch.setattr(quadrature, "_RULES", {})
-    ns = [16 * (1 + i % 12) for i in range(20_000)]
+    ns = [16 * (2 + i % 12) for i in range(20_000)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -499,9 +499,22 @@ def test_grid_invariants():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 26, 31])
 def test_grid_below_the_polar_floor_refused(n):
-    # the rule builder makes no rule this small; a grid is the one way in
     with pytest.raises(ValueError, match=f"got {n} and 16$"):
         AngularGrid(n, 16)
+
+
+@pytest.mark.parametrize("ns, smallest", [([5, 3, 40], 3), ([31], 31)])
+def test_rule_builder_refuses_counts_below_the_floor(ns, smallest):
+    # the end nodes of a rule under 20 nodes ran into the next rule of
+    # the set: [5, 3, 40] gave a 3-node rule 0.77 off numpy's
+    message = f"at least 32 nodes, got {smallest}$"
+    with pytest.raises(ValueError, match=message):
+        quadrature._build_rules(ns)
+    with pytest.raises(ValueError, match=message):
+        quadrature._rules(ns)
+    with pytest.raises(ValueError, match=message):
+        quadrature._leggauss(smallest)
+    assert not any(n in quadrature._RULES for n in ns if n < 32)
 
 
 def test_undersized_grid_rejected():
@@ -743,6 +756,38 @@ def test_monte_carlo_error_scaling():
     _, (se_2n, _) = monte_carlo_reference(*args, 200_000, seed=3)
     ratio = se_2n / se_n
     assert 0.8 / math.sqrt(2) < ratio < 1.2 / math.sqrt(2)
+
+
+@pytest.mark.parametrize("orientation, rho", [
+    *((orientation, 0.98) for orientation in ORIENTATIONS),
+    (DipoleOrientation.fixed(np.array([0.3, 0.4, 0.866])
+                             / math.sqrt(0.3**2 + 0.4**2 + 0.866**2)), 0.98),
+    (DipoleOrientation.isotropic(), 0.0),
+])
+def test_monte_carlo_matches_the_full_array_formula(orientation, rho,
+                                                    monkeypatch):
+    # the oracle builds directions for the cap samples only; from the
+    # same draws, the integrand over every direction must give the same
+    # means and errors.  It never reads the band's closed-form share
+    def refuse(*args):
+        raise AssertionError("the band share must be sampled")
+
+    monkeypatch.setattr(quadrature, "aperture_weights", refuse)
+    config = CavityConfig(rho=rho)
+    kr, n, seed = np.array([3.0, -2.0, 5.0]), 50_000, 11
+    mc, errors = monte_carlo_reference(kr, orientation, config, 0.01, n,
+                                       seed)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, n)
+    az = rng.uniform(0.0, 2.0 * math.pi, n)
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    dirs = np.column_stack([s * np.cos(az), s * np.sin(az), z])
+    samples = _sample_terms(dirs, kr, orientation, config, 0.01)
+    assert_allclose([mc.gamma_ratio, mc.shift_ratio, *errors],
+                    [*(np.mean(x) for x in samples),
+                     *(np.std(x, ddof=1) / math.sqrt(n) for x in samples)],
+                    rtol=1e-13, atol=0)
+    assert (mc.shift_ratio == 0.0) == (rho == 0.0)
 
 
 def test_monte_carlo_rejects_small_samples():

@@ -13,14 +13,14 @@ differentiated analytically under the integral.
 
 A scan is a table of columns from start to finish.  Its points come as
 arrays (coordinates, phases, positions) in output row order; the scan
-plans them (``quadrature.plan_blocks``: every position checked, its rung
-of the node ladder chosen, every rule built before any block runs),
-makes one ``integrate_sphere`` call per block of points on one rung and
-copies the block's arrays into whole-scan columns at the block's rows.  The force,
-the potential and a weak drive's population then come from one array
-formula each, shared with the one-point functions.  Worker threads share
-the blocks; a row's bits do not depend on its block, so the table is
-bit-identical for any --threads value.
+plans them (``quadrature.plan_blocks``: every position checked and its
+polar node count chosen before any block runs), makes one
+``integrate_sphere`` call per block of points on one node count and
+copies the block's arrays into whole-scan columns at the block's rows.
+The force, the potential and a weak drive's population then come from
+one array formula each, shared with the one-point functions.  Worker
+threads share the blocks and nothing else: a row's bits do not depend
+on its block, so the table is bit-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
     coords, phi0, kr = _scan_points(spec)
-    blocks = plan_blocks(kr, spec.config, doubled=tolerance is not None)
+    blocks = plan_blocks(kr, spec.config)
     gamma, shift = np.empty((2, len(kr)))
     grad = np.empty(kr.shape)
     converged = np.ones(len(kr), dtype=bool)

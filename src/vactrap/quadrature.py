@@ -29,26 +29,20 @@ The 2-D rule, Gauss-Legendre in cos(theta) times a uniform azimuth rule,
 is kept only as the independent reference that ``validate`` and the
 tests compare the zonal rule with.
 
-Gauss-Legendre rules are built from asymptotic expansions in O(n) work
-and memory per rule, with no eigensolver and no loop over the degree
-(``_build_rules``; Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)
-A652): the Stieltjes-Szego expansion in the interior and the exact
-cosine series of P_n next to the ends, both in the angle theta of
-x = cos(theta), for rules of MIN_POLAR_NODES nodes or more, the fewest
-that a grid takes; the builder refuses fewer.  Any set of rules is
-built at once, and a rule is bit-identical whichever set it was built
-with.  ``_rules`` keeps every rule built in one store, which never
-evicts, and ``_leggauss`` is its one-rule lookup.
+The production rule in one variable is composite: one 32-node
+Gauss-Legendre base rule, built once at import by Newton's method on the
+Legendre recurrence, shifted onto each of n / 32 equal sub-panels of
+[-1, 1] (``_leggauss``).  Tiling it takes microseconds, so no rule is
+stored.  The 2-D reference rule takes numpy's Gauss-Legendre rule
+instead, so the two sides of that check share no node.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
 floor); the polar count also grows with the resonance linewidths that the
-aberration phase sweeps, and is rounded up to a rung of an octave ladder:
-a multiple of 16 up to 512 nodes, and above that 16 rungs per octave,
-each 1/32 of the octave's top apart.
-``plan_blocks`` groups a scan's positions by rung into blocks of at most
-BLOCK_NODES nodes and builds every rule they need before any block runs;
+aberration phase sweeps, and is rounded up to whole 32-node sub-panels.
+``plan_blocks`` groups a scan's positions by polar count into blocks of
+at most BLOCK_NODES nodes;
 ``integrate_sphere`` integrates a block in one pass through the kernel
 over (points x nodes) arrays, one position being a block of one.  Every
 operation is elementwise along the rows and each row is summed on its own
@@ -58,6 +52,7 @@ callers parallelize.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,14 +84,15 @@ class ConvergenceError(RuntimeError):
         self.rows = rows
 
 
-# Fewest Gauss-Legendre nodes per panel of any grid, and the polar floor
-# at the center: the smallest rule that ``_build_rules`` makes.
+# Nodes of the one Gauss-Legendre base rule, tiled over the equal
+# sub-panels of every panel: the fewest nodes of any panel, the polar
+# floor at the center and the step of every polar node count.
 MIN_POLAR_NODES = 32
 
 # Most Gauss-Legendre nodes per panel that a default grid may take, and
-# half of what any grid may take (a default grid doubled).  Large rules
-# build in O(n), so the cap bounds memory, not build time: the rule
-# store holds 16 bytes a node, and a block's kernel arrays grow with it.
+# half of what any grid may take (a default grid doubled).  A rule of n
+# nodes takes microseconds to tile, so the cap bounds the kernel arrays
+# of a block, which grow with n, not build time.
 MAX_POLAR_NODES = 16_384
 
 # Points times nodes of the doubled pass (4 n_polar per point) that one
@@ -106,211 +102,48 @@ MAX_POLAR_NODES = 16_384
 # 8,192 took 1.6 MB more peak memory than this one for no speed.
 BLOCK_NODES = 4096
 
-# Terms of the Stieltjes-Szego expansion for the interior nodes of a
-# rule, and the nodes at each end that come from the cosine series
-# instead: up to the tenth node from x = 1 the expansion's error, which
-# falls as (n sin theta)^-M, is still above rounding.
-_SZEGO_TERMS = 12
-_END_NODES = 10
-# The first _END_NODES zeros of the Bessel function J_0.
-_J0_ZEROS = (2.4048255576957728, 5.5200781102863106, 8.6537279129110122,
-             11.791534439014282, 14.930917708487786, 18.071063967910923,
-             21.211636629879259, 24.352471530749303, 27.493479132040255,
-             30.634606468431975)
 
-
-def _mirrored(ns, sizes, x, w) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Whole read-only rules from their halves: for each n, in the order
-    of ``ns``, ``sizes`` = (n + 1) // 2 nodes of ``x`` in [0, 1),
-    descending, with their weights ``w``."""
-    rules, start = {}, 0
-    for n, size in zip(ns, sizes):
-        xr, wr = x[start:start + size], w[start:start + size]
-        start += size
-        half = n // 2  # the node 0 of odd n is not mirrored
-        nodes = np.concatenate([-xr[:half], xr[::-1]])
-        weights = np.concatenate([wr[:half], wr[::-1]])
-        nodes.flags.writeable = weights.flags.writeable = False
-        rules[n] = nodes, weights
-    return rules
-
-
-def _gamma_quarter_ratio(z):
-    """Gamma(z + 1/4) / Gamma(z + 3/4) for z >= 32, to a few ulp, by its
-    asymptotic series: the log of z^(1/2) times the ratio is
-    sum over j >= 1 of E_2j / (4 j 16^j z^2j), with E the Euler numbers
-    -1, 5, -61, 1385, -50521, ..., and the first term left out is below
-    2e-18 there.  A running product of n factors j / (j + 1/2) drifts by
-    ~sqrt(n) ulp, which at n = 5120 moved the weights' sum off 2 by
-    3e-14."""
-    r = 1.0 / (z * z)
-    log_ratio = r * (-1 / 64 + r * (5 / 2048 + r * (-61 / 49152
-                                                + r * (1385 / 1048576))))
-    return np.exp(log_ratio) / np.sqrt(z)
-
-
-def _szego(degree, theta):
-    """P_n(cos theta) / C_n and its theta-derivative by M =
-    _SZEGO_TERMS terms of the Stieltjes-Szego expansion,
-
-        P_n(cos theta) = C_n sum over m < M of h_{n,m} cos(alpha_m)
-                         / (2 sin theta)^(m + 1/2),
-
-    alpha_m = (n + m + 1/2) theta - (m + 1/2) pi / 2, h_{n,0} = 1 and
-    h_{n,m} = h_{n,m-1} (m - 1/2)^2 / (m (n + m + 1/2)).  Each alpha_m is
-    the previous one turned by theta - pi/2.  For 0 < theta <= pi/2,
-    elementwise, with each node's own degree."""
-    sin, cos = np.sin(theta), np.cos(theta)
-    cot = cos / sin
-    alpha = (degree + 0.5) * theta - 0.25 * math.pi
-    c, s = np.cos(alpha), np.sin(alpha)
-    term = 1.0 / np.sqrt(2.0 * sin)  # h_{n,m} / (2 sin theta)^(m + 1/2)
-    p = term * c
-    dp = -term * ((degree + 0.5) * s + 0.5 * cot * c)
-    for m in range(1, _SZEGO_TERMS):
-        term = term * ((m - 0.5) ** 2 / m) / ((degree + m + 0.5) * 2.0 * sin)
-        c, s = c * sin + s * cos, s * sin - c * cos
-        p += term * c
-        dp -= term * ((degree + m + 0.5) * s + (m + 0.5) * cot * c)
-    return p, dp
-
-
-def _central_binomials(n: int) -> np.ndarray:
-    """a_k = C(2k, k) / 4^k = Gamma(k + 1/2) / (sqrt(pi) k!) for k <= n:
-    exact below k = 64, from ``_gamma_quarter_ratio`` at and above."""
-    k = np.arange(n + 1)
-    a = _gamma_quarter_ratio(np.maximum(k, 64) + 0.25) / math.sqrt(math.pi)
-    a[:64] = [math.comb(2 * i, i) / 4 ** i for i in range(min(n + 1, 64))]
-    return a
-
-
-def _cosine_series(n: int, theta, a):
-    """P_n(cos theta) and its theta-derivative at each theta, by the
-    finite cosine series P_n(cos theta) = sum over k <= n of
-    a_k a_{n-k} cos((n - 2k) theta), with a = ``_central_binomials`` to
-    n or beyond, its terms k and n - k summed as one.  Exact up to
-    rounding at any theta, in O(n) work per theta: its coefficients are
-    positive and sum to 1."""
-    k = np.arange(n // 2 + 1)
-    order = n - 2 * k
-    coeff = np.where(order > 0, 2.0, 1.0) * a[k] * a[n - k]
-    phase = theta[:, None] * order
-    return (np.sum(np.cos(phase) * coeff, axis=1),
-            -np.sum(np.sin(phase) * (coeff * order), axis=1))
-
-
-def _curvature(n, theta, p, dp):
-    """d^2 P_n(cos theta) / dtheta^2 from Legendre's equation in theta,
-    given P_n and its derivative there (or both scaled alike)."""
-    return -dp * np.cos(theta) / np.sin(theta) - n * (n + 1.0) * p
-
-
-def _newton(n, theta, expansion):
-    """Two Newton steps in theta on the zero of P_n(cos theta) from
-    ``theta``, with ``expansion(theta)`` = P_n and its theta-derivative
-    (or both scaled alike): the last node, and the derivative carried to
-    it from the last iterate by a Taylor step with P_n'' from Legendre's
-    equation."""
-    for _ in range(2):
-        last = theta
-        p, dp = expansion(last)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending, by
+    Newton's method on the three-term recurrence of P_n for the n // 2
+    nodes in (0, 1), mirrored: five steps from
+    x = cos(pi (k - 1/4) / (n + 1/2)), of which the fourth is already at
+    rounding for n = 32.  The weight 2 / ((1 - x^2) P_n'^2) is
+    taken at the last iterate and carried through the last step to first
+    order, so the rounding of the node, which moves 1 - x^2 by up to
+    ulp(x) / (1 - |x|) relative, does not reach it."""
+    x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        one_minus_sq = (1.0 - x) * (1.0 + x)
+        dp = n * (p_prev - x * p) / one_minus_sq
         step = p / dp
-        theta = last - step
-    return theta, dp - step * _curvature(n, last, p, dp)
+        last, x = x, x - step
+    w = 2.0 / (dp * dp * (one_minus_sq - 2.0 * last * step))
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
 
 
-def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for every
-    node count in ``ns``, in O(n) work per rule.  A count below
-    MIN_POLAR_NODES raises ValueError: the end nodes of such a rule would
-    run into the next rule of the set.
-
-    The nodes x = cos(theta) in [0, 1) are found in theta, each by
-    ``_newton``.  The interior ones, all but the _END_NODES nearest 1,
-    step on the Stieltjes-Szego expansion (``_szego``), for every rule
-    at once, from Tricomi's guess.  Near theta = 0 that expansion has
-    not converged, so the _END_NODES nearest 1 step on the exact cosine
-    series (``_cosine_series``), from
-    theta = psi + (psi cot psi - 1) / (8 psi rho^2), psi = j_k / rho,
-    rho = n + 1/2, with j_k the zeros of J_0.
-    The weights are 2 / (dP_n/dtheta)^2; the interior ones are scaled by
-    C_n = (4 / pi) prod over j <= n of j / (j + 1/2)
-    = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2).  Taken in theta, the
-    weights keep their relative accuracy next to x = +-1, where a weight
-    from the rounded x is off by up to ulp(x) / (1 - |x|).  Each rule is
-    bit-identical whichever set it was built with.
-    """
-    ns = sorted(set(ns), reverse=True)
-    if ns[-1] < MIN_POLAR_NODES:
-        raise ValueError(f"a Gauss-Legendre rule needs at least "
-                         f"{MIN_POLAR_NODES} nodes, got {ns[-1]}")
-    sizes = [(n + 1) // 2 for n in ns]
-    degree = np.repeat(np.array(ns, dtype=float), sizes)
-    k = np.concatenate([np.arange(1, size + 1) for size in sizes])
-    # Tricomi's x = (1 - 1/(8 n^2) + 1/(8 n^3)) cos(phi), to first order
-    # in theta (arccos and tan would load more of numpy's code pages)
-    phi = math.pi * (4 * k - 1) / (4 * degree + 2)
-    theta = phi + ((1.0 / (8.0 * degree ** 2) - 1.0 / (8.0 * degree ** 3))
-                   * np.cos(phi) / np.sin(phi))
-    end = k <= _END_NODES
-    rho = degree[end] + 0.5
-    psi = np.array(_J0_ZEROS)[k[end] - 1] / rho
-    theta[end] = psi + ((psi * np.cos(psi) / np.sin(psi) - 1.0)
-                        / (8.0 * psi * rho ** 2))
-    dp = np.empty(len(k))
-
-    inner = ~end
-    n_in = degree[inner]
-    theta[inner], d = _newton(n_in, theta[inner],
-                              lambda t: _szego(n_in, t))
-    dp[inner] = (d * (2.0 / math.sqrt(math.pi))
-                 * _gamma_quarter_ratio(n_in + 0.75))
-
-    a = _central_binomials(ns[0])
-    start = 0
-    for n, size in zip(ns, sizes):
-        at = slice(start, start + _END_NODES)
-        start += size
-        theta[at], dp[at] = _newton(n, theta[at],
-                                    lambda t: _cosine_series(n, t, a))
-    x = np.cos(theta)
-    x[2 * k - 1 == degree] = 0.0
-    return _mirrored(ns, sizes, x, 2.0 / (dp * dp))
-
-
-# Gauss-Legendre rules by node count, never evicted.  A rule holds 16 n
-# bytes, n <= 2 * MAX_POLAR_NODES (the AngularGrid cap): the 128 rungs of
-# the ladder up to the cap hold 12.8 MB, and a scan a few MB.  No lock: a
-# scan's plan fills the store before its workers start, and two threads
-# that race on a missing rule elsewhere build bit-identical copies of it.
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The store, after building the rules of ``ns`` that it lacks, all
-    together."""
-    missing = [n for n in ns if n not in _RULES]
-    if missing:
-        _RULES.update(_build_rules(missing))
-    return _RULES
+_BASE_NODES, _BASE_WEIGHTS = _gauss_legendre(MIN_POLAR_NODES)
 
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1] (nodes ascending), from
-    the store or built for it."""
-    return _rules((n,))[n]
+    """The composite rule of n nodes on [-1, 1], n a multiple of
+    MIN_POLAR_NODES, nodes ascending: the base Gauss-Legendre rule on
+    each of n / MIN_POLAR_NODES equal sub-panels.  Sub-panel centers are
+    odd integers over the panel count, so the rule is mirror-symmetric
+    bit for bit, and the one-panel rule is the base rule itself."""
+    panels = n // MIN_POLAR_NODES
+    center = np.arange(1 - panels, panels, 2, dtype=float)[:, None]
+    nodes = (center + _BASE_NODES) / panels
+    return nodes.ravel(), np.tile(_BASE_WEIGHTS / panels, panels)
 
 
 def polar_node_floor(kr_norm: float) -> int:
     """Minimum Gauss-Legendre nodes per polar panel: at least four nodes
     per oscillation period, never fewer than MIN_POLAR_NODES."""
     return max(MIN_POLAR_NODES, math.ceil(4.0 * (kr_norm + 1.0)))
-
-
-def _ladder_step(n: int) -> int:
-    """Spacing of the octave ladder's rungs at n nodes: 1/32 of the power
-    of two at or above n, and at least 16."""
-    return max(16, (1 << (n - 1).bit_length()) // 32)
 
 
 def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
@@ -321,17 +154,13 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
     2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
     |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in phase.
     With the default mirrors that term stays below the floor.  The count
-    is rounded up to a rung of the octave ladder, a multiple of
-    ``_ladder_step``: multiples of 16 up to 512, of 32 up to 1024, and so
-    on.  The ladder is closed under doubling, so doubled grids lie on it
-    too, and up to |kr| = 300 the default grids need 66 rules.  Above
-    MAX_POLAR_NODES it raises ValueError.
+    is rounded up to a multiple of MIN_POLAR_NODES, whole sub-panels of
+    the composite rule.  Above MAX_POLAR_NODES it raises ValueError.
     """
     sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
              / (config.k_r_mirror * (1.0 - config.rho)))
     need = max(polar_node_floor(kr_norm), math.ceil(sweep))
-    step = _ladder_step(need)
-    n_polar = step * -(-need // step)
+    n_polar = MIN_POLAR_NODES * -(-need // MIN_POLAR_NODES)
     if n_polar > MAX_POLAR_NODES:
         raise ValueError(
             f"|kr| = {kr_norm:.1f} needs {n_polar} polar nodes with these "
@@ -357,10 +186,12 @@ def azimuth_node_floor(kr_perp: float) -> int:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Node counts: Gauss-Legendre nodes per panel of the zonal rule (and
-    in cos(theta) for the 2-D reference rule), and uniform azimuth nodes
-    of the 2-D rule.  Where the cap ends is not part of the grid; the
-    integrator reads it from the cavity configuration."""
+    """Node counts: nodes per panel of the zonal rule's composite
+    Gauss-Legendre rule, whole sub-panels of MIN_POLAR_NODES (and
+    Gauss-Legendre nodes in cos(theta) for the 2-D reference rule), and
+    uniform azimuth nodes of the 2-D rule.  Where the cap ends is not
+    part of the grid; the integrator reads it from the cavity
+    configuration."""
 
     n_polar: int
     n_azimuth: int
@@ -370,6 +201,9 @@ class AngularGrid:
             raise ValueError(f"a grid needs n_polar >= {MIN_POLAR_NODES} and "
                              f"n_azimuth >= 1, got {self.n_polar} and "
                              f"{self.n_azimuth}")
+        if self.n_polar % MIN_POLAR_NODES:
+            raise ValueError(f"n_polar={self.n_polar} is not a multiple of "
+                             f"{MIN_POLAR_NODES}, the nodes of one sub-panel")
         if self.n_polar > 2 * MAX_POLAR_NODES:
             raise ValueError(f"n_polar={self.n_polar} is above the cap of "
                              f"{2 * MAX_POLAR_NODES}")
@@ -450,18 +284,29 @@ def _sample_terms(dirs: np.ndarray, kr: np.ndarray,
     return gamma, shift
 
 
+@functools.lru_cache(maxsize=16)
+def _reference_leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre rule, read-only: an eigenvalue
+    method (Golub-Welsch) that shares no code with the composite rule.
+    Imported here, so that no scan loads numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _sphere_rule(orientation, grid, theta, kr):
     """The 2-D reference rule: (ox, oy, oz, weight), each of shape
     (1, n_polar * n_azimuth), on the grid of the folded cap:
-    Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1] times a
-    uniform azimuth rule.  The weight is the polar weight, doubled for
-    the south cap, times the azimuth step and the polarization weight,
-    over the 4 pi of the full solid angle.  It does not depend on kr, so
-    one row serves every row of a block.  Integrals use the zonal rule;
-    this one is the independent check that ``validate`` and the tests
-    compare it with."""
+    numpy's Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1]
+    times a uniform azimuth rule.  The weight is the polar weight,
+    doubled for the south cap, times the azimuth step and the
+    polarization weight, over the 4 pi of the full solid angle.  It does
+    not depend on kr, so one row serves every row of a block.  Integrals
+    use the zonal rule; this one is the independent check that
+    ``validate`` and the tests compare it with."""
     c_edge = math.cos(theta)
-    x, w_gl = _leggauss(grid.n_polar)
+    x, w_gl = _reference_leggauss(grid.n_polar)
     c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
@@ -489,8 +334,9 @@ def _zonal_rule(orientation, grid, theta, kr):
     cos^3 and cos sin^2 over the arc are closed forms, and so are W and V
     (w is quadratic in omega).
 
-    Alpha runs over two panels of n_polar Gauss-Legendre nodes each,
-    columns [0, n_polar) and [n_polar, 2 n_polar): whole rings on
+    Alpha runs over two panels of the n_polar-node composite rule
+    (``_leggauss``: 32-node Gauss-Legendre sub-panels) each, columns
+    [0, n_polar) and [n_polar, 2 n_polar): whole rings on
     [0, theta - beta] (psi0 = pi) and cut rings on
     [|theta - beta|, theta + beta], both mapped by
     alpha = a + (b - a) (1 - cos(tau)) / 2, which removes the square-root
@@ -701,31 +547,29 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     return result
 
 
-def plan_blocks(kr, config: CavityConfig, doubled: bool
+def plan_blocks(kr, config: CavityConfig
                 ) -> list[tuple[AngularGrid, list[int]]]:
     """Blocks of a scan's positions: (grid, row indices) with the rows of
-    each block on one rung of the ladder, at most BLOCK_NODES // (4 n_polar)
+    each block on one polar node count, at most BLOCK_NODES // (4 n_polar)
     of them (at least one).  Every position is checked and sized first,
     in one pass over the radii, so a bad one raises before any work, as
     ``Position`` would for the first bad row, and a scan beyond the
-    warning radius warns.  Then every rule the blocks need, with the
-    doubles when ``doubled``, is built before any block runs, and each
-    rung gets one grid, that of its first row."""
+    warning radius warns.  Each node count gets one grid, that of its
+    first row."""
     kr = np.asarray(kr, dtype=float)
     radii = _radius(kr)
     bad = np.flatnonzero(~(radii <= POSITION_MAX_RADIUS))
     # raises for the first bad row, or warns if the farthest is beyond the
-    # warning radius: a rung's first row may lie inside it
+    # warning radius: a count's first row may lie inside it
     Position.of(kr[bad[0] if bad.size else np.argmax(radii)])
     counts: dict[float, int] = {}
-    rungs: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, r in enumerate(radii.tolist()):
         if r not in counts:
             counts[r] = polar_node_count(r, config)
-        rungs.setdefault(counts[r], []).append(i)
-    _rules(list(rungs) + ([2 * n for n in rungs] if doubled else []))
+        groups.setdefault(counts[r], []).append(i)
     blocks = []
-    for n, rows in rungs.items():
+    for n, rows in groups.items():
         grid = AngularGrid.for_position(kr[rows[0]], config)
         size = max(1, BLOCK_NODES // (4 * n))
         blocks += [(grid, rows[i:i + size])
@@ -744,7 +588,8 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     integrate_sphere, not for production use.
 
     Every sample is drawn, but only the cap samples, selected by their
-    cos(theta) alone, get a direction and the cap integrand.  A band
+    cos(theta) alone, get a direction and go straight to ``_cap_terms``;
+    ``_sample_terms`` is the pointwise form of the same integrand.  A band
     sample counts its polarization weight to gamma and 0 to the shift,
     and gets a direction only when the dipole has one: the isotropic
     weight is 1.
@@ -757,16 +602,23 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     az = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     in_cap = np.abs(z) >= math.cos(effective_theta(config))
 
-    def terms(rows):
+    def directions(rows):
         zr, ar = z[rows], az[rows]
         s = np.sqrt(np.clip(1.0 - zr * zr, 0.0, None))
-        dirs = np.column_stack([s * np.cos(ar), s * np.sin(ar), zr])
-        return _sample_terms(dirs, kr, orientation, config, phi0)
+        return np.column_stack([s * np.cos(ar), s * np.sin(ar), zr])
 
-    gamma, shift = terms(np.flatnonzero(in_cap))
+    def weight(dirs):
+        return _pol_weight(orientation, dirs[:, 0], dirs[:, 1], dirs[:, 2])
+
+    dirs = directions(in_cap)
+    u = dirs @ kr
+    phi = ray_phase(phi0, float(kr @ kr), u, config.k_r_mirror)
+    g, s, _, _ = _cap_terms(config.rho, phi, u)
+    w = weight(dirs)
+    gamma, shift = w * g, w * s
     band = 1.0
     if orientation.unit_vector is not None:
-        band, _ = terms(np.flatnonzero(~in_cap))
+        band = weight(directions(~in_cap))
     mean_g, se_g = _mean_and_error(gamma, band, n_samples)
     mean_s, se_s = _mean_and_error(shift, 0.0, n_samples)
     return Response(mean_g, mean_s), (se_g, se_s)

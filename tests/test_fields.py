@@ -333,7 +333,7 @@ def test_scan_nonconverged_rows_recorded():
 def test_validity_warning_shown_once_per_scan():
     # the message once carried |kr|, so the default filter showed one
     # warning per distinct radius, attributed to a line of the library.
-    # The axial scan is one rung (416 nodes) whose first row is inside
+    # The axial scan is one node count (416) whose first row is inside
     # the warning radius
     for spec in (ScanSpec("plane", -200.0, 200.0, 5, DEFAULT, ISO),
                  ScanSpec("axial", 99.0, 101.0, 3, DEFAULT, ISO)):

@@ -244,9 +244,10 @@ def _row_alone(coords, kr, phi0, spec, drive):
 def test_scan_rows_do_not_depend_on_blocks_or_threads(
         axis, start, width, n_points, orientation, drive):
     # a row is the same bits whether its block holds one point, a few or
-    # the whole rung, whatever the worker count, and the same as a call at
-    # its point alone; so are its force and its weak-drive flag.  drive is
-    # None, a constant pi_e or a weak drive (rabi, laser_detuning)
+    # every point of its node count, whatever the worker count, and the
+    # same as a call at its point alone; so are its force and its
+    # weak-drive flag.  drive is None, a constant pi_e or a weak drive
+    # (rabi, laser_detuning)
     if axis == "plane":
         n_points = min(n_points, 4)
     spec = ScanSpec(axis, start, start + width, n_points,

@@ -2,13 +2,13 @@
 the Monte-Carlo oracle."""
 
 import math
+import subprocess
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import Legendre, leggauss, legval
+from numpy.polynomial.legendre import leggauss, legval
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vactrap import quadrature
@@ -21,7 +21,7 @@ from vactrap.cavity import (
     phase_fwhm,
 )
 from vactrap.config import RunConfig
-from vactrap.fields import ScanSpec, _scan_points, run_scan
+from vactrap.fields import ScanSpec, _scan_points
 from vactrap.quadrature import (
     MAX_POLAR_NODES,
     AngularGrid,
@@ -119,111 +119,62 @@ def check_rule_exactness(n, x, w):
         assert abs(np.sum(w * p_k)) <= 1e-14, (n, k)
 
 
-@pytest.mark.parametrize("n", [32, 33, 64, 101, 404, 512, 808, 1616])
+@pytest.mark.parametrize("n", [32, 64, 404, 512, 808, 1616])
 def test_gauss_legendre_rule_matches_numpy(n):
-    x, w = quadrature._leggauss(n)
-    x_ref, _ = leggauss(n)
+    # the base rule's builder, Newton's method on the recurrence, against
+    # numpy's eigenvalue method, at the base rule's 32 nodes and at even
+    # counts far past it; the weights are held to exactness
+    x, w = quadrature._gauss_legendre(n)
+    x_ref, w_ref = leggauss(n)
     assert np.max(np.abs(x - x_ref)) <= 4e-16
     check_rule_exactness(n, x, w)
+    if n == quadrature.MIN_POLAR_NODES:
+        # the one-panel composite rule is the base rule itself
+        assert_array_equal(quadrature._leggauss(n)[0], x)
+        assert_array_equal(quadrature._leggauss(n)[1], w)
+        assert_array_equal(x, quadrature._BASE_NODES)
+        assert_array_equal(w, quadrature._BASE_WEIGHTS)
+        assert_allclose(w, w_ref, rtol=1e-12, atol=0)
 
 
 def test_gauss_legendre_largest_rule():
-    # the largest default rule: rung 1216 at the largest admissible
-    # |kr| = 300, doubled by the tolerance check; the numpy reference
-    # would take seconds here
+    # the largest default rule: 1216 nodes at the largest admissible
+    # |kr| = 300, doubled by the tolerance check, 76 sub-panels; it
+    # integrates cos(k x) at that |kr| and twice it to rounding
     n = 2432
     x, w = quadrature._leggauss(n)
-    assert len(x) == n
-    check_rule_exactness(n, x, w)
+    assert len(x) == len(w) == n
+    assert abs(np.sum(w) - 2.0) <= 4e-15
+    for k in (300.0, 600.0):
+        assert abs(np.sum(w * np.cos(k * x)) - 2.0 * math.sin(k) / k) <= 1e-14
 
 
-@pytest.mark.parametrize("z, ratio", [
-    (32.75, "0.174738266112015537266099032145"),
-    (48.75, "0.143222033235962207863267515613"),
-    (64.75, "0.124273490069507326944028010609"),
-])  # Gamma(z + 1/4) / Gamma(z + 3/4) in 40-digit mpmath arithmetic
-def test_gamma_quarter_ratio_matches_literals(z, ratio):
-    # z = n + 3/4 scales the interior weights of rules from n = 32 on;
-    # the series' E_8 term is 1.1e-15 relative at z = 32.75
-    value = quadrature._gamma_quarter_ratio(np.float64(z))
-    assert abs(value / float(ratio) - 1.0) <= 3e-16
-
-
-@pytest.mark.parametrize("n", [544, 832, 2432, 5120])
-def test_asymptotic_rule_matches_newton(n):
-    # the rules come from asymptotic expansions in theta; the oracle is
-    # one Newton step in x on numpy's P_n, by Clenshaw's recurrence in
-    # the Legendre basis, which must not move a node.  Weights taken from
-    # the rounded node are off by up to ~100 ulp(x) / (1 - |x|), so they
-    # are compared where that is below 1e-13 and the ends are pinned to
-    # literals below
-    x, w = quadrature._build_rules([n])[n]
-    p_n = Legendre.basis(n)
-    dp = p_n.deriv()(x)
-    assert np.max(np.abs(p_n(x) / dp)) <= 4.5e-16
-    trusted = 1.0 - np.abs(x) >= 1e-3
-    assert_allclose(w[trusted], (2.0 / ((1.0 - x * x) * dp * dp))[trusted],
-                    rtol=1e-12, atol=0)
-    check_rule_exactness(n, x, w)
-
-
-def test_asymptotic_rules_do_not_depend_on_their_set():
-    # odd counts off the ladder too; the store relies on a rule being the
-    # same whichever plan built it
-    together = quadrature._build_rules([513, 1001, 2432])
-    for n, (x, w) in together.items():
-        alone = quadrature._build_rules([n])[n]
-        assert_array_equal(x, alone[0])
-        assert_array_equal(w, alone[1])
-        check_rule_exactness(n, x, w)
-
-
-@pytest.mark.parametrize("ns", [range(32, 72), [416, 832, 2880]])
-def test_one_sweep_builds_the_rules_of_one_degree_sweeps(ns):
-    # every count from the smallest grid's on, and ladder rungs on both
-    # sides of 512: one call for the set builds what one call per count
-    # builds
-    together = quadrature._build_rules(ns)
-    assert sorted(together) == sorted(ns)
-    for n in ns:
-        x, w = quadrature._build_rules([n])[n]
-        assert_array_equal(together[n][0], x)
-        assert_array_equal(together[n][1], w)
-        check_rule_exactness(n, x, w)
-
-
-# (n, k, node, weight) to 30 digits, k = 1 the node nearest x = 1, from
-# Newton's method on the recurrence in 40-digit mpmath arithmetic
-GAUSS_LEGENDRE_LITERALS = [
-    (832, 1, "0.999995827769213459487564054850",
-     "0.0000107072840895168995689217872041"),
-    (832, 2, "0.999978016829776043612680628058",
-     "0.0000249243712586749697566493977398"),
-    (832, 10, "0.999323018077849738615657926021",
-     "0.000138815473019615715411218541137"),
-    (832, 11, "0.999177087417424809091620985325",
-     "0.000153045501844883652492731838202"),
-    (832, 208, "0.708106594423459305822380712738",
-     "0.00266461887470067880886714557266"),
-    (5120, 1, "0.999999889716024871444183516981",
-     "0.000000283024288937421837085288829"),
-    (5120, 11, "0.999978245179922265980052453446",
-     "0.00000404650765560122944502088573813"),
-    (5120, 2560, "0.000306766193666527980686446847657",
-     "0.000613532368087464856966433532740"),
-]
-
-
-@pytest.mark.parametrize("n, k, node, weight", GAUSS_LEGENDRE_LITERALS)
-def test_asymptotic_rule_matches_literals(n, k, node, weight):
+@pytest.mark.parametrize("panels", [1, 2, 3, 160])
+def test_composite_rule_is_exact_on_each_sub_panel(panels):
+    # n / 32 equal sub-panels of [-1, 1], each carrying the base rule:
+    # sub-panel j integrates the Legendre polynomials of degree up to 63,
+    # shifted onto it, exactly (2 / panels for degree 0, else 0)
+    n = 32 * panels
     x, w = quadrature._leggauss(n)
-    assert abs(x[n - k] - float(node)) <= 1.2e-16
-    assert abs(w[n - k] / float(weight) - 1.0) <= 1e-14
+    assert len(x) == len(w) == n
+    assert np.all(np.diff(x) > 0)
+    assert_array_equal(x, -x[::-1])
+    assert_array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 4e-15
+    for j in range(panels):
+        at = slice(32 * j, 32 * (j + 1))
+        t = x[at] * panels - (2 * j + 1 - panels)  # back onto [-1, 1]
+        assert np.all(np.abs(t) < 1.0)
+        for k in range(64):
+            p_k = legval(t, np.eye(1, k + 1, k)[0])
+            exact = 2.0 / panels if k == 0 else 0.0
+            assert abs(np.sum(w[at] * p_k) - exact) <= 1e-14, (j, k)
 
 
-# the same at 32 and 512 nodes, the ends of the ladder's 16-node steps:
-# k = 1, the tenth and eleventh nodes, where the cosine series hands over
-# to the Stieltjes-Szego expansion, and the node nearest x = 0
+# (k, node, weight) of the base rule to 30 digits, k = 1 the node nearest
+# x = 1, from Newton's method on the recurrence in 40-digit mpmath
+# arithmetic: the end node, the tenth and eleventh nodes and the node
+# nearest x = 0
 SMALL_RULE_LITERALS = [
     (32, 1, "0.997263861849481563544981128665",
      "0.00701861000947009660040706373885"),
@@ -233,21 +184,13 @@ SMALL_RULE_LITERALS = [
      "0.0833119242269467552221990746043"),
     (32, 16, "0.0483076656877383162348125704405",
      "0.0965400885147278005667648300636"),
-    (512, 1, "0.999988990984381867987284124899",
-     "0.0000282526373739346920387450107845"),
-    (512, 10, "0.998214016581612795387692324594",
-     "0.000366149040035626853014130994255"),
-    (512, 11, "0.997829115393562846603647010356",
-     "0.00040365092653331987974471362095"),
-    (512, 256, "0.00306496218515939615292319328839",
-     "0.00612990517540578575915635106705"),
 ]
 
 
 @pytest.mark.parametrize("n, k, node, weight", SMALL_RULE_LITERALS)
 def test_small_rule_matches_literals(n, k, node, weight):
-    # a node is cos(theta), and theta near pi/2 is within an ulp of its
-    # own, 2.2e-16, of exact
+    # the end weight is taken through the last Newton step, not from the
+    # rounded node, which would move it by up to ulp(x) / (1 - x) ~ 2e-14
     x, w = quadrature._leggauss(n)
     assert abs(x[n - k] - float(node)) <= 2.3e-16
     assert abs(w[n - k] / float(weight) - 1.0) <= 1e-14
@@ -270,118 +213,91 @@ def test_grid_for_position():
     doubled = grid.doubled()
     assert doubled.n_polar == 2 * grid.n_polar
     assert doubled.n_azimuth == 2 * grid.n_azimuth
-    # n_polar sits on the octave ladder, a multiple of 16 up to 512, and so
-    # does every doubled grid: up to |kr| = 100 all grids together need no
-    # more than 38 rules
-    rules = set()
-
-    def on_ladder(n):
-        return n % quadrature._ladder_step(n) == 0
-
-    for kz in np.linspace(0.0, 100.0, 2001):
-        floor = polar_node_floor(kz)
-        grid = AngularGrid.for_position([0.0, 0.0, kz], config)
-        assert grid.n_polar % 16 == 0
-        assert floor <= grid.n_polar < floor + 16
-        assert on_ladder(grid.doubled().n_polar)
-        rules |= {grid.n_polar, grid.doubled().n_polar}
-    assert len(rules) == 38
-    # out to the supported 300/k they need 66 (113 on a 16-node ladder)
+    # n_polar is the floor rounded up to whole 32-node sub-panels, out to
+    # the supported 300/k: 32 to 1216 nodes, 38 counts
+    counts = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for kz in np.linspace(100.0, 300.0, 4001):
+        for kz in np.linspace(0.0, 300.0, 6001):
             floor = polar_node_floor(kz)
             grid = AngularGrid.for_position([0.0, 0.0, kz], config)
-            assert floor <= grid.n_polar < floor + quadrature._ladder_step(
-                floor)
-            assert on_ladder(grid.n_polar)
-            assert on_ladder(grid.doubled().n_polar)
-            rules |= {grid.n_polar, grid.doubled().n_polar}
-    assert len(rules) == 66
+            assert grid.n_polar % 32 == 0
+            assert floor <= grid.n_polar < floor + 32
+            counts.add(grid.n_polar)
+    assert sorted(counts) == list(range(32, 1217, 32))
 
 
 def test_grid_node_cap():
     # the linewidth term grows as |kr|^2 / (1 - rho) without bound; past
-    # the cap the grid is refused instead of taking hours to build
+    # the cap the grid is refused before any kernel array is allocated
     narrow = CavityConfig(rho=0.9999, k_r_mirror=1.0e3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         with pytest.raises(ValueError, match=r"\|kr\| = 300\.0 needs "
-                           r"1835008 polar nodes .* cap of 16384"):
+                           r"1799936 polar nodes .* cap of 16384"):
             AngularGrid.for_position([0.0, 0.0, 300.0], narrow)
-    # below it the linewidth term still sizes the grid: 2879.9 nodes, on
-    # the octave ladder's rungs of 128 between 2048 and 4096
-    assert AngularGrid.for_position([0.0, 0.0, 12.0], narrow).n_polar == 2944
+    # below it the linewidth term still sizes the grid: 2879.9 nodes,
+    # rounded up to 90 sub-panels of 32
+    assert AngularGrid.for_position([0.0, 0.0, 12.0], narrow).n_polar == 2880
 
 
-def count_builds(monkeypatch):
-    """An empty rule store, and the node counts of each call to the rule
-    builder made from now on."""
-    monkeypatch.setattr(quadrature, "_RULES", {})
-    calls = []
-    build = quadrature._build_rules
-
-    def builder(ns):
-        calls.append(sorted(set(ns)))
-        return build(ns)
-
-    monkeypatch.setattr(quadrature, "_build_rules", builder)
-    return calls
-
-
-def assert_built_once(calls):
-    """The builder was called once, so before any block ran, and built
-    exactly the rules in the store; the node counts it built."""
-    assert len(calls) == 1
-    assert sorted(quadrature._RULES) == calls[0]
-    return calls[0]
-
-
-def test_default_axial_scan_reuses_rules(monkeypatch):
-    # the default 401-point axial scan needs 25 rungs and their doubles,
-    # 38 rules, which the plan builds together before any block runs.
-    # Its 105 blocks then find them in the store.  One lookup per point
-    # and pass, 802, built 652 rules off the ladder
-    calls = count_builds(monkeypatch)
-    run = RunConfig.defaults()
-    run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity,
-                      run.orientation))
-    assert len(assert_built_once(calls)) == 38
-
-
-def test_scan_builds_each_rule_once_past_128_rules(monkeypatch):
-    # a narrow resonance and a short mirror radius put 145 points on 41
-    # rungs of the octave ladder (86 of the 16-node one) and their
-    # doubles, 70 rules (131 on the 16-node ladder); a 128-rule LRU cache
-    # evicted rules the plan had built and the blocks built them again
-    # one by one
-    calls = count_builds(monkeypatch)
-    config = CavityConfig(rho=0.995, k_r_mirror=1.0e3)
-    run_scan(ScanSpec("axial", 0.0, 60.0, 145, config,
-                      DipoleOrientation.isotropic()))
-    assert len(assert_built_once(calls)) == 70
+def test_default_axial_scan_reuses_rules():
+    # the default 401-point axial scan tiles every rule it needs from the
+    # base rule built at import: it calls neither Newton's method nor the
+    # reference rule, and never loads numpy.polynomial (1.9 MB of peak
+    # memory).  A child process, since this one has loaded it
+    code = """
+import sys
+from vactrap import quadrature
+from vactrap.config import RunConfig
+from vactrap.fields import ScanSpec, run_scan
+calls = {}
+def count(name):
+    f = getattr(quadrature, name)
+    def counted(n):
+        calls[name] = calls.get(name, 0) + 1
+        return f(n)
+    setattr(quadrature, name, counted)
+for name in ("_gauss_legendre", "_reference_leggauss", "_leggauss"):
+    count(name)
+run = RunConfig.defaults()
+run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation))
+print(sorted(calls), "numpy.polynomial" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['_leggauss'] False"
 
 
 def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
-    # rho = 0.9999 over the default axial range needs 83 rules up to 5120
-    # nodes; Newton on the recurrence, O(n^2) each, took seconds for them
-    calls = count_builds(monkeypatch)
+    # rho = 0.9999 over the default axial range needs 79 grids of up to
+    # 2528 polar nodes, 5056 doubled; Newton on the recurrence, O(n^2)
+    # each, took seconds for rules this large, and tiling takes none
+    def newton(n):
+        raise AssertionError(f"Newton's method called for {n} nodes")
+
+    monkeypatch.setattr(quadrature, "_gauss_legendre", newton)
     config = CavityConfig(rho=0.9999)
     kr = np.zeros((401, 3))
     kr[:, 2] = np.linspace(-100.0, 100.0, 401)
-    quadrature.plan_blocks(kr, config, doubled=True)
-    built = assert_built_once(calls)
-    assert len(built) == 83
-    assert max(built) == 5120
+    ns = sorted({grid.n_polar for grid, _ in quadrature.plan_blocks(kr,
+                                                                     config)})
+    assert len(ns) == 79
+    assert ns[-1] == 2528
+    for n in ns + [2 * n for n in ns]:
+        x, w = quadrature._leggauss(n)
+        assert len(x) == len(w) == n
+        assert abs(np.sum(w) - 2.0) <= 4e-15
 
 
-def head_n_polar(row, config):
-    """n_polar as the 16-node ladder sized it, from the norm of the row
-    alone."""
+def round_up_n_polar(row, config):
+    """n_polar from the norm of the row alone: the floor or the
+    linewidth term, rounded up to a multiple of 32."""
     r = float(np.linalg.norm(row))
     sweep = (2.0 * r ** 2 * math.sqrt(config.rho)
              / (config.k_r_mirror * (1.0 - config.rho)))
-    return 16 * math.ceil(max(polar_node_floor(r), math.ceil(sweep)) / 16)
+    return 32 * math.ceil(max(polar_node_floor(r), math.ceil(sweep)) / 32)
 
 
 @pytest.mark.parametrize("axis, half_width, n_points", [
@@ -393,54 +309,23 @@ def test_plan_sizes_rows_as_each_row_alone(axis, half_width, n_points):
     # the plan sizes rows from the radii of the whole block; a radius
     # taken another way can differ by an ulp (numpy's 1-D norm against
     # its norm along rows, on the 15 x 15 plane), so the plan, the grid
-    # of a position and the admission check share one formula.  Every
-    # rung stays where the 16-node ladder put it on these grids
+    # of a position and the admission check share one formula.  No row
+    # of these grids sits so close to a multiple of 32 that the ulp moves
+    # it
     config = RunConfig.defaults().cavity
     spec = ScanSpec(axis, -half_width, half_width, n_points, config,
                     DipoleOrientation.isotropic())
     _, _, kr = _scan_points(spec)
     planned = np.zeros(len(kr), dtype=int)
-    for grid, rows in quadrature.plan_blocks(kr, config, doubled=True):
+    for grid, rows in quadrature.plan_blocks(kr, config):
         planned[rows] = grid.n_polar
         grid.check_admissible(kr[rows][np.argmax(quadrature._radius(
             kr[rows]))])
     for row, n in zip(kr, planned):
         assert AngularGrid.for_position(row, config).n_polar == n
-        assert head_n_polar(row, config) == n
+        assert round_up_n_polar(row, config) == n
     assert_array_equal(quadrature._radius(kr),
                        [quadrature._radius(row) for row in kr])
-
-
-def test_rule_cache_shared_by_threads(monkeypatch):
-    # more threads than cores and a short switch interval: another rule
-    # returned, or a rule torn by a racing build, would show here.  With
-    # no lock two threads may both build a missing rule, into
-    # bit-identical copies, so builds are not counted
-    monkeypatch.setattr(quadrature, "_RULES", {})
-    ns = [16 * (2 + i % 12) for i in range(20_000)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            rules = list(pool.map(lambda n: quadrature._rules([n])[n], ns,
-                                  timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    alone = {n: quadrature._build_rules([n])[n] for n in set(ns)}
-    for n, (x, w) in zip(ns, rules):
-        assert_array_equal(x, alone[n][0])
-        assert_array_equal(w, alone[n][1])
-    # in a scan the plan fills the store before the workers start, so
-    # they only read it and build nothing
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1)
-    spec = ScanSpec("plane", -3.0, 3.0, 6, CavityConfig(rho=0.98),
-                    DipoleOrientation.isotropic())
-    calls = count_builds(monkeypatch)
-    threaded = run_scan(spec, n_workers=2)
-    assert len(calls) == 1
-    monkeypatch.setattr(quadrature, "_RULES", {})
-    serial = run_scan(spec)
-    assert_array_equal(threaded.values, serial.values)
 
 
 def test_block_rows_checked():
@@ -489,11 +374,15 @@ def test_grid_invariants():
                        r"n_azimuth >= 1, got 31 and 16$"):
         AngularGrid(31, 16)
     assert AngularGrid(32, 16).n_polar == polar_node_floor(0.0)
-    # a grid past the cap once took hours in the O(n^2) rule builder; a
-    # default grid at the cap may still be doubled
-    with pytest.raises(ValueError, match="n_polar=32784 is above the cap "
+    # the composite rule tiles whole 32-node sub-panels
+    with pytest.raises(ValueError, match=r"^n_polar=48 is not a multiple "
+                       r"of 32, the nodes of one sub-panel$"):
+        AngularGrid(48, 16)
+    # the cap bounds a block's kernel arrays; a default grid at the cap
+    # may still be doubled
+    with pytest.raises(ValueError, match="n_polar=32800 is above the cap "
                        "of 32768"):
-        AngularGrid(2 * MAX_POLAR_NODES + 16, 16)
+        AngularGrid(2 * MAX_POLAR_NODES + 32, 16)
     assert AngularGrid(MAX_POLAR_NODES, 16).doubled().n_polar == 32768
 
 
@@ -501,20 +390,6 @@ def test_grid_invariants():
 def test_grid_below_the_polar_floor_refused(n):
     with pytest.raises(ValueError, match=f"got {n} and 16$"):
         AngularGrid(n, 16)
-
-
-@pytest.mark.parametrize("ns, smallest", [([5, 3, 40], 3), ([31], 31)])
-def test_rule_builder_refuses_counts_below_the_floor(ns, smallest):
-    # the end nodes of a rule under 20 nodes ran into the next rule of
-    # the set: [5, 3, 40] gave a 3-node rule 0.77 off numpy's
-    message = f"at least 32 nodes, got {smallest}$"
-    with pytest.raises(ValueError, match=message):
-        quadrature._build_rules(ns)
-    with pytest.raises(ValueError, match=message):
-        quadrature._rules(ns)
-    with pytest.raises(ValueError, match=message):
-        quadrature._leggauss(smallest)
-    assert not any(n in quadrature._RULES for n in ns if n < 32)
 
 
 def test_undersized_grid_rejected():

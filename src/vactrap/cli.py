@@ -13,8 +13,9 @@ Subcommands and the flags each one reads
                (base flags, plus --seed)
 
 Base flags are --config, --out and --timings; scan flags are the base
-flags plus --format, --tolerance and --threads.  A flag that a command
-does not read is rejected like an unknown one.  axial and plane ignore
+flags plus --format, --tolerance and --threads.  --threads is accepted
+for compatibility; scans run on one thread.  A flag that a command does
+not read is rejected like an unknown one.  axial and plane ignore
 [drive] and [scan] type.
 
 Exit codes: 0 success, 2 configuration error or unwritable output,
@@ -23,10 +24,9 @@ still written), 4 validation failure.
 
 All output is dimensionless (rates over Gamma_vac, lengths in 1/k,
 energies in hbar*Gamma_vac, forces in hbar*k*Gamma_vac).  Identical
-configuration yields byte-identical output regardless of --threads;
-wall-clock timings therefore only appear in JSON metadata when
---timings is passed explicitly, and --timings with CSV output is an
-error.
+configuration yields byte-identical output; wall-clock timings therefore
+only appear in JSON metadata when --timings is passed explicitly, and
+--timings with CSV output is an error.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="quadrature doubling tolerance (default 1e-9)")
     scan.add_argument("--threads", type=_positive(int, MAX_THREADS),
                       default=1,
-                      help="worker threads for blocks of scan points "
-                           f"(default 1, at most {MAX_THREADS})")
+                      help="accepted for compatibility; scans run on one "
+                           f"thread (default 1, at most {MAX_THREADS})")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
     sub.add_parser(
@@ -262,7 +262,7 @@ def cmd_center(args, run: RunConfig) -> int:
     if args.quadrature:
         res_par, res_perp = (
             run_scan(ScanSpec("detuning", start, stop, n_points, cavity, d),
-                     tolerance=args.tolerance, n_workers=args.threads)
+                     tolerance=args.tolerance)
             for d in (parallel, perpendicular))
         values = [res.column(name) for name in ("gamma_ratio", "shift_ratio")
                   for res in (res_par, res_perp)]
@@ -302,8 +302,7 @@ def cmd_spatial(args, run: RunConfig) -> int:
     start, stop, n_points = _scan_range(run, command)
     spec = ScanSpec(axis, start, stop, n_points, run.cavity, run.orientation,
                     detuning=run.detuning)
-    result = run_scan(spec, tolerance=args.tolerance, n_workers=args.threads,
-                      **drive)
+    result = run_scan(spec, tolerance=args.tolerance, **drive)
     columns, extra = result.columns, None
     if profile:
         columns = columns[:1] + profile

@@ -16,17 +16,16 @@ arrays (coordinates, phases, positions) in output row order; the scan
 plans them (``quadrature.plan_blocks``: every position checked and its
 polar node count chosen before any block runs), makes one
 ``integrate_sphere`` call per block of points on one node count and
-copies the block's arrays into whole-scan columns at the block's rows.
-The force, the potential and a weak drive's population then come from
-one array formula each, shared with the one-point functions.  Worker
-threads share the blocks and nothing else: a row's bits do not depend
-on its block, so the table is bit-identical for any --threads value.
+panel kind, and copies the block's arrays into whole-scan columns at
+the block's rows.  The force, the potential and a weak drive's
+population then come from one array formula each, shared with the
+one-point functions.  The blocks run one after another on the calling
+thread; a row's bits do not depend on its block.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +47,10 @@ _AXIS_COLUMNS = {
 # The components of kr that those columns set on a spatial axis.
 _KR_AXES = {"axial": [2], "transverse": [0], "plane": [2, 0]}
 
-# Most worker threads a scan may use.  Blocks hold the interpreter lock
-# for much of their time, so threads beyond the cores buy nothing, and a
-# slip of the keyboard should not start thousands of them.
+# Largest worker count that ``run_scan`` and the CLI's --threads accept.
+# Both are kept for compatibility and have no effect: a second thread
+# made scans slower, as numpy holds the interpreter lock for much of a
+# block's work, so every scan runs on the calling thread.
 MAX_THREADS = 64
 
 # Weak-excitation treatment is only trusted up to this population.
@@ -243,7 +243,9 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
     the local damping and shift.  Rows whose quadrature fails the
     doubling check keep the refined estimate and are listed in
     ``non_converged``; rows outside the weak-excitation regime are listed
-    in ``weak_excitation``.  Worker count never changes the numbers.
+    in ``weak_excitation``.  The blocks run on the calling thread:
+    ``n_workers`` is accepted for compatibility, checked to lie in
+    [1, MAX_THREADS], and has no effect.
     """
     if not 1 <= n_workers <= MAX_THREADS:
         raise ValueError(f"n_workers must be at least 1 and at most "
@@ -261,8 +263,7 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
     grad = np.empty(kr.shape)
     converged = np.ones(len(kr), dtype=bool)
 
-    def evaluate(block):
-        grid, rows = block
+    for grid, rows in blocks:
         try:
             resp = integrate_sphere(
                 kr[rows], spec.orientation, spec.config, phi0[rows],
@@ -273,14 +274,6 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
         gamma[rows], shift[rows] = resp.gamma_ratio, resp.shift_ratio
         if with_force:
             grad[rows] = resp.shift_gradient
-
-    n_workers = min(n_workers, len(blocks))
-    if n_workers == 1:
-        for block in blocks:
-            evaluate(block)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(evaluate, blocks))
 
     values, weak = [coords, gamma, shift], []
     if with_force:

@@ -22,9 +22,9 @@ both.  One integrator, ``_integrate_once``, makes one pass over the
 directions and weights of a rule, and one rule serves every position:
 the zonal rule, whose nodes are rings about kr.  On such a ring u is
 constant, so its integral over the arc inside the cap is closed form, and
-what is left is a 1-D Gauss-Legendre integral over the ring angle in two
-panels (a Funk-Hecke reduction restricted to a cap; Atkinson & Han,
-Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
+what is left is a 1-D Gauss-Legendre integral over the ring angle in one
+or two panels (a Funk-Hecke reduction restricted to a cap; Atkinson &
+Han, Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
 The 2-D rule, Gauss-Legendre in cos(theta) times a uniform azimuth rule,
 is kept only as the independent reference that ``validate`` and the
 tests compare the zonal rule with.
@@ -41,13 +41,12 @@ cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
 floor); the polar count also grows with the resonance linewidths that the
 aberration phase sweeps, and is rounded up to whole 32-node sub-panels.
-``plan_blocks`` groups a scan's positions by polar count into blocks of
-at most BLOCK_NODES nodes;
+``plan_blocks`` groups a scan's positions by polar count and by the
+panels they have into blocks of at most BLOCK_NODES nodes;
 ``integrate_sphere`` integrates a block in one pass through the kernel
 over (points x nodes) arrays, one position being a block of one.  Every
 operation is elementwise along the rows and each row is summed on its own
-in a fixed order, so a row's bits depend neither on its block nor on how
-callers parallelize.
+in a fixed order, so a row's bits do not depend on its block.
 """
 
 from __future__ import annotations
@@ -98,8 +97,9 @@ MAX_POLAR_NODES = 16_384
 # Points times nodes of the doubled pass (4 n_polar per point) that one
 # block of a scan may take.  Larger blocks spread the Python work of a
 # pass over more points but hold larger kernel temporaries: on a 15 x 15
-# plane scan on two threads a budget of 1,024 was slower, and one of
-# 8,192 took 1.6 MB more peak memory than this one for no speed.
+# plane scan a budget of 1,024 took 2.1-2.4 times as long (median of 15
+# warm runs), and one of 8,192 had the same fastest run and twice the
+# traced peak memory, 1.6 MB against 0.84 MB.
 BLOCK_NODES = 4096
 
 
@@ -318,9 +318,17 @@ def _sphere_rule(orientation, grid, theta, kr):
     return tuple(a.reshape(1, -1) for a in (ox, oy, oz, weight))
 
 
+def _cone_angle(kr):
+    """beta, the angle of each row of the (P, 3) block kr from the axis
+    of its folded cap, sign(kz) z: in [0, pi/2], and 0 at kr = 0."""
+    kr = np.asarray(kr, dtype=float)
+    return np.arctan2(np.hypot(kr[:, 0], kr[:, 1]), np.abs(kr[:, 2]))
+
+
 def _zonal_rule(orientation, grid, theta, kr):
-    """(ox, oy, oz, weight), each of shape (P, 2 n_polar), with one node
-    per ring about r = kr/|kr| for each row of the (P, 3) block kr.
+    """(ox, oy, oz, weight), each of shape (P, n_polar) or (P, 2 n_polar),
+    with one node per ring about r = kr/|kr| for each row of the (P, 3)
+    block kr.
 
     The folded cap is taken about n = sign(kz) z, at the angle
     beta <= pi/2 from r (r = n at kr = 0).  On the ring at angle alpha
@@ -334,28 +342,33 @@ def _zonal_rule(orientation, grid, theta, kr):
     cos^3 and cos sin^2 over the arc are closed forms, and so are W and V
     (w is quadratic in omega).
 
-    Alpha runs over two panels of the n_polar-node composite rule
-    (``_leggauss``: 32-node Gauss-Legendre sub-panels) each, columns
-    [0, n_polar) and [n_polar, 2 n_polar): whole rings on
-    [0, theta - beta] (psi0 = pi) and cut rings on
-    [|theta - beta|, theta + beta], both mapped by
+    Alpha runs over up to two panels of the n_polar-node composite rule
+    (``_leggauss``: 32-node Gauss-Legendre sub-panels) each: whole rings
+    on [0, theta - beta] (psi0 = pi), which a row has if beta < theta,
+    then cut rings on [|theta - beta|, theta + beta], which it has if
+    beta > 0, both mapped by
     alpha = a + (b - a) (1 - cos(tau)) / 2, which removes the square-root
     behaviour of psi0 at the panel ends.  psi0 comes from the half-angle
     formula of the spherical triangle (r, n, edge point), with
     s = (alpha + beta + theta) / 2:
     tan(psi0 / 2) = sqrt(sin(s - alpha) sin(s - beta)
                          / (sin(s) sin(s - theta))),
-    its small factors taken from the map, not by subtraction.  A row
-    without one of the panels (beta >= theta, or beta = 0) lays its
-    nodes over a stand-in of width theta, where every ring weight is
-    positive, and gives them weight exactly 0, so no 0/0 reaches a sum.
+    its small factors taken from the map, not by subtraction.  A panel
+    is built only if some row of the block has it, so a block of rows of
+    one kind, as ``plan_blocks`` makes them, gets only its own panels.
+    In a block that mixes kinds, a row without one of the built panels
+    lays its nodes over a stand-in of width theta, where every ring
+    weight is positive, and gives them weight exactly 0, so no 0/0
+    reaches a sum.  Those zeros are a run of n_polar columns, a multiple
+    of 32, that numpy's pairwise sum adds as a separate half, so they
+    leave a row's sums exactly as its own panels give them.
 
     Every operation is elementwise along the rows, so a row's values do
     not depend on the other rows of its block.
     """
     kx, ky, kz = kr.T.copy()
     k_perp = np.hypot(kx, ky)
-    beta = np.arctan2(k_perp, np.abs(kz))
+    beta = _cone_angle(kr)
     sign = np.where(kz < 0.0, -1.0, 1.0)
     on_axis = k_perp == 0.0
     k_perp[on_axis] = 1.0
@@ -393,21 +406,24 @@ def _zonal_rule(orientation, grid, theta, kr):
         return (np.where(present, width, theta)[:, None],
                 np.where(present, width, 0.0)[:, None] * d_alpha)
 
-    a = np.abs(theta - beta)
-    width, weight_w = panel(np.maximum(theta - beta, 0.0))
-    panels = [(width * lo, weight_w, math.pi, 0.0, -1.0)]
-    width, weight_c = panel(theta + beta - a)
-    a = a[:, None]
-    alpha = a + width * lo
-    grows = np.sin(0.5 * width * lo)  # sin of (alpha - a) / 2
-    stays = np.sin(0.5 * (alpha + a))
-    outside = (beta >= theta)[:, None]
-    psi0 = 2.0 * np.arctan2(
-        np.sqrt(np.sin(0.5 * width * hi)
-                * np.where(outside, grows, stays)),
-        np.sqrt(np.sin(0.5 * (alpha + beta[:, None] + theta))
-                * np.where(outside, stays, grows)))
-    panels.append((alpha, weight_c, psi0, np.sin(psi0), np.cos(psi0)))
+    panels = []
+    if np.any(beta < theta):
+        width, weight_w = panel(np.maximum(theta - beta, 0.0))
+        panels.append((width * lo, weight_w, math.pi, 0.0, -1.0))
+    if np.any(beta > 0.0):
+        a = np.abs(theta - beta)
+        width, weight_c = panel(theta + beta - a)
+        a = a[:, None]
+        alpha = a + width * lo
+        grows = np.sin(0.5 * width * lo)  # sin of (alpha - a) / 2
+        stays = np.sin(0.5 * (alpha + a))
+        outside = (beta >= theta)[:, None]
+        psi0 = 2.0 * np.arctan2(
+            np.sqrt(np.sin(0.5 * width * hi)
+                    * np.where(outside, grows, stays)),
+            np.sqrt(np.sin(0.5 * (alpha + beta[:, None] + theta))
+                    * np.where(outside, stays, grows)))
+        panels.append((alpha, weight_c, psi0, np.sin(psi0), np.cos(psi0)))
     nodes = []
     for alpha, d_weight, psi0, sin0, cos0 in panels:
         # moments of 1, cos, cos^2, sin^2, cos sin^2 and cos^3 on the arc
@@ -494,7 +510,7 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                              f"{kr.shape}")
         # a row that is not finite or is out of range raises as Position
         # does; the ValidityWarning is left to whoever built the block,
-        # as it names the caller's line and a worker thread has none
+        # as it names the caller's line, not this one
         for row in kr[~(_radius(kr) <= POSITION_MAX_RADIUS)]:
             Position.of(row)
     else:
@@ -550,26 +566,32 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
 def plan_blocks(kr, config: CavityConfig
                 ) -> list[tuple[AngularGrid, list[int]]]:
     """Blocks of a scan's positions: (grid, row indices) with the rows of
-    each block on one polar node count, at most BLOCK_NODES // (4 n_polar)
-    of them (at least one).  Every position is checked and sized first,
-    in one pass over the radii, so a bad one raises before any work, as
-    ``Position`` would for the first bad row, and a scan beyond the
-    warning radius warns.  Each node count gets one grid, that of its
-    first row."""
+    each block on one polar node count and of one panel kind, at most
+    BLOCK_NODES // (4 n_polar) of them (at least one).  The kind is the
+    set of zonal panels a row has: on the axis only whole rings, outside
+    the cap cone (beta >= theta) only cut rings, between them both; so
+    ``_zonal_rule`` builds no stand-in panel for a scan.  Every position
+    is checked and sized first, in one pass over the radii, so a bad one
+    raises before any work, as ``Position`` would for the first bad row,
+    and a scan beyond the warning radius warns.  Each count and kind gets
+    one grid, that of its first row."""
     kr = np.asarray(kr, dtype=float)
     radii = _radius(kr)
     bad = np.flatnonzero(~(radii <= POSITION_MAX_RADIUS))
     # raises for the first bad row, or warns if the farthest is beyond the
     # warning radius: a count's first row may lie inside it
     Position.of(kr[bad[0] if bad.size else np.argmax(radii)])
+    beta = _cone_angle(kr)
+    theta = effective_theta(config)
+    kinds = zip((beta < theta).tolist(), (beta > 0.0).tolist())
     counts: dict[float, int] = {}
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(radii.tolist()):
+    groups: dict[tuple[int, tuple[bool, bool]], list[int]] = {}
+    for i, (r, kind) in enumerate(zip(radii.tolist(), kinds)):
         if r not in counts:
             counts[r] = polar_node_count(r, config)
-        groups.setdefault(counts[r], []).append(i)
+        groups.setdefault((counts[r], kind), []).append(i)
     blocks = []
-    for n, rows in groups.items():
+    for (n, _), rows in groups.items():
         grid = AngularGrid.for_position(kr[rows[0]], config)
         size = max(1, BLOCK_NODES // (4 * n))
         blocks += [(grid, rows[i:i + size])

@@ -353,6 +353,17 @@ def test_thread_count_determinism(tmp_path):
     assert outputs[0].returncode == outputs[1].returncode == 0
 
 
+def test_cli_import_loads_no_thread_pool():
+    # scans run on the calling thread; concurrent.futures would also load
+    # logging, some 8 ms of every command's start-up
+    code = ("import sys, vactrap.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_output_file_not_written_on_config_error(tmp_path):
     config = write(tmp_path / "bad.ini", "[mirrors]\nrho = 1.5\n")
     out = tmp_path / "never.csv"

@@ -1,14 +1,12 @@
 """Responses on grids, gradients, forces and trap profiles."""
 
 import math
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vactrap import quadrature
 from vactrap.cavity import (
     CavityConfig,
     Detuning,
@@ -268,25 +266,6 @@ def test_scan_arguments_checked(kwargs, message):
     spec = ScanSpec("axial", -1.0, 1.0, 2, DEFAULT, ISO)
     with pytest.raises(ValueError, match=message):
         run_scan(spec, **kwargs)
-
-
-def test_scan_threads_fill_disjoint_rows(monkeypatch):
-    # one block per row, more threads than cores and a short switch
-    # interval: a row or a convergence flag lost between threads would
-    # differ from the serial scan (the table starts uninitialized)
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", 1)
-    spec = ScanSpec("plane", -3.0, 3.0, 6, DEFAULT, ISO,
-                    detuning=Detuning(-0.5))
-    serial = run_scan(spec, tolerance=1e-15, pi_e=0.05)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_scan(spec, tolerance=1e-15, pi_e=0.05, n_workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert 0 < len(serial.non_converged) < 36
-    assert threaded.non_converged == serial.non_converged
-    assert np.array_equal(threaded.values, serial.values)
 
 
 def test_scan_with_constant_drive_columns():

@@ -11,13 +11,15 @@ import pytest
 from numpy.polynomial.legendre import leggauss, legval
 from numpy.testing import assert_allclose, assert_array_equal
 
-from vactrap import quadrature
+from vactrap import fields, quadrature
 from vactrap.cavity import (
     CavityConfig,
+    Detuning,
     DipoleOrientation,
     ValidityWarning,
     center_gamma,
     center_shift,
+    effective_theta,
     phase_fwhm,
 )
 from vactrap.config import RunConfig
@@ -362,6 +364,106 @@ def test_block_rows_checked():
     assert block.gamma_ratio.shape == (2,)
     far = integrate_sphere([3.0, 0.0, 4.0], iso, config, 0.0)
     assert block.gamma_ratio[1] == far.gamma_ratio
+
+
+FIXED = DipoleOrientation.fixed(np.array([2.0, -1.0, 2.0]) / 3.0)
+# rows on the axis (whole rings only), at 0 < beta < theta (both panels)
+# and at beta >= theta (cut rings only, the fourth at beta = theta)
+MIXED_BLOCK = np.array([
+    [0.0, 0.0, 0.0], [0.0, 0.0, -6.0], [1.0, 0.5, 5.0], [-3.0, 0.0, -2.5],
+    [4.0, 0.0, 4.0], [4.0, -2.0, 1.0], [6.0, 0.0, 0.0], [0.0, -2.0, 0.5],
+])
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS + (FIXED,),
+                         ids=["parallel", "perpendicular", "isotropic",
+                              "fixed"])
+@pytest.mark.parametrize("with_gradient", [False, True])
+@pytest.mark.parametrize("tolerance", [None, 1e-9])
+def test_block_mixing_panel_kinds_matches_rows_alone(orientation,
+                                                     with_gradient,
+                                                     tolerance):
+    # a block of mixed kinds lays the panels a row lacks over a stand-in
+    # at weight 0; those zeros are a run of n_polar columns that numpy's
+    # pairwise sum adds as a half of its own, so each row keeps the bits
+    # it gets alone, where only its own panels are built
+    config = CavityConfig(rho=0.98)
+    beta = quadrature._cone_angle(MIXED_BLOCK)
+    theta = effective_theta(config)
+    assert set(zip(beta < theta, beta > 0.0)) == {
+        (True, False), (True, True), (False, True)}
+    assert beta[4] == theta
+    phi0 = np.linspace(-0.3, 0.4, len(MIXED_BLOCK))
+    for n_polar in (32, 96, 256):
+        grid = AngularGrid(n_polar, 16)
+        block = integrate_sphere(MIXED_BLOCK, orientation, config, phi0,
+                                 grid=grid, tolerance=tolerance,
+                                 with_gradient=with_gradient)
+        for i, (kr, phase) in enumerate(zip(MIXED_BLOCK, phi0)):
+            alone = integrate_sphere(kr, orientation, config, phase,
+                                     grid=grid, tolerance=tolerance,
+                                     with_gradient=with_gradient)
+            assert block.gamma_ratio[i] == alone.gamma_ratio
+            assert block.shift_ratio[i] == alone.shift_ratio
+            if with_gradient:
+                assert_array_equal(block.shift_gradient[i],
+                                   alone.shift_gradient)
+
+
+def kernel_widths(monkeypatch, spec):
+    """Run the scan and return, for each pass through the kernel, the
+    panel kinds of its block's rows (whole rings?, cut rings?), its rule's
+    polar count and the width of the kernel's arrays."""
+    theta = effective_theta(spec.config)
+    leggauss, cap_terms = quadrature._leggauss, quadrature._cap_terms
+    integrate, passes = fields.integrate_sphere, []
+
+    def block(kr, *args, **kwargs):
+        beta = quadrature._cone_angle(kr)
+        passes.append([set(zip((beta < theta).tolist(),
+                               (beta > 0.0).tolist()))])
+        return integrate(kr, *args, **kwargs)
+
+    def rule(n):
+        passes[-1].append(n)
+        return leggauss(n)
+
+    def kernel(rho, phi, u, with_gradient=False):
+        passes[-1].append(u.shape[1])
+        return cap_terms(rho, phi, u, with_gradient)
+
+    monkeypatch.setattr(fields, "integrate_sphere", block)
+    monkeypatch.setattr(quadrature, "_leggauss", rule)
+    monkeypatch.setattr(quadrature, "_cap_terms", kernel)
+    fields.run_scan(spec, pi_e=0.05)
+    # each block makes two passes, at n and doubled: rule, kernel, twice
+    assert all(len(p) == 5 for p in passes)
+    return [(kinds, n, width) for kinds, *p in passes
+            for n, width in zip(p[::2], p[1::2])]
+
+
+@pytest.mark.parametrize("axis", ["axial", "transverse"])
+def test_line_scans_evaluate_one_panel(monkeypatch, axis):
+    # axial rows have whole rings only and transverse rows cut rings only
+    # (beta = pi/2), the center whole rings only: the kernel sees n_polar
+    # columns a row, not two panels of them
+    spec = ScanSpec(axis, -30.0, 30.0, 21, CavityConfig(rho=0.98),
+                    DipoleOrientation.isotropic(), Detuning(-0.5))
+    widths = kernel_widths(monkeypatch, spec)
+    assert len(widths) >= 2
+    assert all(width == n for _, n, width in widths)
+
+
+def test_plane_scan_blocks_hold_one_panel_kind(monkeypatch):
+    spec = ScanSpec("plane", -10.0, 10.0, 9, CavityConfig(rho=0.98), FIXED,
+                    Detuning(-0.5))
+    widths = kernel_widths(monkeypatch, spec)
+    assert set().union(*(kinds for kinds, _, _ in widths)) == {
+        (True, False), (True, True), (False, True)}
+    for kinds, n, width in widths:
+        assert len(kinds) == 1
+        (whole, cut), = kinds
+        assert width == n * (whole + cut)
 
 
 def test_grid_invariants():

@@ -43,14 +43,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .cavity import (
-    Detuning,
-    DipoleOrientation,
-    center_gamma,
-    center_shift,
-)
+from .cavity import DipoleOrientation, center_gamma, center_shift
 from .config import ConfigError, RunConfig, load_config
-from .fields import MAX_THREADS, ScanSpec, run_scan, trap_minimum
+from .fields import MAX_THREADS, ScanSpec, _scan_points, run_scan, trap_minimum
 from .quadrature import ConvergenceError
 from .validation import run_validation_suite
 
@@ -252,28 +247,23 @@ def _emit_table(args, run: RunConfig, columns, rows, started: float,
 def cmd_center(args, run: RunConfig) -> int:
     started = time.perf_counter()
     start, stop, n_points = _scan_range(run, "center")
-    coords = np.linspace(start, stop, n_points)
-    cavity = run.cavity
-    parallel = DipoleOrientation.parallel()
-    perpendicular = DipoleOrientation.perpendicular()
+    specs = [ScanSpec("detuning", start, stop, n_points, run.cavity, d)
+             for d in (DipoleOrientation.parallel(),
+                       DipoleOrientation.perpendicular())]
+    coords, phases, _ = _scan_points(specs[0])
     columns = ("detuning_linewidths", "gamma_parallel", "gamma_perpendicular",
                "shift_parallel", "shift_perpendicular")
     non_converged: list[int] = []
     if args.quadrature:
-        res_par, res_perp = (
-            run_scan(ScanSpec("detuning", start, stop, n_points, cavity, d),
-                     tolerance=args.tolerance)
-            for d in (parallel, perpendicular))
+        res_par, res_perp = (run_scan(spec, tolerance=args.tolerance)
+                             for spec in specs)
         values = [res.column(name) for name in ("gamma_ratio", "shift_ratio")
                   for res in (res_par, res_perp)]
         non_converged = sorted(set(res_par.non_converged)
                                | set(res_perp.non_converged))
     else:
-        phases = np.array([Detuning(float(c)).phase(cavity.rho)
-                           for c in coords])
-        values = [np.atleast_1d(form(d, cavity, phases))
-                  for form in (center_gamma, center_shift)
-                  for d in (parallel, perpendicular)]
+        values = [np.atleast_1d(form(spec.orientation, run.cavity, phases))
+                  for form in (center_gamma, center_shift) for spec in specs]
     rows = np.column_stack([coords] + values)
     return _emit_table(args, run, columns, rows, started,
                        non_converged=non_converged)

@@ -25,9 +25,10 @@ constant, so its integral over the arc inside the cap is closed form, and
 what is left is a 1-D Gauss-Legendre integral over the ring angle in one
 or two panels (a Funk-Hecke reduction restricted to a cap; Atkinson &
 Han, Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
-The 2-D rule, Gauss-Legendre in cos(theta) times a uniform azimuth rule,
-is kept only as the independent reference that ``validate`` and the
-tests compare the zonal rule with.
+``integrate_sphere`` runs that rule and no other.  The independent
+reference that ``validate`` and the tests compare it with, a 2-D rule of
+Gauss-Legendre nodes in cos(theta) times a uniform azimuth rule, is
+``validation``'s own code and passes its nodes to ``_integrate_once``.
 
 The production rule in one variable is composite: one 32-node
 Gauss-Legendre base rule, built once at import by Newton's method on the
@@ -51,7 +52,6 @@ in a fixed order, so a row's bits do not depend on its block.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -189,9 +189,11 @@ class AngularGrid:
     """Node counts: nodes per panel of the zonal rule's composite
     Gauss-Legendre rule, whole sub-panels of MIN_POLAR_NODES (and
     Gauss-Legendre nodes in cos(theta) for the 2-D reference rule), and
-    uniform azimuth nodes of the 2-D rule.  Where the cap ends is not
-    part of the grid; the integrator reads it from the cavity
-    configuration."""
+    uniform azimuth nodes of the 2-D rule.  ``integrate_sphere`` reads
+    n_polar only; n_azimuth is read by ``validation``'s reference rule
+    and by the benchmark's traced child, which counts nodes with it.
+    Where the cap ends is not part of the grid; the integrator reads it
+    from the cavity configuration."""
 
     n_polar: int
     n_azimuth: int
@@ -225,8 +227,10 @@ class AngularGrid:
         return AngularGrid(2 * self.n_polar, 2 * self.n_azimuth)
 
     def check_admissible(self, kr: np.ndarray) -> None:
-        """Reject grids below the polar node floor for this position (the
-        azimuth count is read by the 2-D reference rule only)."""
+        """Reject grids below the polar node floor for this position.  The
+        azimuth count is not checked: ``integrate_sphere`` does not read
+        it, only ``validation``'s 2-D reference rule and the benchmark's
+        traced child do."""
         kr_norm = float(_radius(kr))
         if self.n_polar < polar_node_floor(kr_norm):
             raise ValueError(
@@ -284,40 +288,6 @@ def _sample_terms(dirs: np.ndarray, kr: np.ndarray,
     return gamma, shift
 
 
-@functools.lru_cache(maxsize=16)
-def _reference_leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's n-point Gauss-Legendre rule, read-only: an eigenvalue
-    method (Golub-Welsch) that shares no code with the composite rule.
-    Imported here, so that no scan loads numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _sphere_rule(orientation, grid, theta, kr):
-    """The 2-D reference rule: (ox, oy, oz, weight), each of shape
-    (1, n_polar * n_azimuth), on the grid of the folded cap:
-    numpy's Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1]
-    times a uniform azimuth rule.  The weight is the polar weight,
-    doubled for the south cap, times the azimuth step and the
-    polarization weight, over the 4 pi of the full solid angle.  It does
-    not depend on kr, so one row serves every row of a block.  Integrals
-    use the zonal rule; this one is the independent check that
-    ``validate`` and the tests compare it with."""
-    c_edge = math.cos(theta)
-    x, w_gl = _reference_leggauss(grid.n_polar)
-    c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
-    s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    az = 2.0 * math.pi * np.arange(grid.n_azimuth) / grid.n_azimuth
-    ox = s[:, None] * np.cos(az)[None, :]
-    oy = s[:, None] * np.sin(az)[None, :]
-    oz = np.broadcast_to(c[:, None], ox.shape)
-    weight = (1.0 - c_edge) * w_gl * (0.5 / grid.n_azimuth)
-    weight = weight[:, None] * _pol_weight(orientation, ox, oy, oz)
-    return tuple(a.reshape(1, -1) for a in (ox, oy, oz, weight))
-
-
 def _cone_angle(kr):
     """beta, the angle of each row of the (P, 3) block kr from the axis
     of its folded cap, sign(kz) z: in [0, pi/2], and 0 at kr = 0."""
@@ -325,7 +295,7 @@ def _cone_angle(kr):
     return np.arctan2(np.hypot(kr[:, 0], kr[:, 1]), np.abs(kr[:, 2]))
 
 
-def _zonal_rule(orientation, grid, theta, kr):
+def _zonal_rule(orientation, n_polar, theta, kr):
     """(ox, oy, oz, weight), each of shape (P, n_polar) or (P, 2 n_polar),
     with one node per ring about r = kr/|kr| for each row of the (P, 3)
     block kr.
@@ -393,7 +363,7 @@ def _zonal_rule(orientation, grid, theta, kr):
     k_c, k_s = 1.5 * (q[1][1] + q[2][2]), 1.5 * q[0][0]
     k_cs, k_1, k_2 = -3.0 * q[0][1], 1.5 * q[1][1], 1.5 * q[2][2]
 
-    x, w_gl = _leggauss(grid.n_polar)
+    x, w_gl = _leggauss(n_polar)
     half_tau = 0.25 * math.pi * (x + 1.0)
     lo = np.sin(half_tau) ** 2  # (alpha - a) / (b - a)
     hi = np.cos(half_tau) ** 2  # (b - alpha) / (b - a)
@@ -445,14 +415,14 @@ def _zonal_rule(orientation, grid, theta, kr):
     return ox, oy, oz, weight
 
 
-def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
-                    rule=_zonal_rule):
+def _integrate_once(kr, orientation, config, phi0, nodes, with_gradient):
     """The folded cap by quadrature for each row of the (P, 3) block kr,
-    in one pass through the kernel over (P, nodes) arrays, plus the
-    vacuum band's closed-form share.
+    in one pass through the kernel over (P, n) arrays, plus the vacuum
+    band's closed-form share.  ``nodes`` is a rule's (ox, oy, oz, weight),
+    each (P, n), or (1, n) for a rule that serves every row.
 
-    The cap edge is read once from the configuration.  The gradient is
-    d(shift)/d(kr) = sum of
+    The band's share takes the cap edge from the configuration.  The
+    gradient is d(shift)/d(kr) = sum of
     weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR),
     whose integrand is also even under omega_hat -> -omega_hat.  Each row
     is summed on its own along the contiguous node axis, so its bits do
@@ -461,7 +431,7 @@ def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
     """
     theta = effective_theta(config)
     kR = config.k_r_mirror
-    ox, oy, oz, weight = rule(orientation, grid, theta, kr)
+    ox, oy, oz, weight = nodes
     kx, ky, kz = (k[:, None] for k in kr.T.copy())
     u = ox * kx + oy * ky + oz * kz
     phi = ray_phase(phi0[:, None], kx * kx + ky * ky + kz * kz, u, kR)
@@ -480,8 +450,7 @@ def _integrate_once(kr, orientation, config, phi0, grid, with_gradient,
 def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                      phi0, grid: AngularGrid | None = None,
                      tolerance: float | None = None,
-                     with_gradient: bool = False,
-                     _rule=_zonal_rule) -> Response:
+                     with_gradient: bool = False) -> Response:
     """Average both integrands over the full solid angle, at one position
     or at each row of a block.
 
@@ -497,8 +466,7 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     is returned; if the two estimates of a row disagree by more than the
     tolerance (relative, floored at 1 in absolute terms) a
     ConvergenceError is raised carrying the refined estimate of every
-    row and the rows that failed.  ``_rule`` is for the checks:
-    ``_sphere_rule`` puts the 2-D reference rule in place of the zonal one.
+    row and the rows that failed.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -528,13 +496,17 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
         raise ValueError(f"phase phi0 of row {bad[0]} must be finite, "
                          f"got {phi0[bad[0]]}")
 
-    gamma, shift, grad = _integrate_once(kr, orientation, config, phi0, grid,
-                                         with_gradient, _rule)
+    theta = effective_theta(config)
+
+    def once(n_polar):
+        nodes = _zonal_rule(orientation, n_polar, theta, kr)
+        return _integrate_once(kr, orientation, config, phi0, nodes,
+                               with_gradient)
+
+    gamma, shift, grad = once(grid.n_polar)
     failed = []
     if tolerance is not None:
-        gamma2, shift2, grad2 = _integrate_once(
-            kr, orientation, config, phi0, grid.doubled(), with_gradient,
-            _rule)
+        gamma2, shift2, grad2 = once(grid.doubled().n_polar)
         d_gamma = np.abs(gamma2 - gamma)
         d_shift = np.abs(shift2 - shift)
         ok = ((d_gamma <= tolerance * np.maximum(1.0, np.abs(gamma2)))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import asdict
 
 import pytest
 from numpy.testing import assert_allclose
@@ -296,6 +297,24 @@ def test_validate_passes_and_is_reproducible(tmp_path):
     assert "monte_carlo_agreement" in names
     assert "gradient_vs_finite_difference" in names
     assert all(check["passed"] for check in report["checks"])
+
+
+@pytest.mark.parametrize("linewidths", ["-0.5", "0.3"])
+def test_validate_detuned_writes_plain_json(tmp_path, capsys, linewidths):
+    # off resonance a gradient component can be the zonal check's largest
+    # difference; the report must still be plain JSON of Python values
+    config = write(tmp_path / "detuned.ini",
+                   f"[detuning]\nlinewidths = {linewidths}\n")
+    assert cli.main(["validate", "--config", config]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert len(report["checks"]) == 8
+    run = cli.load_config(config)
+    checks = cli.run_validation_suite(run.cavity, run.detuning)
+    assert [asdict(check) for check in checks] == report["checks"]
+    for check in checks:
+        assert type(check.passed) is bool
+        assert all(type(v) in (int, float) for v in check.detail.values())
 
 
 def test_validate_rejects_bad_config(tmp_path):

@@ -32,10 +32,9 @@ from vactrap.quadrature import (
     _cap_terms,
     _leggauss,
     _pol_weight,
-    _sphere_rule,
-    _zonal_rule,
     integrate_sphere,
 )
+from vactrap.validation import _reference_pass
 
 # fixed dipoles off every symmetry axis of the cavity, and on two of them
 FIXED_DIPOLES = tuple(
@@ -191,15 +190,17 @@ def positions(draw):
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(kr=positions(), rho=st.floats(0.5, 0.99), phi0=st.floats(-0.3, 0.3))
 def test_zonal_rule_matches_sphere_rule(kr, rho, phi0):
-    # the refined estimates of the zonal and the 2-D rule agree, gradient
-    # included, for every orientation
+    # the refined zonal estimate and one pass of validation's 2-D
+    # reference rule on the doubled grid agree, gradient included, for
+    # every orientation.  The reference pass has no doubling check of its
+    # own: a reference that had not converged shows as a disagreement
     config = CavityConfig(rho=rho)
+    grid = AngularGrid.for_position(kr, config).doubled()
     for orientation in ORIENTATIONS:
-        zonal, sphere = (
-            integrate_sphere(kr, orientation, config, phi0,
-                             tolerance=DEFAULT_TOLERANCE, with_gradient=True,
-                             _rule=rule)
-            for rule in (_zonal_rule, _sphere_rule))
+        zonal = integrate_sphere(kr, orientation, config, phi0,
+                                 tolerance=DEFAULT_TOLERANCE,
+                                 with_gradient=True)
+        sphere = _reference_pass(kr, orientation, config, phi0, grid)
         for x, y in ((sphere.gamma_ratio, zonal.gamma_ratio),
                      (sphere.shift_ratio, zonal.shift_ratio),
                      *zip(sphere.shift_gradient, zonal.shift_gradient)):

@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss, legval
 from numpy.testing import assert_allclose, assert_array_equal
 
-from vactrap import fields, quadrature
+from vactrap import fields, quadrature, validation
 from vactrap.cavity import (
     CavityConfig,
     Detuning,
@@ -29,7 +29,6 @@ from vactrap.quadrature import (
     AngularGrid,
     ConvergenceError,
     _sample_terms,
-    _sphere_rule,
     azimuth_node_floor,
     integrate_sphere,
     monte_carlo_reference,
@@ -246,22 +245,25 @@ def test_grid_node_cap():
 def test_default_axial_scan_reuses_rules():
     # the default 401-point axial scan tiles every rule it needs from the
     # base rule built at import: it calls neither Newton's method nor the
-    # reference rule, and never loads numpy.polynomial (1.9 MB of peak
-    # memory).  A child process, since this one has loaded it
+    # reference rule of validation, and never loads numpy.polynomial
+    # (1.9 MB of peak memory).  A child process, since this one has
+    # loaded it
     code = """
 import sys
-from vactrap import quadrature
+from vactrap import quadrature, validation
 from vactrap.config import RunConfig
 from vactrap.fields import ScanSpec, run_scan
 calls = {}
-def count(name):
-    f = getattr(quadrature, name)
+def count(module, name):
+    f = getattr(module, name)
     def counted(n):
         calls[name] = calls.get(name, 0) + 1
         return f(n)
-    setattr(quadrature, name, counted)
-for name in ("_gauss_legendre", "_reference_leggauss", "_leggauss"):
-    count(name)
+    setattr(module, name, counted)
+for module, name in ((quadrature, "_gauss_legendre"),
+                     (validation, "_reference_leggauss"),
+                     (quadrature, "_leggauss")):
+    count(module, name)
 run = RunConfig.defaults()
 run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation))
 print(sorted(calls), "numpy.polynomial" in sys.modules)
@@ -615,7 +617,8 @@ def test_rotation_symmetry_about_axis():
 
 
 def test_fast_path_matches_general():
-    # the zonal rule against the 2-D reference rule, on and off the axis
+    # the zonal rule against one pass of validation's 2-D reference rule
+    # on the same default grid, on and off the axis
     config = CavityConfig(rho=0.98)
     phi0 = 0.5 * phase_fwhm(0.98)
     points = [(0.0, 0.0, kz) for kz in (0.0, 2.3, 21.0, -60.0)] + [
@@ -625,8 +628,9 @@ def test_fast_path_matches_general():
         for kr in points:
             zonal = integrate_sphere(kr, orientation, config, phi0,
                                      with_gradient=True)
-            sphere = integrate_sphere(kr, orientation, config, phi0,
-                                      with_gradient=True, _rule=_sphere_rule)
+            sphere = validation._reference_pass(
+                kr, orientation, config, phi0,
+                AngularGrid.for_position(kr, config))
             assert abs(zonal.gamma_ratio - sphere.gamma_ratio) < 1e-10
             assert abs(zonal.shift_ratio - sphere.shift_ratio) < 1e-10
             assert np.all(np.abs(zonal.shift_gradient

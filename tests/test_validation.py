@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import vactrap.quadrature as quadrature
 import vactrap.validation as validation
 from vactrap.cavity import CavityConfig, Detuning, DipoleOrientation
 from vactrap.quadrature import AngularGrid, integrate_sphere
@@ -101,3 +102,28 @@ def test_parity_pair_block_matches_per_row_calls(seed, monkeypatch):
                                [plus.shift_ratio, minus.shift_ratio])
     assert not blocks
     assert detail == {"worst_abs_difference": worst, "tolerance": 1e-10}
+
+
+def test_reference_rule_shares_no_rule_code_with_production(monkeypatch):
+    # the 2-D reference pass of check_zonal_vs_sphere_rule runs, bit for
+    # bit, with the production rule and integrator made to raise: it
+    # shares no node and no rule code with what it checks
+    phi0 = Detuning(-0.5).phase(DEFAULT.rho)
+    points = ([0.0, 0.0, 0.0], [0.0, 0.0, 3.7], [-12.0, 5.0, 16.0])
+    cases = [(kr, orientation, AngularGrid.for_position(kr, DEFAULT))
+             for kr in points for orientation in validation._ORIENTATIONS]
+    expected = [validation._reference_pass(kr, orientation, DEFAULT, phi0,
+                                           grid)
+                for kr, orientation, grid in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference called production rule code")
+
+    for name in ("_leggauss", "_zonal_rule", "integrate_sphere"):
+        monkeypatch.setattr(quadrature, name, forbidden)
+    for (kr, orientation, grid), before in zip(cases, expected):
+        after = validation._reference_pass(kr, orientation, DEFAULT, phi0,
+                                           grid)
+        assert after.gamma_ratio == before.gamma_ratio
+        assert after.shift_ratio == before.shift_ratio
+        assert_array_equal(after.shift_gradient, before.shift_gradient)

@@ -81,6 +81,14 @@ def _positive(kind, most=math.inf):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as numpy's generators take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser.  It rejects the arguments it does not take
     itself, so the error names the command and shows its usage, not the
@@ -133,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=[scan], help=help_text)
     validate = sub.add_parser("validate", parents=[base],
                               help="run the internal consistency suite")
-    validate.add_argument("--seed", type=int, default=0,
+    validate.add_argument("--seed", type=_seed, default=0,
                           help="seed for Monte-Carlo checks (default 0)")
     validate.set_defaults(format="json")  # the report is always JSON
     return parser

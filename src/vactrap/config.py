@@ -52,7 +52,7 @@ _SECTIONS = {
 
 _SCAN_TYPES = ("axial", "transverse")
 
-# 25 times the largest default scan; plane maps cost n_points squared
+# Points per scan axis: 25 times the largest default line scan
 _MAX_SCAN_POINTS = 10_001
 
 

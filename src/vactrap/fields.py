@@ -15,12 +15,12 @@ A scan is a table of columns from start to finish.  Its points come as
 arrays (coordinates, phases, positions) in output row order; the scan
 plans them (``quadrature.plan_blocks``: every position checked and its
 polar node count chosen before any block runs), makes one
-``integrate_sphere`` call per block of points on one node count and
-panel kind, and copies the block's arrays into whole-scan columns at
-the block's rows.  The force, the potential and a weak drive's
-population then come from one array formula each, shared with the
-one-point functions.  The blocks run one after another on the calling
-thread; a row's bits do not depend on its block.
+``integrate_sphere`` call per polar node count, which splits the block
+into its kernel passes, and copies the block's arrays into whole-scan
+columns at the block's rows.  The force, the potential and a weak
+drive's population then come from one array formula each, shared with
+the one-point functions.  The blocks run one after another on the
+calling thread; a row's bits do not depend on its block.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ _KR_AXES = {"axial": [2], "transverse": [0], "plane": [2, 0]}
 # made scans slower, as numpy holds the interpreter lock for much of a
 # block's work, so every scan runs on the calling thread.
 MAX_THREADS = 64
+
+# Most rows a scan may have: 25 times the 1,681 rows of the default
+# 41 x 41 plane.  It binds plane scans, at n_points <= 205; a line scan
+# stays below it under the config's cap on points per axis.
+MAX_SCAN_ROWS = 42_025
 
 # Weak-excitation treatment is only trusted up to this population.
 MAX_WEAK_POPULATION = 0.1
@@ -168,8 +173,8 @@ class ScanSpec:
     the x axis at the fixed detuning; 'plane' sweeps kz and kx over the
     same range, n_points per axis, in the y = 0 plane.  A spatial scan
     whose farthest point lies beyond the supported region, or needs more
-    polar nodes than the quadrature's cap, is refused here, before any
-    point is laid out.
+    polar nodes than the quadrature's cap, and a scan of more than
+    MAX_SCAN_ROWS rows are refused here, before any point is laid out.
     """
 
     axis: str
@@ -198,6 +203,10 @@ class ScanSpec:
                     f"scan reaches |kr| = {reach}, beyond the supported "
                     f"{POSITION_MAX_RADIUS:g}/k region")
             polar_node_count(reach, self.config)
+        rows = self.n_points ** 2 if self.axis == "plane" else self.n_points
+        if rows > MAX_SCAN_ROWS:
+            raise ValueError(f"{self.axis} scan of {rows} rows is above the "
+                             f"cap of {MAX_SCAN_ROWS} rows")
 
     def coordinates(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)

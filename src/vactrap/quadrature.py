@@ -42,12 +42,12 @@ cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
 floor); the polar count also grows with the resonance linewidths that the
 aberration phase sweeps, and is rounded up to whole 32-node sub-panels.
-``plan_blocks`` groups a scan's positions by polar count and by the
-panels they have into blocks of at most BLOCK_NODES nodes;
-``integrate_sphere`` integrates a block in one pass through the kernel
-over (points x nodes) arrays, one position being a block of one.  Every
+``plan_blocks`` groups a scan's positions by polar count, one block per
+count; ``integrate_sphere`` integrates a block, one position being a
+block of one, in passes through the kernel over (points x nodes) arrays,
+each over rows of one panel kind and at most BLOCK_NODES nodes.  Every
 operation is elementwise along the rows and each row is summed on its own
-in a fixed order, so a row's bits do not depend on its block.
+in a fixed order, so a row's bits do not depend on its block or pass.
 """
 
 from __future__ import annotations
@@ -95,11 +95,12 @@ MIN_POLAR_NODES = 32
 MAX_POLAR_NODES = 16_384
 
 # Points times nodes of the doubled pass (4 n_polar per point) that one
-# block of a scan may take.  Larger blocks spread the Python work of a
-# pass over more points but hold larger kernel temporaries: on a 15 x 15
-# plane scan a budget of 1,024 took 2.1-2.4 times as long (median of 15
-# warm runs), and one of 8,192 had the same fastest run and twice the
-# traced peak memory, 1.6 MB against 0.84 MB.
+# pass of ``integrate_sphere`` through the kernel may take, whatever the
+# size of its block.  Larger passes spread the Python work over more
+# points but hold larger kernel temporaries: on a 15 x 15 plane scan a
+# budget of 1,024 took 2.1-2.4 times as long (median of 15 warm runs),
+# and one of 8,192 had the same fastest run and twice the traced peak
+# memory, 1.6 MB against 0.84 MB.
 BLOCK_NODES = 4096
 
 
@@ -295,7 +296,7 @@ def _cone_angle(kr):
     return np.arctan2(np.hypot(kr[:, 0], kr[:, 1]), np.abs(kr[:, 2]))
 
 
-def _zonal_rule(orientation, n_polar, theta, kr):
+def _zonal_rule(orientation, n_polar, theta, kr, whole, cut):
     """(ox, oy, oz, weight), each of shape (P, n_polar) or (P, 2 n_polar),
     with one node per ring about r = kr/|kr| for each row of the (P, 3)
     block kr.
@@ -314,27 +315,21 @@ def _zonal_rule(orientation, n_polar, theta, kr):
 
     Alpha runs over up to two panels of the n_polar-node composite rule
     (``_leggauss``: 32-node Gauss-Legendre sub-panels) each: whole rings
-    on [0, theta - beta] (psi0 = pi), which a row has if beta < theta,
-    then cut rings on [|theta - beta|, theta + beta], which it has if
-    beta > 0, both mapped by
+    on [0, theta - beta] (psi0 = pi), built if ``whole``, then cut rings
+    on [|theta - beta|, theta + beta], built if ``cut``, both mapped by
     alpha = a + (b - a) (1 - cos(tau)) / 2, which removes the square-root
     behaviour of psi0 at the panel ends.  psi0 comes from the half-angle
     formula of the spherical triangle (r, n, edge point), with
     s = (alpha + beta + theta) / 2:
     tan(psi0 / 2) = sqrt(sin(s - alpha) sin(s - beta)
                          / (sin(s) sin(s - theta))),
-    its small factors taken from the map, not by subtraction.  A panel
-    is built only if some row of the block has it, so a block of rows of
-    one kind, as ``plan_blocks`` makes them, gets only its own panels.
-    In a block that mixes kinds, a row without one of the built panels
-    lays its nodes over a stand-in of width theta, where every ring
-    weight is positive, and gives them weight exactly 0, so no 0/0
-    reaches a sum.  Those zeros are a run of n_polar columns, a multiple
-    of 32, that numpy's pairwise sum adds as a separate half, so they
-    leave a row's sums exactly as its own panels give them.
+    its small factors taken from the map, not by subtraction.
 
-    Every operation is elementwise along the rows, so a row's values do
-    not depend on the other rows of its block.
+    The rows of kr share one kind, which ``integrate_sphere`` passes
+    with them: ``whole`` and ``cut`` say whether their whole-ring and
+    cut-ring panels have widths above 0.  Every operation is elementwise
+    along the rows, so a row's values do not depend on the other rows of
+    its block.
     """
     kx, ky, kz = kr.T.copy()
     k_perp = np.hypot(kx, ky)
@@ -370,30 +365,24 @@ def _zonal_rule(orientation, n_polar, theta, kr):
     # d(alpha) per unit of b - a, over the 2 pi of the folded sphere
     d_alpha = 0.125 * np.sin(2.0 * half_tau) * w_gl
 
-    def panel(width):
-        """Width of the nodes' interval and of their weight per row."""
-        present = width > 0.0
-        return (np.where(present, width, theta)[:, None],
-                np.where(present, width, 0.0)[:, None] * d_alpha)
-
     panels = []
-    if np.any(beta < theta):
-        width, weight_w = panel(np.maximum(theta - beta, 0.0))
-        panels.append((width * lo, weight_w, math.pi, 0.0, -1.0))
-    if np.any(beta > 0.0):
-        a = np.abs(theta - beta)
-        width, weight_c = panel(theta + beta - a)
-        a = a[:, None]
+    if whole:
+        width = (theta - beta)[:, None]
+        panels.append((width * lo, width * d_alpha, math.pi, 0.0, -1.0))
+    if cut:
+        a = np.abs(theta - beta)[:, None]
+        width = theta + beta[:, None] - a
         alpha = a + width * lo
         grows = np.sin(0.5 * width * lo)  # sin of (alpha - a) / 2
         stays = np.sin(0.5 * (alpha + a))
-        outside = (beta >= theta)[:, None]
+        # sin(s - beta) and sin(s - theta), as a = theta - beta inside
+        # the cap cone and beta - theta outside it
+        s_beta, s_theta = (stays, grows) if whole else (grows, stays)
         psi0 = 2.0 * np.arctan2(
-            np.sqrt(np.sin(0.5 * width * hi)
-                    * np.where(outside, grows, stays)),
-            np.sqrt(np.sin(0.5 * (alpha + beta[:, None] + theta))
-                    * np.where(outside, stays, grows)))
-        panels.append((alpha, weight_c, psi0, np.sin(psi0), np.cos(psi0)))
+            np.sqrt(np.sin(0.5 * width * hi) * s_beta),
+            np.sqrt(np.sin(0.5 * (alpha + beta[:, None] + theta)) * s_theta))
+        panels.append((alpha, width * d_alpha, psi0, np.sin(psi0),
+                       np.cos(psi0)))
     nodes = []
     for alpha, d_weight, psi0, sin0, cos0 in panels:
         # moments of 1, cos, cos^2, sin^2, cos sin^2 and cos^3 on the arc
@@ -459,6 +448,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     default grid of its farthest row.  Its Response holds (P,) ratios and
     a (P, 3) gradient, and each row is bit-identical to a call at that
     row alone with the same n_polar: one position is the block of one.
+    The block is integrated in passes over rows of one panel kind, at
+    most BLOCK_NODES // (4 n_polar) of them (at least one), whose results
+    are scattered back to the block's rows; so a block of any size and
+    mix holds at most one pass's arrays.
     A phase that is not finite, a count of phases other than one or P
     and a ``tolerance`` that is not positive raise ValueError.
 
@@ -497,11 +490,30 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                          f"got {phi0[bad[0]]}")
 
     theta = effective_theta(config)
+    # the kernel passes: rows of one panel kind (whole rings only, both
+    # panels, cut rings only), at most BLOCK_NODES nodes of the doubled
+    # pass.  A row has a panel if its width, as ``_zonal_rule`` builds
+    # it, is above 0: a row a hair off the axis, whose cut width rounds
+    # to 0, has whole rings only.
+    beta = _cone_angle(kr)
+    whole, cut = theta - beta > 0.0, theta + beta - abs(theta - beta) > 0.0
+    cap = max(1, BLOCK_NODES // (4 * grid.n_polar))  # rows a pass
+    passes = []
+    for kind in ((True, False), (True, True), (False, True)):
+        rows = np.flatnonzero((whole == kind[0]) & (cut == kind[1]))
+        passes += [(kind, rows[i:i + cap]) for i in range(0, len(rows), cap)]
 
     def once(n_polar):
-        nodes = _zonal_rule(orientation, n_polar, theta, kr)
-        return _integrate_once(kr, orientation, config, phi0, nodes,
-                               with_gradient)
+        gamma, shift = np.empty((2, len(kr)))
+        grad = np.empty(kr.shape) if with_gradient else None
+        for kind, rows in passes:
+            nodes = _zonal_rule(orientation, n_polar, theta, kr[rows], *kind)
+            gamma[rows], shift[rows], part = _integrate_once(
+                kr[rows], orientation, config, phi0[rows], nodes,
+                with_gradient)
+            if with_gradient:
+                grad[rows] = part
+        return gamma, shift, grad
 
     gamma, shift, grad = once(grid.n_polar)
     failed = []
@@ -537,38 +549,26 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
 
 def plan_blocks(kr, config: CavityConfig
                 ) -> list[tuple[AngularGrid, list[int]]]:
-    """Blocks of a scan's positions: (grid, row indices) with the rows of
-    each block on one polar node count and of one panel kind, at most
-    BLOCK_NODES // (4 n_polar) of them (at least one).  The kind is the
-    set of zonal panels a row has: on the axis only whole rings, outside
-    the cap cone (beta >= theta) only cut rings, between them both; so
-    ``_zonal_rule`` builds no stand-in panel for a scan.  Every position
-    is checked and sized first, in one pass over the radii, so a bad one
+    """Blocks of a scan's positions: (grid, row indices), one block per
+    polar node count, with the grid of its first row.  Every position is
+    checked and sized first, in one pass over the radii, so a bad one
     raises before any work, as ``Position`` would for the first bad row,
-    and a scan beyond the warning radius warns.  Each count and kind gets
-    one grid, that of its first row."""
+    and a scan beyond the warning radius warns.  ``integrate_sphere``
+    splits each block into the kernel passes it makes."""
     kr = np.asarray(kr, dtype=float)
     radii = _radius(kr)
     bad = np.flatnonzero(~(radii <= POSITION_MAX_RADIUS))
     # raises for the first bad row, or warns if the farthest is beyond the
     # warning radius: a count's first row may lie inside it
     Position.of(kr[bad[0] if bad.size else np.argmax(radii)])
-    beta = _cone_angle(kr)
-    theta = effective_theta(config)
-    kinds = zip((beta < theta).tolist(), (beta > 0.0).tolist())
     counts: dict[float, int] = {}
-    groups: dict[tuple[int, tuple[bool, bool]], list[int]] = {}
-    for i, (r, kind) in enumerate(zip(radii.tolist(), kinds)):
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(radii.tolist()):
         if r not in counts:
             counts[r] = polar_node_count(r, config)
-        groups.setdefault((counts[r], kind), []).append(i)
-    blocks = []
-    for (n, _), rows in groups.items():
-        grid = AngularGrid.for_position(kr[rows[0]], config)
-        size = max(1, BLOCK_NODES // (4 * n))
-        blocks += [(grid, rows[i:i + size])
-                   for i in range(0, len(rows), size)]
-    return blocks
+        groups.setdefault(counts[r], []).append(i)
+    return [(AngularGrid.for_position(kr[rows[0]], config), rows)
+            for rows in groups.values()]
 
 
 def monte_carlo_reference(kr, orientation: DipoleOrientation,

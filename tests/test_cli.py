@@ -138,6 +138,17 @@ def test_axial_range_guard(tmp_path):
                            "supported 300/k region\n")
 
 
+def test_plane_row_cap(tmp_path):
+    # 206 x 206 rows, above 25 times the default plane; 10,001 points a
+    # side once ran out of memory laying out its rows
+    config = write(tmp_path / "p.ini", "[scan]\nn_points = 206\n")
+    proc = run_cli("plane", "--config", config)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("vactrap: plane scan of 42436 rows is above the "
+                           "cap of 42025 rows\n")
+
+
 @pytest.mark.parametrize("stop, code", [
     (212.13203435596427, 0), (212.1320343559643, 2)])
 def test_plane_range_guard_at_the_edge(tmp_path, capsys, stop, code):
@@ -455,6 +466,8 @@ def test_timings_flag_adds_metadata(tmp_path, capsys):
     pytest.param(["validate", "--tolerance", "1e-3"],
                  id="validate --tolerance"),
     pytest.param(["validate", "--threads", "2"], id="validate --threads"),
+    # once numpy's "expected non-negative integer", naming no flag
+    pytest.param(["validate", "--seed", "-1"], id="validate --seed -1"),
 ])
 def test_bad_flag_values_rejected(tmp_path, capsys, argv):
     out = tmp_path / "never.csv"

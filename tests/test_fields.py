@@ -16,6 +16,7 @@ from vactrap.cavity import (
     center_shift,
 )
 from vactrap.fields import (
+    MAX_SCAN_ROWS,
     MAX_THREADS,
     ScanSpec,
     WeakExcitationError,
@@ -187,6 +188,21 @@ def test_scan_spec_refuses_out_of_range_scans():
         ScanSpec("axial", 0.0, 300.0, 301, narrow, ISO)
     # a detuning scan sits at the center, whatever its range
     ScanSpec("detuning", -400.0, 400.0, 2, narrow, ISO)
+
+
+def test_scan_spec_caps_rows():
+    # 25 times the default 41 x 41 plane: a 206-point plane once laid out
+    # its rows and, at 10,001 points, ran out of memory
+    assert MAX_SCAN_ROWS == 25 * 41 * 41
+    ScanSpec("plane", -20.0, 20.0, 205, DEFAULT, ISO)
+    with pytest.raises(ValueError, match=r"^plane scan of 42436 rows is "
+                       r"above the cap of 42025 rows$"):
+        ScanSpec("plane", -20.0, 20.0, 206, DEFAULT, ISO)
+    with pytest.raises(ValueError, match="of 100020001 rows"):
+        ScanSpec("plane", -20.0, 20.0, 10_001, DEFAULT, ISO)
+    ScanSpec("axial", -20.0, 20.0, 42_025, DEFAULT, ISO)
+    with pytest.raises(ValueError, match="^detuning scan of 42026 rows"):
+        ScanSpec("detuning", -3.0, 3.0, 42_026, DEFAULT, ISO)
 
 
 def test_scan_rows_match_response_at():

@@ -321,7 +321,11 @@ def test_plan_sizes_rows_as_each_row_alone(axis, half_width, n_points):
                     DipoleOrientation.isotropic())
     _, _, kr = _scan_points(spec)
     planned = np.zeros(len(kr), dtype=int)
-    for grid, rows in quadrature.plan_blocks(kr, config):
+    blocks = quadrature.plan_blocks(kr, config)
+    # one block per polar count, whatever its size: integrate_sphere
+    # splits it into passes
+    assert len({grid.n_polar for grid, _ in blocks}) == len(blocks)
+    for grid, rows in blocks:
         planned[rows] = grid.n_polar
         grid.check_admissible(kr[rows][np.argmax(quadrature._radius(
             kr[rows]))])
@@ -385,10 +389,9 @@ MIXED_BLOCK = np.array([
 def test_block_mixing_panel_kinds_matches_rows_alone(orientation,
                                                      with_gradient,
                                                      tolerance):
-    # a block of mixed kinds lays the panels a row lacks over a stand-in
-    # at weight 0; those zeros are a run of n_polar columns that numpy's
-    # pairwise sum adds as a half of its own, so each row keeps the bits
-    # it gets alone, where only its own panels are built
+    # integrate_sphere splits a block of mixed kinds into passes of one
+    # kind each, so a row's rule has only its own panels and the row
+    # keeps the bits it gets alone
     config = CavityConfig(rho=0.98)
     beta = quadrature._cone_angle(MIXED_BLOCK)
     theta = effective_theta(config)
@@ -412,36 +415,49 @@ def test_block_mixing_panel_kinds_matches_rows_alone(orientation,
                                    alone.shift_gradient)
 
 
-def kernel_widths(monkeypatch, spec):
-    """Run the scan and return, for each pass through the kernel, the
-    panel kinds of its block's rows (whole rings?, cut rings?), its rule's
-    polar count and the width of the kernel's arrays."""
-    theta = effective_theta(spec.config)
-    leggauss, cap_terms = quadrature._leggauss, quadrature._cap_terms
-    integrate, passes = fields.integrate_sphere, []
+def rule_passes(monkeypatch):
+    """Record, for each ``_zonal_rule`` call from now on, its rows, its
+    polar count, the panel kind it was given, and the width of the
+    kernel's arrays in its pass."""
+    zonal_rule, cap_terms = quadrature._zonal_rule, quadrature._cap_terms
+    passes = []
 
-    def block(kr, *args, **kwargs):
-        beta = quadrature._cone_angle(kr)
-        passes.append([set(zip((beta < theta).tolist(),
-                               (beta > 0.0).tolist()))])
-        return integrate(kr, *args, **kwargs)
-
-    def rule(n):
-        passes[-1].append(n)
-        return leggauss(n)
+    def rule(orientation, n_polar, theta, kr, whole, cut):
+        passes.append([kr.copy(), n_polar, (whole, cut)])
+        return zonal_rule(orientation, n_polar, theta, kr, whole, cut)
 
     def kernel(rho, phi, u, with_gradient=False):
         passes[-1].append(u.shape[1])
         return cap_terms(rho, phi, u, with_gradient)
 
-    monkeypatch.setattr(fields, "integrate_sphere", block)
-    monkeypatch.setattr(quadrature, "_leggauss", rule)
+    monkeypatch.setattr(quadrature, "_zonal_rule", rule)
     monkeypatch.setattr(quadrature, "_cap_terms", kernel)
+    return passes
+
+
+def panel_kinds(kr, config):
+    """The panel kinds (whole rings?, cut rings?) of the rows of kr: a
+    row has a panel if the panel's width is above 0."""
+    beta = quadrature._cone_angle(kr)
+    theta = effective_theta(config)
+    return set(zip((theta - beta > 0.0).tolist(),
+                   (theta + beta - np.abs(theta - beta) > 0.0).tolist()))
+
+
+def kernel_widths(monkeypatch, spec):
+    """Run the scan and return, for each pass through the kernel, the
+    panel kinds of its rows, its rule's polar count and the width of the
+    kernel's arrays."""
+    passes = rule_passes(monkeypatch)
     fields.run_scan(spec, pi_e=0.05)
-    # each block makes two passes, at n and doubled: rule, kernel, twice
-    assert all(len(p) == 5 for p in passes)
-    return [(kinds, n, width) for kinds, *p in passes
-            for n, width in zip(p[::2], p[1::2])]
+    # each rule is followed by one pass through the kernel, and is given
+    # the kind of its rows
+    assert all(len(p) == 4 for p in passes)
+    kinds = [panel_kinds(kr, spec.config) for kr, _, _, _ in passes]
+    assert all(kind == {given}
+               for kind, (_, _, given, _) in zip(kinds, passes))
+    return [(kind, n, width)
+            for kind, (_, n, _, width) in zip(kinds, passes)]
 
 
 @pytest.mark.parametrize("axis", ["axial", "transverse"])
@@ -466,6 +482,74 @@ def test_plane_scan_blocks_hold_one_panel_kind(monkeypatch):
         assert len(kinds) == 1
         (whole, cut), = kinds
         assert width == n * (whole + cut)
+
+
+@pytest.mark.parametrize("orientation", [DipoleOrientation.isotropic(),
+                                         FIXED], ids=["isotropic", "fixed"])
+def test_caller_block_passes_hold_one_kind_and_budget(monkeypatch,
+                                                      orientation):
+    # a caller's block of hundreds of rows that interleaves all three
+    # kinds is integrated in passes of one kind and at most the budget's
+    # rows, so its memory is that of one pass, and each row keeps the
+    # bits it gets alone
+    config = CavityConfig(rho=0.98)
+    rng = np.random.default_rng(19)
+    kr = rng.uniform(-6.0, 6.0, (300, 3))
+    kr[::5, :2] = 0.0  # on the axis
+    kr[7] = 0.0
+    kr[11] = [4.0, 0.0, 4.0]  # beta = theta
+    # a hair off the axis, as a plane scan from -0.3 over 31 points has
+    # kx = 5.55e-17: the cut width rounds to 0, so whole rings only
+    kr[13] = [1e-17, 0.0, 1.0]
+    kr[17] = [5.551115123125783e-17, 0.0, -2.0]
+    phi0 = rng.uniform(-0.5, 0.5, len(kr))
+    assert len(panel_kinds(kr, config)) == 3
+    assert panel_kinds(kr[[13, 17]], config) == {(True, False)}
+    grid = AngularGrid(96, 16)
+    budget = quadrature.BLOCK_NODES // (4 * grid.n_polar)
+    passes = rule_passes(monkeypatch)
+    block = integrate_sphere(kr, orientation, config, phi0, grid=grid,
+                             tolerance=1e-9, with_gradient=True)
+    assert {n for _, n, _, _ in passes} == {96, 192}
+    for n in (96, 192):
+        rows = np.concatenate([rows for rows, m, _, _ in passes if m == n])
+        assert sorted(map(tuple, rows)) == sorted(map(tuple, kr))
+    for rows, n, given, width in passes:
+        assert len(rows) <= budget
+        assert panel_kinds(rows, config) == {given}
+        whole, cut = given
+        assert width == n * (whole + cut)
+    assert np.all(np.isfinite(block.gamma_ratio))
+    assert np.all(np.isfinite(block.shift_gradient))
+    for i in (0, 1, 2, 5, 7, 11, 13, 17, 150, 299):
+        alone = integrate_sphere(kr[i], orientation, config, phi0[i],
+                                 grid=grid, tolerance=1e-9,
+                                 with_gradient=True)
+        assert block.gamma_ratio[i] == alone.gamma_ratio
+        assert block.shift_ratio[i] == alone.shift_ratio
+        assert_array_equal(block.shift_gradient[i], alone.shift_gradient)
+
+
+@pytest.mark.parametrize("orientation", [DipoleOrientation.isotropic(),
+                                         FIXED], ids=["isotropic", "fixed"])
+@pytest.mark.parametrize("kz", [1.0, -2.0])
+def test_rows_a_hair_off_the_axis_have_whole_rings_only(orientation, kz):
+    # beta > 0 below half an ulp of theta: the cut-ring panel has width
+    # 0, so the row is integrated with whole rings only and gets the
+    # on-axis row's values, not 0/0 from an empty panel
+    config = CavityConfig(rho=0.98)
+    kw = dict(tolerance=1e-9, with_gradient=True)
+    on_axis = integrate_sphere([0.0, 0.0, kz], orientation, config, 0.1,
+                               **kw)
+    for kx in (1e-17, 5.551115123125783e-17):
+        kr = np.array([[kx, 0.0, kz]])
+        assert quadrature._cone_angle(kr)[0] > 0.0
+        assert panel_kinds(kr, config) == {(True, False)}
+        near = integrate_sphere(kr[0], orientation, config, 0.1, **kw)
+        assert_allclose(near.gamma_ratio, on_axis.gamma_ratio, rtol=1e-14)
+        assert_allclose(near.shift_ratio, on_axis.shift_ratio, rtol=1e-14)
+        assert_allclose(near.shift_gradient, on_axis.shift_gradient,
+                        rtol=0.0, atol=1e-14)
 
 
 def test_grid_invariants():

@@ -22,7 +22,7 @@ File format (all sections and keys optional; defaults below):
     type = axial                   # axial | transverse (force, potential)
     start = -100.0
     stop = 100.0
-    n_points = 401                 # 2 to 10001
+    n_points = 401                 # 2 to 10001 (a plane to 205)
 
     [output]
     path = out.csv
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityConfig, Detuning, DipoleOrientation
+from .fields import MAX_SCAN_POINTS
 
 _SECTIONS = {
     "mirrors": ("rho", "theta_m_deg", "kr", "diffraction_correction"),
@@ -51,9 +52,6 @@ _SECTIONS = {
 }
 
 _SCAN_TYPES = ("axial", "transverse")
-
-# Points per scan axis: 25 times the largest default line scan
-_MAX_SCAN_POINTS = 10_001
 
 
 class ConfigError(Exception):
@@ -197,7 +195,13 @@ def _parse_orientation(entry, source) -> DipoleOrientation:
             raise ConfigError(
                 f"{source}:{lineno}: orientation components must be "
                 f"numbers, got {value!r}") from None
-        norm = float(np.linalg.norm(vec))
+        big = float(np.max(np.abs(vec)))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        if not 0.0 < norm < math.inf and 0.0 < big < math.inf:
+            # the squares left the float range: scale them back into it
+            vec = vec / big
+            norm = float(np.linalg.norm(vec))
         if not 0.0 < norm < math.inf:
             raise ConfigError(
                 f"{source}:{lineno}: orientation vector must be finite and "
@@ -291,10 +295,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             f"{source}:{scan['start'][1]}: scan start must be below stop")
     if "n_points" in scan:
         run.scan_points = _as_int(scan["n_points"], source, "n_points")
-        if not 2 <= run.scan_points <= _MAX_SCAN_POINTS:
+        if not 2 <= run.scan_points <= MAX_SCAN_POINTS:
             raise ConfigError(
                 f"{source}:{scan['n_points'][1]}: n_points must be >= 2 "
-                f"and <= {_MAX_SCAN_POINTS}")
+                f"and <= {MAX_SCAN_POINTS}")
 
     output = sections.get("output", {})
     if "path" in output:

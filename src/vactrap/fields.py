@@ -11,16 +11,17 @@ so the potential is zero far from the cavity's influence where the shift
 vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
 differentiated analytically under the integral.
 
-A scan is a table of columns from start to finish.  Its points come as
-arrays (coordinates, phases, positions) in output row order; the scan
-plans them (``quadrature.plan_blocks``: every position checked and its
-polar node count chosen before any block runs), makes one
-``integrate_sphere`` call per polar node count, which splits the block
-into its kernel passes, and copies the block's arrays into whole-scan
-columns at the block's rows.  The force, the potential and a weak
-drive's population then come from one array formula each, shared with
-the one-point functions.  The blocks run one after another on the
-calling thread; a row's bits do not depend on its block.
+A scan is a table of columns from start to finish.  ``ScanSpec``
+admits it whole (its reach, its polar node count and both scan caps)
+before any point is laid out.  Its points come as arrays (coordinates,
+phases, positions) in output row order; ``run_scan`` groups the rows by
+polar node count, in the order the counts first appear, makes one
+``integrate_sphere`` call per count, which splits the block into its
+kernel passes, and copies the block's arrays into whole-scan columns at
+the block's rows.  The force, the potential and a weak drive's
+population then come from one array formula each, shared with the
+one-point functions.  The blocks run one after another on the calling
+thread; a row's bits do not depend on its block.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
-                     DipoleOrientation, Response)
-from .quadrature import (ConvergenceError, _radius, integrate_sphere,
-                         plan_blocks, polar_node_count)
+                     DipoleOrientation, Position, Response)
+from .quadrature import (AngularGrid, ConvergenceError, _radius,
+                         integrate_sphere, polar_node_count)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -53,9 +54,13 @@ _KR_AXES = {"axial": [2], "transverse": [0], "plane": [2, 0]}
 # block's work, so every scan runs on the calling thread.
 MAX_THREADS = 64
 
-# Most rows a scan may have: 25 times the 1,681 rows of the default
-# 41 x 41 plane.  It binds plane scans, at n_points <= 205; a line scan
-# stays below it under the config's cap on points per axis.
+# The scan caps, about 25 times the default scans, so that a mistyped
+# size is refused before its rows are laid out (10,001 plane points once
+# ran out of memory there): points per axis, 25 times the 400 steps of
+# the default axial scan plus one, which binds line scans; and rows, 25
+# times the 1,681 of the default 41 x 41 plane, which binds plane scans
+# at n_points <= 205.
+MAX_SCAN_POINTS = 10_001
 MAX_SCAN_ROWS = 42_025
 
 # Weak-excitation treatment is only trusted up to this population.
@@ -174,7 +179,8 @@ class ScanSpec:
     same range, n_points per axis, in the y = 0 plane.  A spatial scan
     whose farthest point lies beyond the supported region, or needs more
     polar nodes than the quadrature's cap, and a scan of more than
-    MAX_SCAN_ROWS rows are refused here, before any point is laid out.
+    MAX_SCAN_POINTS points or MAX_SCAN_ROWS rows are refused here, before
+    any point is laid out.
     """
 
     axis: str
@@ -193,8 +199,8 @@ class ScanSpec:
         if self.n_points < 2:
             raise ValueError("scan requires n_points >= 2")
         if self.axis in _KR_AXES:
-            # the farthest point's |kr| by the formula the plan admits
-            # positions with
+            # the farthest point's |kr| by the formula that admits and
+            # sizes positions
             far = max(abs(self.start), abs(self.stop))
             reach = float(_radius(
                 [far, 0.0, far if self.axis == "plane" else 0.0]))
@@ -203,6 +209,9 @@ class ScanSpec:
                     f"scan reaches |kr| = {reach}, beyond the supported "
                     f"{POSITION_MAX_RADIUS:g}/k region")
             polar_node_count(reach, self.config)
+        if self.n_points > MAX_SCAN_POINTS:
+            raise ValueError(f"{self.axis} scan of {self.n_points} points is "
+                             f"above the cap of {MAX_SCAN_POINTS} points")
         rows = self.n_points ** 2 if self.axis == "plane" else self.n_points
         if rows > MAX_SCAN_ROWS:
             raise ValueError(f"{self.axis} scan of {rows} rows is above the "
@@ -229,7 +238,7 @@ class ScanResult:
 def _scan_points(spec: ScanSpec):
     """Coordinates (N, c), phi0 (N,) and kr (N, 3) of every scan point, in
     output row order.  The phase is computed once per scan, or per point
-    on the detuning axis; positions are checked where they are planned."""
+    on the detuning axis; ``ScanSpec`` has admitted every position."""
     c = spec.coordinates()
     rho = spec.config.rho
     if spec.axis == "detuning":
@@ -267,16 +276,25 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
     coords, phi0, kr = _scan_points(spec)
-    blocks = plan_blocks(kr, spec.config)
+    radii = _radius(kr)
+    # warns once a scan if its farthest row is beyond the warning radius
+    Position.of(kr[np.argmax(radii)])
+    counts: dict[float, int] = {}
+    blocks: dict[int, list[int]] = {}  # rows by polar count, first seen first
+    for i, r in enumerate(radii.tolist()):
+        if r not in counts:
+            counts[r] = polar_node_count(r, spec.config)
+        blocks.setdefault(counts[r], []).append(i)
     gamma, shift = np.empty((2, len(kr)))
     grad = np.empty(kr.shape)
     converged = np.ones(len(kr), dtype=bool)
 
-    for grid, rows in blocks:
+    for rows in blocks.values():
         try:
             resp = integrate_sphere(
                 kr[rows], spec.orientation, spec.config, phi0[rows],
-                grid=grid, tolerance=tolerance, with_gradient=with_force)
+                grid=AngularGrid.for_position(kr[rows[0]], spec.config),
+                tolerance=tolerance, with_gradient=with_force)
         except ConvergenceError as err:
             resp = err.estimate
             converged[np.asarray(rows)[err.rows]] = False

@@ -40,12 +40,13 @@ instead, so the two sides of that check share no node.
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
 to |kr| across the sphere, so node counts scale linearly in |kr| (with a
-floor); the polar count also grows with the resonance linewidths that the
-aberration phase sweeps, and is rounded up to whole 32-node sub-panels.
-``plan_blocks`` groups a scan's positions by polar count, one block per
-count; ``integrate_sphere`` integrates a block, one position being a
+floor, and with the aperture above 45 degrees); the polar count also
+grows with the resonance linewidths that the aberration phase sweeps,
+and is rounded up to whole 32-node sub-panels.  ``integrate_sphere``
+integrates a block of positions that share a grid, one position being a
 block of one, in passes through the kernel over (points x nodes) arrays,
-each over rows of one panel kind and at most BLOCK_NODES nodes.  Every
+each over rows of one panel kind and at most BLOCK_NODES nodes; which
+rows of a scan share a block is ``fields.run_scan``'s decision.  Every
 operation is elementwise along the rows and each row is summed on its own
 in a fixed order, so a row's bits do not depend on its block or pass.
 """
@@ -154,13 +155,17 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
     aberration phase sweeps where that is more:
     2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
     |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in phase.
-    With the default mirrors that term stays below the floor.  The count
-    is rounded up to a multiple of MIN_POLAR_NODES, whole sub-panels of
-    the composite rule.  Above MAX_POLAR_NODES it raises ValueError.
+    With the default mirrors that term stays below the floor.  The floor
+    is taken at |kr| times max(1, 4 theta_eff / pi): it was sized for
+    panels at most pi/2 wide, and a cut-ring panel is up to 2 theta_eff
+    wide, so apertures above 45 degrees take more nodes.  The count is
+    rounded up to a multiple of MIN_POLAR_NODES, whole sub-panels of the
+    composite rule.  Above MAX_POLAR_NODES it raises ValueError.
     """
     sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
              / (config.k_r_mirror * (1.0 - config.rho)))
-    need = max(polar_node_floor(kr_norm), math.ceil(sweep))
+    wide = max(1.0, 4.0 * effective_theta(config) / math.pi)
+    need = max(polar_node_floor(wide * kr_norm), math.ceil(sweep))
     n_polar = MIN_POLAR_NODES * -(-need // MIN_POLAR_NODES)
     if n_polar > MAX_POLAR_NODES:
         raise ValueError(
@@ -464,19 +469,17 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     if tolerance is not None and not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     block = np.ndim(kr) == 2
-    if block:
-        kr = np.array(kr, dtype=float)
-        if kr.shape[0] == 0 or kr.shape[1] != 3:
-            raise ValueError(f"a block of positions has shape (P, 3), got "
-                             f"{kr.shape}")
-        # a row that is not finite or is out of range raises as Position
-        # does; the ValidityWarning is left to whoever built the block,
-        # as it names the caller's line, not this one
-        for row in kr[~(_radius(kr) <= POSITION_MAX_RADIUS)]:
-            Position.of(row)
-    else:
-        kr = Position.of(kr).vec[None, :]
-    farthest = kr[np.argmax(_radius(kr))]
+    kr = np.array(kr, dtype=float) if block else Position.of(kr).vec[None, :]
+    if kr.shape[0] == 0 or kr.shape[1] != 3:
+        raise ValueError(f"a block of positions has shape (P, 3), got "
+                         f"{kr.shape}")
+    # a row that is not finite or is out of range raises as Position
+    # does; the ValidityWarning is left to whoever built the block, as it
+    # names the caller's line, not this one
+    radii = _radius(kr)
+    for row in kr[~(radii <= POSITION_MAX_RADIUS)]:
+        Position.of(row)
+    farthest = kr[np.argmax(radii)]
     if grid is None:
         grid = AngularGrid.for_position(farthest, config)
     grid.check_admissible(farthest)
@@ -545,30 +548,6 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
             f"with tolerance {tolerance:g}",
             estimate=result, change=change, rows=failed)
     return result
-
-
-def plan_blocks(kr, config: CavityConfig
-                ) -> list[tuple[AngularGrid, list[int]]]:
-    """Blocks of a scan's positions: (grid, row indices), one block per
-    polar node count, with the grid of its first row.  Every position is
-    checked and sized first, in one pass over the radii, so a bad one
-    raises before any work, as ``Position`` would for the first bad row,
-    and a scan beyond the warning radius warns.  ``integrate_sphere``
-    splits each block into the kernel passes it makes."""
-    kr = np.asarray(kr, dtype=float)
-    radii = _radius(kr)
-    bad = np.flatnonzero(~(radii <= POSITION_MAX_RADIUS))
-    # raises for the first bad row, or warns if the farthest is beyond the
-    # warning radius: a count's first row may lie inside it
-    Position.of(kr[bad[0] if bad.size else np.argmax(radii)])
-    counts: dict[float, int] = {}
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(radii.tolist()):
-        if r not in counts:
-            counts[r] = polar_node_count(r, config)
-        groups.setdefault(counts[r], []).append(i)
-    return [(AngularGrid.for_position(kr[rows[0]], config), rows)
-            for rows in groups.values()]
 
 
 def monte_carlo_reference(kr, orientation: DipoleOrientation,

@@ -1,7 +1,9 @@
 """Configuration parsing and line-precise diagnostics."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -72,10 +74,30 @@ def test_empty_config_gives_defaults():
 
 
 def test_fixed_orientation_vector():
-    run = parse_config("[dipole]\norientation = 1 1 0\n")
-    assert run.orientation.kind == "fixed"
-    assert_allclose(run.orientation.unit_vector,
-                    [math.sqrt(0.5), math.sqrt(0.5), 0.0])
+    # the squares of the last two vectors overflow or underflow, so they
+    # were once refused as not finite or not nonzero, with numpy's
+    # overflow warning on stderr
+    half = math.sqrt(0.5)
+    for text, expected in (("1 1 0", (half, half, 0.0)),
+                           ("1e200 0 0", (1.0, 0.0, 0.0)),
+                           ("1e-200 1e-200 0", (half, half, 0.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = parse_config(f"[dipole]\norientation = {text}\n")
+        assert run.orientation.kind == "fixed"
+        assert_allclose(run.orientation.unit_vector, expected, rtol=1e-15)
+
+
+def test_fixed_orientation_keeps_numpy_norm_bits():
+    # only a vector whose squares leave the float range is rescaled; any
+    # other keeps the bits of numpy's norm (math.hypot differs from it in
+    # about one vector in seven)
+    rng = np.random.default_rng(0)
+    for vec in rng.normal(size=(200, 3)).tolist():
+        text = " ".join(map(repr, vec))
+        run = parse_config(f"[dipole]\norientation = {text}\n")
+        assert run.orientation.d_hat == tuple(
+            (np.array(vec) / np.linalg.norm(vec)).tolist())
 
 
 def test_comments_and_case():

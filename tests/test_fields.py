@@ -16,6 +16,7 @@ from vactrap.cavity import (
     center_shift,
 )
 from vactrap.fields import (
+    MAX_SCAN_POINTS,
     MAX_SCAN_ROWS,
     MAX_THREADS,
     ScanSpec,
@@ -151,6 +152,19 @@ def test_force_at_rejects_bad_population():
         force_at([0.0, 0.0, 0.0], ISO, DEFAULT, Detuning(0.0), -0.1)
 
 
+@pytest.mark.parametrize("theta_m_deg", [50.0, 55.0, 60.0])
+@pytest.mark.parametrize("orientation", [ISO, DipoleOrientation.perpendicular()],
+                         ids=["isotropic", "perpendicular"])
+def test_force_at_converges_at_wide_apertures(theta_m_deg, orientation):
+    # a cut-ring panel is up to 2 theta_eff wide; with the polar count
+    # sized for panels at most pi/2 wide, the doubling moved this force's
+    # (gamma, shift) by 1.6e-9 to 8.5e-7 and raised ConvergenceError
+    wide = CavityConfig(rho=0.98, theta_m=math.radians(theta_m_deg))
+    result = force_at([7.0, 0.0, 0.0], orientation, wide, Detuning(-0.5),
+                      0.05)
+    assert np.all(np.isfinite(result.force))
+
+
 def test_blue_detuned_cavity_attracts():
     # cavity above the atomic line: center shift negative, on-axis well
     blue = Detuning(-0.5)
@@ -200,9 +214,23 @@ def test_scan_spec_caps_rows():
         ScanSpec("plane", -20.0, 20.0, 206, DEFAULT, ISO)
     with pytest.raises(ValueError, match="of 100020001 rows"):
         ScanSpec("plane", -20.0, 20.0, 10_001, DEFAULT, ISO)
-    ScanSpec("axial", -20.0, 20.0, 42_025, DEFAULT, ISO)
-    with pytest.raises(ValueError, match="^detuning scan of 42026 rows"):
+    # a line scan meets the cap on points per axis first
+    with pytest.raises(ValueError, match="^axial scan of 42025 points"):
+        ScanSpec("axial", -20.0, 20.0, 42_025, DEFAULT, ISO)
+    with pytest.raises(ValueError, match="^detuning scan of 42026 points"):
         ScanSpec("detuning", -3.0, 3.0, 42_026, DEFAULT, ISO)
+
+
+@pytest.mark.parametrize("axis", ["axial", "transverse", "detuning", "plane"])
+def test_scan_spec_caps_points(axis):
+    # the library refuses what the config refuses: the library once took
+    # a 42,025-point axial scan that the CLI's config did not
+    assert MAX_SCAN_POINTS == 25 * 400 + 1
+    if axis != "plane":
+        ScanSpec(axis, -20.0, 20.0, 10_001, DEFAULT, ISO)
+    with pytest.raises(ValueError, match=rf"^{axis} scan of 10002 points is "
+                       r"above the cap of 10001 points$"):
+        ScanSpec(axis, -20.0, 20.0, 10_002, DEFAULT, ISO)
 
 
 def test_scan_rows_match_response_at():

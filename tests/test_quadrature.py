@@ -16,6 +16,7 @@ from vactrap.cavity import (
     CavityConfig,
     Detuning,
     DipoleOrientation,
+    Response,
     ValidityWarning,
     center_gamma,
     center_shift,
@@ -274,6 +275,28 @@ print(sorted(calls), "numpy.polynomial" in sys.modules)
     assert proc.stdout.strip() == "['_leggauss'] False"
 
 
+def planned_blocks(monkeypatch, spec):
+    """The (grid, rows) of every ``integrate_sphere`` call that
+    ``run_scan`` makes for spec, taken from a stub, so nothing is
+    integrated.  A row is found again by its position and phase, which
+    no two rows of the scans below share."""
+    _, phi0, kr = _scan_points(spec)
+    index = {(*row, p): i for i, (row, p) in enumerate(zip(kr.tolist(),
+                                                          phi0.tolist()))}
+    calls = []
+
+    def stub(kr, orientation, config, phi0, grid, tolerance, with_gradient):
+        calls.append((grid, [index[(*row, p)] for row, p
+                             in zip(kr.tolist(), phi0.tolist())]))
+        zeros = np.zeros(len(kr))
+        return Response(zeros, zeros,
+                        np.zeros(kr.shape) if with_gradient else None)
+
+    monkeypatch.setattr(fields, "integrate_sphere", stub)
+    fields.run_scan(spec)
+    return calls
+
+
 def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
     # rho = 0.9999 over the default axial range needs 79 grids of up to
     # 2528 polar nodes, 5056 doubled; Newton on the recurrence, O(n^2)
@@ -282,11 +305,10 @@ def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
         raise AssertionError(f"Newton's method called for {n} nodes")
 
     monkeypatch.setattr(quadrature, "_gauss_legendre", newton)
-    config = CavityConfig(rho=0.9999)
-    kr = np.zeros((401, 3))
-    kr[:, 2] = np.linspace(-100.0, 100.0, 401)
-    ns = sorted({grid.n_polar for grid, _ in quadrature.plan_blocks(kr,
-                                                                     config)})
+    spec = ScanSpec("axial", -100.0, 100.0, 401, CavityConfig(rho=0.9999),
+                    DipoleOrientation.isotropic())
+    ns = sorted({grid.n_polar for grid, _ in planned_blocks(monkeypatch,
+                                                            spec)})
     assert len(ns) == 79
     assert ns[-1] == 2528
     for n in ns + [2 * n for n in ns]:
@@ -309,10 +331,11 @@ def round_up_n_polar(row, config):
     ("axial", 50.0, 201), ("detuning", 3.0, 241),  # the CLI defaults
     ("axial", 100.0, 41), ("transverse", 50.0, 21), ("plane", 20.0, 15),
 ])  # and the benchmark's seed-0 grids
-def test_plan_sizes_rows_as_each_row_alone(axis, half_width, n_points):
-    # the plan sizes rows from the radii of the whole block; a radius
+def test_plan_sizes_rows_as_each_row_alone(monkeypatch, axis, half_width,
+                                           n_points):
+    # the scan sizes rows from the radii of the whole block; a radius
     # taken another way can differ by an ulp (numpy's 1-D norm against
-    # its norm along rows, on the 15 x 15 plane), so the plan, the grid
+    # its norm along rows, on the 15 x 15 plane), so the scan, the grid
     # of a position and the admission check share one formula.  No row
     # of these grids sits so close to a multiple of 32 that the ulp moves
     # it
@@ -321,10 +344,12 @@ def test_plan_sizes_rows_as_each_row_alone(axis, half_width, n_points):
                     DipoleOrientation.isotropic())
     _, _, kr = _scan_points(spec)
     planned = np.zeros(len(kr), dtype=int)
-    blocks = quadrature.plan_blocks(kr, config)
-    # one block per polar count, whatever its size: integrate_sphere
-    # splits it into passes
+    blocks = planned_blocks(monkeypatch, spec)
+    # one call per polar count, whatever its size: integrate_sphere
+    # splits it into passes; every row in one call
     assert len({grid.n_polar for grid, _ in blocks}) == len(blocks)
+    assert sorted(i for _, rows in blocks for i in rows) == list(
+        range(len(kr)))
     for grid, rows in blocks:
         planned[rows] = grid.n_polar
         grid.check_admissible(kr[rows][np.argmax(quadrature._radius(

@@ -114,7 +114,7 @@ class DipoleOrientation:
             if self.d_hat is None:
                 raise ValueError("fixed orientation requires a direction")
             norm = math.sqrt(sum(x * x for x in self.d_hat))
-            if abs(norm - 1.0) > 1e-12:
+            if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
                 raise ValueError(
                     f"fixed dipole direction must be unit norm, |d|={norm!r}"
                 )

@@ -32,7 +32,6 @@ only appear in JSON metadata when --timings is passed explicitly, and
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -47,7 +46,6 @@ from .cavity import DipoleOrientation, center_gamma, center_shift
 from .config import ConfigError, RunConfig, load_config
 from .fields import MAX_THREADS, ScanSpec, _scan_points, run_scan, trap_minimum
 from .quadrature import ConvergenceError
-from .validation import run_validation_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,6 +179,8 @@ def _render_csv(columns, rows, precision: int) -> str:
 
 
 def _render_json(columns, rows, metadata: dict, precision: int) -> str:
+    import json  # only JSON output needs it: not at every start-up
+
     payload = {
         "metadata": metadata,
         "columns": list(columns),
@@ -316,6 +316,11 @@ def cmd_spatial(args, run: RunConfig) -> int:
 
 
 def cmd_validate(args, run: RunConfig) -> int:
+    # imported here, not at the top, so that scans start without them
+    import json
+
+    from .validation import run_validation_suite
+
     started = time.perf_counter()
     checks = run_validation_suite(run.cavity, run.detuning, seed=args.seed)
     passed = all(check.passed for check in checks)

@@ -196,17 +196,19 @@ def _parse_orientation(entry, source) -> DipoleOrientation:
                 f"{source}:{lineno}: orientation components must be "
                 f"numbers, got {value!r}") from None
         big = float(np.max(np.abs(vec)))
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(vec))
-        if not 0.0 < norm < math.inf and 0.0 < big < math.inf:
-            # the squares left the float range: scale them back into it
-            vec = vec / big
-            norm = float(np.linalg.norm(vec))
-        if not 0.0 < norm < math.inf:
+        if not 0.0 < big < math.inf:
             raise ConfigError(
                 f"{source}:{lineno}: orientation vector must be finite and "
                 f"nonzero, got {value!r}")
-        return DipoleOrientation.fixed(vec / norm)
+        # divide by the power of two of the largest component, so that the
+        # largest square is near 1: none overflows, and none that the norm
+        # needs is subnormal.  The scaling is exact, so a vector whose
+        # squares stay normal keeps the bits of numpy's norm
+        vec = np.ldexp(vec, -math.frexp(big)[1])
+        try:
+            return DipoleOrientation.fixed(vec / np.linalg.norm(vec))
+        except ValueError as err:
+            raise ConfigError(f"{source}:{lineno}: {err}") from None
     raise ConfigError(
         f"{source}:{lineno}: orientation must be parallel, perpendicular, "
         f"isotropic or three vector components, got {value!r}")

@@ -84,6 +84,13 @@ def test_airy_fsr_means():
         assert abs(np.mean(f.d_even)) < 1e-6
 
 
+def test_fixed_orientation_refuses_nan():
+    # a NaN norm is no unit norm: every response with it would be NaN
+    for d_hat in ((math.nan, 0.0, 0.0), (0.6, 0.8, math.nan)):
+        with pytest.raises(ValueError, match="unit norm"):
+            DipoleOrientation.fixed(d_hat)
+
+
 def test_airy_rejects_bad_rho():
     with pytest.raises(ValueError):
         airy_factors(-0.1, 0.0)

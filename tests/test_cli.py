@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vactrap.cli as cli
+import vactrap.validation as validation
 
 from vactrap.cavity import (
     CavityConfig,
@@ -321,7 +322,7 @@ def test_validate_detuned_writes_plain_json(tmp_path, capsys, linewidths):
     assert report["passed"] is True
     assert len(report["checks"]) == 8
     run = cli.load_config(config)
-    checks = cli.run_validation_suite(run.cavity, run.detuning)
+    checks = validation.run_validation_suite(run.cavity, run.detuning)
     assert [asdict(check) for check in checks] == report["checks"]
     for check in checks:
         assert type(check.passed) is bool
@@ -341,7 +342,7 @@ def test_validate_failure_exit_code(monkeypatch, capsys):
     from vactrap.validation import CheckResult
 
     monkeypatch.setattr(
-        cli, "run_validation_suite",
+        validation, "run_validation_suite",
         lambda *a, **k: [CheckResult("forced_failure", False, {})])
     code = cli.main(["validate"])
     captured = capsys.readouterr()
@@ -385,13 +386,17 @@ def test_thread_count_determinism(tmp_path):
 
 def test_cli_import_loads_no_thread_pool():
     # scans run on the calling thread; concurrent.futures would also load
-    # logging, some 8 ms of every command's start-up
-    code = ("import sys, vactrap.cli; "
-            "print('concurrent.futures' in sys.modules)")
+    # logging, some 8 ms of every command's start-up.  The validation
+    # suite and json load only in the commands that use them, and nothing
+    # loads numpy.random where numpy itself does not (numpy 1.x does)
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import vactrap.cli; "
+            "print(sorted({'concurrent.futures', 'vactrap.validation', "
+            "'json', 'numpy.random'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_output_file_not_written_on_config_error(tmp_path):

@@ -89,15 +89,42 @@ def test_fixed_orientation_vector():
 
 
 def test_fixed_orientation_keeps_numpy_norm_bits():
-    # only a vector whose squares leave the float range is rescaled; any
-    # other keeps the bits of numpy's norm (math.hypot differs from it in
-    # about one vector in seven)
+    # every vector is rescaled by a power of two, which is exact, so one
+    # whose squares stay in the float range keeps the bits of numpy's norm
+    # (math.hypot differs from it in about one vector in seven)
     rng = np.random.default_rng(0)
     for vec in rng.normal(size=(200, 3)).tolist():
         text = " ".join(map(repr, vec))
         run = parse_config(f"[dipole]\norientation = {text}\n")
         assert run.orientation.d_hat == tuple(
             (np.array(vec) / np.linalg.norm(vec)).tolist())
+
+
+def test_tiny_fixed_orientation_is_the_unit_vector(tmp_path, capsys):
+    # the squares of 1e-160 are subnormal, so its unscaled norm is off by
+    # 5.6e-6 and the quotient was refused as not of unit norm
+    import vactrap.cli as cli
+
+    outputs = []
+    for text in ("1e-160 0 0", "1 0 0"):
+        config = tmp_path / "dipole.ini"
+        config.write_text("[dipole]\norientation = " + text + "\n"
+                          "[scan]\nn_points = 5\n")
+        assert cli.main(["axial", "--config", str(config)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_refused_orientation_names_its_line(monkeypatch):
+    from vactrap import config
+
+    def refuse(d_hat):
+        raise ValueError("fixed dipole direction must be unit norm")
+
+    monkeypatch.setattr(config.DipoleOrientation, "fixed", refuse)
+    with pytest.raises(ConfigError, match=r"^bad\.ini:3: fixed dipole"):
+        parse_config("[mirrors]\n[dipole]\norientation = 0 0 1\n",
+                     source="bad.ini")
 
 
 def test_comments_and_case():

@@ -856,28 +856,48 @@ def test_monte_carlo_error_scaling():
 ])
 def test_monte_carlo_matches_the_full_array_formula(orientation, rho,
                                                     monkeypatch):
-    # the oracle builds directions for the cap samples only; from the
-    # same draws, the integrand over every direction must give the same
-    # means and errors.  It never reads the band's closed-form share
+    # the oracle streams its draws in chunks and builds directions for
+    # the cap samples only; from the same draws taken at once, the
+    # integrand over every direction must give the same means and errors,
+    # also at the fewest samples allowed and with a last chunk of one
+    # sample.  It never reads the band's closed-form share
     def refuse(*args):
         raise AssertionError("the band share must be sampled")
 
     monkeypatch.setattr(quadrature, "aperture_weights", refuse)
     config = CavityConfig(rho=rho)
-    kr, n, seed = np.array([3.0, -2.0, 5.0]), 50_000, 11
-    mc, errors = monte_carlo_reference(kr, orientation, config, 0.01, n,
-                                       seed)
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, n)
-    az = rng.uniform(0.0, 2.0 * math.pi, n)
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    dirs = np.column_stack([s * np.cos(az), s * np.sin(az), z])
-    samples = _sample_terms(dirs, kr, orientation, config, 0.01)
-    assert_allclose([mc.gamma_ratio, mc.shift_ratio, *errors],
-                    [*(np.mean(x) for x in samples),
-                     *(np.std(x, ddof=1) / math.sqrt(n) for x in samples)],
-                    rtol=1e-13, atol=0)
-    assert (mc.shift_ratio == 0.0) == (rho == 0.0)
+    kr, seed = np.array([3.0, -2.0, 5.0]), 11
+    for n in (50_000, 10_000, 3 * quadrature.SAMPLE_CHUNK + 1):
+        mc, errors = monte_carlo_reference(kr, orientation, config, 0.01, n,
+                                           seed)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-1.0, 1.0, n)
+        az = rng.uniform(0.0, 2.0 * math.pi, n)
+        s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        dirs = np.column_stack([s * np.cos(az), s * np.sin(az), z])
+        samples = _sample_terms(dirs, kr, orientation, config, 0.01)
+        assert_allclose(
+            [mc.gamma_ratio, mc.shift_ratio, *errors],
+            [*(np.mean(x) for x in samples),
+             *(np.std(x, ddof=1) / math.sqrt(n) for x in samples)],
+            rtol=1e-13, atol=0)
+        assert (mc.shift_ratio == 0.0) == (rho == 0.0)
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    # the draws are streamed in chunks: drawn at once, 2,000,000 samples
+    # traced 166 MiB with this dipole
+    import tracemalloc
+
+    args = ([3.0, -2.0, 5.0], DipoleOrientation.parallel(),
+            CavityConfig(rho=0.98), 0.01)
+    tracemalloc.start()
+    try:
+        monte_carlo_reference(*args, 2_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_monte_carlo_rejects_small_samples():

@@ -202,10 +202,14 @@ class Position:
 
     @classmethod
     def of(cls, value) -> "Position":
+        """The Position itself, or the Position of a value of shape (3,);
+        any other shape raises ValueError naming it."""
         if isinstance(value, Position):
             return value
-        x, y, z = (float(v) for v in np.asarray(value, dtype=float))
-        return cls((x, y, z))
+        kr = np.asarray(value, dtype=float)
+        if kr.shape != (3,):
+            raise ValueError(f"a position has shape (3,), got {kr.shape}")
+        return cls(tuple(kr.tolist()))
 
     @property
     def vec(self) -> np.ndarray:

@@ -87,6 +87,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _path(text: str) -> str:
+    """argparse type: a path that is not empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser.  It rejects the arguments it does not take
     itself, so the error names the command and shows its usage, not the
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--config", metavar="PATH",
                       help="configuration file (defaults used if omitted)")
-    base.add_argument("--out", metavar="PATH",
+    base.add_argument("--out", metavar="PATH", type=_path,
                       help="output file (stdout if omitted)")
     base.add_argument("--timings", action="store_true",
                       help="include wall-clock timings in JSON metadata "

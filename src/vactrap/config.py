@@ -304,7 +304,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
     output = sections.get("output", {})
     if "path" in output:
-        run.out_path = output["path"][0]
+        run.out_path, lineno = output["path"]
+        if not run.out_path:
+            raise ConfigError(f"{source}:{lineno}: output path must not be "
+                              "empty; omit it to write to stdout")
     if "format" in output:
         value, lineno = output["format"]
         if value.lower() not in ("csv", "json"):

@@ -14,14 +14,12 @@ differentiated analytically under the integral.
 A scan is a table of columns from start to finish.  ``ScanSpec``
 admits it whole (its reach, its polar node count and both scan caps)
 before any point is laid out.  Its points come as arrays (coordinates,
-phases, positions) in output row order; ``run_scan`` groups the rows by
-polar node count, in the order the counts first appear, makes one
-``integrate_sphere`` call per count, which splits the block into its
-kernel passes, and copies the block's arrays into whole-scan columns at
-the block's rows.  The force, the potential and a weak drive's
+phases, positions) in output row order, and ``run_scan`` passes them
+all to one ``integrate_sphere`` call, which sizes each row by its own
+radius and splits the block into its kernel passes; a row's bits do not
+depend on its pass.  The force, the potential and a weak drive's
 population then come from one array formula each, shared with the
-one-point functions.  The blocks run one after another on the calling
-thread; a row's bits do not depend on its block.
+one-point functions.  The scan runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ import numpy as np
 
 from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
                      DipoleOrientation, Position, Response)
-from .quadrature import (AngularGrid, ConvergenceError, _radius,
-                         integrate_sphere, polar_node_count)
+from .quadrature import (ConvergenceError, _radius, integrate_sphere,
+                         polar_node_count)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -95,15 +93,17 @@ def response_at(position, orientation: DipoleOrientation,
                 with_gradient: bool = False) -> Response:
     """Damping and shift ratios at one point, by sphere quadrature.
 
-    The angular grid is sized automatically from the position; with a
-    tolerance the doubling check runs and non-convergence raises.  With
-    ``with_gradient`` the response carries d(shift)/d(kr), computed by
-    differentiating the integrand analytically (chain rule through the
-    standing-wave factors and the aberration phase) and integrating with
-    the same quadrature rule, which is far quieter than
-    finite-differencing the oscillatory quadrature.
+    The point is admitted by ``Position.of``, so a block or any shape
+    but (3,) raises ValueError.  The angular grid is sized automatically
+    from the position; with a tolerance the doubling check runs and
+    non-convergence raises.  With ``with_gradient`` the response carries
+    d(shift)/d(kr), computed by differentiating the integrand
+    analytically (chain rule through the standing-wave factors and the
+    aberration phase) and integrating with the same quadrature rule,
+    which is far quieter than finite-differencing the oscillatory
+    quadrature.
     """
-    return integrate_sphere(position, orientation, config,
+    return integrate_sphere(Position.of(position), orientation, config,
                             detuning.phase(config.rho), tolerance=tolerance,
                             with_gradient=with_gradient)
 
@@ -261,7 +261,8 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
     the local damping and shift.  Rows whose quadrature fails the
     doubling check keep the refined estimate and are listed in
     ``non_converged``; rows outside the weak-excitation regime are listed
-    in ``weak_excitation``.  The blocks run on the calling thread:
+    in ``weak_excitation``.  The whole scan is one ``integrate_sphere``
+    call, which sizes each row by its own radius, on the calling thread:
     ``n_workers`` is accepted for compatibility, checked to lie in
     [1, MAX_THREADS], and has no effect.
     """
@@ -276,40 +277,22 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
     coords, phi0, kr = _scan_points(spec)
-    radii = _radius(kr)
     # warns once a scan if its farthest row is beyond the warning radius
-    Position.of(kr[np.argmax(radii)])
-    counts: dict[float, int] = {}
-    blocks: dict[int, list[int]] = {}  # rows by polar count, first seen first
-    for i, r in enumerate(radii.tolist()):
-        if r not in counts:
-            counts[r] = polar_node_count(r, spec.config)
-        blocks.setdefault(counts[r], []).append(i)
-    gamma, shift = np.empty((2, len(kr)))
-    grad = np.empty(kr.shape)
-    converged = np.ones(len(kr), dtype=bool)
+    Position.of(kr[np.argmax(_radius(kr))])
+    failed = []
+    try:
+        resp = integrate_sphere(kr, spec.orientation, spec.config, phi0,
+                                tolerance=tolerance, with_gradient=with_force)
+    except ConvergenceError as err:
+        resp, failed = err.estimate, err.rows
 
-    for rows in blocks.values():
-        try:
-            resp = integrate_sphere(
-                kr[rows], spec.orientation, spec.config, phi0[rows],
-                grid=AngularGrid.for_position(kr[rows[0]], spec.config),
-                tolerance=tolerance, with_gradient=with_force)
-        except ConvergenceError as err:
-            resp = err.estimate
-            converged[np.asarray(rows)[err.rows]] = False
-        gamma[rows], shift[rows] = resp.gamma_ratio, resp.shift_ratio
-        if with_force:
-            grad[rows] = resp.shift_gradient
-
-    values, weak = [coords, gamma, shift], []
+    values, weak = [coords, resp.gamma_ratio, resp.shift_ratio], []
     if with_force:
         if weak_drive is not None:
-            pi_e = _population(*weak_drive, gamma, shift)
+            pi_e = _population(*weak_drive, resp.gamma_ratio, resp.shift_ratio)
             weak = np.flatnonzero(~(pi_e <= MAX_WEAK_POPULATION)).tolist()
-        values += _force(pi_e, grad, shift)
-    return ScanResult(columns, np.column_stack(values),
-                      np.flatnonzero(~converged).tolist(), weak)
+        values += _force(pi_e, resp.shift_gradient, resp.shift_ratio)
+    return ScanResult(columns, np.column_stack(values), failed, weak)
 
 
 def trap_minimum(result: ScanResult) -> dict | None:

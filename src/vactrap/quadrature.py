@@ -43,12 +43,14 @@ to |kr| across the sphere, so node counts scale linearly in |kr| (with a
 floor, and with the aperture above 45 degrees); the polar count also
 grows with the resonance linewidths that the aberration phase sweeps,
 and is rounded up to whole 32-node sub-panels.  ``integrate_sphere``
-integrates a block of positions that share a grid, one position being a
-block of one, in passes through the kernel over (points x nodes) arrays,
-each over rows of one panel kind and at most BLOCK_NODES nodes; which
-rows of a scan share a block is ``fields.run_scan``'s decision.  Every
-operation is elementwise along the rows and each row is summed on its own
-in a fixed order, so a row's bits do not depend on its block or pass.
+integrates a block of positions, one position being a block of one, and
+sizes each row itself, by ``polar_node_count`` of its own radius, unless
+a grid is given for every row; a whole scan is one call.  It runs the
+block in passes through the kernel over (points x nodes) arrays, each
+over rows of one polar count and one panel kind and at most BLOCK_NODES
+nodes.  Every operation is elementwise along the rows and each row is
+summed on its own in a fixed order, so a row's bits do not depend on its
+block or pass.
 """
 
 from __future__ import annotations
@@ -229,19 +231,20 @@ class AngularGrid:
 
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
-        """Default grid for a position and mirrors: ``polar_node_count``
+        """Default grid for a position (3,), or for the farthest row of a
+        block (P, 3) by ``_radius``, and mirrors: ``polar_node_count``
         nodes per polar panel, and for the 2-D reference rule the
         azimuth floor plus a margin of 16 (the periodic rule needs ~16
         modes beyond the integrand's band edge before its spectral tail
-        dies)."""
+        dies).  A row that is not finite is the farthest, so it raises
+        as ``Position`` does."""
+        if np.ndim(kr) == 2:
+            kr = np.asarray(kr, dtype=float)[np.argmax(_radius(kr))]
         kr = Position.of(kr).vec
         return cls(
             n_polar=polar_node_count(float(_radius(kr)), config),
             n_azimuth=azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16,
         )
-
-    def doubled(self) -> "AngularGrid":
-        return AngularGrid(2 * self.n_polar, 2 * self.n_azimuth)
 
     def check_admissible(self, kr: np.ndarray) -> None:
         """Reject grids below the polar node floor for this position.  The
@@ -459,23 +462,25 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     """Average both integrands over the full solid angle, at one position
     or at each row of a block.
 
-    A block is a (P, 3) array of positions that share ``grid``, with
-    ``phi0`` one phase or one per row; without a grid it takes the
-    default grid of its farthest row.  Its Response holds (P,) ratios and
-    a (P, 3) gradient, and each row is bit-identical to a call at that
-    row alone with the same n_polar: one position is the block of one.
-    The block is integrated in passes over rows of one panel kind, at
-    most BLOCK_NODES // (4 n_polar) of them (at least one), whose results
-    are scattered back to the block's rows; so a block of any size and
-    mix holds at most one pass's arrays.
+    A block is a (P, 3) array of positions, with ``phi0`` one phase or
+    one per row.  Without a grid each row takes ``polar_node_count`` of
+    its own radius, so a block of any radii, a whole scan among them, is
+    one call; with a grid every row takes its n_polar, which must reach
+    the polar floor of the farthest row.  Its Response holds (P,) ratios
+    and a (P, 3) gradient, and each row is bit-identical to a call at
+    that row alone with the same n_polar: one position is the block of
+    one.  The block is integrated in passes over rows of one polar count
+    and one panel kind, at most BLOCK_NODES // (4 n_polar) of them (at
+    least one), whose results are scattered back to the block's rows; so
+    a block of any size and mix holds at most one pass's arrays.
     A phase that is not finite, a count of phases other than one or P
     and a ``tolerance`` that is not positive raise ValueError.
 
-    With a ``tolerance``, the grid is doubled once and the refined result
-    is returned; if the two estimates of a row disagree by more than the
-    tolerance (relative, floored at 1 in absolute terms) a
-    ConvergenceError is raised carrying the refined estimate of every
-    row and the rows that failed.
+    With a ``tolerance``, each pass is run again at twice its count and
+    the refined result is returned; if the two estimates of a row
+    disagree by more than the tolerance (relative, floored at 1 in
+    absolute terms) a ConvergenceError is raised carrying the refined
+    estimate of every row and the rows that failed.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -490,10 +495,18 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     radii = _radius(kr)
     for row in kr[~(radii <= POSITION_MAX_RADIUS)]:
         Position.of(row)
-    farthest = kr[np.argmax(radii)]
     if grid is None:
-        grid = AngularGrid.for_position(farthest, config)
-    grid.check_admissible(farthest)
+        # once per distinct radius, farthest first: the count grows with
+        # the radius, so a block over the node cap is refused at its
+        # farthest row
+        sizes = {r: polar_node_count(r, config)
+                 for r in sorted(set(radii.tolist()), reverse=True)}
+        counts = np.array([sizes[r] for r in radii.tolist()])
+    else:
+        grid.check_admissible(kr[np.argmax(radii)])
+        if tolerance is not None:  # the doubling pass keeps a grid's cap
+            AngularGrid(2 * grid.n_polar, grid.n_azimuth)
+        counts = np.full(len(kr), grid.n_polar)
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape not in ((), (len(kr),)):
         raise ValueError(f"{phi0.size} phases for {len(kr)} positions")
@@ -504,24 +517,28 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                          f"got {phi0[bad[0]]}")
 
     theta = effective_theta(config)
-    # the kernel passes: rows of one panel kind (whole rings only, both
-    # panels, cut rings only), at most BLOCK_NODES nodes of the doubled
-    # pass.  A row has a panel if its width, as ``_zonal_rule`` builds
-    # it, is above 0: a row a hair off the axis, whose cut width rounds
-    # to 0, has whole rings only.
+    # the kernel passes: rows of one polar count and one panel kind
+    # (whole rings only, both panels, cut rings only), at most
+    # BLOCK_NODES nodes of the doubled pass.  A row has a panel if its
+    # width, as ``_zonal_rule`` builds it, is above 0: a row a hair off
+    # the axis, whose cut width rounds to 0, has whole rings only.
     beta = _cone_angle(kr)
     whole, cut = theta - beta > 0.0, theta + beta - abs(theta - beta) > 0.0
-    cap = max(1, BLOCK_NODES // (4 * grid.n_polar))  # rows a pass
     passes = []
-    for kind in ((True, False), (True, True), (False, True)):
-        rows = np.flatnonzero((whole == kind[0]) & (cut == kind[1]))
-        passes += [(kind, rows[i:i + cap]) for i in range(0, len(rows), cap)]
+    for n_polar in sorted(set(counts.tolist())):
+        cap = max(1, BLOCK_NODES // (4 * n_polar))  # rows a pass
+        for kind in ((True, False), (True, True), (False, True)):
+            rows = np.flatnonzero((counts == n_polar) & (whole == kind[0])
+                                  & (cut == kind[1]))
+            passes += [(n_polar, kind, rows[i:i + cap])
+                       for i in range(0, len(rows), cap)]
 
-    def once(n_polar):
+    def once(scale):
         gamma, shift = np.empty((2, len(kr)))
         grad = np.empty(kr.shape) if with_gradient else None
-        for kind, rows in passes:
-            nodes = _zonal_rule(orientation, n_polar, theta, kr[rows], *kind)
+        for n_polar, kind, rows in passes:
+            nodes = _zonal_rule(orientation, scale * n_polar, theta,
+                                kr[rows], *kind)
             gamma[rows], shift[rows], part = _integrate_once(
                 kr[rows], orientation, config, phi0[rows], nodes,
                 with_gradient)
@@ -529,10 +546,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                 grad[rows] = part
         return gamma, shift, grad
 
-    gamma, shift, grad = once(grid.n_polar)
+    gamma, shift, grad = once(1)
     failed = []
     if tolerance is not None:
-        gamma2, shift2, grad2 = once(grid.doubled().n_polar)
+        gamma2, shift2, grad2 = once(2)
         d_gamma = np.abs(gamma2 - gamma)
         d_shift = np.abs(shift2 - shift)
         ok = ((d_gamma <= tolerance * np.maximum(1.0, np.abs(gamma2)))

@@ -101,19 +101,18 @@ def richardson_gradient(position, orientation: DipoleOrientation,
     """Finite-difference oracle for the shift gradient.
 
     Central differences at steps h and h/2, Richardson-extrapolated to
-    O(h^4).  All evaluations share one fixed angular grid (sized for the
-    largest radius touched) so discretization error cancels between the
-    +h and -h points instead of polluting the difference.  The 12 points
-    of the stencil are one block, each row bit-identical to a call at
-    that point alone on the same grid.
+    O(h^4).  All evaluations share one fixed angular grid, the default
+    grid of the stencil's farthest row, so discretization error cancels
+    between the +h and -h points instead of polluting the difference.
+    The 12 points of the stencil are one block, each row bit-identical
+    to a call at that point alone on the same grid.
     """
     kr = Position.of(position).vec
     phi0 = detuning.phase(config.rho)
-    radius = float(np.linalg.norm(kr)) + 2.0 * step
-    grid = AngularGrid.for_position([radius, 0.0, 0.0], config)
     # rows by axis, then step h and h/2, then +h and -h
     stencil = np.array([kr + sign * h * e for e in np.eye(3)
                         for h in (step, 0.5 * step) for sign in (1.0, -1.0)])
+    grid = AngularGrid.for_position(stencil, config)
     shift = integrate_sphere(stencil, orientation, config, phi0,
                              grid=grid).shift_ratio.reshape(3, 2, 2)
     d_h = (shift[:, 0, 0] - shift[:, 0, 1]) / (2.0 * step)
@@ -178,12 +177,10 @@ def check_parity(config: CavityConfig, phi0: float, seed: int) -> CheckResult:
     for _ in range(5):
         kr = rng.uniform(-1.0, 1.0, 3)
         kr *= rng.uniform(0.0, 40.0) / max(np.linalg.norm(kr), 1e-12)
-        # one block of the pair: both rows have one radius and so the
-        # default grid that each would get alone
-        grid = AngularGrid.for_position(kr, config)
+        # one block of the pair, each row on its own default grid
         for orientation in _ORIENTATIONS:
             pair = integrate_sphere(np.array([kr, -kr]), orientation,
-                                    config, phi0, grid=grid)
+                                    config, phi0)
             (g_plus, g_minus), (s_plus, s_minus) = (
                 pair.gamma_ratio.tolist(), pair.shift_ratio.tolist())
             worst = max(worst, abs(g_plus - g_minus), abs(s_plus - s_minus))
@@ -219,10 +216,10 @@ def check_zonal_vs_sphere_rule(config: CavityConfig,
     for orientation in _ORIENTATIONS:
         for kr in ([0.0, 0.0, 0.0], [0.0, 0.0, 3.7], [0.0, 0.0, -21.0],
                    [3.7, 0.0, 0.0], [-12.0, 5.0, 16.0]):
-            grid = AngularGrid.for_position(kr, config)
-            a = integrate_sphere(kr, orientation, config, phi0, grid=grid,
+            a = integrate_sphere(kr, orientation, config, phi0,
                                  with_gradient=True)
-            b = _reference_pass(kr, orientation, config, phi0, grid)
+            b = _reference_pass(kr, orientation, config, phi0,
+                                AngularGrid.for_position(kr, config))
             worst = max(worst, abs(a.gamma_ratio - b.gamma_ratio),
                         abs(a.shift_ratio - b.shift_ratio),
                         *np.abs(a.shift_gradient - b.shift_gradient).tolist())

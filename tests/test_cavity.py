@@ -1,6 +1,7 @@
 """Domain types, resonance factors and the center closed forms."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -373,3 +374,16 @@ def test_position_limits():
     p = Position.of((1.0, 2.0, 3.0))
     assert Position.of(p) is p
     assert_allclose(p.vec, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("value, shape", [
+    ([1.0, 2.0], "(2,)"), ([1.0, 2.0, 3.0, 4.0], "(4,)"), (5.0, "()"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "(2, 3)"), ([[1.0, 2.0, 3.0]],
+                                                    "(1, 3)"),
+])
+def test_position_of_refuses_other_shapes(value, shape):
+    # a position is three components; any other shape is refused with a
+    # message that names it, not with numpy's unpacking message
+    with pytest.raises(ValueError, match=r"^a position has shape \(3,\), "
+                       r"got " + re.escape(shape) + "$"):
+        Position.of(value)

@@ -531,6 +531,24 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["center", "axial", "validate"])
+def test_empty_output_path_exits_2(tmp_path, command):
+    # an empty path is refused where it is given, the flag by argparse
+    # and the key with its file and line, and nothing is written
+    proc = run_cli(command, "--out", "", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f"vactrap {command}: error: argument --out: "
+                                "must not be empty\n")
+    config = tmp_path / "empty_path.ini"
+    config.write_text("[output]\npath =\n")
+    proc = run_cli(command, "--config", str(config), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"vactrap: {config}:2: output path must not be "
+                           "empty; omit it to write to stdout\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_path.ini"]
+
+
 def test_unknown_command_rejected():
     proc = run_cli("wobble")
     assert proc.returncode == 2

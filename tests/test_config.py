@@ -151,6 +151,9 @@ def test_comments_and_case():
     ("[scan]\nn_points = 10002\n", 2, "<= 10001"),
     ("[output]\nformat = xml\n", 2, "csv or json"),
     ("[output]\nprecision = 40\n", 2, "precision"),
+    ("[scan]\nn_points = 41\n[output]\npath =\n", 4,
+     "output path must not be empty"),
+    ("[output]\npath =   # stdout\n", 2, "output path must not be empty"),
     ("[detuning]\nlinewidths = 1e9\n", 2, "single-resonance"),
     ("[mirrors]\ndiffraction_correction = maybe\n", 2, "true or false"),
     ("[dipole]\norientation = 1 0\n", 2, "orientation"),

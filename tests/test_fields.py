@@ -121,6 +121,17 @@ def test_excited_population_validity_limit():
             excited_population(rabi, laser_detuning, Response(1.0, 0.0))
 
 
+@pytest.mark.parametrize("position", [
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]], [1.0, 2.0], [[0.0, 0.0, 1.0]]])
+def test_one_point_functions_refuse_other_shapes(position):
+    # response_at and force_at are for one point: a block is refused, not
+    # integrated into arrays or converted by numpy
+    with pytest.raises(ValueError, match=r"^a position has shape \(3,\)"):
+        response_at(position, ISO, DEFAULT, Detuning(0.0))
+    with pytest.raises(ValueError, match=r"^a position has shape \(3,\)"):
+        force_at(position, ISO, DEFAULT, Detuning(-0.5), 0.05)
+
+
 def test_force_at_zero_population():
     result = force_at([0.0, 0.0, 5.0], ISO, DEFAULT, Detuning(-0.5), 0.0)
     assert np.all(result.force == 0.0)

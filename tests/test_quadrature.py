@@ -16,7 +16,6 @@ from vactrap.cavity import (
     CavityConfig,
     Detuning,
     DipoleOrientation,
-    Response,
     ValidityWarning,
     center_gamma,
     center_shift,
@@ -212,9 +211,6 @@ def test_grid_for_position():
     grid = AngularGrid.for_position([30.0, 0.0, 40.0], config)
     assert grid.n_polar >= polar_node_floor(50.0)
     assert grid.n_azimuth >= azimuth_node_floor(30.0)
-    doubled = grid.doubled()
-    assert doubled.n_polar == 2 * grid.n_polar
-    assert doubled.n_azimuth == 2 * grid.n_azimuth
     # n_polar is the floor rounded up to whole 32-node sub-panels, out to
     # the supported 300/k: 32 to 1216 nodes, 38 counts
     counts = set()
@@ -247,8 +243,8 @@ def test_default_axial_scan_reuses_rules():
     # the default 401-point axial scan tiles every rule it needs from the
     # base rule built at import: it calls neither Newton's method nor the
     # reference rule of validation, and never loads numpy.polynomial
-    # (1.9 MB of peak memory).  A child process, since this one has
-    # loaded it
+    # (1.9 MB of peak memory) nor numpy.ma, which np.unique imports on
+    # first use (15 ms).  A child process, since this one has loaded them
     code = """
 import sys
 from vactrap import quadrature, validation
@@ -267,34 +263,42 @@ for module, name in ((quadrature, "_gauss_legendre"),
     count(module, name)
 run = RunConfig.defaults()
 run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation))
-print(sorted(calls), "numpy.polynomial" in sys.modules)
+print(sorted(calls), "numpy.polynomial" in sys.modules,
+      "numpy.ma" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['_leggauss'] False"
+    assert proc.stdout.strip() == "['_leggauss'] False False"
 
 
 def planned_blocks(monkeypatch, spec):
-    """The (grid, rows) of every ``integrate_sphere`` call that
-    ``run_scan`` makes for spec, taken from a stub, so nothing is
-    integrated.  A row is found again by its position and phase, which
-    no two rows of the scans below share."""
-    _, phi0, kr = _scan_points(spec)
-    index = {(*row, p): i for i, (row, p) in enumerate(zip(kr.tolist(),
-                                                          phi0.tolist()))}
+    """The (n_polar, rows) of every kernel pass, before the doubling
+    check, of the scan of spec, recorded by ``rule_passes``.  Rows are
+    positions: the rows of a detuning scan share one.  Checks on the way
+    that ``run_scan`` makes one ``integrate_sphere`` call for the whole
+    scan, that each pass holds rows of one panel kind and at most the
+    budget's rows, and that the doubling check runs the same passes at
+    twice their counts."""
     calls = []
+    integrate = fields.integrate_sphere
 
-    def stub(kr, orientation, config, phi0, grid, tolerance, with_gradient):
-        calls.append((grid, [index[(*row, p)] for row, p
-                             in zip(kr.tolist(), phi0.tolist())]))
-        zeros = np.zeros(len(kr))
-        return Response(zeros, zeros,
-                        np.zeros(kr.shape) if with_gradient else None)
+    def counted(kr, *args, **kwargs):
+        calls.append(len(kr))
+        return integrate(kr, *args, **kwargs)
 
-    monkeypatch.setattr(fields, "integrate_sphere", stub)
+    monkeypatch.setattr(fields, "integrate_sphere", counted)
+    passes = rule_passes(monkeypatch)
     fields.run_scan(spec)
-    return calls
+    assert calls == [len(_scan_points(spec)[2])]
+    assert len(passes) % 2 == 0
+    base, doubled = passes[:len(passes) // 2], passes[len(passes) // 2:]
+    for (rows, n, kind, _), (rows2, n2, kind2, _) in zip(base, doubled):
+        assert_array_equal(rows2, rows)
+        assert (n2, kind2) == (2 * n, kind)
+        assert len(rows) <= max(1, quadrature.BLOCK_NODES // (4 * n))
+        assert panel_kinds(rows, spec.config) == {kind}
+    return [(n, rows) for rows, n, _, _ in base]
 
 
 def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
@@ -307,8 +311,7 @@ def test_high_finesse_plan_builds_large_rules_without_newton(monkeypatch):
     monkeypatch.setattr(quadrature, "_gauss_legendre", newton)
     spec = ScanSpec("axial", -100.0, 100.0, 401, CavityConfig(rho=0.9999),
                     DipoleOrientation.isotropic())
-    ns = sorted({grid.n_polar for grid, _ in planned_blocks(monkeypatch,
-                                                            spec)})
+    ns = sorted({n for n, _ in planned_blocks(monkeypatch, spec)})
     assert len(ns) == 79
     assert ns[-1] == 2528
     for n in ns + [2 * n for n in ns]:
@@ -343,20 +346,15 @@ def test_plan_sizes_rows_as_each_row_alone(monkeypatch, axis, half_width,
     spec = ScanSpec(axis, -half_width, half_width, n_points, config,
                     DipoleOrientation.isotropic())
     _, _, kr = _scan_points(spec)
-    planned = np.zeros(len(kr), dtype=int)
+    # one integrate_sphere call for the whole scan, whatever its size,
+    # split into passes of one count: every row in one pass
     blocks = planned_blocks(monkeypatch, spec)
-    # one call per polar count, whatever its size: integrate_sphere
-    # splits it into passes; every row in one call
-    assert len({grid.n_polar for grid, _ in blocks}) == len(blocks)
-    assert sorted(i for _, rows in blocks for i in rows) == list(
-        range(len(kr)))
-    for grid, rows in blocks:
-        planned[rows] = grid.n_polar
-        grid.check_admissible(kr[rows][np.argmax(quadrature._radius(
-            kr[rows]))])
-    for row, n in zip(kr, planned):
-        assert AngularGrid.for_position(row, config).n_polar == n
-        assert round_up_n_polar(row, config) == n
+    assert sorted(map(tuple, np.concatenate([rows for _, rows in blocks]))
+                  ) == sorted(map(tuple, kr))
+    for n, rows in blocks:
+        for row in rows:
+            assert AngularGrid.for_position(row, config).n_polar == n
+            assert round_up_n_polar(row, config) == n
     assert_array_equal(quadrature._radius(kr),
                        [quadrature._radius(row) for row in kr])
 
@@ -388,13 +386,38 @@ def test_block_rows_checked():
     for tolerance in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             integrate_sphere(block, iso, config, 0.1, tolerance=tolerance)
-    # without a grid a block takes its farthest row's, so that row is the
-    # same as a call at it alone
-    block = integrate_sphere([[0.0, 0.0, 1.0], [3.0, 0.0, 4.0]], iso, config,
-                             0.0)
-    assert block.gamma_ratio.shape == (2,)
-    far = integrate_sphere([3.0, 0.0, 4.0], iso, config, 0.0)
-    assert block.gamma_ratio[1] == far.gamma_ratio
+    # without a grid each row takes the count of its own radius, so every
+    # row of a block of mixed radii (32, 32, 128 and 160 polar nodes) is
+    # the same as a call at it alone
+    block = np.array([[0.0, 0.0, 1.0], [3.0, 0.0, 4.0], [0.0, 0.0, -30.0],
+                      [20.0, -5.0, 25.0]])
+    phi0 = [0.1, -0.2, 0.0, 0.3]
+    for tolerance in (None, 1e-9):
+        for with_gradient in (False, True):
+            kw = dict(tolerance=tolerance, with_gradient=with_gradient)
+            rows = integrate_sphere(block, iso, config, phi0, **kw)
+            assert rows.gamma_ratio.shape == (4,)
+            for i, (kr, phase) in enumerate(zip(block, phi0)):
+                alone = integrate_sphere(kr, iso, config, phase, **kw)
+                assert rows.gamma_ratio[i] == alone.gamma_ratio
+                assert rows.shift_ratio[i] == alone.shift_ratio
+                if with_gradient:
+                    assert_array_equal(rows.shift_gradient[i],
+                                       alone.shift_gradient)
+
+
+def test_grid_for_a_block_is_its_farthest_rows():
+    # a block is sized by its farthest row, by the radius that sizes and
+    # admits rows; a row that is not finite raises as Position does
+    config = CavityConfig(rho=0.98)
+    block = np.array([[0.0, 0.0, 1.0], [30.0, 0.0, -40.0], [0.0, 12.0, 3.0]])
+    assert AngularGrid.for_position(block, config) == \
+        AngularGrid.for_position(block[1], config)
+    assert AngularGrid.for_position(block[::-1], config) == \
+        AngularGrid.for_position(block[1], config)
+    block[2, 0] = math.nan
+    with pytest.raises(ValueError, match=r"must be finite, got kx=nan$"):
+        AngularGrid.for_position(block, config)
 
 
 FIXED = DipoleOrientation.fixed(np.array([2.0, -1.0, 2.0]) / 3.0)
@@ -596,7 +619,15 @@ def test_grid_invariants():
     with pytest.raises(ValueError, match="n_polar=32800 is above the cap "
                        "of 32768"):
         AngularGrid(2 * MAX_POLAR_NODES + 32, 16)
-    assert AngularGrid(MAX_POLAR_NODES, 16).doubled().n_polar == 32768
+    assert AngularGrid(2 * MAX_POLAR_NODES, 2 * 16).n_polar == 32768
+    # so the doubling check refuses a caller's grid above the default cap,
+    # before any pass runs
+    with pytest.raises(ValueError, match="^n_polar=32832 is above the cap "
+                       "of 32768$"):
+        integrate_sphere([0.0, 0.0, 1.0], DipoleOrientation.isotropic(),
+                         CavityConfig(rho=0.98), 0.0,
+                         grid=AngularGrid(MAX_POLAR_NODES + 32, 16),
+                         tolerance=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 26, 31])
@@ -757,7 +788,8 @@ def test_doubling_convergence_default_grids():
             kr *= rng.uniform(1, 100) / np.linalg.norm(kr)
             base = integrate_sphere(kr, DipoleOrientation.isotropic(),
                                     config, 0.005)
-            grid = AngularGrid.for_position(kr, config).doubled()
+            grid = AngularGrid.for_position(kr, config)
+            grid = AngularGrid(2 * grid.n_polar, 2 * grid.n_azimuth)
             fine = integrate_sphere(kr, DipoleOrientation.isotropic(),
                                     config, 0.005, grid=grid)
             assert abs(fine.gamma_ratio - base.gamma_ratio) \
@@ -773,10 +805,12 @@ def test_refined_grids_agree_at_far_axis_point():
     run = RunConfig.defaults()
     phi0 = run.detuning.phase(run.cavity.rho)
     kr = [0.0, 0.0, -99.5]
-    grid = AngularGrid.for_position(kr, run.cavity).doubled()
+    grid = AngularGrid.for_position(kr, run.cavity)
+    grid = AngularGrid(2 * grid.n_polar, 2 * grid.n_azimuth)
     fine = integrate_sphere(kr, run.orientation, run.cavity, phi0, grid=grid)
     finer = integrate_sphere(kr, run.orientation, run.cavity, phi0,
-                             grid=grid.doubled())
+                             grid=AngularGrid(2 * grid.n_polar,
+                                              2 * grid.n_azimuth))
     for a, b in ((fine.gamma_ratio, finer.gamma_ratio),
                  (fine.shift_ratio, finer.shift_ratio)):
         assert abs(a - b) <= 1e-14 * max(1.0, abs(b))

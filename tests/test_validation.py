@@ -46,12 +46,14 @@ def test_monte_carlo_check_fails_an_offset_mean(monkeypatch):
 @pytest.mark.parametrize("kr", [[3.0, -2.0, 5.0], [-12.0, 5.0, 16.0]])
 def test_richardson_stencil_block_is_bit_identical(kr):
     # the 12 stencil points run as one block; each row must be the call
-    # at that point alone on the same grid
+    # at that point alone on the same grid, the default grid of the
+    # stencil's farthest row, which is one of the six at step h
     iso, detuning, step = DipoleOrientation.isotropic(), Detuning(-0.5), 1e-3
     kr = np.array(kr)
     phi0 = detuning.phase(DEFAULT.rho)
     grid = AngularGrid.for_position(
-        [float(np.linalg.norm(kr)) + 2.0 * step, 0.0, 0.0], DEFAULT)
+        [kr + sign * step * e for e in np.eye(3) for sign in (1.0, -1.0)],
+        DEFAULT)
 
     def shift(point):
         return integrate_sphere(point, iso, DEFAULT, phi0,

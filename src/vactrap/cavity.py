@@ -172,6 +172,52 @@ def _outside_stacklevel() -> int:
     return level
 
 
+def _radius(kr):
+    """|kr| of a position (3,) or of each row of a block (P, 3), by the
+    one formula that admits positions and sizes grids: the squares summed
+    in order, so a row gets the same bits alone and in a block."""
+    kr = np.asarray(kr, dtype=float)
+    x, y, z = kr[..., 0], kr[..., 1], kr[..., 2]
+    with np.errstate(over="ignore"):  # an overflow is out of range anyway
+        return np.sqrt(x * x + y * y + z * z)
+
+
+def _admit(kr, block: bool = True):
+    """(kr, radii): a point (3,), or with ``block`` a (P, 3) block with
+    P >= 1, as float rows (P, 3), and ``_radius`` of each row.
+
+    The one admission of positions.  Any other shape, a component that is
+    not finite and a radius beyond POSITION_MAX_RADIUS raise ValueError,
+    for the first bad row.  A radius beyond POSITION_WARN_RADIUS warns
+    once a call, for the farthest row, attributed to the caller outside
+    the package: the default filter then shows it once, not once per
+    point.  A Position was admitted when it was built and is not checked
+    again."""
+    if isinstance(kr, Position):
+        return np.array([kr.kr]), _radius([kr.kr])
+    kr = np.asarray(kr, dtype=float)
+    if kr.shape != (3,) and not (block and kr.ndim == 2):
+        raise ValueError(f"a position has shape (3,), got {kr.shape}")
+    if len(kr) == 0 or kr.shape[-1] != 3:
+        raise ValueError(f"a block of positions has shape (P, 3), got "
+                         f"{kr.shape}")
+    kr = kr.reshape(-1, 3)
+    radii = _radius(kr)
+    # the first row that is not finite or is out of range, if any
+    for i in np.flatnonzero(~(radii <= POSITION_MAX_RADIUS))[:1]:
+        bad = ", ".join(f"k{a}={x}" for a, x in zip("xyz", kr[i].tolist())
+                        if not math.isfinite(x))
+        if bad:
+            raise ValueError(f"position components must be finite, got {bad}")
+        raise ValueError(f"|kr| = {float(radii[i])!r} exceeds the supported "
+                         f"region (<= {POSITION_MAX_RADIUS:g})")
+    if radii.max() > POSITION_WARN_RADIUS:
+        warnings.warn(f"positions beyond ~{POSITION_WARN_RADIUS:g}/k; "
+                      "the ray model degrades out there", ValidityWarning,
+                      stacklevel=_outside_stacklevel())
+    return kr, radii
+
+
 @dataclass(frozen=True)
 class Position:
     """Atom displacement from the cavity center, in units of 1/k."""
@@ -179,26 +225,7 @@ class Position:
     kr: tuple[float, float, float]
 
     def __post_init__(self):
-        bad = [f"{name}={x}" for name, x in zip(("kx", "ky", "kz"), self.kr)
-               if not math.isfinite(x)]
-        if bad:
-            raise ValueError(
-                f"position components must be finite, got {', '.join(bad)}")
-        norm = math.sqrt(sum(x * x for x in self.kr))
-        if norm > POSITION_MAX_RADIUS:
-            raise ValueError(
-                f"|kr| = {norm!r} exceeds the supported region "
-                f"(<= {POSITION_MAX_RADIUS:g})"
-            )
-        if norm > POSITION_WARN_RADIUS:
-            # one message, attributed to the caller outside the package:
-            # the default filter then shows it once, not once per point
-            warnings.warn(
-                f"positions beyond ~{POSITION_WARN_RADIUS:g}/k; "
-                "the ray model degrades out there",
-                ValidityWarning,
-                stacklevel=_outside_stacklevel(),
-            )
+        _admit(self.kr, block=False)
 
     @classmethod
     def of(cls, value) -> "Position":
@@ -206,10 +233,8 @@ class Position:
         any other shape raises ValueError naming it."""
         if isinstance(value, Position):
             return value
-        kr = np.asarray(value, dtype=float)
-        if kr.shape != (3,):
-            raise ValueError(f"a position has shape (3,), got {kr.shape}")
-        return cls(tuple(kr.tolist()))
+        kr = np.asarray(value, dtype=float)  # __post_init__ checks its shape
+        return cls(tuple(kr.tolist()) if kr.ndim == 1 else kr)
 
     @property
     def vec(self) -> np.ndarray:

@@ -29,7 +29,8 @@ File format (all sections and keys optional; defaults below):
     format = csv                   # csv | json
     precision = 17                 # significant digits written
 
-'#' and ';' start comments.  Every diagnostic carries file and line.
+'#' and ';' start comments.  The file is UTF-8 text; a byte-order mark
+at its start is ignored.  Every diagnostic carries file and line.
 """
 
 from __future__ import annotations
@@ -338,8 +339,9 @@ def _mirror_error_line(mirrors: dict, message: str) -> int:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that some editors write
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: cannot read config file: {err}") from None
     return parse_config(text, source=path)

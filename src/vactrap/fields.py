@@ -12,14 +12,17 @@ vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
 differentiated analytically under the integral.
 
 A scan is a table of columns from start to finish.  ``ScanSpec``
-admits it whole (its reach, its polar node count and both scan caps)
-before any point is laid out.  Its points come as arrays (coordinates,
-phases, positions) in output row order, and ``run_scan`` passes them
-all to one ``integrate_sphere`` call, which sizes each row by its own
-radius and splits the block into its kernel passes; a row's bits do not
-depend on its pass.  The force, the potential and a weak drive's
-population then come from one array formula each, shared with the
-one-point functions.  The scan runs on the calling thread.
+admits it whole (finite ends, an integer point count, its reach, its
+polar node count and both scan caps) before any point is laid out.  Its
+points come as arrays (coordinates, phases, positions) in output row
+order, and ``run_scan`` passes them all to one ``integrate_sphere``
+call, which admits the block by ``cavity._admit``, as every position is
+admitted, and so warns once a scan if its farthest row is beyond the
+warning radius; it sizes each row by its own radius and splits the block
+into its kernel passes, and a row's bits do not depend on its pass.  The
+force, the potential and a weak drive's population then come from one
+array formula each, shared with the one-point functions.  The scan runs
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
-                     DipoleOrientation, Position, Response)
-from .quadrature import (ConvergenceError, _radius, integrate_sphere,
-                         polar_node_count)
+                     DipoleOrientation, Position, Response, _radius)
+from .quadrature import ConvergenceError, integrate_sphere, polar_node_count
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -176,7 +178,8 @@ class ScanSpec:
     axis 'detuning' sweeps the detuning in linewidths at the cavity
     center; 'axial'/'transverse' sweep kz/kx along the cavity axis or
     the x axis at the fixed detuning; 'plane' sweeps kz and kx over the
-    same range, n_points per axis, in the y = 0 plane.  A spatial scan
+    same range, n_points per axis, in the y = 0 plane.  A start or stop
+    that is not finite, an n_points that is not an integer, a spatial scan
     whose farthest point lies beyond the supported region, or needs more
     polar nodes than the quadrature's cap, and a scan of more than
     MAX_SCAN_POINTS points or MAX_SCAN_ROWS rows are refused here, before
@@ -194,10 +197,15 @@ class ScanSpec:
     def __post_init__(self):
         if self.axis not in _AXIS_COLUMNS:
             raise ValueError(f"unknown scan axis {self.axis!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"scan start and stop must be finite, got "
+                             f"{self.start} and {self.stop}")
         if not self.start < self.stop:
             raise ValueError("scan requires start < stop")
-        if self.n_points < 2:
-            raise ValueError("scan requires n_points >= 2")
+        if not (isinstance(self.n_points, (int, np.integer))
+                and self.n_points >= 2):
+            raise ValueError(f"scan requires an integer n_points >= 2, got "
+                             f"{self.n_points!r}")
         if self.axis in _KR_AXES:
             # the farthest point's |kr| by the formula that admits and
             # sizes positions
@@ -277,8 +285,6 @@ def run_scan(spec: ScanSpec, tolerance: float | None = DEFAULT_TOLERANCE,
         columns = columns + ("force_x", "force_y", "force_z", "potential")
 
     coords, phi0, kr = _scan_points(spec)
-    # warns once a scan if its farthest row is beyond the warning radius
-    Position.of(kr[np.argmax(_radius(kr))])
     failed = []
     try:
         resp = integrate_sphere(kr, spec.orientation, spec.config, phi0,

@@ -45,12 +45,15 @@ grows with the resonance linewidths that the aberration phase sweeps,
 and is rounded up to whole 32-node sub-panels.  ``integrate_sphere``
 integrates a block of positions, one position being a block of one, and
 sizes each row itself, by ``polar_node_count`` of its own radius, unless
-a grid is given for every row; a whole scan is one call.  It runs the
-block in passes through the kernel over (points x nodes) arrays, each
-over rows of one polar count and one panel kind and at most BLOCK_NODES
-nodes.  Every operation is elementwise along the rows and each row is
-summed on its own in a fixed order, so a row's bits do not depend on its
-block or pass.
+a grid is given for every row, whose count it checks against the polar
+floor of the farthest row; a whole scan is one call.  Its positions
+are admitted, their |kr| taken and the ValidityWarning issued once a
+call by ``cavity._admit``, the one admission that ``Position`` uses too.
+It runs the block in passes through the kernel over (points x nodes)
+arrays, each over rows of one polar count and one panel kind and at most
+BLOCK_NODES nodes.  Every operation is elementwise along the rows and
+each row is summed on its own in a fixed order, so a row's bits do not
+depend on its block or pass.
 """
 
 from __future__ import annotations
@@ -61,11 +64,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import (
-    POSITION_MAX_RADIUS,
     CavityConfig,
     DipoleOrientation,
     Position,
     Response,
+    _admit,
     airy_factors,
     aperture_weights,
     effective_theta,
@@ -187,17 +190,6 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
     return n_polar
 
 
-def _radius(kr):
-    """|kr| of a position (3,) or of each row of a block (P, 3), by the
-    one formula that checks positions, sizes grids and admits them: the
-    squares summed in order, as ``Position`` sums them, so a row gets the
-    same bits alone and in a block."""
-    kr = np.asarray(kr, dtype=float)
-    x, y, z = kr[..., 0], kr[..., 1], kr[..., 2]
-    with np.errstate(over="ignore"):  # an overflow is out of range anyway
-        return np.sqrt(x * x + y * y + z * z)
-
-
 def azimuth_node_floor(kr_perp: float) -> int:
     """Minimum uniform azimuth nodes, scaled by the transverse offset."""
     return max(16, math.ceil(4.0 * (kr_perp + 1.0)))
@@ -218,6 +210,9 @@ class AngularGrid:
     n_azimuth: int
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer))
+                   for n in (self.n_polar, self.n_azimuth)):
+            raise ValueError(f"grid node counts must be integers: {self}")
         if self.n_polar < MIN_POLAR_NODES or self.n_azimuth < 1:
             raise ValueError(f"a grid needs n_polar >= {MIN_POLAR_NODES} and "
                              f"n_azimuth >= 1, got {self.n_polar} and "
@@ -232,31 +227,17 @@ class AngularGrid:
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
         """Default grid for a position (3,), or for the farthest row of a
-        block (P, 3) by ``_radius``, and mirrors: ``polar_node_count``
-        nodes per polar panel, and for the 2-D reference rule the
-        azimuth floor plus a margin of 16 (the periodic rule needs ~16
-        modes beyond the integrand's band edge before its spectral tail
-        dies).  A row that is not finite is the farthest, so it raises
-        as ``Position`` does."""
-        if np.ndim(kr) == 2:
-            kr = np.asarray(kr, dtype=float)[np.argmax(_radius(kr))]
-        kr = Position.of(kr).vec
-        return cls(
-            n_polar=polar_node_count(float(_radius(kr)), config),
-            n_azimuth=azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16,
-        )
-
-    def check_admissible(self, kr: np.ndarray) -> None:
-        """Reject grids below the polar node floor for this position.  The
-        azimuth count is not checked: ``integrate_sphere`` does not read
-        it, only ``validation``'s 2-D reference rule and the benchmark's
-        traced child do."""
-        kr_norm = float(_radius(kr))
-        if self.n_polar < polar_node_floor(kr_norm):
-            raise ValueError(
-                f"n_polar={self.n_polar} is below the floor "
-                f"{polar_node_floor(kr_norm)} for |kr|={kr_norm:.2f}"
-            )
+        block (P, 3), and mirrors: ``polar_node_count`` nodes per polar
+        panel, and for the 2-D reference rule the azimuth floor plus a
+        margin of 16 (the periodic rule needs ~16 modes beyond the
+        integrand's band edge before its spectral tail dies).  The
+        position or block is admitted as ``integrate_sphere`` admits it:
+        a bad shape or row raises ValueError, and a block beyond the
+        warning radius warns once."""
+        kr, radii = _admit(kr)
+        far = np.argmax(radii)
+        return cls(polar_node_count(float(radii[far]), config),
+                   azimuth_node_floor(math.hypot(*kr[far, :2])) + 16)
 
 
 def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):
@@ -463,7 +444,11 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     or at each row of a block.
 
     A block is a (P, 3) array of positions, with ``phi0`` one phase or
-    one per row.  Without a grid each row takes ``polar_node_count`` of
+    one per row.  It is admitted as ``Position`` admits one point, by
+    ``cavity._admit``: a bad shape, or a row that is not finite or lies
+    beyond the supported region, raises ValueError for the first such
+    row, and a row beyond the warning radius warns once a call, for the
+    farthest row.  Without a grid each row takes ``polar_node_count`` of
     its own radius, so a block of any radii, a whole scan among them, is
     one call; with a grid every row takes its n_polar, which must reach
     the polar floor of the farthest row.  Its Response holds (P,) ratios
@@ -485,16 +470,7 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     if tolerance is not None and not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     block = np.ndim(kr) == 2
-    kr = np.array(kr, dtype=float) if block else Position.of(kr).vec[None, :]
-    if kr.shape[0] == 0 or kr.shape[1] != 3:
-        raise ValueError(f"a block of positions has shape (P, 3), got "
-                         f"{kr.shape}")
-    # a row that is not finite or is out of range raises as Position
-    # does; the ValidityWarning is left to whoever built the block, as it
-    # names the caller's line, not this one
-    radii = _radius(kr)
-    for row in kr[~(radii <= POSITION_MAX_RADIUS)]:
-        Position.of(row)
+    kr, radii = _admit(kr)
     if grid is None:
         # once per distinct radius, farthest first: the count grows with
         # the radius, so a block over the node cap is refused at its
@@ -503,7 +479,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                  for r in sorted(set(radii.tolist()), reverse=True)}
         counts = np.array([sizes[r] for r in radii.tolist()])
     else:
-        grid.check_admissible(kr[np.argmax(radii)])
+        far = float(radii.max())
+        if grid.n_polar < polar_node_floor(far):
+            raise ValueError(f"n_polar={grid.n_polar} is below the floor "
+                             f"{polar_node_floor(far)} for |kr|={far:.2f}")
         if tolerance is not None:  # the doubling pass keeps a grid's cap
             AngularGrid(2 * grid.n_polar, grid.n_azimuth)
         counts = np.full(len(kr), grid.n_polar)
@@ -571,7 +550,7 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                   else (float(d_gamma[0]), float(d_shift[0])))
         raise ConvergenceError(
             f"sphere integral did not converge at |kr|="
-            f"{float(np.linalg.norm(kr[i])):.2f}: doubling changed "
+            f"{radii[i]:.2f}: doubling changed "
             f"(gamma, shift) by ({d_gamma[i]:.3e}, {d_shift[i]:.3e}) "
             f"with tolerance {tolerance:g}",
             estimate=result, change=change, rows=failed)
@@ -601,8 +580,9 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     weight is 1.  Each part of a chunk is pooled into running moments
     (``_pool``).
     """
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be at least 10^4")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 10_000):
+        raise ValueError(f"n_samples must be an integer of at least 10^4, "
+                         f"got {n_samples!r}")
     kr = Position.of(kr).vec
     kx, ky, kz = (float(k) for k in kr)
     kr_sq = float(kr @ kr)
@@ -610,7 +590,7 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     isotropic = orientation.unit_vector is None
     z_rng = np.random.default_rng(seed)
     az_rng = np.random.default_rng(seed)
-    az_rng.bit_generator.advance(n_samples)  # past the cos(theta) draws
+    az_rng.bit_generator.advance(int(n_samples))  # past the cos(theta) draws
     gamma = shift = (0, 0.0, 0.0)
     for start in range(0, n_samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, n_samples - start)

@@ -376,6 +376,20 @@ def test_position_limits():
     assert_allclose(p.vec, [1.0, 2.0, 3.0])
 
 
+def test_position_warns_once():
+    # Position.of builds the Position, whose admission warns: once, not
+    # once for ``of`` and again for ``__post_init__``
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Position.of([0.0, 0.0, 150.0])
+    assert [(w.category, w.filename) for w in caught] == \
+        [(ValidityWarning, __file__)]
+    # a block is not a position, even built directly
+    with pytest.raises(ValueError, match=r"^a position has shape \(3,\), "
+                       r"got \(2, 3\)$"):
+        Position(((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
+
+
 @pytest.mark.parametrize("value, shape", [
     ([1.0, 2.0], "(2,)"), ([1.0, 2.0, 3.0, 4.0], "(4,)"), (5.0, "()"),
     ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "(2, 3)"), ([[1.0, 2.0, 3.0]],

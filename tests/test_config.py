@@ -1,13 +1,14 @@
 """Configuration parsing and line-precise diagnostics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vactrap.config import ConfigError, RunConfig, parse_config
+from vactrap.config import ConfigError, RunConfig, load_config, parse_config
 
 GOOD = """\
 # full configuration
@@ -113,6 +114,38 @@ def test_tiny_fixed_orientation_is_the_unit_vector(tmp_path, capsys):
         assert cli.main(["axial", "--config", str(config)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors save UTF-8 with a byte-order mark, which was read as
+    # part of the first line ("expected 'key = value', got
+    # '\\ufeff[mirrors]'")
+    import vactrap.cli as cli
+
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        config = tmp_path / "mirrors.ini"
+        config.write_bytes(mark + b"[mirrors]\nrho = 0.9\n"
+                           b"[scan]\nn_points = 5\n")
+        assert cli.main(["axial", "--config", str(config),
+                         "--format", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert '"rho": 0.9' in outputs[0].out
+
+
+def test_config_file_that_is_not_utf8_names_its_path(tmp_path, capsys):
+    # the decoder's message once reached the user with no file named
+    import vactrap.cli as cli
+
+    config = tmp_path / "latin1.ini"
+    config.write_bytes(b"\xff[mirrors]\n")
+    with pytest.raises(ConfigError, match="^" + re.escape(str(config))
+                       + ": cannot read config file: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0"):
+        load_config(str(config))
+    assert cli.main(["center", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"vactrap: {config}: ")
 
 
 def test_refused_orientation_names_its_line(monkeypatch):

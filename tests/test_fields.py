@@ -1,11 +1,12 @@
 """Responses on grids, gradients, forces and trap profiles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from vactrap.cavity import (
     CavityConfig,
@@ -197,6 +198,31 @@ def test_scan_spec_validation():
         ScanSpec("axial", 1.0, 1.0, 10, DEFAULT, ISO)
     with pytest.raises(ValueError):
         ScanSpec("axial", 0.0, 1.0, 1, DEFAULT, ISO)
+
+
+@pytest.mark.parametrize("axis, start, stop, n_points, message", [
+    ("axial", math.nan, 1.0, 3, "start and stop must be finite, got nan "
+     "and 1.0"),
+    ("detuning", -math.inf, 0.0, 3, "start and stop must be finite, got "
+     "-inf and 0.0"),
+    ("axial", 0.0, math.inf, 3, "start and stop must be finite, got 0.0 "
+     "and inf"),
+    ("axial", 0.0, 1.0, 2.5, "requires an integer n_points >= 2, got 2.5"),
+    ("axial", 0.0, 1.0, 3.0, "requires an integer n_points >= 2, got 3.0"),
+    ("axial", 0.0, 1.0, 1, "requires an integer n_points >= 2, got 1"),
+])
+def test_scan_spec_names_what_it_refuses(axis, start, stop, n_points,
+                                         message):
+    # each was taken and failed in run_scan: a NaN start as "start <
+    # stop", an infinite detuning as NaN phases, a float count in linspace
+    with pytest.raises(ValueError, match="^scan " + re.escape(message) + "$"):
+        ScanSpec(axis, start, stop, n_points, DEFAULT, ISO)
+
+
+def test_scan_spec_takes_numpy_integer_counts():
+    spec = ScanSpec("axial", -2.0, 2.0, np.int64(5), DEFAULT, ISO)
+    plain = ScanSpec("axial", -2.0, 2.0, 5, DEFAULT, ISO)
+    assert_array_equal(run_scan(spec).values, run_scan(plain).values)
 
 
 def test_scan_spec_refuses_out_of_range_scans():

@@ -2,6 +2,7 @@
 rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from vactrap.cavity import (
     CavityConfig,
     Detuning,
     DipoleOrientation,
+    Position,
+    _admit,
     aperture_weights,
     effective_theta,
     ray_phase,
@@ -275,3 +278,42 @@ def test_scan_rows_do_not_depend_on_blocks_or_threads(
         if flagged:
             weak.append(i)
     assert runs[0].weak_excitation == weak
+
+
+def _admission(admit):
+    """What one admission gives: the |kr| of each row as hex (the bits)
+    or the message it raised, and the messages of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = [float(r).hex() for r in admit()]
+        except ValueError as err:
+            outcome = str(err)
+    return outcome, [str(w.message) for w in caught]
+
+
+COMPONENTS = st.one_of(st.floats(-320.0, 320.0),
+                       st.sampled_from([math.nan, math.inf, -math.inf,
+                                        1e200, -0.0, 100.0, 300.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(rows=st.lists(st.tuples(COMPONENTS, COMPONENTS, COMPONENTS),
+                     min_size=1, max_size=4))
+def test_positions_points_and_block_rows_admit_alike(rows):
+    # one admission for a Position, a point alone and a block: the same
+    # radius bits and the same messages; a block raises its first bad
+    # row's message, and warns at most once, as its farthest row would
+    alone = []
+    for row in rows:
+        point = _admission(lambda: _admit(np.array(row))[1])
+        assert _admission(lambda: _admit(Position(row))[1]) == point
+        assert _admission(lambda: _admit(Position.of(row))[1]) == point
+        alone.append(point)
+    bad = [outcome for outcome, _ in alone if isinstance(outcome, str)]
+    if bad:
+        expected = (bad[0], [])
+    else:
+        expected = ([outcome[0] for outcome, _ in alone],
+                    sorted({m for _, messages in alone for m in messages}))
+    assert _admission(lambda: _admit(np.array(rows))[1]) == expected

@@ -17,6 +17,7 @@ from vactrap.cavity import (
     Detuning,
     DipoleOrientation,
     ValidityWarning,
+    _radius,
     center_gamma,
     center_shift,
     effective_theta,
@@ -355,8 +356,7 @@ def test_plan_sizes_rows_as_each_row_alone(monkeypatch, axis, half_width,
         for row in rows:
             assert AngularGrid.for_position(row, config).n_polar == n
             assert round_up_n_polar(row, config) == n
-    assert_array_equal(quadrature._radius(kr),
-                       [quadrature._radius(row) for row in kr])
+    assert_array_equal(_radius(kr), [_radius(row) for row in kr])
 
 
 def test_block_rows_checked():
@@ -638,10 +638,67 @@ def test_grid_below_the_polar_floor_refused(n):
 
 def test_undersized_grid_rejected():
     config = CavityConfig(rho=0.98)
+    iso = DipoleOrientation.isotropic()
     grid = AngularGrid(32, 16)
-    with pytest.raises(ValueError):
-        integrate_sphere([0.0, 0.0, 50.0], DipoleOrientation.isotropic(),
-                         config, 0.0, grid=grid)
+    with pytest.raises(ValueError, match=r"^n_polar=32 is below the floor "
+                       r"204 for \|kr\|=50\.00$"):
+        integrate_sphere([0.0, 0.0, 50.0], iso, config, 0.0, grid=grid)
+    # a block is checked at its farthest row, wherever the row sits
+    block = [[0.0, 0.0, 1.0], [30.0, 0.0, -40.0], [0.0, 12.0, 3.0]]
+    with pytest.raises(ValueError, match=r"^n_polar=96 is below the floor "
+                       r"204 for \|kr\|=50\.00$"):
+        integrate_sphere(block, iso, config, 0.0, grid=AngularGrid(96, 16))
+    integrate_sphere(block, iso, config, 0.0, grid=AngularGrid(224, 16))
+
+
+def test_grid_counts_must_be_integers():
+    # a float count was accepted and failed later, in the rule's tiling
+    for counts in ((64.0, 16), (64, 16.0), (np.float64(64), 16)):
+        with pytest.raises(ValueError, match=r"^grid node counts must be "
+                           r"integers: AngularGrid\(n_polar="):
+            AngularGrid(*counts)
+    # Python and numpy integers are both counts, with the same bits
+    config, iso = CavityConfig(rho=0.98), DipoleOrientation.isotropic()
+    kw = dict(tolerance=1e-9, with_gradient=True)
+    plain = integrate_sphere([1.0, 2.0, 3.0], iso, config, 0.1,
+                             grid=AngularGrid(64, 16), **kw)
+    numpy_counts = integrate_sphere([1.0, 2.0, 3.0], iso, config, 0.1,
+                                    grid=AngularGrid(np.int64(64),
+                                                     np.int32(16)), **kw)
+    assert plain.gamma_ratio == numpy_counts.gamma_ratio
+    assert plain.shift_ratio == numpy_counts.shift_ratio
+    assert_array_equal(plain.shift_gradient, numpy_counts.shift_gradient)
+
+
+def test_block_beyond_the_warning_radius_warns_once():
+    # a block is admitted as one point is: beyond 100/k it warns once a
+    # call, for the farthest row, naming the caller's line (a block once
+    # went unwarned)
+    config, iso = CavityConfig(rho=0.98), DipoleOrientation.isotropic()
+    for call in (
+            lambda: integrate_sphere(np.array([[0.0, 0.0, 150.0]]), iso,
+                                     config, 0.0),
+            lambda: integrate_sphere([[0.0, 0.0, 1.0], [0.0, 120.0, 0.0],
+                                      [0.0, 0.0, -150.0]], iso, config,
+                                     0.0, with_gradient=True),
+            lambda: AngularGrid.for_position([[0.0, 0.0, 1.0],
+                                              [0.0, 0.0, 150.0]], config)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == \
+            [(ValidityWarning, __file__)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        integrate_sphere(np.array([[0.0, 0.0, 100.0]]), iso, config, 0.0)
+    assert not caught
+
+
+def test_grid_for_an_empty_block_names_its_shape():
+    # it once raised numpy's "attempt to get argmax of an empty sequence"
+    with pytest.raises(ValueError, match=r"^a block of positions has shape "
+                       r"\(P, 3\), got \(0, 3\)$"):
+        AngularGrid.for_position(np.zeros((0, 3)), CavityConfig(rho=0.98))
 
 
 # ----------------------------------------------------------- integrals
@@ -939,3 +996,19 @@ def test_monte_carlo_rejects_small_samples():
     with pytest.raises(ValueError):
         monte_carlo_reference([0.0, 0.0, 0.0], DipoleOrientation.isotropic(),
                               config, 0.0, 100, seed=0)
+
+
+def test_monte_carlo_sample_count_is_an_integer():
+    # a float count once failed in the generator with numpy's "unsupported
+    # operand type(s) for &"; a numpy integer draws the same numbers
+    config, iso = CavityConfig(rho=0.9), DipoleOrientation.isotropic()
+    with pytest.raises(ValueError, match=r"^n_samples must be an integer "
+                       r"of at least 10\^4, got 10000\.0$"):
+        monte_carlo_reference([0.0, 0.0, 0.0], iso, config, 0.0, 10000.0,
+                              seed=0)
+    args = ([1.0, -2.0, 3.0], iso, config, 0.1)
+    plain, plain_se = monte_carlo_reference(*args, 20_000, seed=3)
+    wide, wide_se = monte_carlo_reference(*args, np.int64(20_000),
+                                          seed=np.int64(3))
+    assert (plain.gamma_ratio, plain.shift_ratio, plain_se) == \
+        (wide.gamma_ratio, wide.shift_ratio, wide_se)

@@ -32,6 +32,7 @@ only appear in JSON metadata when --timings is passed explicitly, and
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -201,16 +202,24 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
+        if os.path.exists(out_path) and not os.path.isfile(out_path):
+            # a FIFO, a device or a pipe is written to, never replaced
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            return
+        # a regular file, or none yet, is replaced whole; through a
+        # symlink that is the link's target, and the link stays
+        target = os.path.realpath(out_path)
         fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(out_path) or ".",
-            prefix=os.path.basename(out_path) + ".", suffix=".tmp")
+            dir=os.path.dirname(target),
+            prefix=os.path.basename(target) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp creates it 0600
-            os.replace(tmp_path, out_path)
+            os.replace(tmp_path, target)
         except BaseException:
             os.unlink(tmp_path)
             raise
@@ -376,6 +385,11 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    """The ``vactrap`` console script and ``python -m vactrap.cli``."""
+    # What is alive now (modules, numpy's types and ufuncs) lives until
+    # exit: frozen, the interpreter's closing collections skip it, some
+    # 20 ms a run.  main() leaves its caller's collector alone.
+    gc.freeze()
     sys.exit(main())
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes,
 determinism."""
 
+import gc
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -531,6 +533,70 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+CENTER_SMALL = "[scan]\nn_points = 5\n"
+
+
+def center_table(tmp_path, capsys):
+    config = write(tmp_path / "c.ini", CENTER_SMALL)
+    assert cli.main(["center", "--config", config]) == 0
+    return config, capsys.readouterr().out.encode()
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    # replacing the FIFO by a file would leave its reader with nothing
+    config, table = center_table(tmp_path, capsys)
+    fifo = tmp_path / "table.csv"
+    os.mkfifo(fifo)
+    # holding both ends, the test reads what was written without waiting
+    # on it; the table fits in the pipe's buffer
+    fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        assert cli.main(["center", "--config", config,
+                         "--out", str(fifo)]) == 0
+        received = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert received == table
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini",
+                                                          "table.csv"]
+
+
+def test_output_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    config, table = center_table(tmp_path, capsys)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    dangling = tmp_path / "new.csv"
+    dangling.symlink_to(tmp_path / "sub" / "new.csv")
+    for path in (link, dangling):
+        assert cli.main(["center", "--config", config,
+                         "--out", str(path)]) == 0
+        assert path.is_symlink()
+        assert path.read_bytes() == table
+    # the temporary file is made beside the target, and is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.ini", "link.csv", "new.csv", "sub"]
+    assert sorted(p.name for p in target.parent.iterdir()) == [
+        "new.csv", "target.csv"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_output_through_a_symlink_to_the_own_stdout_pipe(tmp_path, capsys):
+    # what /dev/stdout is when stdout is a pipe: its real path names no
+    # file, so the pipe is written through the link as given
+    config, table = center_table(tmp_path, capsys)
+    link = tmp_path / "stdout.csv"
+    link.symlink_to("/proc/self/fd/1")
+    proc = run_cli("center", "--config", config, "--out", str(link))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode() == table
+    assert link.is_symlink()
+
+
 @pytest.mark.parametrize("command", ["center", "axial", "validate"])
 def test_empty_output_path_exits_2(tmp_path, command):
     # an empty path is refused where it is given, the flag by argparse
@@ -552,3 +618,45 @@ def test_empty_output_path_exits_2(tmp_path, command):
 def test_unknown_command_rejected():
     proc = run_cli("wobble")
     assert proc.returncode == 2
+
+
+# --------------------------------------------------------- process entry
+
+def test_entry_point_freezes_before_main_and_exits_with_its_status(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    for status in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
+        calls.clear()
+        monkeypatch.setattr(cli, "main",
+                            lambda s=status: calls.append("main") or s)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry_point()
+        assert exit_info.value.code == status
+        assert calls == ["freeze", "main"]
+
+
+def test_entry_point_lets_argparse_exit(monkeypatch, capsys):
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setattr(sys, "argv", ["vactrap", "center", "--bogus"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry_point()
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_main_leaves_the_collector_alone(tmp_path, capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    config = write(tmp_path / "a.ini", AXIAL_SMALL)
+    assert cli.main(["axial", "--config", config]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_process_entry_writes_what_main_writes(tmp_path):
+    config = write(tmp_path / "a.ini", AXIAL_SMALL)
+    spawned, in_process = tmp_path / "spawned.csv", tmp_path / "main.csv"
+    proc = run_cli("axial", "--config", config, "--out", str(spawned))
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["axial", "--config", config,
+                     "--out", str(in_process)]) == 0
+    assert spawned.read_bytes() == in_process.read_bytes()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,16 +49,61 @@ class ValidityWarning(UserWarning):
     """Inputs outside the regime where the ray model is accurate."""
 
 
-@dataclass(frozen=True)
-class CavityConfig:
+class _Record:
+    """Base of the package's records.  The class names its fields, in
+    constructor order, in ``_fields``; they give the repr
+    ``Name(field=value, ...)`` and ``==``, which holds between records of
+    the same class with equal fields.  A record may change, so it does
+    not hash."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+
+class _Frozen(_Record):
+    """A record whose fields ``__init__`` sets once, by ``_set``:
+    assigning or deleting an attribute then raises AttributeError, and
+    the record hashes by its fields.  No ``__slots__``: the fields live in
+    the instance ``__dict__``, so unpickling fills it without going
+    through ``__setattr__``."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CavityConfig(_Frozen):
     """Mirror geometry and reflectivity of the symmetric double cap."""
 
-    rho: float
-    k_r_mirror: float = 8.0e4
-    theta_m: float = math.pi / 4
-    apply_diffraction_correction: bool = False
+    _fields = ("rho", "k_r_mirror", "theta_m", "apply_diffraction_correction")
 
-    def __post_init__(self):
+    def __init__(self, rho: float, k_r_mirror: float = 8.0e4,
+                 theta_m: float = math.pi / 4,
+                 apply_diffraction_correction: bool = False):
+        self._set(rho=rho, k_r_mirror=k_r_mirror, theta_m=theta_m,
+                  apply_diffraction_correction=apply_diffraction_correction)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must satisfy 0 <= rho < 1, got {self.rho}")
         if not (math.isfinite(self.k_r_mirror)
@@ -99,15 +143,15 @@ def effective_theta(config: CavityConfig) -> float:
     return config.theta_m - config.diffraction_angle()
 
 
-@dataclass(frozen=True)
-class DipoleOrientation:
+class DipoleOrientation(_Frozen):
     """Dipole direction: along the axis, perpendicular to it, isotropic
     (orientation-averaged), or an arbitrary fixed unit vector."""
 
-    kind: str
-    d_hat: tuple[float, float, float] | None = None
+    _fields = ("kind", "d_hat")
 
-    def __post_init__(self):
+    def __init__(self, kind: str,
+                 d_hat: tuple[float, float, float] | None = None):
+        self._set(kind=kind, d_hat=d_hat)
         if self.kind not in (PARALLEL, PERPENDICULAR, ISOTROPIC, FIXED):
             raise ValueError(f"unknown orientation kind {self.kind!r}")
         if self.kind == FIXED:
@@ -218,14 +262,14 @@ def _admit(kr, block: bool = True):
     return kr, radii
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(_Frozen):
     """Atom displacement from the cavity center, in units of 1/k."""
 
-    kr: tuple[float, float, float]
+    _fields = ("kr",)
 
-    def __post_init__(self):
-        _admit(self.kr, block=False)
+    def __init__(self, kr: tuple[float, float, float]):
+        self._set(kr=kr)
+        _admit(kr, block=False)
 
     @classmethod
     def of(cls, value) -> "Position":
@@ -233,7 +277,7 @@ class Position:
         any other shape raises ValueError naming it."""
         if isinstance(value, Position):
             return value
-        kr = np.asarray(value, dtype=float)  # __post_init__ checks its shape
+        kr = np.asarray(value, dtype=float)  # __init__ checks its shape
         return cls(tuple(kr.tolist()) if kr.ndim == 1 else kr)
 
     @property
@@ -241,8 +285,7 @@ class Position:
         return np.array(self.kr)
 
 
-@dataclass(frozen=True)
-class Detuning:
+class Detuning(_Frozen):
     """Atom-cavity detuning (omega_0 - omega_cav) in cavity linewidths.
 
     The linewidth is the FWHM of the resonance peak of the odd-mode
@@ -250,7 +293,10 @@ class Detuning:
     half phase by ``phase_fwhm(rho)``.
     """
 
-    linewidths: float
+    _fields = ("linewidths",)
+
+    def __init__(self, linewidths: float):
+        self._set(linewidths=linewidths)
 
     def phase(self, rho: float) -> float:
         if rho == 0.0:
@@ -259,16 +305,20 @@ class Detuning:
         return detuning_to_phase(self.linewidths, rho)
 
 
-@dataclass(frozen=True, eq=False)
-class Response:
+class Response(_Frozen):
     """(Gamma/Gamma_vac, Delta'/Gamma_vac) at one point, with the shift
     gradient d(shift_ratio)/d(kr) when it was requested.  For a block of
     points from ``integrate_sphere`` the fields are arrays, one entry (or
     gradient row) per point."""
 
-    gamma_ratio: float
-    shift_ratio: float
-    shift_gradient: np.ndarray | None = None
+    _fields = ("gamma_ratio", "shift_ratio", "shift_gradient")
+    # compared and hashed by identity: the fields may be arrays
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, gamma_ratio: float, shift_ratio: float,
+                 shift_gradient: np.ndarray | None = None):
+        self._set(gamma_ratio=gamma_ratio, shift_ratio=shift_ratio,
+                  shift_gradient=shift_gradient)
 
 
 class AiryFactors(NamedTuple):

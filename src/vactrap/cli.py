@@ -36,9 +36,8 @@ import gc
 import math
 import os
 import sys
-import tempfile
 import time
-from dataclasses import asdict
+import warnings
 
 import numpy as np
 
@@ -197,6 +196,19 @@ def _render_json(columns, rows, metadata: dict, precision: int) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _create_beside(target: str) -> tuple[int, str]:
+    """(fd, path) of a new file opened for writing beside ``target``,
+    under a random name.  The kernel gives it mode 0o666 less the umask,
+    as ``open`` would the target itself; the umask is never changed."""
+    while True:
+        path = f"{target}.{os.urandom(6).hex()}.tmp"
+        try:
+            return os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                           0o666), path
+        except FileExistsError:
+            continue  # the name is taken: draw another
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -210,15 +222,10 @@ def _emit(text: str, out_path: str | None) -> None:
         # a regular file, or none yet, is replaced whole; through a
         # symlink that is the link's target, and the link stays
         target = os.path.realpath(out_path)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(target),
-            prefix=os.path.basename(target) + ".", suffix=".tmp")
+        fd, tmp_path = _create_beside(target)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_path, 0o666 & ~umask)  # mkstemp creates it 0600
             os.replace(tmp_path, target)
         except BaseException:
             os.unlink(tmp_path)
@@ -343,7 +350,8 @@ def cmd_validate(args, run: RunConfig) -> int:
     report = {
         "metadata": _metadata(args, run, started, seed=args.seed),
         "passed": passed,
-        "checks": [asdict(check) for check in checks],
+        "checks": [{"name": check.name, "passed": check.passed,
+                    "detail": check.detail} for check in checks],
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     if not passed:
@@ -384,12 +392,26 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """``warnings.showwarning`` of the command line: the message alone,
+    without the Python source location it was issued from.  As Python's
+    own display, it drops the line when there is no stderr to take it."""
+    file = sys.stderr if file is None else file
+    try:
+        file.write(f"vactrap: warning: {message}\n")
+    except (AttributeError, OSError):  # stderr is None or closed
+        pass
+
+
 def entry_point() -> None:
     """The ``vactrap`` console script and ``python -m vactrap.cli``."""
     # What is alive now (modules, numpy's types and ufuncs) lives until
     # exit: frozen, the interpreter's closing collections skip it, some
-    # 20 ms a run.  main() leaves its caller's collector alone.
+    # 20 ms a run.  main() leaves its caller's collector alone, and its
+    # caller's warning display.
     gc.freeze()
+    warnings.showwarning = _show_warning
     sys.exit(main())
 
 

@@ -36,11 +36,10 @@ at its start is ignored.  Every diagnostic carries file and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityConfig, Detuning, DipoleOrientation
+from .cavity import CavityConfig, Detuning, DipoleOrientation, _Record
 from .fields import MAX_SCAN_POINTS
 
 _SECTIONS = {
@@ -59,20 +58,36 @@ class ConfigError(Exception):
     """Invalid configuration; the message pinpoints file and line."""
 
 
-@dataclass
-class RunConfig:
-    cavity: CavityConfig
-    orientation: DipoleOrientation
-    detuning: Detuning
-    pi_e: float | None = None
-    weak_drive: tuple[float, float] | None = None  # (rabi, laser_detuning)
-    scan_type: str | None = None
-    scan_start: float | None = None
-    scan_stop: float | None = None
-    scan_points: int | None = None
-    out_path: str | None = None
-    out_format: str = "csv"
-    precision: int = 17
+class RunConfig(_Record):
+    """Everything a configuration file sets, with the defaults of the
+    sections and keys it leaves out; ``weak_drive`` is (rabi,
+    laser_detuning)."""
+
+    _fields = ("cavity", "orientation", "detuning", "pi_e", "weak_drive",
+               "scan_type", "scan_start", "scan_stop", "scan_points",
+               "out_path", "out_format", "precision")
+
+    def __init__(self, cavity: CavityConfig, orientation: DipoleOrientation,
+                 detuning: Detuning, pi_e: float | None = None,
+                 weak_drive: tuple[float, float] | None = None,
+                 scan_type: str | None = None,
+                 scan_start: float | None = None,
+                 scan_stop: float | None = None,
+                 scan_points: int | None = None,
+                 out_path: str | None = None, out_format: str = "csv",
+                 precision: int = 17):
+        self.cavity = cavity
+        self.orientation = orientation
+        self.detuning = detuning
+        self.pi_e = pi_e
+        self.weak_drive = weak_drive
+        self.scan_type = scan_type
+        self.scan_start = scan_start
+        self.scan_stop = scan_stop
+        self.scan_points = scan_points
+        self.out_path = out_path
+        self.out_format = out_format
+        self.precision = precision
 
     @classmethod
     def defaults(cls) -> "RunConfig":

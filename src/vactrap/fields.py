@@ -28,12 +28,12 @@ on the calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
-                     DipoleOrientation, Position, Response, _radius)
+                     DipoleOrientation, Position, Response, _Frozen, _Record,
+                     _radius)
 from .quadrature import ConvergenceError, integrate_sphere, polar_node_count
 
 DEFAULT_TOLERANCE = 1e-9
@@ -79,14 +79,18 @@ class WeakExcitationError(ValueError):
         self.population = population
 
 
-@dataclass(frozen=True, eq=False)
-class ForceResult:
+class ForceResult(_Frozen):
     """Force (hbar k Gamma_vac), potential (hbar Gamma_vac) and the
     excited-state population used to scale them."""
 
-    force: np.ndarray
-    potential: float
-    excited_population: float
+    _fields = ("force", "potential", "excited_population")
+    # compared and hashed by identity, as ``Response``
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, force: np.ndarray, potential: float,
+                 excited_population: float):
+        self._set(force=force, potential=potential,
+                  excited_population=excited_population)
 
 
 def response_at(position, orientation: DipoleOrientation,
@@ -171,8 +175,7 @@ def force_at(position, orientation: DipoleOrientation, config: CavityConfig,
     return ForceResult(force, float(potential), excited_population=pi_e)
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(_Frozen):
     """One scan axis plus everything held fixed along it.
 
     axis 'detuning' sweeps the detuning in linewidths at the cavity
@@ -186,15 +189,14 @@ class ScanSpec:
     any point is laid out.
     """
 
-    axis: str
-    start: float
-    stop: float
-    n_points: int
-    config: CavityConfig
-    orientation: DipoleOrientation
-    detuning: Detuning = Detuning(0.0)
+    _fields = ("axis", "start", "stop", "n_points", "config", "orientation",
+               "detuning")
 
-    def __post_init__(self):
+    def __init__(self, axis: str, start: float, stop: float, n_points: int,
+                 config: CavityConfig, orientation: DipoleOrientation,
+                 detuning: Detuning = Detuning(0.0)):
+        self._set(axis=axis, start=start, stop=stop, n_points=n_points,
+                  config=config, orientation=orientation, detuning=detuning)
         if self.axis not in _AXIS_COLUMNS:
             raise ValueError(f"unknown scan axis {self.axis!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -229,15 +231,21 @@ class ScanSpec:
         return np.linspace(self.start, self.stop, self.n_points)
 
 
-@dataclass
-class ScanResult:
+class ScanResult(_Record):
     """Scan table, one row per point in coordinate order, plus per-row
-    trouble flags."""
+    trouble flags (new empty lists where not given)."""
 
-    columns: tuple[str, ...]
-    values: np.ndarray  # (rows, columns)
-    non_converged: list[int] = field(default_factory=list)
-    weak_excitation: list[int] = field(default_factory=list)
+    _fields = ("columns", "values", "non_converged", "weak_excitation")
+
+    def __init__(self, columns: tuple[str, ...],
+                 values: np.ndarray,  # (rows, columns)
+                 non_converged: list[int] | None = None,
+                 weak_excitation: list[int] | None = None):
+        self.columns = columns
+        self.values = values
+        self.non_converged = [] if non_converged is None else non_converged
+        self.weak_excitation = ([] if weak_excitation is None
+                                else weak_excitation)
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]

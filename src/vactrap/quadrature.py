@@ -59,7 +59,6 @@ depend on its block or pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from .cavity import (
     DipoleOrientation,
     Position,
     Response,
+    _Frozen,
     _admit,
     airy_factors,
     aperture_weights,
@@ -195,8 +195,7 @@ def azimuth_node_floor(kr_perp: float) -> int:
     return max(16, math.ceil(4.0 * (kr_perp + 1.0)))
 
 
-@dataclass(frozen=True)
-class AngularGrid:
+class AngularGrid(_Frozen):
     """Node counts: nodes per panel of the zonal rule's composite
     Gauss-Legendre rule, whole sub-panels of MIN_POLAR_NODES (and
     Gauss-Legendre nodes in cos(theta) for the 2-D reference rule), and
@@ -206,10 +205,10 @@ class AngularGrid:
     Where the cap ends is not part of the grid; the integrator reads it
     from the cavity configuration."""
 
-    n_polar: int
-    n_azimuth: int
+    _fields = ("n_polar", "n_azimuth")
 
-    def __post_init__(self):
+    def __init__(self, n_polar: int, n_azimuth: int):
+        self._set(n_polar=n_polar, n_azimuth=n_azimuth)
         if not all(isinstance(n, (int, np.integer))
                    for n in (self.n_polar, self.n_azimuth)):
             raise ValueError(f"grid node counts must be integers: {self}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .cavity import (
     DipoleOrientation,
     Position,
     Response,
+    _Record,
     center_gamma,
     center_shift,
     effective_theta,
@@ -44,11 +44,16 @@ _ORIENTATIONS = (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: dict = field(default_factory=dict)
+class CheckResult(_Record):
+    """One check's name, verdict and figures (a new empty dict where not
+    given)."""
+
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.detail = {} if detail is None else detail
 
 
 @functools.lru_cache(maxsize=16)

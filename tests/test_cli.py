@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict
 
 import pytest
 from numpy.testing import assert_allclose
@@ -325,7 +324,8 @@ def test_validate_detuned_writes_plain_json(tmp_path, capsys, linewidths):
     assert len(report["checks"]) == 8
     run = cli.load_config(config)
     checks = validation.run_validation_suite(run.cavity, run.detuning)
-    assert [asdict(check) for check in checks] == report["checks"]
+    assert [{"name": check.name, "passed": check.passed,
+             "detail": check.detail} for check in checks] == report["checks"]
     for check in checks:
         assert type(check.passed) is bool
         assert all(type(v) in (int, float) for v in check.detail.values())
@@ -525,6 +525,22 @@ def test_output_written_atomically(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["center.csv"]
 
 
+def test_output_mode_is_left_to_the_umask(tmp_path, monkeypatch):
+    # the kernel applies the umask; the CLI never sets it, not even
+    # briefly, as a thread of a host program may create a file meanwhile
+    umask = os.umask(0)
+    os.umask(umask)
+
+    def refused(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", refused)
+    out = tmp_path / "center.csv"
+    assert cli.main(["center", "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["center.csv"]
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert cli.main(["center", "--out", str(out)]) == 2
@@ -643,6 +659,35 @@ def test_entry_point_lets_argparse_exit(monkeypatch, capsys):
         cli.entry_point()
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+FAR_AXIAL = "[scan]\nstart = 99.0\nstop = 101.0\nn_points = 3\n"
+
+
+def test_process_entry_prints_a_warning_as_one_line(tmp_path):
+    # a CLI user has no use for the Python source line of a warning
+    config = write(tmp_path / "far.ini", FAR_AXIAL)
+    proc = run_cli("axial", "--config", config)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("vactrap: warning: positions beyond ~100/k; "
+                           "the ray model degrades out there\n")
+    assert ".py:" not in proc.stderr
+
+
+def test_main_keeps_pythons_warning_display(tmp_path, monkeypatch, capsys):
+    shown = []
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        shown.append((category, filename))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    config = write(tmp_path / "far.ini", FAR_AXIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert cli.main(["axial", "--config", config]) == 0
+        assert warnings.showwarning is show
+    # attributed to the first frame outside the package, this test's
+    assert shown == [(ValidityWarning, __file__)]
 
 
 def test_main_leaves_the_collector_alone(tmp_path, capsys):

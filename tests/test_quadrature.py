@@ -245,9 +245,12 @@ def test_default_axial_scan_reuses_rules():
     # base rule built at import: it calls neither Newton's method nor the
     # reference rule of validation, and never loads numpy.polynomial
     # (1.9 MB of peak memory) nor numpy.ma, which np.unique imports on
-    # first use (15 ms).  A child process, since this one has loaded them
+    # first use (15 ms); and no vactrap module, the CLI included, loads
+    # dataclasses, whose code generation cost ~11 ms a process.  A child
+    # process, since this one has loaded them
     code = """
 import sys
+import vactrap.cli
 from vactrap import quadrature, validation
 from vactrap.config import RunConfig
 from vactrap.fields import ScanSpec, run_scan
@@ -265,12 +268,12 @@ for module, name in ((quadrature, "_gauss_legendre"),
 run = RunConfig.defaults()
 run_scan(ScanSpec("axial", -100.0, 100.0, 401, run.cavity, run.orientation))
 print(sorted(calls), "numpy.polynomial" in sys.modules,
-      "numpy.ma" in sys.modules)
+      "numpy.ma" in sys.modules, "dataclasses" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['_leggauss'] False False"
+    assert proc.stdout.strip() == "['_leggauss'] False False False"
 
 
 def planned_blocks(monkeypatch, spec):

@@ -1,15 +1,14 @@
 """The oracle suite's own false-alarm rate and power, and its block
 calls against one call per point."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 import vactrap.quadrature as quadrature
 import vactrap.validation as validation
-from vactrap.cavity import CavityConfig, Detuning, DipoleOrientation
+from vactrap.cavity import (CavityConfig, Detuning, DipoleOrientation,
+                            Response)
 from vactrap.quadrature import AngularGrid, integrate_sphere
 from vactrap.validation import (
     check_monte_carlo,
@@ -34,8 +33,8 @@ def test_monte_carlo_check_fails_an_offset_mean(monkeypatch):
 
     def offset(*args, **kwargs):
         mc, (se_g, se_s) = reference(*args, **kwargs)
-        return replace(mc, gamma_ratio=mc.gamma_ratio + 10.0 * se_g), \
-            (se_g, se_s)
+        return Response(mc.gamma_ratio + 10.0 * se_g, mc.shift_ratio,
+                        mc.shift_gradient), (se_g, se_s)
 
     monkeypatch.setattr(validation, "monte_carlo_reference", offset)
     check = check_monte_carlo(DEFAULT, 0.0, 0)

@@ -18,9 +18,10 @@ for compatibility; scans run on one thread.  A flag that a command does
 not read is rejected like an unknown one.  axial and plane ignore
 [drive] and [scan] type.
 
-Exit codes: 0 success, 2 configuration error or unwritable output,
-3 numerical trouble (non-converged or out-of-regime rows; the table is
-still written), 4 validation failure.
+Exit codes: 0 success, 2 configuration error or unwritable output
+(stdout too), 3 numerical trouble (non-converged or out-of-regime rows;
+the table is still written), 4 validation failure.  They hold with
+stderr closed: its lines are then dropped.
 
 All output is dimensionless (rates over Gamma_vac, lengths in 1/k,
 energies in hbar*Gamma_vac, forces in hbar*k*Gamma_vac).  Identical
@@ -32,6 +33,7 @@ only appear in JSON metadata when --timings is passed explicitly, and
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
 import os
@@ -210,10 +212,16 @@ def _create_beside(target: str) -> tuple[int, str]:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to ``out_path``, or to stdout when it is None.  A
+    target that cannot be written is a usage error: exit 2, no
+    traceback."""
     try:
+        if out_path is None:
+            if sys.stdout is None:  # fd 1 was closed at start
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         if os.path.exists(out_path) and not os.path.isfile(out_path):
             # a FIFO, a device or a pipe is written to, never replaced
             with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -231,9 +239,8 @@ def _emit(text: str, out_path: str | None) -> None:
             os.unlink(tmp_path)
             raise
     except OSError as err:
-        # an unwritable --out is a usage error: exit 2, no traceback
-        raise ConfigError(
-            f"cannot write {out_path}: {err.strerror or err}") from err
+        raise ConfigError(f"cannot write {out_path or 'stdout'}: "
+                          f"{err.strerror or err}") from err
 
 
 def _metadata(args, run: RunConfig, started: float, **entries) -> dict:
@@ -263,14 +270,13 @@ def _emit_table(args, run: RunConfig, columns, rows, started: float,
     _emit(text, args.out)
     status = EXIT_OK
     if non_converged:
-        print(f"vactrap {args.command}: {len(non_converged)} row(s) failed "
-              f"the convergence check: {list(non_converged)[:10]}",
-              file=sys.stderr)
+        _say(f"vactrap {args.command}: {len(non_converged)} row(s) failed "
+             f"the convergence check: {list(non_converged)[:10]}")
         status = EXIT_NUMERICAL
     if weak_excitation:
-        print(f"vactrap {args.command}: {len(weak_excitation)} row(s) "
-              f"exceed the weak-excitation limit: "
-              f"{list(weak_excitation)[:10]}", file=sys.stderr)
+        _say(f"vactrap {args.command}: {len(weak_excitation)} row(s) "
+             f"exceed the weak-excitation limit: "
+             f"{list(weak_excitation)[:10]}")
         status = EXIT_NUMERICAL
     return status
 
@@ -356,8 +362,7 @@ def cmd_validate(args, run: RunConfig) -> int:
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     if not passed:
         failed = [check.name for check in checks if not check.passed]
-        print(f"vactrap validate: FAILED checks: {', '.join(failed)}",
-              file=sys.stderr)
+        _say(f"vactrap validate: FAILED checks: {', '.join(failed)}")
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -385,23 +390,28 @@ def main(argv=None) -> int:
                               "(--format json or [output] format = json)")
         return _COMMANDS[args.command](args, run)
     except (ConfigError, ValueError) as err:
-        print(f"vactrap: {err}", file=sys.stderr)
+        _say(f"vactrap: {err}")
         return EXIT_CONFIG
     except ConvergenceError as err:
-        print(f"vactrap: {err}", file=sys.stderr)
+        _say(f"vactrap: {err}")
         return EXIT_NUMERICAL
+
+
+def _say(line: str, file=None) -> None:
+    """Write ``line`` to ``file``, stderr by default.  As Python's own
+    warning display, drop it when there is no stream to take it (None or
+    closed), so that the exit code is the command's, whatever stderr is."""
+    try:
+        (sys.stderr if file is None else file).write(line + "\n")
+    except (AttributeError, OSError):
+        pass
 
 
 def _show_warning(message, category, filename, lineno, file=None,
                   line=None) -> None:
     """``warnings.showwarning`` of the command line: the message alone,
-    without the Python source location it was issued from.  As Python's
-    own display, it drops the line when there is no stderr to take it."""
-    file = sys.stderr if file is None else file
-    try:
-        file.write(f"vactrap: warning: {message}\n")
-    except (AttributeError, OSError):  # stderr is None or closed
-        pass
+    without the Python source location it was issued from."""
+    _say(f"vactrap: warning: {message}", file)
 
 
 def entry_point() -> None:

@@ -30,7 +30,9 @@ File format (all sections and keys optional; defaults below):
     precision = 17                 # significant digits written
 
 '#' and ';' start comments.  The file is UTF-8 text; a byte-order mark
-at its start is ignored.  Every diagnostic carries file and line.
+at its start is ignored.  Every diagnostic carries file and line; a value
+refused by the type that owns it also carries its key and value as
+written.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 import numpy as np
 
 from .cavity import CavityConfig, Detuning, DipoleOrientation, _Record
-from .fields import MAX_SCAN_POINTS
+from .fields import MAX_SCAN_POINTS, _check_drive
 
 _SECTIONS = {
     "mirrors": ("rho", "theta_m_deg", "kr", "diffraction_correction"),
@@ -128,9 +130,9 @@ class RunConfig(_Record):
 
 
 def _parse_sections(text: str, source: str) -> dict:
-    """Raw (value, line) pairs keyed by section/key, validated against
-    the known schema."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    """Raw (value, line, key as written) entries keyed by section and
+    lower-case key, validated against the known schema."""
+    sections: dict[str, dict[str, tuple[str, int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -157,45 +159,69 @@ def _parse_sections(text: str, source: str) -> dict:
         if key_l in sections[current]:
             raise ConfigError(
                 f"{source}:{lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key_l] = (value, lineno)
+        sections[current][key_l] = (value, lineno, key)
     return sections
 
 
-def _as_float(entry, source, name) -> float:
-    value, lineno = entry
+def _at(entry, source, make, *args):
+    """``make(*args)``, where ``make`` is the type or check that owns
+    ``entry``'s value.  Its ValueError is reported at the entry's line,
+    after the key and value as written: the owner speaks in its own terms
+    (radians, ``k_r_mirror``), the prefix in the file's."""
+    value, lineno, key = entry
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise ConfigError(
+            f"{source}:{lineno}: {key} = {value}: {err}") from None
+
+
+def _as_float(entry, source) -> float:
+    value, lineno, key = entry
     try:
         number = float(value)
     except ValueError:
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(
-            f"{source}:{lineno}: {name} must be a finite number, got {value!r}")
+            f"{source}:{lineno}: {key} must be a finite number, got {value!r}")
     return number
 
 
-def _as_int(entry, source, name) -> int:
-    value, lineno = entry
+def _as_int(entry, source) -> int:
+    value, lineno, key = entry
     try:
         return int(value)
     except ValueError:
         raise ConfigError(
-            f"{source}:{lineno}: {name} must be an integer, got {value!r}"
+            f"{source}:{lineno}: {key} must be an integer, got {value!r}"
         ) from None
 
 
-def _as_bool(entry, source, name) -> bool:
-    value, lineno = entry
+def _as_bool(entry, source) -> bool:
+    value, lineno, key = entry
     lowered = value.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
     raise ConfigError(
-        f"{source}:{lineno}: {name} must be true or false, got {value!r}")
+        f"{source}:{lineno}: {key} must be true or false, got {value!r}")
+
+
+# The [mirrors] keys in the order of CavityConfig's fields, each with its
+# reader.
+_MIRRORS = (
+    ("rho", _as_float),
+    ("kr", _as_float),
+    ("theta_m_deg",
+     lambda entry, source: math.radians(_as_float(entry, source))),
+    ("diffraction_correction", _as_bool),
+)
 
 
 def _parse_orientation(entry, source) -> DipoleOrientation:
-    value, lineno = entry
+    value, lineno, _ = entry
     lowered = value.lower()
     if lowered in ("parallel", "axis-parallel"):
         return DipoleOrientation.parallel()
@@ -221,10 +247,8 @@ def _parse_orientation(entry, source) -> DipoleOrientation:
         # needs is subnormal.  The scaling is exact, so a vector whose
         # squares stay normal keeps the bits of numpy's norm
         vec = np.ldexp(vec, -math.frexp(big)[1])
-        try:
-            return DipoleOrientation.fixed(vec / np.linalg.norm(vec))
-        except ValueError as err:
-            raise ConfigError(f"{source}:{lineno}: {err}") from None
+        return _at(entry, source, DipoleOrientation.fixed,
+                   vec / np.linalg.norm(vec))
     raise ConfigError(
         f"{source}:{lineno}: orientation must be parallel, perpendicular, "
         f"isotropic or three vector components, got {value!r}")
@@ -235,27 +259,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     sections = _parse_sections(text, source)
     run = RunConfig.defaults()
 
+    # each key is folded into the cavity as it is read, so a refusal is
+    # that key's; the joint check of aperture against diffraction comes
+    # with the last key, diffraction_correction
     mirrors = sections.get("mirrors", {})
-    rho = run.cavity.rho
-    theta_m = run.cavity.theta_m
-    k_r = run.cavity.k_r_mirror
-    correction = run.cavity.apply_diffraction_correction
-    if "rho" in mirrors:
-        rho = _as_float(mirrors["rho"], source, "rho")
-    if "theta_m_deg" in mirrors:
-        theta_m = math.radians(
-            _as_float(mirrors["theta_m_deg"], source, "theta_m_deg"))
-    if "kr" in mirrors:
-        k_r = _as_float(mirrors["kr"], source, "kR")
-    if "diffraction_correction" in mirrors:
-        correction = _as_bool(mirrors["diffraction_correction"], source,
-                              "diffraction_correction")
-    try:
-        run.cavity = CavityConfig(rho=rho, k_r_mirror=k_r, theta_m=theta_m,
-                                  apply_diffraction_correction=correction)
-    except ValueError as err:
-        lineno = _mirror_error_line(mirrors, str(err))
-        raise ConfigError(f"{source}:{lineno}: {err}") from None
+    fields = list(run.cavity._values())
+    for i, (key, read) in enumerate(_MIRRORS):
+        if key in mirrors:
+            fields[i] = read(mirrors[key], source)
+            run.cavity = _at(mirrors[key], source, CavityConfig, *fields)
 
     if "orientation" in sections.get("dipole", {}):
         run.orientation = _parse_orientation(
@@ -263,12 +275,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
     if "linewidths" in sections.get("detuning", {}):
         entry = sections["detuning"]["linewidths"]
-        linewidths = _as_float(entry, source, "linewidths")
-        run.detuning = Detuning(linewidths)
-        try:
-            run.detuning.phase(run.cavity.rho)
-        except ValueError as err:
-            raise ConfigError(f"{source}:{entry[1]}: {err}") from None
+        run.detuning = Detuning(_as_float(entry, source))
+        _at(entry, source, run.detuning.phase, run.cavity.rho)
 
     drive = sections.get("drive", {})
     if "pi_e" in drive and ("rabi" in drive or "laser_detuning" in drive):
@@ -276,19 +284,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             f"{source}:{drive['pi_e'][1]}: pi_e and rabi/laser_detuning "
             "drive specifications are mutually exclusive")
     if "pi_e" in drive:
-        run.pi_e = _as_float(drive["pi_e"], source, "pi_e")
-        if not 0.0 <= run.pi_e <= 0.5:
-            raise ConfigError(
-                f"{source}:{drive['pi_e'][1]}: pi_e must lie in [0, 1/2], "
-                f"got {run.pi_e}")
+        run.pi_e = _as_float(drive["pi_e"], source)
+        _at(drive["pi_e"], source, _check_drive, run.pi_e)
     if "rabi" in drive:
         if "laser_detuning" not in drive:
             raise ConfigError(
                 f"{source}:{drive['rabi'][1]}: rabi requires "
                 "laser_detuning in the same section")
-        run.weak_drive = (_as_float(drive["rabi"], source, "rabi"),
-                          _as_float(drive["laser_detuning"], source,
-                                    "laser_detuning"))
+        run.weak_drive = (_as_float(drive["rabi"], source),
+                          _as_float(drive["laser_detuning"], source))
     elif "laser_detuning" in drive:
         raise ConfigError(
             f"{source}:{drive['laser_detuning'][1]}: laser_detuning "
@@ -296,7 +300,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
     scan = sections.get("scan", {})
     if "type" in scan:
-        value, lineno = scan["type"]
+        value, lineno, _ = scan["type"]
         if value.lower() not in _SCAN_TYPES:
             raise ConfigError(
                 f"{source}:{lineno}: scan type must be one of "
@@ -304,15 +308,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 f"potential profiles), got {value!r}")
         run.scan_type = value.lower()
     if "start" in scan:
-        run.scan_start = _as_float(scan["start"], source, "start")
+        run.scan_start = _as_float(scan["start"], source)
     if "stop" in scan:
-        run.scan_stop = _as_float(scan["stop"], source, "stop")
+        run.scan_stop = _as_float(scan["stop"], source)
     if ("start" in scan and "stop" in scan
             and not run.scan_start < run.scan_stop):
         raise ConfigError(
             f"{source}:{scan['start'][1]}: scan start must be below stop")
     if "n_points" in scan:
-        run.scan_points = _as_int(scan["n_points"], source, "n_points")
+        run.scan_points = _as_int(scan["n_points"], source)
         if not 2 <= run.scan_points <= MAX_SCAN_POINTS:
             raise ConfigError(
                 f"{source}:{scan['n_points'][1]}: n_points must be >= 2 "
@@ -320,36 +324,24 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
     output = sections.get("output", {})
     if "path" in output:
-        run.out_path, lineno = output["path"]
+        run.out_path, lineno, _ = output["path"]
         if not run.out_path:
             raise ConfigError(f"{source}:{lineno}: output path must not be "
                               "empty; omit it to write to stdout")
     if "format" in output:
-        value, lineno = output["format"]
+        value, lineno, _ = output["format"]
         if value.lower() not in ("csv", "json"):
             raise ConfigError(
                 f"{source}:{lineno}: format must be csv or json, "
                 f"got {value!r}")
         run.out_format = value.lower()
     if "precision" in output:
-        run.precision = _as_int(output["precision"], source, "precision")
+        run.precision = _as_int(output["precision"], source)
         if not 1 <= run.precision <= 17:
             raise ConfigError(
                 f"{source}:{output['precision'][1]}: precision must be "
                 "between 1 and 17 significant digits")
     return run
-
-
-def _mirror_error_line(mirrors: dict, message: str) -> int:
-    """Best-effort mapping of a CavityConfig invariant message back to
-    the config line that set the offending value."""
-    for token, key in (("rho", "rho"), ("theta_m", "theta_m_deg"),
-                       ("k_r_mirror", "kr"), ("diffraction", "theta_m_deg")):
-        if token in message and key in mirrors:
-            return mirrors[key][1]
-    if mirrors:
-        return min(entry[1] for entry in mirrors.values())
-    return 0
 
 
 def load_config(path: str) -> RunConfig:

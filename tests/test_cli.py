@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes,
 determinism."""
 
+import errno
 import gc
 import json
 import os
@@ -26,9 +27,10 @@ from vactrap.cavity import (
 )
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     return subprocess.run([sys.executable, "-m", "vactrap.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          preexec_fn=preexec_fn)
 
 
 def parse_csv(text):
@@ -354,6 +356,18 @@ def test_validate_failure_exit_code(monkeypatch, capsys):
     assert report["passed"] is False
 
 
+def test_validate_failure_exit_code_without_stderr(monkeypatch, capsys):
+    # with no stderr to take the FAILED line, the exit code is still 4
+    from vactrap.validation import CheckResult
+
+    monkeypatch.setattr(
+        validation, "run_validation_suite",
+        lambda *a, **k: [CheckResult("forced_failure", False, {})])
+    monkeypatch.setattr(sys, "stderr", None)
+    assert cli.main(["validate"]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 # ------------------------------------------------- output and determinism
 
 def test_csv_round_trip(tmp_path):
@@ -425,10 +439,12 @@ def test_non_finite_config_number_rejected(tmp_path, command, text):
     assert not out.exists()
 
 
+HARD_PLANE = ("[mirrors]\nrho = 0.995\nkR = 1.0e3\ntheta_m_deg = 50.0\n"
+              "[scan]\nstart = 72.0\nstop = 80.0\nn_points = 3\n")
+
+
 def test_nonconvergent_scan_exit_code(tmp_path):
-    config = write(tmp_path / "hard.ini",
-                   "[mirrors]\nrho = 0.995\nkR = 1.0e3\ntheta_m_deg = 50.0\n"
-                   "[scan]\nstart = 72.0\nstop = 80.0\nn_points = 3\n")
+    config = write(tmp_path / "hard.ini", HARD_PLANE)
     proc = run_cli("plane", "--config", config, "--tolerance", "1e-10")
     assert proc.returncode == 3
     assert "convergence" in proc.stderr
@@ -547,6 +563,43 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"vactrap: cannot write {out}: No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# How a child can start without a usable stderr: fd 2 closed, as the
+# shell's 2>&- leaves it (Python then sets sys.stderr to None), or open
+# for reading only, so that every write fails.
+STDERR_GONE = {
+    "closed": lambda: os.close(2),
+    "read-only": lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2),
+}
+
+
+@pytest.mark.parametrize("gone", list(STDERR_GONE))
+@pytest.mark.parametrize("text,argv,code", [
+    ("[mirrors]\nrho = 1.5\n", ("center",), cli.EXIT_CONFIG),
+    (HARD_PLANE, ("plane", "--tolerance", "1e-10"), cli.EXIT_NUMERICAL),
+])
+def test_exit_code_holds_without_stderr(tmp_path, text, argv, code, gone):
+    # the message is dropped: it once went to stdout, or made the run
+    # exit 1 with a traceback
+    config = write(tmp_path / "c.ini", text)
+    table = run_cli(*argv, "--config", config).stdout
+    proc = run_cli(*argv, "--config", config, preexec_fn=STDERR_GONE[gone])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, table, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("redirect,reason", [
+    (lambda: os.close(1), errno.EBADF),
+    (lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 1), errno.ENOSPC),
+], ids=["closed", "full"])
+def test_unwritable_stdout_exits_2(redirect, reason):
+    # stdout closed or on a full device once ended in a traceback, exit 1
+    proc = run_cli("center", preexec_fn=redirect)
+    assert (proc.returncode, proc.stderr) == (
+        cli.EXIT_CONFIG,
+        f"vactrap: cannot write stdout: {os.strerror(reason)}\n")
 
 
 CENTER_SMALL = "[scan]\nn_points = 5\n"

@@ -155,7 +155,8 @@ def test_refused_orientation_names_its_line(monkeypatch):
         raise ValueError("fixed dipole direction must be unit norm")
 
     monkeypatch.setattr(config.DipoleOrientation, "fixed", refuse)
-    with pytest.raises(ConfigError, match=r"^bad\.ini:3: fixed dipole"):
+    with pytest.raises(ConfigError,
+                       match=r"^bad\.ini:3: orientation = 0 0 1: fixed dipole"):
         parse_config("[mirrors]\n[dipole]\norientation = 0 0 1\n",
                      source="bad.ini")
 
@@ -191,6 +192,19 @@ def test_comments_and_case():
     ("[mirrors]\ndiffraction_correction = maybe\n", 2, "true or false"),
     ("[dipole]\norientation = 1 0\n", 2, "orientation"),
     ("[dipole]\norientation = 0 0 0\n", 2, "nonzero"),
+    # a mirror key is refused at its own line, after the other keys, and
+    # named as written: degrees and kR, not radians and k_r_mirror
+    ("[mirrors]\nkR = 1e4\ntheta_m_deg = 30\nrho = 1.5\n", 4,
+     "rho = 1.5: rho must satisfy"),
+    ("[mirrors]\ntheta_m_deg = 30\nrho = 0.9\nkR = 5\n", 4,
+     "kR = 5: k_r_mirror must be finite"),
+    ("[mirrors]\nrho = 0.9\nkR = 1e4\ntheta_m_deg = 95\n", 4,
+     "theta_m_deg = 95: theta_m must lie in (0, pi/2)"),
+    ("[mirrors]\ndiffraction_correction = on\nrho = 0.99\nkR = 1e3\n"
+     "theta_m_deg = 1.0\n", 2,
+     "diffraction_correction = on: diffraction correction removes"),
+    ("[mirrors]\nKr = abc\n", 2, "Kr must be a finite number"),
+    ("[drive]\npi_e = 0.9\n", 2, "pi_e = 0.9: pi_e must lie in [0, 1/2]"),
 ])
 def test_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ConfigError) as excinfo:
@@ -227,7 +241,7 @@ def test_invalid_mirror_combination_points_at_line():
            "diffraction_correction = true\n"
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text, source="combo.ini")
-    assert "combo.ini:" in str(excinfo.value)
+    assert str(excinfo.value).startswith("combo.ini:5: ")
 
 
 def test_metadata_round_trip():

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import gc
 import math
 import os
 import sys
@@ -415,14 +414,18 @@ def _show_warning(message, category, filename, lineno, file=None,
 
 
 def entry_point() -> None:
-    """The ``vactrap`` console script and ``python -m vactrap.cli``."""
-    # What is alive now (modules, numpy's types and ufuncs) lives until
-    # exit: frozen, the interpreter's closing collections skip it, some
-    # 20 ms a run.  main() leaves its caller's collector alone, and its
-    # caller's warning display.
-    gc.freeze()
+    """The ``vactrap`` console script and ``python -m vactrap.cli``: once
+    stdout and stderr are flushed (a failure dropped, as by ``_say``), it
+    exits with main's status and no interpreter teardown or atexit
+    handler, some 6-9 ms a run; argparse's own exits are the usual ones."""
     warnings.showwarning = _show_warning
-    sys.exit(main())
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):
+            pass
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
                      DipoleOrientation, Position, Response, _Frozen, _Record,
-                     _radius)
+                     _radius, phase_fwhm)
 from .quadrature import ConvergenceError, integrate_sphere, polar_node_count
 
 DEFAULT_TOLERANCE = 1e-9
@@ -258,7 +258,12 @@ def _scan_points(spec: ScanSpec):
     c = spec.coordinates()
     rho = spec.config.rho
     if spec.axis == "detuning":
-        phi0 = np.array([Detuning(float(v)).phase(rho) for v in c])
+        phi0 = np.zeros(len(c))  # Detuning(v).phase(rho), as one array
+        if rho != 0.0:
+            phi0 = np.where(c == 0.0, 0.0, c * phase_fwhm(rho))
+            bad = np.flatnonzero(~(np.abs(phi0) <= math.pi / 2))
+            if bad.size:  # refused as Detuning.phase refuses it
+                Detuning(float(c[bad[0]])).phase(rho)
         return c[:, None], phi0, np.zeros((len(c), 3))
     coords = (np.column_stack([np.repeat(c, len(c)), np.tile(c, len(c))])
               if spec.axis == "plane" else c[:, None])

@@ -28,14 +28,17 @@ Han, Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
 ``integrate_sphere`` runs that rule and no other.  The independent
 reference that ``validate`` and the tests compare it with, a 2-D rule of
 Gauss-Legendre nodes in cos(theta) times a uniform azimuth rule, is
-``validation``'s own code and passes its nodes to ``_integrate_once``.
+``validation``'s own code and passes its nodes to ``_integrate_once``,
+one kernel pass per point for every dipole.
 
 The production rule in one variable is composite: one 32-node
 Gauss-Legendre base rule, built once at import by Newton's method on the
 Legendre recurrence, shifted onto each of n / 32 equal sub-panels of
 [-1, 1] (``_leggauss``).  Tiling it takes microseconds, so no rule is
-stored.  The 2-D reference rule takes numpy's Gauss-Legendre rule
-instead, so the two sides of that check share no node.
+stored between calls; within one, passes whose rows are one position
+share its one-row rule.  The 2-D reference rule takes numpy's
+Gauss-Legendre rule instead, so the two sides of that check share no
+node.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
@@ -403,36 +406,34 @@ def _zonal_rule(orientation, n_polar, theta, kr, whole, cut):
     return ox, oy, oz, weight
 
 
-def _integrate_once(kr, orientation, config, phi0, nodes, with_gradient):
+def _integrate_once(kr, config, phi0, directions, weighted, with_gradient):
     """The folded cap by quadrature for each row of the (P, 3) block kr,
     in one pass through the kernel over (P, n) arrays, plus the vacuum
-    band's closed-form share.  ``nodes`` is a rule's (ox, oy, oz, weight),
-    each (P, n), or (1, n) for a rule that serves every row.
+    band's closed-form share.  ``directions`` is a rule's (ox, oy, oz),
+    each (P, n), or (1, n) for a rule that serves every row; ``weighted``
+    yields one (weight, band share) pair per dipole, each summing the one
+    kernel pass.
 
-    The band's share takes the cap edge from the configuration.  The
-    gradient is d(shift)/d(kr) = sum of
+    The gradient is d(shift)/d(kr) = sum of
     weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR),
     whose integrand is also even under omega_hat -> -omega_hat.  Each row
     is summed on its own along the contiguous node axis, so its bits do
-    not depend on the block.  Returns (P,) gamma and shift and the
-    (P, 3) gradient or None.
+    not depend on the block.  Returns, per pair, (P,) gamma and shift and
+    the (P, 3) gradient or None.
     """
-    theta = effective_theta(config)
     kR = config.k_r_mirror
-    ox, oy, oz, weight = nodes
     kx, ky, kz = (k[:, None] for k in kr.T.copy())
+    ox, oy, oz = directions
     u = ox * kx + oy * ky + oz * kz
     phi = ray_phase(phi0[:, None], kx * kx + ky * ky + kz * kz, u, kR)
     g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u, with_gradient)
-    grad = None
+    terms = []
     if with_gradient:
-        grad = np.stack([
-            np.sum(weight * (u_part * o + phase_part * (k - u * o) / kR),
-                   axis=-1)
-            for o, k in zip((ox, oy, oz), (kx, ky, kz))], axis=-1)
-    band, _ = aperture_weights(orientation, math.cos(theta))
-    return (band + np.sum(weight * g, axis=-1),
-            np.sum(weight * sh, axis=-1), grad)
+        terms = [u_part * o + phase_part * (k - u * o) / kR
+                 for o, k in zip(directions, (kx, ky, kz))]
+    return [(band + np.sum(weight * g, axis=-1), np.sum(weight * sh, axis=-1),
+             np.stack([np.sum(weight * t, axis=-1) for t in terms], axis=-1)
+             if terms else None) for weight, band in weighted]
 
 
 def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
@@ -456,7 +457,9 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     one.  The block is integrated in passes over rows of one polar count
     and one panel kind, at most BLOCK_NODES // (4 n_polar) of them (at
     least one), whose results are scattered back to the block's rows; so
-    a block of any size and mix holds at most one pass's arrays.
+    a block of any size and mix holds at most one pass's arrays.  A pass
+    whose rows are one position (equal bytes) runs on its one-row rule,
+    which later passes at it reuse.
     A phase that is not finite, a count of phases other than one or P
     and a ``tolerance`` that is not positive raise ValueError.
 
@@ -511,14 +514,25 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
             passes += [(n_polar, kind, rows[i:i + cap])
                        for i in range(0, len(rows), cap)]
 
+    band, _ = aperture_weights(orientation, math.cos(theta))
+
     def once(scale):
         gamma, shift = np.empty((2, len(kr)))
         grad = np.empty(kr.shape) if with_gradient else None
+        shared = None, None  # the last repeated position and its rule
         for n_polar, kind, rows in passes:
-            nodes = _zonal_rule(orientation, scale * n_polar, theta,
-                                kr[rows], *kind)
-            gamma[rows], shift[rows], part = _integrate_once(
-                kr[rows], orientation, config, phi0[rows], nodes,
+            points = kr[rows]
+            bits = points.view(np.int64)
+            if (bits == bits[0]).all():  # a position fixes count and kind
+                if bits[0].tobytes() != shared[0]:
+                    shared = bits[0].tobytes(), _zonal_rule(
+                        orientation, scale * n_polar, theta, points[:1], *kind)
+                nodes = shared[1]
+            else:
+                nodes = _zonal_rule(orientation, scale * n_polar, theta,
+                                    points, *kind)
+            (gamma[rows], shift[rows], part), = _integrate_once(
+                points, config, phi0[rows], nodes[:3], [(nodes[3], band)],
                 with_gradient)
             if with_gradient:
                 grad[rows] = part
@@ -596,7 +610,8 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
         z = z_rng.uniform(-1.0, 1.0, size)
         az = az_rng.uniform(0.0, 2.0 * math.pi, size)
         in_cap = np.abs(z) >= cos_theta
-        ox, oy, oz, w = _weighted_directions(z[in_cap], az[in_cap],
+        cap = np.flatnonzero(in_cap)
+        ox, oy, oz, w = _weighted_directions(z.take(cap), az.take(cap),
                                              orientation)
         u = ox * kx + oy * ky + oz * kz
         phi = ray_phase(phi0, kr_sq, u, config.k_r_mirror)
@@ -605,8 +620,9 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
         if isotropic:
             band = (n_band, 1.0, 0.0)
         else:
+            rest = np.flatnonzero(~in_cap)
             band = _moments(_weighted_directions(
-                z[~in_cap], az[~in_cap], orientation)[3])
+                z.take(rest), az.take(rest), orientation)[3])
         gamma = _pool(_pool(gamma, _moments(w * g)), band)
         shift = _pool(_pool(shift, _moments(w * s)), (n_band, 0.0, 0.0))
 

@@ -12,7 +12,14 @@ nodes in cos(theta), from an eigenvalue method that shares no code with
 the production rule, times a uniform azimuth rule.  ``integrate_sphere``
 never runs it.  It passes its nodes to the production kernel,
 ``quadrature._integrate_once``, so its check tests the zonal rule, not
-the integrand; the closed forms and Monte Carlo test that.
+the integrand; the closed forms and Monte Carlo test that.  Its nodes do
+not depend on the dipole, so one kernel pass per point serves all three.
+
+Each check hands ``integrate_sphere`` its positions as one block per
+dipole orientation (the parity pairs, a point and its turns about the
+axis, the points of the rule and Monte-Carlo checks, the Richardson
+stencil); a row's bits do not depend on its block, so each is the call
+at that position alone.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .cavity import (
     Position,
     Response,
     _Record,
+    aperture_weights,
     center_gamma,
     center_shift,
     effective_theta,
@@ -67,15 +75,14 @@ def _reference_leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _sphere_rule(orientation, n_cos, n_azimuth, theta):
-    """The 2-D reference rule: (ox, oy, oz, weight), each of shape
-    (1, n_cos * n_azimuth), on the grid of the folded cap:
-    numpy's Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1]
-    times a uniform azimuth rule.  The weight is the polar weight,
-    doubled for the south cap, times the azimuth step and the
-    polarization weight, over the 4 pi of the full solid angle.  It does
-    not depend on the position, so one row serves every row of a
-    block."""
+def _sphere_rule(n_cos, n_azimuth, theta):
+    """The 2-D reference rule on the grid of the folded cap: numpy's
+    Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1] times a
+    uniform azimuth rule.  Returns the directions (ox, oy, oz), each of
+    shape (n_cos, n_azimuth), and the (n_cos, 1) weight of each node
+    before the polarization weight: the polar weight, doubled for the
+    south cap, times the azimuth step, over the 4 pi of the full solid
+    angle.  It depends on neither the position nor the dipole."""
     c_edge = math.cos(theta)
     x, w_gl = _reference_leggauss(n_cos)
     c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
@@ -85,19 +92,24 @@ def _sphere_rule(orientation, n_cos, n_azimuth, theta):
     oy = s[:, None] * np.sin(az)[None, :]
     oz = np.broadcast_to(c[:, None], ox.shape)
     weight = (1.0 - c_edge) * w_gl * (0.5 / n_azimuth)
-    weight = weight[:, None] * _pol_weight(orientation, ox, oy, oz)
-    return tuple(a.reshape(1, -1) for a in (ox, oy, oz, weight))
+    return (ox, oy, oz), weight[:, None]
 
 
-def _reference_pass(kr, orientation, config, phi0, grid) -> Response:
-    """The response at one position kr, gradient included, by one pass
-    of the 2-D reference rule on ``grid``."""
-    nodes = _sphere_rule(orientation, grid.n_polar, grid.n_azimuth,
-                         effective_theta(config))
-    (gamma,), (shift,), (grad,) = _integrate_once(
-        np.array([kr], dtype=float), orientation, config,
-        np.array([phi0], dtype=float), nodes, True)
-    return Response(float(gamma), float(shift), grad)
+def _reference_pass(kr, orientations, config, phi0, grid) -> list[Response]:
+    """The response at one position kr of each dipole of
+    ``orientations``, gradient included, by one pass of the 2-D reference
+    rule on ``grid``: its kernel runs once, and each dipole's weight is
+    built only when its sums are taken."""
+    theta = effective_theta(config)
+    directions, weight = _sphere_rule(grid.n_polar, grid.n_azimuth, theta)
+    weighted = (((weight * _pol_weight(o, *directions)).reshape(1, -1),
+                 aperture_weights(o, math.cos(theta))[0])
+                for o in orientations)
+    return [Response(float(gamma), float(shift), grad)
+            for (gamma,), (shift,), (grad,) in _integrate_once(
+                np.array([kr], dtype=float), config,
+                np.array([phi0], dtype=float),
+                [a.reshape(1, -1) for a in directions], weighted, True)]
 
 
 def richardson_gradient(position, orientation: DipoleOrientation,
@@ -177,18 +189,21 @@ def check_fsr_sum_rule(config: CavityConfig) -> CheckResult:
 
 
 def check_parity(config: CavityConfig, phi0: float, seed: int) -> CheckResult:
+    """Inversion kr -> -kr must not move any result: the five pairs are
+    one block of ten rows per dipole, each row on its own default
+    grid."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    points = []
     for _ in range(5):
         kr = rng.uniform(-1.0, 1.0, 3)
         kr *= rng.uniform(0.0, 40.0) / max(np.linalg.norm(kr), 1e-12)
-        # one block of the pair, each row on its own default grid
-        for orientation in _ORIENTATIONS:
-            pair = integrate_sphere(np.array([kr, -kr]), orientation,
-                                    config, phi0)
-            (g_plus, g_minus), (s_plus, s_minus) = (
-                pair.gamma_ratio.tolist(), pair.shift_ratio.tolist())
-            worst = max(worst, abs(g_plus - g_minus), abs(s_plus - s_minus))
+        points += [kr, -kr]
+    worst = 0.0
+    for orientation in _ORIENTATIONS:
+        pairs = integrate_sphere(np.array(points), orientation, config, phi0)
+        for values in (pairs.gamma_ratio, pairs.shift_ratio):
+            gaps = np.abs(values[::2] - values[1::2])
+            worst = max(worst, float(gaps.max()))
     return CheckResult("parity", worst < 1e-10,
                        {"worst_abs_difference": worst, "tolerance": 1e-10})
 
@@ -196,17 +211,19 @@ def check_parity(config: CavityConfig, phi0: float, seed: int) -> CheckResult:
 def check_rotation_symmetry(config: CavityConfig, phi0: float,
                             seed: int) -> CheckResult:
     """Rotating an off-axis position about the cavity axis must not move
-    axis-symmetric results (axis-parallel or isotropic dipole)."""
+    axis-symmetric results (axis-parallel or isotropic dipole).  The
+    base point and its three turns are one block of four rows."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for orientation in (_ORIENTATIONS[0], _ORIENTATIONS[2]):
         r_perp, z = rng.uniform(1.0, 30.0), rng.uniform(-30.0, 30.0)
-        base = integrate_sphere([r_perp, 0.0, z], orientation, config, phi0)
-        for angle in rng.uniform(0.0, 2.0 * math.pi, 3):
-            kr = [r_perp * math.cos(angle), r_perp * math.sin(angle), z]
-            rot = integrate_sphere(kr, orientation, config, phi0)
-            worst = max(worst, abs(rot.gamma_ratio - base.gamma_ratio),
-                        abs(rot.shift_ratio - base.shift_ratio))
+        turns = [[r_perp, 0.0, z]] + [
+            [r_perp * math.cos(angle), r_perp * math.sin(angle), z]
+            for angle in rng.uniform(0.0, 2.0 * math.pi, 3)]
+        rot = integrate_sphere(np.array(turns), orientation, config, phi0)
+        for values in (rot.gamma_ratio, rot.shift_ratio):
+            gaps = np.abs(values[1:] - values[0])
+            worst = max(worst, float(gaps.max()))
     return CheckResult("rotation_symmetry", worst < 1e-8,
                        {"worst_abs_difference": worst, "tolerance": 1e-8})
 
@@ -215,26 +232,32 @@ def check_zonal_vs_sphere_rule(config: CavityConfig,
                                phi0: float) -> CheckResult:
     """The zonal rule of every integral against the 2-D reference rule,
     gradient included, on and off the axis, each on the default grid of
-    its position.  The differences are kept as Python floats, so that the
-    report is plain JSON."""
+    its position.  The zonal side is one block of the five points per
+    dipole, the reference one pass per point for the three dipoles.  The
+    differences are kept as Python floats, so that the report is plain
+    JSON."""
+    points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.7], [0.0, 0.0, -21.0],
+                       [3.7, 0.0, 0.0], [-12.0, 5.0, 16.0]])
+    zonal = [integrate_sphere(points, orientation, config, phi0,
+                              with_gradient=True)
+             for orientation in _ORIENTATIONS]
     worst = 0.0
-    for orientation in _ORIENTATIONS:
-        for kr in ([0.0, 0.0, 0.0], [0.0, 0.0, 3.7], [0.0, 0.0, -21.0],
-                   [3.7, 0.0, 0.0], [-12.0, 5.0, 16.0]):
-            a = integrate_sphere(kr, orientation, config, phi0,
-                                 with_gradient=True)
-            b = _reference_pass(kr, orientation, config, phi0,
-                                AngularGrid.for_position(kr, config))
-            worst = max(worst, abs(a.gamma_ratio - b.gamma_ratio),
-                        abs(a.shift_ratio - b.shift_ratio),
-                        *np.abs(a.shift_gradient - b.shift_gradient).tolist())
+    for i, kr in enumerate(points):
+        reference = _reference_pass(kr, _ORIENTATIONS, config, phi0,
+                                    AngularGrid.for_position(kr, config))
+        for a, b in zip(zonal, reference):
+            worst = max(worst, abs(a.gamma_ratio[i].item() - b.gamma_ratio),
+                        abs(a.shift_ratio[i].item() - b.shift_ratio),
+                        *np.abs(a.shift_gradient[i]
+                                - b.shift_gradient).tolist())
     return CheckResult("zonal_vs_sphere_rule", worst < 1e-10,
                        {"worst_abs_difference": worst, "tolerance": 1e-10})
 
 
 def check_monte_carlo(config: CavityConfig, phi0: float, seed: int,
                       n_samples: int = 200_000) -> CheckResult:
-    """Quadrature against seeded Monte-Carlo sampling at three points.
+    """Quadrature against seeded Monte-Carlo sampling at three points,
+    whose quadrature is one block.
 
     Six z-scores are compared, so the bound is 5 standard errors: a
     correct program then fails on about 3e-6 of seeds, where a bound of
@@ -242,16 +265,20 @@ def check_monte_carlo(config: CavityConfig, phi0: float, seed: int,
     """
     max_z = 5.0
     rng = np.random.default_rng(seed)
-    worst_z = 0.0
-    for i in range(3):
+    points = []
+    for _ in range(3):
         kr = rng.uniform(-1.0, 1.0, 3)
         kr *= rng.uniform(0.0, 30.0) / max(np.linalg.norm(kr), 1e-12)
-        quad = integrate_sphere(kr, _ORIENTATIONS[2], config, phi0)
+        points.append(kr)
+    quad = integrate_sphere(np.array(points), _ORIENTATIONS[2], config, phi0)
+    worst_z = 0.0
+    for i, (kr, gamma, shift) in enumerate(zip(
+            points, quad.gamma_ratio.tolist(), quad.shift_ratio.tolist())):
         mc, (se_g, se_s) = monte_carlo_reference(
             kr, _ORIENTATIONS[2], config, phi0, n_samples,
             seed=seed + 1000 + i)
-        z_g = abs(quad.gamma_ratio - mc.gamma_ratio) / max(se_g, 1e-12)
-        z_s = abs(quad.shift_ratio - mc.shift_ratio) / max(se_s, 1e-12)
+        z_g = abs(gamma - mc.gamma_ratio) / max(se_g, 1e-12)
+        z_s = abs(shift - mc.shift_ratio) / max(se_s, 1e-12)
         worst_z = max(worst_z, z_g, z_s)
     return CheckResult("monte_carlo_agreement", worst_z < max_z,
                        {"worst_z_score": worst_z, "tolerance": max_z,

@@ -691,27 +691,75 @@ def test_unknown_command_rejected():
 
 # --------------------------------------------------------- process entry
 
+class _Stream:
+    """A stdout or stderr that records its flushes in ``calls``, and
+    fails them with ``error`` when one is given."""
+
+    def __init__(self, calls, name, error=None):
+        self.calls, self.name, self.error = calls, name, error
+
+    def flush(self):
+        self.calls.append(f"flush {self.name}")
+        if self.error:
+            raise self.error
+
+
 def test_entry_point_freezes_before_main_and_exits_with_its_status(
         monkeypatch):
+    # os._exit is patched: called for real it would end this process.  A
+    # flush that fails, or a stream that is gone, is dropped, and the
+    # status is main's
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+    def exit_now(status):
+        calls.append(("exit", status))
+        raise SystemExit(status)
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+    # entry_point sets the warning display: restored after the test
+    monkeypatch.setattr(warnings, "showwarning", warnings.showwarning)
     for status in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
-        calls.clear()
-        monkeypatch.setattr(cli, "main",
-                            lambda s=status: calls.append("main") or s)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.entry_point()
-        assert exit_info.value.code == status
-        assert calls == ["freeze", "main"]
+        for out, err in [(_Stream(calls, "stdout"), _Stream(calls, "stderr")),
+                         (_Stream(calls, "stdout", OSError(errno.ENOSPC)),
+                          None)]:
+            calls.clear()
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(sys, "stderr", err)
+            monkeypatch.setattr(cli, "main",
+                                lambda s=status: calls.append("main") or s)
+            with pytest.raises(SystemExit):
+                cli.entry_point()
+            assert calls == ["main", "flush stdout",
+                             *(["flush stderr"] if err else []),
+                             ("exit", status)]
 
 
 def test_entry_point_lets_argparse_exit(monkeypatch, capsys):
-    monkeypatch.setattr(gc, "freeze", lambda: None)
+    # a usage error raises SystemExit out of main, before os._exit
+    def exit_now(status):
+        raise AssertionError("os._exit called on a usage error")
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+    monkeypatch.setattr(warnings, "showwarning", warnings.showwarning)
     monkeypatch.setattr(sys, "argv", ["vactrap", "center", "--bogus"])
     with pytest.raises(SystemExit) as exit_info:
         cli.entry_point()
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_process_exit_leaves_no_output_behind(tmp_path):
+    # the process ends without interpreter teardown: the default plane's
+    # 1,681 rows still reach a pipe and an --out file whole
+    header = "kz,kx,gamma_ratio,shift_ratio\n"
+    piped = run_cli("plane")
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout.startswith(header)
+    assert len(piped.stdout.splitlines()) == 1682
+    out = tmp_path / "plane.csv"
+    proc = run_cli("plane", "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert out.read_text() == piped.stdout
 
 
 FAR_AXIAL = "[scan]\nstart = 99.0\nstop = 101.0\nn_points = 3\n"

@@ -22,6 +22,7 @@ from vactrap.fields import (
     MAX_THREADS,
     ScanSpec,
     WeakExcitationError,
+    _scan_points,
     excited_population,
     force_at,
     response_at,
@@ -291,6 +292,39 @@ def test_detuning_scan_matches_closed_forms():
         assert_allclose(gamma, center_gamma(PAR, DEFAULT, phi0), rtol=1e-8)
         assert_allclose(shift, center_shift(PAR, DEFAULT, phi0), rtol=1e-8,
                         atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.98, 0.9999])
+@pytest.mark.parametrize("start, stop, n_points", [
+    (-3.0, 3.0, 241), (-2.0, 0.0, 5), (-2.0, -0.0, 5), (-1.0, 2.0, 4)])
+def test_detuning_scan_phases_are_each_detunings_phase(rho, start, stop,
+                                                       n_points):
+    # the scan's phases are one array expression; each is, bit for bit,
+    # the phase of a Detuning at its point: +0.0 for no detuning (also at
+    # a stop of -0.0) and for free space
+    spec = ScanSpec("detuning", start, stop, n_points, CavityConfig(rho=rho),
+                    ISO)
+    one_by_one = [Detuning(float(v)).phase(rho) for v in spec.coordinates()]
+    coords, phi0, kr = _scan_points(spec)
+    assert phi0.tobytes() == np.array(one_by_one).tobytes()
+    assert_array_equal(coords[:, 0], spec.coordinates())
+    assert_array_equal(kr, np.zeros((n_points, 3)))
+
+
+@pytest.mark.parametrize("rho, start", [(0.5, -3.0), (0.5, -1.0),
+                                        (0.1, -1.0)])
+def test_detuning_scan_phases_refused_as_each_detunings(rho, start):
+    # a detuning outside the single-resonance window (rho = 0.5 takes
+    # +-2.17 linewidths), and any detuning without a resolved resonance
+    # (rho = 0.1), is refused with the message of the first point's
+    # Detuning.phase
+    spec = ScanSpec("detuning", start, 3.0, 9, CavityConfig(rho=rho), ISO)
+    with pytest.raises(ValueError) as one_by_one:
+        for v in spec.coordinates():
+            Detuning(float(v)).phase(rho)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(one_by_one.value))}$"):
+        _scan_points(spec)
 
 
 def test_plane_scan_ordering():

@@ -200,11 +200,11 @@ def test_zonal_rule_matches_sphere_rule(kr, rho, phi0):
     config = CavityConfig(rho=rho)
     grid = AngularGrid.for_position(kr, config)
     grid = AngularGrid(2 * grid.n_polar, 2 * grid.n_azimuth)
-    for orientation in ORIENTATIONS:
+    spheres = _reference_pass(kr, ORIENTATIONS, config, phi0, grid)
+    for orientation, sphere in zip(ORIENTATIONS, spheres, strict=True):
         zonal = integrate_sphere(kr, orientation, config, phi0,
                                  tolerance=DEFAULT_TOLERANCE,
                                  with_gradient=True)
-        sphere = _reference_pass(kr, orientation, config, phi0, grid)
         for x, y in ((sphere.gamma_ratio, zonal.gamma_ratio),
                      (sphere.shift_ratio, zonal.shift_ratio),
                      *zip(sphere.shift_gradient, zonal.shift_gradient)):

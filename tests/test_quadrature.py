@@ -466,23 +466,33 @@ def test_block_mixing_panel_kinds_matches_rows_alone(orientation,
                                    alone.shift_gradient)
 
 
-def rule_passes(monkeypatch):
-    """Record, for each ``_zonal_rule`` call from now on, its rows, its
-    polar count, the panel kind it was given, and the width of the
-    kernel's arrays in its pass."""
-    zonal_rule, cap_terms = quadrature._zonal_rule, quadrature._cap_terms
-    passes = []
+def rule_passes(monkeypatch, builds=None):
+    """Record, for each kernel pass from now on (each ``_integrate_once``
+    call), its rows, the polar count and panel kind of the zonal rule it
+    runs on, and the width of its kernel arrays.  Each rule build (each
+    ``_zonal_rule`` call) is appended to ``builds``, when given, as its
+    rows, count and kind: the rule of a pass whose rows are one position
+    is built for one row, and the next passes at it may share it."""
+    zonal_rule = quadrature._zonal_rule
+    integrate_once = quadrature._integrate_once
+    rules, passes = {}, []
 
     def rule(orientation, n_polar, theta, kr, whole, cut):
-        passes.append([kr.copy(), n_polar, (whole, cut)])
-        return zonal_rule(orientation, n_polar, theta, kr, whole, cut)
+        nodes = zonal_rule(orientation, n_polar, theta, kr, whole, cut)
+        rules[id(nodes[0])] = nodes, n_polar, (whole, cut)
+        if builds is not None:
+            builds.append((kr.copy(), n_polar, (whole, cut)))
+        return nodes
 
-    def kernel(rho, phi, u, with_gradient=False):
-        passes[-1].append(u.shape[1])
-        return cap_terms(rho, phi, u, with_gradient)
+    def once(kr, config, phi0, directions, weighted, with_gradient):
+        nodes, n_polar, kind = rules[id(directions[0])]
+        assert directions[0] is nodes[0]
+        passes.append((kr.copy(), n_polar, kind, directions[0].shape[1]))
+        return integrate_once(kr, config, phi0, directions, weighted,
+                              with_gradient)
 
     monkeypatch.setattr(quadrature, "_zonal_rule", rule)
-    monkeypatch.setattr(quadrature, "_cap_terms", kernel)
+    monkeypatch.setattr(quadrature, "_integrate_once", once)
     return passes
 
 
@@ -579,6 +589,90 @@ def test_caller_block_passes_hold_one_kind_and_budget(monkeypatch,
         assert block.gamma_ratio[i] == alone.gamma_ratio
         assert block.shift_ratio[i] == alone.shift_ratio
         assert_array_equal(block.shift_gradient[i], alone.shift_gradient)
+
+
+def assert_rows_alone(block, kr, orientation, config, phi0, **kwargs):
+    """Each row of the Response ``block`` at the positions kr is, bit for
+    bit, the call at its position alone."""
+    for i, (row, phase) in enumerate(zip(kr, phi0)):
+        alone = integrate_sphere(row, orientation, config, phase, **kwargs)
+        assert block.gamma_ratio[i] == alone.gamma_ratio
+        assert block.shift_ratio[i] == alone.shift_ratio
+        if kwargs.get("with_gradient"):
+            assert_array_equal(block.shift_gradient[i], alone.shift_gradient)
+
+
+@pytest.mark.parametrize("orientation", [DipoleOrientation.isotropic(),
+                                         FIXED], ids=["isotropic", "fixed"])
+@pytest.mark.parametrize("with_gradient", [False, True])
+@pytest.mark.parametrize("tolerance", [None, 1e-9])
+@pytest.mark.parametrize("position", [[0.0, 0.0, 0.0], [3.0, -2.0, 5.0]],
+                         ids=["center", "off-axis"])
+def test_repeated_position_builds_one_rule_per_count(
+        monkeypatch, orientation, with_gradient, tolerance, position):
+    # 100 rows of one position, 4 passes of 32 polar nodes: the first
+    # builds the position's one-row rule at each scale and the next three
+    # share it, and every row keeps the bits it gets alone
+    config = CavityConfig(rho=0.98)
+    kr = np.tile(position, (100, 1))
+    phi0 = np.linspace(-0.4, 0.4, len(kr))
+    kw = dict(tolerance=tolerance, with_gradient=with_gradient)
+    builds = []
+    passes = rule_passes(monkeypatch, builds)
+    block = integrate_sphere(kr, orientation, config, phi0, **kw)
+    scales = (1,) if tolerance is None else (1, 2)
+    assert len(passes) == 4 * len(scales)
+    assert [(n, kind) for _, n, kind in builds] == [
+        (32 * scale, passes[0][2]) for scale in scales]
+    for rows, _, _ in builds:
+        assert_array_equal(rows, [position])
+    monkeypatch.undo()
+    assert_rows_alone(block, kr, orientation, config, phi0, **kw)
+
+
+@pytest.mark.parametrize("with_gradient", [False, True])
+@pytest.mark.parametrize("tolerance", [None, 1e-9])
+def test_block_shares_rules_only_where_a_pass_repeats(monkeypatch,
+                                                     with_gradient,
+                                                     tolerance):
+    # on one grid (32 rows a pass): 3 axis rows of one position, a pass
+    # alone; 64 rows of position a in two passes, one rule; a pass of a
+    # with one row of b, built for its rows; then 32 rows of a again,
+    # which share a's rule, the last repeated one
+    config = CavityConfig(rho=0.98)
+    a, b, axis = [1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [0.0, 0.0, 5.0]
+    kr = np.array([a] * 40 + [axis] * 3 + [a] * 44 + [b] + [a] * 43)
+    phi0 = np.linspace(-0.3, 0.3, len(kr))
+    grid = AngularGrid(32, 16)
+    kw = dict(grid=grid, tolerance=tolerance, with_gradient=with_gradient)
+    builds = []
+    passes = rule_passes(monkeypatch, builds)
+    block = integrate_sphere(kr, FIXED, config, phi0, **kw)
+    scales = (1,) if tolerance is None else (1, 2)
+    assert [len(rows) for rows, _, _, _ in passes] == (
+        [3, 32, 32, 32, 32] * len(scales))
+    assert [(len(rows), n) for rows, n, _ in builds] == [
+        (m, 32 * scale) for scale in scales for m in (1, 1, 32)]
+    mixed = [a] * 20 + [b] + [a] * 11
+    for (rows, _, _), expected in zip(builds, [[axis], [a], mixed] * 2):
+        assert_array_equal(rows, expected)
+    monkeypatch.undo()
+    assert_rows_alone(block, kr, FIXED, config, phi0, **kw)
+
+
+def test_detuning_scan_builds_one_rule_per_dipole_and_scale(monkeypatch):
+    # center --quadrature: 241 rows at kr = 0, 8 passes a scan, for two
+    # dipoles, each with the doubling check; 4 rule builds where each
+    # pass once built its own
+    config = RunConfig.defaults().cavity
+    builds = []
+    passes = rule_passes(monkeypatch, builds)
+    for orientation in (DipoleOrientation.parallel(),
+                        DipoleOrientation.perpendicular()):
+        fields.run_scan(ScanSpec("detuning", -3.0, 3.0, 241, config,
+                                 orientation))
+    assert len(passes) == 32
+    assert [n for _, n, _ in builds] == [32, 64, 32, 64]
 
 
 @pytest.mark.parametrize("orientation", [DipoleOrientation.isotropic(),
@@ -824,13 +918,13 @@ def test_fast_path_matches_general():
     points = [(0.0, 0.0, kz) for kz in (0.0, 2.3, 21.0, -60.0)] + [
         (1e-6, 0.0, 30.0), (5.0, 0.0, 0.0), (20.0, -5.0, 20.0),
         (-12.0, 30.0, 9.0)]
-    for orientation in ORIENTATIONS:
-        for kr in points:
+    for kr in points:
+        spheres = validation._reference_pass(
+            kr, ORIENTATIONS, config, phi0,
+            AngularGrid.for_position(kr, config))
+        for orientation, sphere in zip(ORIENTATIONS, spheres, strict=True):
             zonal = integrate_sphere(kr, orientation, config, phi0,
                                      with_gradient=True)
-            sphere = validation._reference_pass(
-                kr, orientation, config, phi0,
-                AngularGrid.for_position(kr, config))
             assert abs(zonal.gamma_ratio - sphere.gamma_ratio) < 1e-10
             assert abs(zonal.shift_ratio - sphere.shift_ratio) < 1e-10
             assert np.all(np.abs(zonal.shift_gradient

@@ -1,6 +1,8 @@
 """The oracle suite's own false-alarm rate and power, and its block
 calls against one call per point."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -13,6 +15,7 @@ from vactrap.quadrature import AngularGrid, integrate_sphere
 from vactrap.validation import (
     check_monte_carlo,
     check_parity,
+    check_rotation_symmetry,
     richardson_gradient,
 )
 
@@ -70,39 +73,156 @@ def test_richardson_stencil_block_is_bit_identical(kr):
                        expected)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_parity_pair_block_matches_per_row_calls(seed, monkeypatch):
-    # parity holds bit for bit, so the detail alone reads 0 either way:
-    # each row of every pair block is also checked against its own call
-    phi0 = Detuning(0.0).phase(DEFAULT.rho)
+def recorded_blocks(monkeypatch):
+    """Record each ``integrate_sphere`` call of the checks from now on as
+    (kr, orientation, result)."""
     blocks = []
 
     def recorded(kr, orientation, *args, **kwargs):
         result = integrate_sphere(kr, orientation, *args, **kwargs)
-        blocks.append((kr, orientation, result))
+        blocks.append((np.array(kr), orientation, result))
         return result
 
     monkeypatch.setattr(validation, "integrate_sphere", recorded)
+    return blocks
+
+
+def assert_rows_alone(block, phi0, **kwargs):
+    """Each row of a recorded block is, bit for bit, the call at its
+    position alone; returns those calls."""
+    kr, orientation, result = block
+    alone = [integrate_sphere(row, orientation, DEFAULT, phi0, **kwargs)
+             for row in kr]
+    assert_array_equal(result.gamma_ratio, [a.gamma_ratio for a in alone])
+    assert_array_equal(result.shift_ratio, [a.shift_ratio for a in alone])
+    if kwargs.get("with_gradient"):
+        assert_array_equal(result.shift_gradient,
+                           [a.shift_gradient for a in alone])
+    return alone
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parity_pair_block_matches_per_row_calls(seed, monkeypatch):
+    # parity holds bit for bit, so the detail alone reads 0 either way:
+    # the five pairs are one 10-row block per dipole, and each row is
+    # also checked against its own call
+    phi0 = Detuning(0.0).phase(DEFAULT.rho)
+    blocks = recorded_blocks(monkeypatch)
     detail = check_parity(DEFAULT, phi0, seed).detail
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    points = []
     for _ in range(5):
         kr = rng.uniform(-1.0, 1.0, 3)
         kr *= rng.uniform(0.0, 40.0) / max(np.linalg.norm(kr), 1e-12)
-        for orientation in validation._ORIENTATIONS:
-            plus = integrate_sphere(kr, orientation, DEFAULT, phi0)
-            minus = integrate_sphere(-kr, orientation, DEFAULT, phi0)
+        points += [kr, -kr]
+    worst = 0.0
+    assert [o for _, o, _ in blocks] == list(validation._ORIENTATIONS)
+    for block in blocks:
+        assert_array_equal(block[0], points)
+        alone = assert_rows_alone(block, phi0)
+        for plus, minus in zip(alone[::2], alone[1::2]):
             worst = max(worst, abs(plus.gamma_ratio - minus.gamma_ratio),
                         abs(plus.shift_ratio - minus.shift_ratio))
-            block_kr, block_orientation, pair = blocks.pop(0)
-            assert_array_equal(block_kr, [kr, -kr])
-            assert block_orientation == orientation
-            assert_array_equal(pair.gamma_ratio,
-                               [plus.gamma_ratio, minus.gamma_ratio])
-            assert_array_equal(pair.shift_ratio,
-                               [plus.shift_ratio, minus.shift_ratio])
-    assert not blocks
     assert detail == {"worst_abs_difference": worst, "tolerance": 1e-10}
+
+
+def test_parity_check_sees_one_broken_pair(monkeypatch):
+    # parity holds bit for bit, so only a broken row shows that each +kr
+    # row is compared with its own -kr row: the fourth pair's -kr row
+    # moved by 1e-7 is the worst difference, and fails the check
+    def broken(kr, orientation, *args, **kwargs):
+        result = integrate_sphere(kr, orientation, *args, **kwargs)
+        result.gamma_ratio[7] += 1e-7
+        return result
+
+    monkeypatch.setattr(validation, "integrate_sphere", broken)
+    check = check_parity(DEFAULT, 0.0, 0)
+    assert not check.passed
+    assert check.detail["worst_abs_difference"] == pytest.approx(1e-7,
+                                                                 rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rotation_block_matches_per_row_calls(seed, monkeypatch):
+    # the base point and its three turns about the axis are one 4-row
+    # block per axis-symmetric dipole, each row its own call
+    phi0 = Detuning(-0.5).phase(DEFAULT.rho)
+    blocks = recorded_blocks(monkeypatch)
+    detail = check_rotation_symmetry(DEFAULT, phi0, seed).detail
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    assert [o for _, o, _ in blocks] == [validation._ORIENTATIONS[0],
+                                         validation._ORIENTATIONS[2]]
+    for block in blocks:
+        r_perp, z = rng.uniform(1.0, 30.0), rng.uniform(-30.0, 30.0)
+        turns = [[r_perp * math.cos(a), r_perp * math.sin(a), z]
+                 for a in rng.uniform(0.0, 2.0 * math.pi, 3)]
+        assert_array_equal(block[0], [[r_perp, 0.0, z]] + turns)
+        base, *rotated = assert_rows_alone(block, phi0)
+        for rot in rotated:
+            worst = max(worst, abs(rot.gamma_ratio - base.gamma_ratio),
+                        abs(rot.shift_ratio - base.shift_ratio))
+    assert detail == {"worst_abs_difference": worst, "tolerance": 1e-8}
+
+
+def test_zonal_rule_block_and_reference_pass_per_point(monkeypatch):
+    # the zonal side is one 5-row block per dipole, with the gradient;
+    # the reference runs its kernel once per point for the three dipoles,
+    # each dipole's sums the bits of a pass for that dipole alone
+    phi0 = Detuning(-0.5).phase(DEFAULT.rho)
+    blocks = recorded_blocks(monkeypatch)
+    passes = []
+    reference = validation._reference_pass
+
+    def recorded(kr, orientations, *args):
+        result = reference(kr, orientations, *args)
+        passes.append((kr, orientations, args, result))
+        return result
+
+    monkeypatch.setattr(validation, "_reference_pass", recorded)
+    kernel_calls = []
+    integrate_once = validation._integrate_once
+
+    def counted(*args):
+        kernel_calls.append(len(args[0]))
+        return integrate_once(*args)
+
+    monkeypatch.setattr(validation, "_integrate_once", counted)
+    detail = validation.check_zonal_vs_sphere_rule(DEFAULT, phi0).detail
+    assert [o for _, o, _ in blocks] == list(validation._ORIENTATIONS)
+    assert len(passes) == 5 and kernel_calls == [1] * 5
+    worst = 0.0
+    for block in blocks:
+        assert_array_equal(block[0], [p[0] for p in passes])
+    for i, (kr, orientations, args, result) in enumerate(passes):
+        assert orientations == validation._ORIENTATIONS
+        assert args[-1] == AngularGrid.for_position(kr, DEFAULT)
+        for (_, orientation, zonal), ref in zip(blocks, result,
+                                                strict=True):
+            alone = reference(kr, [orientation], *args)[0]
+            assert (ref.gamma_ratio, ref.shift_ratio) == (
+                alone.gamma_ratio, alone.shift_ratio)
+            assert_array_equal(ref.shift_gradient, alone.shift_gradient)
+            a = integrate_sphere(kr, orientation, DEFAULT, phi0,
+                                 with_gradient=True)
+            assert (zonal.gamma_ratio[i], zonal.shift_ratio[i]) == (
+                a.gamma_ratio, a.shift_ratio)
+            assert_array_equal(zonal.shift_gradient[i], a.shift_gradient)
+            worst = max(worst, abs(a.gamma_ratio - ref.gamma_ratio),
+                        abs(a.shift_ratio - ref.shift_ratio),
+                        *np.abs(a.shift_gradient
+                                - ref.shift_gradient).tolist())
+    assert detail == {"worst_abs_difference": worst, "tolerance": 1e-10}
+
+
+def test_monte_carlo_quadrature_is_one_block(monkeypatch):
+    # the three quadrature points are one block, each row its own call
+    blocks = recorded_blocks(monkeypatch)
+    check_monte_carlo(DEFAULT, 0.0, 0, n_samples=10_000)
+    (block,) = blocks
+    assert block[0].shape == (3, 3)
+    assert block[1] == validation._ORIENTATIONS[2]
+    assert_rows_alone(block, 0.0)
 
 
 def test_reference_rule_shares_no_rule_code_with_production(monkeypatch):
@@ -111,20 +231,20 @@ def test_reference_rule_shares_no_rule_code_with_production(monkeypatch):
     # shares no node and no rule code with what it checks
     phi0 = Detuning(-0.5).phase(DEFAULT.rho)
     points = ([0.0, 0.0, 0.0], [0.0, 0.0, 3.7], [-12.0, 5.0, 16.0])
-    cases = [(kr, orientation, AngularGrid.for_position(kr, DEFAULT))
-             for kr in points for orientation in validation._ORIENTATIONS]
-    expected = [validation._reference_pass(kr, orientation, DEFAULT, phi0,
-                                           grid)
-                for kr, orientation, grid in cases]
+    cases = [(kr, AngularGrid.for_position(kr, DEFAULT)) for kr in points]
+    expected = [validation._reference_pass(kr, validation._ORIENTATIONS,
+                                           DEFAULT, phi0, grid)
+                for kr, grid in cases]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference called production rule code")
 
     for name in ("_leggauss", "_zonal_rule", "integrate_sphere"):
         monkeypatch.setattr(quadrature, name, forbidden)
-    for (kr, orientation, grid), before in zip(cases, expected):
-        after = validation._reference_pass(kr, orientation, DEFAULT, phi0,
-                                           grid)
-        assert after.gamma_ratio == before.gamma_ratio
-        assert after.shift_ratio == before.shift_ratio
-        assert_array_equal(after.shift_gradient, before.shift_gradient)
+    for (kr, grid), responses in zip(cases, expected):
+        afters = validation._reference_pass(kr, validation._ORIENTATIONS,
+                                            DEFAULT, phi0, grid)
+        for after, before in zip(afters, responses, strict=True):
+            assert after.gamma_ratio == before.gamma_ratio
+            assert after.shift_ratio == before.shift_ratio
+            assert_array_equal(after.shift_gradient, before.shift_gradient)

@@ -27,17 +27,17 @@ or two panels (a Funk-Hecke reduction restricted to a cap; Atkinson &
 Han, Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
 ``integrate_sphere`` runs that rule and no other.  The independent
 reference that ``validate`` and the tests compare it with, a 2-D rule of
-Gauss-Legendre nodes in cos(theta) times a uniform azimuth rule, is
+Fejer nodes in cos(theta) times a uniform azimuth rule, is
 ``validation``'s own code and passes its nodes to ``_integrate_once``,
-one kernel pass per point for every dipole.
+each pass for every dipole.
 
 The production rule in one variable is composite: one 32-node
 Gauss-Legendre base rule, built once at import by Newton's method on the
 Legendre recurrence, shifted onto each of n / 32 equal sub-panels of
 [-1, 1] (``_leggauss``).  Tiling it takes microseconds, so no rule is
 stored between calls; within one, passes whose rows are one position
-share its one-row rule.  The 2-D reference rule takes numpy's
-Gauss-Legendre rule instead, so the two sides of that check share no
+share its one-row rule.  The 2-D reference rule takes Fejer's first
+rule in closed form instead, so the two sides of that check share no
 node.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
@@ -201,7 +201,7 @@ def azimuth_node_floor(kr_perp: float) -> int:
 class AngularGrid(_Frozen):
     """Node counts: nodes per panel of the zonal rule's composite
     Gauss-Legendre rule, whole sub-panels of MIN_POLAR_NODES (and
-    Gauss-Legendre nodes in cos(theta) for the 2-D reference rule), and
+    Fejer nodes in cos(theta) for the 2-D reference rule), and
     uniform azimuth nodes of the 2-D rule.  ``integrate_sphere`` reads
     n_polar only; n_azimuth is read by ``validation``'s reference rule
     and by the benchmark's traced child, which counts nodes with it.
@@ -232,14 +232,19 @@ class AngularGrid(_Frozen):
         block (P, 3), and mirrors: ``polar_node_count`` nodes per polar
         panel, and for the 2-D reference rule the azimuth floor plus a
         margin of 16 (the periodic rule needs ~16 modes beyond the
-        integrand's band edge before its spectral tail dies).  The
-        position or block is admitted as ``integrate_sphere`` admits it:
-        a bad shape or row raises ValueError, and a block beyond the
-        warning radius warns once."""
+        integrand's band edge before its spectral tail dies), or eight
+        per linewidth that a cap ring's phase sweeps in half a turn,
+        <= k_perp (|kz| + k_perp) / kR, if more.  The position or block
+        is admitted as ``integrate_sphere`` admits it: a bad shape or row
+        raises ValueError, and a block beyond the warning radius warns
+        once."""
         kr, radii = _admit(kr)
         far = np.argmax(radii)
+        k_perp, kz = math.hypot(*kr[far, :2]), abs(kr[far, 2])
+        sweep = (8.0 * k_perp * (kz + k_perp) * math.sqrt(config.rho)
+                 / (config.k_r_mirror * (1.0 - config.rho)))
         return cls(polar_node_count(float(radii[far]), config),
-                   azimuth_node_floor(math.hypot(*kr[far, :2])) + 16)
+                   max(azimuth_node_floor(k_perp) + 16, math.ceil(sweep)))
 
 
 def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):

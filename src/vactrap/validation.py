@@ -7,13 +7,15 @@ analytic gradient against Richardson finite differences, and the
 resonance factors against their period-average sum rules.  A failure
 here means the numerics cannot be trusted for the given configuration.
 
-The 2-D reference rule is this module's own code: numpy's Gauss-Legendre
-nodes in cos(theta), from an eigenvalue method that shares no code with
-the production rule, times a uniform azimuth rule.  ``integrate_sphere``
-never runs it.  It passes its nodes to the production kernel,
-``quadrature._integrate_once``, so its check tests the zonal rule, not
-the integrand; the closed forms and Monte Carlo test that.  Its nodes do
-not depend on the dipole, so one kernel pass per point serves all three.
+The 2-D reference rule is this module's own code: Fejer's first rule in
+cos(theta), whose nodes and weights are closed forms that share no code
+with the production rule, times a uniform azimuth rule.
+``integrate_sphere`` never runs it.  It passes its nodes to the
+production kernel, ``quadrature._integrate_once``, so its check tests
+the zonal rule, not the integrand; the closed forms and Monte Carlo test
+that.  Its nodes do not depend on the dipole, so each kernel pass serves
+all three, and a point's passes are blocks of at most BLOCK_NODES nodes,
+so the size of its grid does not set the memory of ``validate``.
 
 Each check hands ``integrate_sphere`` its positions as one block per
 dipole orientation (the parity pairs, a point and its turns about the
@@ -42,7 +44,12 @@ from .cavity import (
     effective_theta,
 )
 from .fields import response_at
-from .quadrature import AngularGrid, integrate_sphere, monte_carlo_reference
+from .quadrature import (
+    BLOCK_NODES,
+    AngularGrid,
+    integrate_sphere,
+    monte_carlo_reference,
+)
 from .quadrature import _integrate_once, _pol_weight
 
 _ORIENTATIONS = (
@@ -65,51 +72,77 @@ class CheckResult(_Record):
 
 
 @functools.lru_cache(maxsize=16)
-def _reference_leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's n-point Gauss-Legendre rule, read-only: an eigenvalue
-    method (Golub-Welsch) that shares no code with the composite rule.
-    Imported here, so that no scan loads numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(n)
+def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fejer's first n-point rule on [-1, 1], nodes ascending, read-only:
+    x_k = cos(theta_k), theta_k = (2k - 1) pi / (2n), and
+    w_k = (2/n) (1 - 2 sum_{j=1}^{n//2} cos(2 j theta_k) / (4 j^2 - 1))
+    (Waldvogel, BIT 46 (2006) 195).  It is exact below degree n, its
+    weights are positive, and it takes no iteration and no eigensolver.
+    The j-sum runs in blocks of at most BLOCK_NODES terms over the nodes
+    of one half, which the other half mirrors."""
+    half = (n + 1) // 2
+    theta = 0.5 * math.pi * np.arange(1, 2 * half, 2) / n
+    total = np.zeros(half)
+    step = max(1, BLOCK_NODES // half)
+    for start in range(1, n // 2 + 1, step):
+        j = np.arange(start, min(start + step, n // 2 + 1), dtype=float)
+        total += np.sum(np.cos(np.outer(theta, 2.0 * j)) / (4.0 * j * j - 1.0),
+                        axis=1)
+    x, w = np.cos(theta), (2.0 / n) * (1.0 - 2.0 * total)
+    x = np.concatenate([-x, x[:n // 2][::-1]])
+    w = np.concatenate([w, w[:n // 2][::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def _sphere_rule(n_cos, n_azimuth, theta):
-    """The 2-D reference rule on the grid of the folded cap: numpy's
-    Gauss-Legendre nodes in cos(theta) on [cos(theta_eff), 1] times a
-    uniform azimuth rule.  Returns the directions (ox, oy, oz), each of
-    shape (n_cos, n_azimuth), and the (n_cos, 1) weight of each node
-    before the polarization weight: the polar weight, doubled for the
-    south cap, times the azimuth step, over the 4 pi of the full solid
-    angle.  It depends on neither the position nor the dipole."""
+    """The 2-D reference rule on the grid of the folded cap: Fejer's
+    nodes in cos(theta) on [cos(theta_eff), 1] times a uniform azimuth
+    rule, in blocks of whole cos-node rows, at most BLOCK_NODES nodes a
+    block (one row where a row is longer).  Yields for each block the
+    directions (ox, oy, oz) and the weight of each node before the
+    polarization weight, each of shape (1, nodes): the polar weight,
+    doubled for the south cap, times the azimuth step, over the 4 pi of
+    the full solid angle.  It depends on neither the position nor the
+    dipole."""
     c_edge = math.cos(theta)
-    x, w_gl = _reference_leggauss(n_cos)
+    x, w = _fejer_rule(n_cos)
     c = 0.5 * (1.0 - c_edge) * x + 0.5 * (1.0 + c_edge)
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    weight = (1.0 - c_edge) * w * (0.5 / n_azimuth)
     az = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    ox = s[:, None] * np.cos(az)[None, :]
-    oy = s[:, None] * np.sin(az)[None, :]
-    oz = np.broadcast_to(c[:, None], ox.shape)
-    weight = (1.0 - c_edge) * w_gl * (0.5 / n_azimuth)
-    return (ox, oy, oz), weight[:, None]
+    cos_az, sin_az = np.cos(az), np.sin(az)
+    rows = max(1, BLOCK_NODES // n_azimuth)
+    for i in range(0, n_cos, rows):
+        block = slice(i, i + rows)
+        ox = s[block, None] * cos_az
+        directions = (ox, s[block, None] * sin_az,
+                      np.broadcast_to(c[block, None], ox.shape))
+        yield ([a.reshape(1, -1) for a in directions],
+               np.repeat(weight[block], n_azimuth)[None, :])
 
 
 def _reference_pass(kr, orientations, config, phi0, grid) -> list[Response]:
     """The response at one position kr of each dipole of
-    ``orientations``, gradient included, by one pass of the 2-D reference
-    rule on ``grid``: its kernel runs once, and each dipole's weight is
-    built only when its sums are taken."""
+    ``orientations``, gradient included, by the 2-D reference rule on
+    ``grid``: its kernel runs once a block of ``_sphere_rule`` for every
+    dipole, each dipole's weight is built only when its sums are taken,
+    and each dipole's sums add up the blocks in order after its band
+    share."""
     theta = effective_theta(config)
-    directions, weight = _sphere_rule(grid.n_polar, grid.n_azimuth, theta)
-    weighted = (((weight * _pol_weight(o, *directions)).reshape(1, -1),
-                 aperture_weights(o, math.cos(theta))[0])
-                for o in orientations)
+    kr, phi0 = np.array([kr], dtype=float), np.array([phi0], dtype=float)
+    sums = [[aperture_weights(o, math.cos(theta))[0], 0.0, 0.0]
+            for o in orientations]
+    for directions, weight in _sphere_rule(grid.n_polar, grid.n_azimuth,
+                                           theta):
+        weighted = ((weight * _pol_weight(o, *directions), 0.0)
+                    for o in orientations)
+        for total, parts in zip(sums, _integrate_once(
+                kr, config, phi0, directions, weighted, True)):
+            for i, (part,) in enumerate(parts):
+                total[i] += part
     return [Response(float(gamma), float(shift), grad)
-            for (gamma,), (shift,), (grad,) in _integrate_once(
-                np.array([kr], dtype=float), config,
-                np.array([phi0], dtype=float),
-                [a.reshape(1, -1) for a in directions], weighted, True)]
+            for gamma, shift, grad in sums]
 
 
 def richardson_gradient(position, orientation: DipoleOrientation,
@@ -171,17 +204,23 @@ def check_fsr_sum_rule(config: CavityConfig) -> CheckResult:
     and of the center shift 0 (periodic trapezoid over one pi period).
 
     The trapezoid error decays like exp(-2 n delta) with delta the
-    resonance half-width in phase, so the node count scales with finesse.
+    resonance half-width in phase, so the node count scales with finesse;
+    it is summed in blocks of BLOCK_NODES phases, so its memory does not,
+    and the default's 4,096 phases are one block.
     """
     if config.rho > 0.0:
         half_width = (1.0 - config.rho) / (2.0 * math.sqrt(config.rho))
         n_phase = max(4096, math.ceil(18.0 / half_width))
     else:
         n_phase = 4096
-    phases = np.pi * np.arange(n_phase) / n_phase
     iso = DipoleOrientation.isotropic()
-    mean_gamma = float(np.mean(center_gamma(iso, config, phases)))
-    mean_shift = float(np.mean(center_shift(iso, config, phases)))
+    sum_gamma = sum_shift = 0.0
+    for start in range(0, n_phase, BLOCK_NODES):
+        phases = (np.pi * np.arange(start, min(start + BLOCK_NODES, n_phase))
+                  / n_phase)
+        sum_gamma += float(np.sum(center_gamma(iso, config, phases)))
+        sum_shift += float(np.sum(center_shift(iso, config, phases)))
+    mean_gamma, mean_shift = sum_gamma / n_phase, sum_shift / n_phase
     ok = abs(mean_gamma - 1.0) < 1e-6 and abs(mean_shift) < 1e-6
     return CheckResult("fsr_sum_rule", ok,
                        {"mean_gamma": mean_gamma, "mean_shift": mean_shift,

@@ -226,6 +226,30 @@ def test_grid_for_position():
     assert sorted(counts) == list(range(32, 1217, 32))
 
 
+def test_grid_azimuth_follows_the_ring_sweep():
+    # eight azimuth nodes per linewidth that a cap ring's phase sweeps in
+    # half a turn, k_perp (|kz| + k_perp) / kR at most, where that is
+    # above the azimuth floor plus 16: never with the default mirrors,
+    # out to the supported 300/k, but at (-12, 5, 16) with rho = 0.9999
+    # (47.1 linewidths) and with rho = 0.995 and kR = 1e3 (75.2)
+    default = CavityConfig(rho=0.98)
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for kr in rng.uniform(-1.0, 1.0, (200, 3)):
+            kr *= rng.uniform(0.0, 300.0) / np.linalg.norm(kr)
+            assert AngularGrid.for_position(kr, default).n_azimuth == \
+                azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16
+        assert AngularGrid.for_position([212.0, 0.0, 212.0],
+                                        default).n_azimuth == 868
+    kr = [-12.0, 5.0, 16.0]
+    assert AngularGrid.for_position(kr, default).n_azimuth == 72
+    assert AngularGrid.for_position(kr, CavityConfig(rho=0.9999)) == \
+        AngularGrid(128, 377)
+    assert AngularGrid.for_position(
+        kr, CavityConfig(rho=0.995, k_r_mirror=1.0e3)) == AngularGrid(192, 602)
+
+
 def test_grid_node_cap():
     # the linewidth term grows as |kr|^2 / (1 - rho) without bound; past
     # the cap the grid is refused before any kernel array is allocated
@@ -262,7 +286,7 @@ def count(module, name):
         return f(n)
     setattr(module, name, counted)
 for module, name in ((quadrature, "_gauss_legendre"),
-                     (validation, "_reference_leggauss"),
+                     (validation, "_fejer_rule"),
                      (quadrature, "_leggauss")):
     count(module, name)
 run = RunConfig.defaults()

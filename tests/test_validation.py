@@ -1,16 +1,21 @@
-"""The oracle suite's own false-alarm rate and power, and its block
-calls against one call per point."""
+"""The oracle suite's own false-alarm rate and power, its block calls
+against one call per point, and its reference rule and memory."""
 
+import json
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import vactrap.cli as cli
 import vactrap.quadrature as quadrature
 import vactrap.validation as validation
 from vactrap.cavity import (CavityConfig, Detuning, DipoleOrientation,
-                            Response)
+                            Response, center_gamma, center_shift)
 from vactrap.quadrature import AngularGrid, integrate_sphere
 from vactrap.validation import (
     check_monte_carlo,
@@ -167,8 +172,10 @@ def test_rotation_block_matches_per_row_calls(seed, monkeypatch):
 
 def test_zonal_rule_block_and_reference_pass_per_point(monkeypatch):
     # the zonal side is one 5-row block per dipole, with the gradient;
-    # the reference runs its kernel once per point for the three dipoles,
-    # each dipole's sums the bits of a pass for that dipole alone
+    # the reference runs its kernel once per block of cos-node rows for
+    # the three dipoles (the fifth point's 96 x 72 grid is two blocks of
+    # at most BLOCK_NODES nodes), each dipole's sums the bits of a pass
+    # for that dipole alone
     phi0 = Detuning(-0.5).phase(DEFAULT.rho)
     blocks = recorded_blocks(monkeypatch)
     passes = []
@@ -190,7 +197,11 @@ def test_zonal_rule_block_and_reference_pass_per_point(monkeypatch):
     monkeypatch.setattr(validation, "_integrate_once", counted)
     detail = validation.check_zonal_vs_sphere_rule(DEFAULT, phi0).detail
     assert [o for _, o, _ in blocks] == list(validation._ORIENTATIONS)
-    assert len(passes) == 5 and kernel_calls == [1] * 5
+    grids = [args[-1] for _, _, args, _ in passes]
+    per_point = [-(-g.n_polar // (quadrature.BLOCK_NODES // g.n_azimuth))
+                 for g in grids]
+    assert len(passes) == 5 and per_point == [1, 1, 1, 1, 2]
+    assert kernel_calls == [1] * 6
     worst = 0.0
     for block in blocks:
         assert_array_equal(block[0], [p[0] for p in passes])
@@ -248,3 +259,119 @@ def test_reference_rule_shares_no_rule_code_with_production(monkeypatch):
             assert after.gamma_ratio == before.gamma_ratio
             assert after.shift_ratio == before.shift_ratio
             assert_array_equal(after.shift_gradient, before.shift_gradient)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 96, 128, 1024])
+def test_fejer_rule_exact_below_degree_n(n, monkeypatch):
+    # Fejer's first rule integrates every polynomial of degree < n: each
+    # Legendre moment and each monomial to rounding, with positive
+    # weights summing to 2; its j-sum in blocks of one term agrees with
+    # the default blocks to rounding
+    from numpy.polynomial.legendre import legvander
+    x, w = validation._fejer_rule(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert abs(w.sum() - 2.0) <= 4.5e-16
+    moments = w @ legvander(x, n - 1)
+    moments[0] -= 2.0
+    assert np.abs(moments).max() <= 2e-15
+    for degree in range(n):
+        exact = (1 + (-1) ** degree) / (degree + 1)
+        assert abs(np.sum(w * x ** degree) - exact) <= 5e-16
+    monkeypatch.setattr(validation, "BLOCK_NODES", 1)
+    x_one, w_one = validation._fejer_rule.__wrapped__(n)
+    assert_array_equal(x_one, x)
+    assert np.abs(w_one - w).max() <= 2e-17
+
+
+@pytest.mark.parametrize("kr", [[0.0, 0.0, 3.7], [-12.0, 5.0, 16.0]])
+def test_reference_pass_in_blocks_agrees_with_one_block(kr, monkeypatch):
+    # the reference pass over blocks of cos-node rows, a row a block (a
+    # budget below the azimuth count) and a few rows a block, agrees with
+    # one block of the whole grid to 1e-15, gradient included
+    phi0 = Detuning(-0.5).phase(DEFAULT.rho)
+    grid = AngularGrid.for_position(kr, DEFAULT)
+    kernel_calls = []
+    integrate_once = validation._integrate_once
+
+    def counted(*args):
+        kernel_calls.append(args[3][0].size)
+        return integrate_once(*args)
+
+    monkeypatch.setattr(validation, "_integrate_once", counted)
+
+    def flat(budget):
+        monkeypatch.setattr(validation, "BLOCK_NODES", budget)
+        return np.array([[r.gamma_ratio, r.shift_ratio, *r.shift_gradient]
+                         for r in validation._reference_pass(
+                             kr, validation._ORIENTATIONS, DEFAULT, phi0,
+                             grid)])
+
+    one = flat(10 ** 9)
+    assert kernel_calls == [grid.n_polar * grid.n_azimuth]
+    for budget, rows in ((1, 1), (5 * grid.n_azimuth, 5)):
+        kernel_calls.clear()
+        split = flat(budget)
+        full, rest = divmod(grid.n_polar, rows)
+        assert kernel_calls == ([rows * grid.n_azimuth] * full
+                                + [rest * grid.n_azimuth] * bool(rest))
+        assert np.abs(split - one).max() <= 1e-15 * np.abs(one).max()
+
+
+def test_validate_loads_no_polynomial_and_no_eigensolver():
+    # the suite runs with numpy's eigensolvers made to raise and never
+    # loads numpy.polynomial: its 2-D reference rule is Fejer's, in
+    # closed form.  A child process, since this one has loaded it
+    code = """
+import sys
+import numpy as np
+def forbidden(*args, **kwargs):
+    raise AssertionError("an eigensolver was called")
+np.linalg.eigvalsh = np.linalg.eigh = np.linalg.eig = forbidden
+from vactrap.cavity import CavityConfig, Detuning
+from vactrap.validation import run_validation_suite
+checks = run_validation_suite(CavityConfig(rho=0.98), Detuning(0.0))
+print(len(checks), all(c.passed for c in checks),
+      "numpy.polynomial" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "8 True False"
+
+
+def test_fsr_sum_rule_in_bounded_blocks():
+    # at rho = 0.9999 the sum rule takes 359,982 phases, summed in blocks
+    # of BLOCK_NODES: its traced peak stays below 1 MB (25.9 MB as one
+    # array).  The default's 4,096 phases are one block, the bits of one
+    # mean over them
+    high = CavityConfig(rho=0.9999)
+    validation.check_fsr_sum_rule(high)
+    tracemalloc.start()
+    try:
+        check = validation.check_fsr_sum_rule(high)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.passed and peak < 1e6
+    iso = DipoleOrientation.isotropic()
+    phases = np.pi * np.arange(4096) / 4096
+    assert validation.check_fsr_sum_rule(DEFAULT).detail == {
+        "mean_gamma": float(np.mean(center_gamma(iso, DEFAULT, phases))),
+        "mean_shift": float(np.mean(center_shift(iso, DEFAULT, phases))),
+        "tolerance": 1e-6}
+
+
+@pytest.mark.parametrize("mirrors", ["rho = 0.9999",
+                                     "rho = 0.995\nkR = 1.0e3"])
+def test_validate_passes_where_the_ring_sweeps_many_linewidths(
+        tmp_path, capsys, mirrors):
+    # the reference's azimuth count follows the phase a cap ring sweeps:
+    # at (-12, 5, 16) that is 26 and 41.5 linewidths here, which the
+    # azimuth floor of 72 nodes missed by 3.5e-4 and 5.9e-5
+    config = tmp_path / "mirrors.ini"
+    config.write_text(f"[mirrors]\n{mirrors}\n", encoding="utf-8")
+    assert cli.main(["validate", "--config", str(config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True

@@ -290,13 +290,16 @@ class Detuning(_Frozen):
 
     The linewidth is the FWHM of the resonance peak of the odd-mode
     damping factor, so one linewidth of detuning advances the round-trip
-    half phase by ``phase_fwhm(rho)``.
+    half phase by ``phase_fwhm(rho)``.  A count that is not finite is
+    refused when the detuning is built.
     """
 
     _fields = ("linewidths",)
 
     def __init__(self, linewidths: float):
         self._set(linewidths=linewidths)
+        if not math.isfinite(self.linewidths):
+            raise ValueError(f"detuning must be finite, got {self.linewidths}")
 
     def phase(self, rho: float) -> float:
         if rho == 0.0:

@@ -45,7 +45,8 @@ import numpy as np
 from . import __version__
 from .cavity import DipoleOrientation, center_gamma, center_shift
 from .config import ConfigError, RunConfig, load_config
-from .fields import MAX_THREADS, ScanSpec, _scan_points, run_scan, trap_minimum
+from .fields import (DEFAULT_TOLERANCE, MAX_THREADS, ScanSpec, _scan_points,
+                     run_scan, trap_minimum)
 from .quadrature import ConvergenceError
 
 EXIT_OK = 0
@@ -124,8 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan = argparse.ArgumentParser(add_help=False, parents=[base])
     scan.add_argument("--format", choices=("csv", "json"), default=None,
                       help="output format (default csv)")
-    scan.add_argument("--tolerance", type=_positive(float), default=1e-9,
-                      help="quadrature doubling tolerance (default 1e-9)")
+    scan.add_argument("--tolerance", type=_positive(float),
+                      default=DEFAULT_TOLERANCE,
+                      help="quadrature doubling tolerance (default "
+                           f"{DEFAULT_TOLERANCE:g})")
     scan.add_argument("--threads", type=_positive(int, MAX_THREADS),
                       default=1,
                       help="accepted for compatibility; scans run on one "

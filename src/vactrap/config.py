@@ -31,8 +31,13 @@ File format (all sections and keys optional; defaults below):
 
 '#' and ';' start comments.  The file is UTF-8 text; a byte-order mark
 at its start is ignored.  Every diagnostic carries file and line; a value
-refused by the type that owns it also carries its key and value as
-written.
+refused by the type or check that owns it also carries its key and value
+as written, before the owner's own message.  The owners are
+``CavityConfig``, ``DipoleOrientation`` and ``Detuning.phase`` for their
+keys, ``fields._check_points`` for n_points and ``fields._check_drive``
+for pi_e, which it takes with the rabi/laser_detuning pair read before
+it; the config checks only what is its own, such as a key that needs
+another.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import math
 import numpy as np
 
 from .cavity import CavityConfig, Detuning, DipoleOrientation, _Record
-from .fields import MAX_SCAN_POINTS, _check_drive
+from .fields import _check_drive, _check_points
 
 _SECTIONS = {
     "mirrors": ("rho", "theta_m_deg", "kr", "diffraction_correction"),
@@ -278,25 +283,18 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         run.detuning = Detuning(_as_float(entry, source))
         _at(entry, source, run.detuning.phase, run.cavity.rho)
 
+    # the pair first, then pi_e with it through the one drive check
     drive = sections.get("drive", {})
-    if "pi_e" in drive and ("rabi" in drive or "laser_detuning" in drive):
-        raise ConfigError(
-            f"{source}:{drive['pi_e'][1]}: pi_e and rabi/laser_detuning "
-            "drive specifications are mutually exclusive")
-    if "pi_e" in drive:
-        run.pi_e = _as_float(drive["pi_e"], source)
-        _at(drive["pi_e"], source, _check_drive, run.pi_e)
+    for key, other in (("rabi", "laser_detuning"), ("laser_detuning", "rabi")):
+        if key in drive and other not in drive:
+            raise ConfigError(f"{source}:{drive[key][1]}: {key} requires "
+                              f"{other} in the same section")
     if "rabi" in drive:
-        if "laser_detuning" not in drive:
-            raise ConfigError(
-                f"{source}:{drive['rabi'][1]}: rabi requires "
-                "laser_detuning in the same section")
         run.weak_drive = (_as_float(drive["rabi"], source),
                           _as_float(drive["laser_detuning"], source))
-    elif "laser_detuning" in drive:
-        raise ConfigError(
-            f"{source}:{drive['laser_detuning'][1]}: laser_detuning "
-            "requires rabi in the same section")
+    if "pi_e" in drive:
+        run.pi_e = _as_float(drive["pi_e"], source)
+        _at(drive["pi_e"], source, _check_drive, run.pi_e, run.weak_drive)
 
     scan = sections.get("scan", {})
     if "type" in scan:
@@ -317,10 +315,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             f"{source}:{scan['start'][1]}: scan start must be below stop")
     if "n_points" in scan:
         run.scan_points = _as_int(scan["n_points"], source)
-        if not 2 <= run.scan_points <= MAX_SCAN_POINTS:
-            raise ConfigError(
-                f"{source}:{scan['n_points'][1]}: n_points must be >= 2 "
-                f"and <= {MAX_SCAN_POINTS}")
+        _at(scan["n_points"], source, _check_points, run.scan_points)
 
     output = sections.get("output", {})
     if "path" in output:

@@ -12,17 +12,19 @@ vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
 differentiated analytically under the integral.
 
 A scan is a table of columns from start to finish.  ``ScanSpec``
-admits it whole (finite ends, an integer point count, its reach, its
-polar node count and both scan caps) before any point is laid out.  Its
-points come as arrays (coordinates, phases, positions) in output row
-order, and ``run_scan`` passes them all to one ``integrate_sphere``
-call, which admits the block by ``cavity._admit``, as every position is
-admitted, and so warns once a scan if its farthest row is beyond the
-warning radius; it sizes each row by its own radius and splits the block
-into its kernel passes, and a row's bits do not depend on its pass.  The
-force, the potential and a weak drive's population then come from one
-array formula each, shared with the one-point functions.  The scan runs
-on the calling thread.
+checks what no other owner checks: a known axis, finite ends in order,
+the point count (``_check_points``, which the config shares) and both
+scan caps, which bound the rows laid out.  Its points come as arrays
+(coordinates, phases, positions) in output row order, and ``run_scan``
+passes them all to one ``integrate_sphere`` call, which admits the block
+by ``cavity._admit``, as every position is admitted: a row beyond the
+supported region is refused there, and a block beyond the warning radius
+warns once.  It then sizes each row by its own radius, farthest first,
+so a scan above the polar node cap is refused at its farthest row before
+any kernel pass; it splits the block into its kernel passes, and a row's
+bits do not depend on its pass.  The force, the potential and a weak
+drive's population then come from one array formula each, shared with
+the one-point functions.  The scan runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ import math
 
 import numpy as np
 
-from .cavity import (POSITION_MAX_RADIUS, CavityConfig, Detuning,
-                     DipoleOrientation, Position, Response, _Frozen, _Record,
-                     _radius, phase_fwhm)
-from .quadrature import ConvergenceError, integrate_sphere, polar_node_count
+from .cavity import (CavityConfig, Detuning, DipoleOrientation, Position,
+                     Response, _Frozen, _Record, phase_fwhm)
+from .quadrature import ConvergenceError, integrate_sphere
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -125,9 +126,11 @@ def _population(rabi, laser_detuning, gamma, shift):
 
 def _check_drive(pi_e=None, weak_drive=None) -> None:
     """Reject a drive given both ways, a pi_e outside [0, 1/2] and a weak
-    drive that is not a finite pair (rabi, laser_detuning)."""
+    drive that is not a finite pair (rabi, laser_detuning): the one drive
+    check of the library and the config."""
     if pi_e is not None and weak_drive is not None:
-        raise ValueError("give either pi_e or weak_drive, not both")
+        raise ValueError("pi_e and a weak drive (rabi, laser_detuning) are "
+                         "mutually exclusive")
     if pi_e is not None and not 0.0 <= pi_e <= 0.5:
         raise ValueError(f"pi_e must lie in [0, 1/2], got {pi_e}")
     if weak_drive is not None and len(weak_drive) != 2:
@@ -136,6 +139,16 @@ def _check_drive(pi_e=None, weak_drive=None) -> None:
     if weak_drive is not None and not all(map(math.isfinite, weak_drive)):
         raise ValueError("weak drive (rabi, laser_detuning) must be finite, "
                          f"got {tuple(weak_drive)}")
+
+
+def _check_points(n_points) -> None:
+    """Reject a scan point count that is not an integer from 2 to
+    MAX_SCAN_POINTS: the one count check of ``ScanSpec`` and the
+    config."""
+    if not (isinstance(n_points, (int, np.integer))
+            and 2 <= n_points <= MAX_SCAN_POINTS):
+        raise ValueError(f"scan requires an integer n_points >= 2 and <= "
+                         f"{MAX_SCAN_POINTS}, got {n_points!r}")
 
 
 def excited_population(rabi: float, laser_detuning: float,
@@ -182,11 +195,13 @@ class ScanSpec(_Frozen):
     center; 'axial'/'transverse' sweep kz/kx along the cavity axis or
     the x axis at the fixed detuning; 'plane' sweeps kz and kx over the
     same range, n_points per axis, in the y = 0 plane.  A start or stop
-    that is not finite, an n_points that is not an integer, a spatial scan
-    whose farthest point lies beyond the supported region, or needs more
-    polar nodes than the quadrature's cap, and a scan of more than
-    MAX_SCAN_POINTS points or MAX_SCAN_ROWS rows are refused here, before
-    any point is laid out.
+    that is not finite, a start not below stop, an n_points that is not
+    an integer from 2 to MAX_SCAN_POINTS and a plane of more than
+    MAX_SCAN_ROWS rows are refused here, before any point is laid out.
+    Its positions are admitted, and its rows sized, by ``run_scan``'s
+    ``integrate_sphere`` call: a scan that reaches beyond the supported
+    region, or needs more polar nodes than the cap, is refused there,
+    before any kernel pass.
     """
 
     _fields = ("axis", "start", "stop", "n_points", "config", "orientation",
@@ -204,28 +219,11 @@ class ScanSpec(_Frozen):
                              f"{self.start} and {self.stop}")
         if not self.start < self.stop:
             raise ValueError("scan requires start < stop")
-        if not (isinstance(self.n_points, (int, np.integer))
-                and self.n_points >= 2):
-            raise ValueError(f"scan requires an integer n_points >= 2, got "
-                             f"{self.n_points!r}")
-        if self.axis in _KR_AXES:
-            # the farthest point's |kr| by the formula that admits and
-            # sizes positions
-            far = max(abs(self.start), abs(self.stop))
-            reach = float(_radius(
-                [far, 0.0, far if self.axis == "plane" else 0.0]))
-            if reach > POSITION_MAX_RADIUS:
-                raise ValueError(
-                    f"scan reaches |kr| = {reach}, beyond the supported "
-                    f"{POSITION_MAX_RADIUS:g}/k region")
-            polar_node_count(reach, self.config)
-        if self.n_points > MAX_SCAN_POINTS:
-            raise ValueError(f"{self.axis} scan of {self.n_points} points is "
-                             f"above the cap of {MAX_SCAN_POINTS} points")
-        rows = self.n_points ** 2 if self.axis == "plane" else self.n_points
-        if rows > MAX_SCAN_ROWS:
-            raise ValueError(f"{self.axis} scan of {rows} rows is above the "
-                             f"cap of {MAX_SCAN_ROWS} rows")
+        _check_points(self.n_points)
+        # a line scan's rows are its points, which are below the row cap
+        if self.axis == "plane" and self.n_points ** 2 > MAX_SCAN_ROWS:
+            raise ValueError(f"plane scan of {self.n_points ** 2} rows is "
+                             f"above the cap of {MAX_SCAN_ROWS} rows")
 
     def coordinates(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.n_points)
@@ -254,7 +252,7 @@ class ScanResult(_Record):
 def _scan_points(spec: ScanSpec):
     """Coordinates (N, c), phi0 (N,) and kr (N, 3) of every scan point, in
     output row order.  The phase is computed once per scan, or per point
-    on the detuning axis; ``ScanSpec`` has admitted every position."""
+    on the detuning axis; ``integrate_sphere`` admits the positions."""
     c = spec.coordinates()
     rho = spec.config.rho
     if spec.axis == "detuning":

@@ -232,7 +232,7 @@ class AngularGrid(_Frozen):
         block (P, 3), and mirrors: ``polar_node_count`` nodes per polar
         panel, and for the 2-D reference rule the azimuth floor plus a
         margin of 16 (the periodic rule needs ~16 modes beyond the
-        integrand's band edge before its spectral tail dies), or eight
+        integrand's band edge before its spectral tail dies), or 32
         per linewidth that a cap ring's phase sweeps in half a turn,
         <= k_perp (|kz| + k_perp) / kR, if more.  The position or block
         is admitted as ``integrate_sphere`` admits it: a bad shape or row
@@ -241,7 +241,7 @@ class AngularGrid(_Frozen):
         kr, radii = _admit(kr)
         far = np.argmax(radii)
         k_perp, kz = math.hypot(*kr[far, :2]), abs(kr[far, 2])
-        sweep = (8.0 * k_perp * (kz + k_perp) * math.sqrt(config.rho)
+        sweep = (32.0 * k_perp * (kz + k_perp) * math.sqrt(config.rho)
                  / (config.k_r_mirror * (1.0 - config.rho)))
         return cls(polar_node_count(float(radii[far]), config),
                    max(azimuth_node_floor(k_perp) + 16, math.ceil(sweep)))

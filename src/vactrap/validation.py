@@ -58,6 +58,14 @@ _ORIENTATIONS = (
     DipoleOrientation.isotropic(),
 )
 
+# Largest relative gap, floored at 1 in absolute terms, between the
+# center's closed forms and its quadrature.
+CLOSED_FORM_TOLERANCE = 1e-6
+# Samples of each Monte-Carlo estimate.
+MONTE_CARLO_SAMPLES = 200_000
+# Richardson's larger step h, in 1/k; the smaller is h/2.
+RICHARDSON_STEP = 1e-3
+
 
 class CheckResult(_Record):
     """One check's name, verdict and figures (a new empty dict where not
@@ -146,18 +154,19 @@ def _reference_pass(kr, orientations, config, phi0, grid) -> list[Response]:
 
 
 def richardson_gradient(position, orientation: DipoleOrientation,
-                        config: CavityConfig, detuning: Detuning,
-                        step: float = 1e-3) -> np.ndarray:
+                        config: CavityConfig,
+                        detuning: Detuning) -> np.ndarray:
     """Finite-difference oracle for the shift gradient.
 
-    Central differences at steps h and h/2, Richardson-extrapolated to
-    O(h^4).  All evaluations share one fixed angular grid, the default
-    grid of the stencil's farthest row, so discretization error cancels
-    between the +h and -h points instead of polluting the difference.
-    The 12 points of the stencil are one block, each row bit-identical
-    to a call at that point alone on the same grid.
+    Central differences at steps h = RICHARDSON_STEP and h/2,
+    Richardson-extrapolated to O(h^4).  All evaluations share one fixed
+    angular grid, the default grid of the stencil's farthest row, so
+    discretization error cancels between the +h and -h points instead of
+    polluting the difference.  The 12 points of the stencil are one
+    block, each row bit-identical to a call at that point alone on the
+    same grid.
     """
-    kr = Position.of(position).vec
+    kr, step = Position.of(position).vec, RICHARDSON_STEP
     phi0 = detuning.phase(config.rho)
     # rows by axis, then step h and h/2, then +h and -h
     stencil = np.array([kr + sign * h * e for e in np.eye(3)
@@ -170,8 +179,8 @@ def richardson_gradient(position, orientation: DipoleOrientation,
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def check_closed_form_vs_quadrature(config: CavityConfig, phi0: float,
-                                    rel_tol: float = 1e-6) -> CheckResult:
+def check_closed_form_vs_quadrature(config: CavityConfig,
+                                    phi0: float) -> CheckResult:
     worst = 0.0
     for orientation in _ORIENTATIONS:
         resp = integrate_sphere([0.0, 0.0, 0.0], orientation, config, phi0,
@@ -180,21 +189,22 @@ def check_closed_form_vs_quadrature(config: CavityConfig, phi0: float,
         cs = float(center_shift(orientation, config, phi0))
         worst = max(worst, abs(resp.gamma_ratio - cg) / max(1.0, abs(cg)))
         worst = max(worst, abs(resp.shift_ratio - cs) / max(1.0, abs(cs)))
-    return CheckResult("closed_form_vs_quadrature", worst < rel_tol,
-                       {"worst_relative_error": worst, "tolerance": rel_tol})
+    return CheckResult("closed_form_vs_quadrature",
+                       worst < CLOSED_FORM_TOLERANCE,
+                       {"worst_relative_error": worst,
+                        "tolerance": CLOSED_FORM_TOLERANCE})
 
 
 def check_orientation_decomposition(config: CavityConfig,
                                     phi0: float) -> CheckResult:
-    par = float(center_gamma(_ORIENTATIONS[0], config, phi0))
-    perp = float(center_gamma(_ORIENTATIONS[1], config, phi0))
-    iso = float(center_gamma(_ORIENTATIONS[2], config, phi0))
-    err = abs((par + 2.0 * perp) / 3.0 - iso) / abs(iso)
-    par_s = float(center_shift(_ORIENTATIONS[0], config, phi0))
-    perp_s = float(center_shift(_ORIENTATIONS[1], config, phi0))
-    iso_s = float(center_shift(_ORIENTATIONS[2], config, phi0))
-    err_s = abs((par_s + 2.0 * perp_s) / 3.0 - iso_s) / max(1.0, abs(iso_s))
-    worst = max(err, err_s)
+    """(par + 2 perp) / 3 = iso at the center, for the damping relative
+    to the isotropic value and for the shift floored at 1."""
+    errors = []
+    for form, floor in ((center_gamma, 0.0), (center_shift, 1.0)):
+        par, perp, iso = (float(form(o, config, phi0)) for o in _ORIENTATIONS)
+        errors.append(abs((par + 2.0 * perp) / 3.0 - iso)
+                      / max(floor, abs(iso)))
+    worst = max(errors)
     return CheckResult("orientation_decomposition", worst < 1e-12,
                        {"worst_relative_error": worst, "tolerance": 1e-12})
 
@@ -293,10 +303,11 @@ def check_zonal_vs_sphere_rule(config: CavityConfig,
                        {"worst_abs_difference": worst, "tolerance": 1e-10})
 
 
-def check_monte_carlo(config: CavityConfig, phi0: float, seed: int,
-                      n_samples: int = 200_000) -> CheckResult:
-    """Quadrature against seeded Monte-Carlo sampling at three points,
-    whose quadrature is one block.
+def check_monte_carlo(config: CavityConfig, phi0: float,
+                      seed: int) -> CheckResult:
+    """Quadrature against seeded Monte-Carlo sampling of
+    MONTE_CARLO_SAMPLES directions at three points, whose quadrature is
+    one block.
 
     Six z-scores are compared, so the bound is 5 standard errors: a
     correct program then fails on about 3e-6 of seeds, where a bound of
@@ -314,14 +325,14 @@ def check_monte_carlo(config: CavityConfig, phi0: float, seed: int,
     for i, (kr, gamma, shift) in enumerate(zip(
             points, quad.gamma_ratio.tolist(), quad.shift_ratio.tolist())):
         mc, (se_g, se_s) = monte_carlo_reference(
-            kr, _ORIENTATIONS[2], config, phi0, n_samples,
+            kr, _ORIENTATIONS[2], config, phi0, MONTE_CARLO_SAMPLES,
             seed=seed + 1000 + i)
         z_g = abs(gamma - mc.gamma_ratio) / max(se_g, 1e-12)
         z_s = abs(shift - mc.shift_ratio) / max(se_s, 1e-12)
         worst_z = max(worst_z, z_g, z_s)
     return CheckResult("monte_carlo_agreement", worst_z < max_z,
                        {"worst_z_score": worst_z, "tolerance": max_z,
-                        "n_samples": n_samples, "seed": seed})
+                        "n_samples": MONTE_CARLO_SAMPLES, "seed": seed})
 
 
 def check_gradient(config: CavityConfig, detuning: Detuning,

@@ -142,7 +142,7 @@ def test_criterion_06_gradient_correctness():
         for kr in points:
             analytic = response_at(kr, ISO, DEFAULT, detuning,
                                    with_gradient=True).shift_gradient
-            fd = richardson_gradient(kr, ISO, DEFAULT, detuning, step=1e-3)
+            fd = richardson_gradient(kr, ISO, DEFAULT, detuning)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
             assert rel < 1e-4, f"gradient mismatch {rel:.2e} at kr={kr}"
     _pass("C06", "analytic gradient vs Richardson differences")

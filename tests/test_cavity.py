@@ -204,6 +204,13 @@ def test_detuning_rejects_non_finite(linewidths):
         detuning_to_phase(linewidths, 0.98)
 
 
+@pytest.mark.parametrize("linewidths", [math.nan, math.inf, -math.inf])
+def test_detuning_refuses_non_finite_counts(linewidths):
+    # Detuning(nan).phase(0.0) once gave the free-space 0.0
+    with pytest.raises(ValueError, match=r"^detuning must be finite, got "):
+        Detuning(linewidths)
+
+
 def test_detuning_low_reflectivity_domain():
     # (1 - rho)/(2 sqrt(rho)) > 1 for rho below 3 - 2 sqrt(2)
     with pytest.raises(ValueError):

@@ -138,8 +138,8 @@ def test_axial_range_guard(tmp_path):
                    "[scan]\nstart = -400.0\nstop = 400.0\nn_points = 5\n")
     proc = run_cli("axial", "--config", config)
     assert proc.returncode == 2
-    assert proc.stderr == ("vactrap: scan reaches |kr| = 400.0, beyond the "
-                           "supported 300/k region\n")
+    assert proc.stderr == ("vactrap: |kr| = 400.0 exceeds the supported "
+                           "region (<= 300)\n")
 
 
 def test_plane_row_cap(tmp_path):
@@ -165,7 +165,7 @@ def test_plane_range_guard_at_the_edge(tmp_path, capsys, stop, code):
         warnings.simplefilter("ignore", ValidityWarning)
         assert cli.main(["plane", "--config", config]) == code
     err = capsys.readouterr().err
-    assert ("beyond" in err) == bool(code)
+    assert ("exceeds the supported region" in err) == bool(code)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -195,6 +195,11 @@ def test_axial_node_cap_checked_before_any_row(tmp_path):
     assert time.perf_counter() - started < 5.0
     assert proc.returncode == 2
     assert "cap of 16384" in proc.stderr
+    # positions are admitted, with the warning, before rows are sized
+    assert proc.stderr == (
+        "vactrap: warning: positions beyond ~100/k; the ray model degrades "
+        "out there\nvactrap: |kr| = 300.0 needs 1799936 polar nodes with "
+        "these mirrors, above the cap of 16384\n")
     assert proc.stdout == ""
     assert not out.exists()
 

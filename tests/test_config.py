@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vactrap.cavity import CavityConfig, DipoleOrientation
 from vactrap.config import ConfigError, RunConfig, load_config, parse_config
+from vactrap.fields import ScanSpec, run_scan
 
 GOOD = """\
 # full configuration
@@ -212,6 +214,37 @@ def test_errors_carry_line_numbers(text, line, fragment):
     message = str(excinfo.value)
     assert f"bad.ini:{line}:" in message
     assert fragment in message
+
+
+def _library_refusal(call) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+def _scan(n_points, **drive):
+    spec = ScanSpec("axial", -1.0, 1.0, n_points, CavityConfig(rho=0.98),
+                    DipoleOrientation.isotropic())
+    return run_scan(spec, **drive)
+
+
+@pytest.mark.parametrize("text, entry, call", [
+    ("[scan]\nn_points = 1\n", "2: n_points = 1", lambda: _scan(1)),
+    ("[scan]\nn_points = 10002\n", "2: n_points = 10002",
+     lambda: _scan(10_002)),
+    ("[drive]\npi_e = 0.01\nrabi = 0.1\nlaser_detuning = 0.0\n",
+     "2: pi_e = 0.01",
+     lambda: _scan(3, pi_e=0.01, weak_drive=(0.1, 0.0))),
+    ("[drive]\nrabi = 0.1\nlaser_detuning = 0.0\npi_e = 0.01\n",
+     "4: pi_e = 0.01",
+     lambda: _scan(3, pi_e=0.01, weak_drive=(0.1, 0.0))),
+])
+def test_config_reports_the_library_refusal(text, entry, call):
+    # the point count and the drive are each checked once, by the
+    # library; the config puts the file, line, key and value before it
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, source="bad.ini")
+    assert str(excinfo.value) == f"bad.ini:{entry}: {_library_refusal(call)}"
 
 
 def test_drive_exclusivity():

@@ -29,6 +29,7 @@ from vactrap.fields import (
     run_scan,
     trap_minimum,
 )
+import vactrap.quadrature as quadrature
 from vactrap.quadrature import monte_carlo_reference
 from vactrap.validation import richardson_gradient
 
@@ -208,9 +209,12 @@ def test_scan_spec_validation():
      "-inf and 0.0"),
     ("axial", 0.0, math.inf, 3, "start and stop must be finite, got 0.0 "
      "and inf"),
-    ("axial", 0.0, 1.0, 2.5, "requires an integer n_points >= 2, got 2.5"),
-    ("axial", 0.0, 1.0, 3.0, "requires an integer n_points >= 2, got 3.0"),
-    ("axial", 0.0, 1.0, 1, "requires an integer n_points >= 2, got 1"),
+    ("axial", 0.0, 1.0, 2.5, "requires an integer n_points >= 2 and "
+     "<= 10001, got 2.5"),
+    ("axial", 0.0, 1.0, 3.0, "requires an integer n_points >= 2 and "
+     "<= 10001, got 3.0"),
+    ("axial", 0.0, 1.0, 1, "requires an integer n_points >= 2 and "
+     "<= 10001, got 1"),
 ])
 def test_scan_spec_names_what_it_refuses(axis, start, stop, n_points,
                                          message):
@@ -229,15 +233,16 @@ def test_scan_spec_takes_numpy_integer_counts():
 def test_scan_spec_refuses_out_of_range_scans():
     # refused when the spec is built, before the 16 million points of
     # this plane are laid out
-    with pytest.raises(ValueError, match=r"^scan reaches \|kr\| = "
-                       r"565\.685424949238, beyond the supported 300/k "
-                       r"region$"):
+    with pytest.raises(ValueError, match=r"^plane scan of 16008001 rows is "
+                       r"above the cap of 42025 rows$"):
         ScanSpec("plane", -400.0, 400.0, 4001, DEFAULT, ISO)
     # narrow resonances with a short mirror radius: the far end needs
     # more polar nodes than the cap
     narrow = CavityConfig(rho=0.9999, k_r_mirror=1e3)
-    with pytest.raises(ValueError, match="above the cap of 16384"):
-        ScanSpec("axial", 0.0, 300.0, 301, narrow, ISO)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(ValueError, match="above the cap of 16384"):
+            run_scan(ScanSpec("axial", 0.0, 300.0, 301, narrow, ISO))
     # a detuning scan sits at the center, whatever its range
     ScanSpec("detuning", -400.0, 400.0, 2, narrow, ISO)
 
@@ -253,10 +258,39 @@ def test_scan_spec_caps_rows():
     with pytest.raises(ValueError, match="of 100020001 rows"):
         ScanSpec("plane", -20.0, 20.0, 10_001, DEFAULT, ISO)
     # a line scan meets the cap on points per axis first
-    with pytest.raises(ValueError, match="^axial scan of 42025 points"):
+    with pytest.raises(ValueError, match="<= 10001, got 42025$"):
         ScanSpec("axial", -20.0, 20.0, 42_025, DEFAULT, ISO)
-    with pytest.raises(ValueError, match="^detuning scan of 42026 points"):
+    with pytest.raises(ValueError, match="<= 10001, got 42026$"):
         ScanSpec("detuning", -3.0, 3.0, 42_026, DEFAULT, ISO)
+
+
+def test_run_scan_refuses_what_it_cannot_admit_or_size(monkeypatch):
+    # ScanSpec builds these scans; their one check is the admission and
+    # sizing of integrate_sphere, with the messages every position gets,
+    # and it refuses them before any kernel pass
+    passes = []
+    zonal_rule = quadrature._zonal_rule
+    monkeypatch.setattr(quadrature, "_zonal_rule",
+                        lambda *args: passes.append(args) or zonal_rule(*args))
+    axial = ScanSpec("axial", -400.0, 400.0, 5, DEFAULT, ISO)
+    with pytest.raises(ValueError, match=r"^\|kr\| = 400\.0 exceeds the "
+                       r"supported region \(<= 300\)$"):
+        run_scan(axial)
+    plane = ScanSpec("plane", -400.0, 400.0, 5, DEFAULT, ISO)
+    with pytest.raises(ValueError, match=r"^\|kr\| = 565\.685424949238 "
+                       r"exceeds the supported region \(<= 300\)$"):
+        run_scan(plane)
+    narrow = CavityConfig(rho=0.9999, k_r_mirror=1e3)
+    capped = ScanSpec("axial", 0.0, 300.0, 301, narrow, ISO)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        with pytest.raises(ValueError, match=r"^\|kr\| = 300\.0 needs "
+                           r"1799936 polar nodes with these mirrors, above "
+                           r"the cap of 16384$"):
+            run_scan(capped)
+    assert passes == []
+    run_scan(ScanSpec("axial", -2.0, 2.0, 3, DEFAULT, ISO))
+    assert passes  # the count sees the passes of a scan in range
 
 
 @pytest.mark.parametrize("axis", ["axial", "transverse", "detuning", "plane"])
@@ -266,8 +300,8 @@ def test_scan_spec_caps_points(axis):
     assert MAX_SCAN_POINTS == 25 * 400 + 1
     if axis != "plane":
         ScanSpec(axis, -20.0, 20.0, 10_001, DEFAULT, ISO)
-    with pytest.raises(ValueError, match=rf"^{axis} scan of 10002 points is "
-                       r"above the cap of 10001 points$"):
+    with pytest.raises(ValueError, match=r"^scan requires an integer "
+                       r"n_points >= 2 and <= 10001, got 10002$"):
         ScanSpec(axis, -20.0, 20.0, 10_002, DEFAULT, ISO)
 
 

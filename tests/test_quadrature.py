@@ -227,27 +227,29 @@ def test_grid_for_position():
 
 
 def test_grid_azimuth_follows_the_ring_sweep():
-    # eight azimuth nodes per linewidth that a cap ring's phase sweeps in
+    # 32 azimuth nodes per linewidth that a cap ring's phase sweeps in
     # half a turn, k_perp (|kz| + k_perp) / kR at most, where that is
-    # above the azimuth floor plus 16: never with the default mirrors,
-    # out to the supported 300/k, but at (-12, 5, 16) with rho = 0.9999
-    # (47.1 linewidths) and with rho = 0.995 and kR = 1e3 (75.2)
+    # above the azimuth floor plus 16: never with the default mirrors
+    # out to the 100/k warning radius, but beyond it at (212, 0, 212), at
+    # (-12, 5, 16) with rho = 0.9999 (47.1 linewidths) and with
+    # rho = 0.995 and kR = 1e3 (75.2).  Doubling either of the last two
+    # counts moves the reference by <= 4.3e-14 and 2.2e-16
     default = CavityConfig(rho=0.98)
     rng = np.random.default_rng(5)
+    for kr in rng.uniform(-1.0, 1.0, (200, 3)):
+        kr *= rng.uniform(0.0, 100.0) / np.linalg.norm(kr)
+        assert AngularGrid.for_position(kr, default).n_azimuth == \
+            azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for kr in rng.uniform(-1.0, 1.0, (200, 3)):
-            kr *= rng.uniform(0.0, 300.0) / np.linalg.norm(kr)
-            assert AngularGrid.for_position(kr, default).n_azimuth == \
-                azimuth_node_floor(math.hypot(kr[0], kr[1])) + 16
         assert AngularGrid.for_position([212.0, 0.0, 212.0],
-                                        default).n_azimuth == 868
+                                        default).n_azimuth == 1780
     kr = [-12.0, 5.0, 16.0]
     assert AngularGrid.for_position(kr, default).n_azimuth == 72
     assert AngularGrid.for_position(kr, CavityConfig(rho=0.9999)) == \
-        AngularGrid(128, 377)
-    assert AngularGrid.for_position(
-        kr, CavityConfig(rho=0.995, k_r_mirror=1.0e3)) == AngularGrid(192, 602)
+        AngularGrid(128, 1508)
+    assert AngularGrid.for_position(kr, CavityConfig(
+        rho=0.995, k_r_mirror=1.0e3)) == AngularGrid(192, 2407)
 
 
 def test_grid_node_cap():

@@ -45,8 +45,8 @@ import numpy as np
 from . import __version__
 from .cavity import DipoleOrientation, center_gamma, center_shift
 from .config import ConfigError, RunConfig, load_config
-from .fields import (DEFAULT_TOLERANCE, MAX_THREADS, ScanSpec, _scan_points,
-                     run_scan, trap_minimum)
+from .fields import (DEFAULT_TOLERANCE, MAX_THREADS, ScanSpec, _check_span,
+                     _scan_points, run_scan, trap_minimum)
 from .quadrature import ConvergenceError
 
 EXIT_OK = 0
@@ -82,7 +82,8 @@ def _positive(kind, most=math.inf):
 
 
 def _seed(text: str) -> int:
-    """argparse type: a non-negative integer, as numpy's generators take."""
+    """argparse type: a non-negative integer of any size, as the oracle
+    stream (``quadrature._stream``) takes."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
@@ -163,14 +164,17 @@ def _scan_range(run: RunConfig, command: str) -> tuple[float, float, int]:
     start, stop, n_points = (
         default if value is None else value
         for value, default in zip(given, _SCAN_DEFAULTS[command]))
-    if not start < stop:
+    try:
+        _check_span(start, stop)
+    except ValueError:
         # the config refuses start >= stop when it gives both, so one of
         # the two is the command's default: say which
         def named(value, entry):
             suffix = f" (the {command} default)" if entry is None else ""
             return f"{float(value)!r}{suffix}"
         raise ConfigError(f"scan start {named(start, run.scan_start)} must "
-                          f"be below stop {named(stop, run.scan_stop)}")
+                          f"be below stop {named(stop, run.scan_stop)}"
+                          ) from None
     return start, stop, n_points
 
 

@@ -34,7 +34,8 @@ at its start is ignored.  Every diagnostic carries file and line; a value
 refused by the type or check that owns it also carries its key and value
 as written, before the owner's own message.  The owners are
 ``CavityConfig``, ``DipoleOrientation`` and ``Detuning.phase`` for their
-keys, ``fields._check_points`` for n_points and ``fields._check_drive``
+keys, ``fields._check_span`` for a start and stop given together,
+``fields._check_points`` for n_points and ``fields._check_drive``
 for pi_e, which it takes with the rabi/laser_detuning pair read before
 it; the config checks only what is its own, such as a key that needs
 another.
@@ -47,7 +48,7 @@ import math
 import numpy as np
 
 from .cavity import CavityConfig, Detuning, DipoleOrientation, _Record
-from .fields import _check_drive, _check_points
+from .fields import _check_drive, _check_points, _check_span
 
 _SECTIONS = {
     "mirrors": ("rho", "theta_m_deg", "kr", "diffraction_correction"),
@@ -309,10 +310,9 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         run.scan_start = _as_float(scan["start"], source)
     if "stop" in scan:
         run.scan_stop = _as_float(scan["stop"], source)
-    if ("start" in scan and "stop" in scan
-            and not run.scan_start < run.scan_stop):
-        raise ConfigError(
-            f"{source}:{scan['start'][1]}: scan start must be below stop")
+    if "start" in scan and "stop" in scan:
+        _at(scan["start"], source, _check_span, run.scan_start,
+            run.scan_stop)
     if "n_points" in scan:
         run.scan_points = _as_int(scan["n_points"], source)
         _at(scan["n_points"], source, _check_points, run.scan_points)

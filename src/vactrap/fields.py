@@ -12,9 +12,10 @@ vanishes.  ``response_at(..., with_gradient=True)`` gives the gradient,
 differentiated analytically under the integral.
 
 A scan is a table of columns from start to finish.  ``ScanSpec``
-checks what no other owner checks: a known axis, finite ends in order,
-the point count (``_check_points``, which the config shares) and both
-scan caps, which bound the rows laid out.  Its points come as arrays
+checks what no other owner checks: a known axis, finite ends, their
+order and the point count (``_check_span`` and ``_check_points``, which
+the config shares, the first also with the command line) and both scan
+caps, which bound the rows laid out.  Its points come as arrays
 (coordinates, phases, positions) in output row order, and ``run_scan``
 passes them all to one ``integrate_sphere`` call, which admits the block
 by ``cavity._admit``, as every position is admitted: a row beyond the
@@ -141,6 +142,13 @@ def _check_drive(pi_e=None, weak_drive=None) -> None:
                          f"got {tuple(weak_drive)}")
 
 
+def _check_span(start, stop) -> None:
+    """Reject a scan whose start is not below its stop: the one order
+    check of ``ScanSpec``, the config and the command line."""
+    if not start < stop:
+        raise ValueError("scan start must be below stop")
+
+
 def _check_points(n_points) -> None:
     """Reject a scan point count that is not an integer from 2 to
     MAX_SCAN_POINTS: the one count check of ``ScanSpec`` and the
@@ -217,8 +225,7 @@ class ScanSpec(_Frozen):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"scan start and stop must be finite, got "
                              f"{self.start} and {self.stop}")
-        if not self.start < self.stop:
-            raise ValueError("scan requires start < stop")
+        _check_span(self.start, self.stop)
         _check_points(self.n_points)
         # a line scan's rows are its points, which are below the row cap
         if self.axis == "plane" and self.n_points ** 2 > MAX_SCAN_ROWS:

@@ -62,6 +62,7 @@ depend on its block or pass.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -114,13 +115,9 @@ BLOCK_NODES = 4096
 
 # Samples that one chunk of ``monte_carlo_reference`` draws and
 # evaluates: its arrays, and so its memory, have at most this length
-# whatever n_samples is.  On a 200,000-sample call (isotropic,
-# rho = 0.98; median of 8 interleaved rounds of best of 7) chunks of
-# 4,096, 8,192 and 16,384 took 14.3, 15.2 and 12.9 ms, less apart than
-# the rounds spread, and traced peaks of 0.25, 0.48 and 0.95 MiB at
-# 2,000,000 samples.  16,384 doubles are exactly glibc's default 128 KiB
-# mmap threshold; 8,192 keeps every temporary below it, at half the
-# memory and no measurable cost in time.
+# whatever n_samples is.  16,384 doubles are exactly glibc's default
+# 128 KiB mmap threshold; 8,192 keeps every temporary below it, at half
+# the memory and no measurable cost in time on 200,000 samples.
 SAMPLE_CHUNK = 8192
 
 
@@ -277,23 +274,6 @@ def _cap_terms(rho: float, phi, u, with_gradient: bool = False):
     phase_part = dd_odd * cos_u_sq + dd_even * sin_u_sq
     u_part = (f.d_even - f.d_odd) * np.sin(2.0 * u)
     return gamma, shift, u_part, phase_part
-
-
-def _sample_terms(dirs: np.ndarray, kr: np.ndarray,
-                  orientation: DipoleOrientation, config: CavityConfig,
-                  phi0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized integrand over an (n, 3) array of unit directions."""
-    w = _pol_weight(orientation, dirs[:, 0], dirs[:, 1], dirs[:, 2])
-    gamma = w.copy()
-    shift = np.zeros_like(w)
-    inside = np.abs(dirs[:, 2]) >= math.cos(effective_theta(config))
-    if np.any(inside):
-        u = dirs[inside] @ kr
-        phi = ray_phase(phi0, float(kr @ kr), u, config.k_r_mirror)
-        g, s, _, _ = _cap_terms(config.rho, phi, u)
-        gamma[inside] = w[inside] * g
-        shift[inside] = w[inside] * s
-    return gamma, shift
 
 
 def _cone_angle(kr):
@@ -585,18 +565,14 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     Deterministic for a fixed seed; intended as an independent oracle for
     integrate_sphere, not for production use.
 
-    The draws are those of one generator seeded with ``seed``: n_samples
-    values of cos(theta), then n_samples azimuths.  They are streamed in
-    chunks of SAMPLE_CHUNK, the azimuths from a second generator of the
-    same seed advanced past the cos(theta) draws, so every chunk sees the
-    same numbers as one unchunked draw, and memory does not grow with
-    n_samples.  In a chunk, only the cap samples, selected by their
-    cos(theta) alone, get a direction and go straight to ``_cap_terms``;
-    ``_sample_terms`` is the pointwise form of the same integrand.  A band
-    sample counts its polarization weight to gamma and 0 to the shift,
-    and gets a direction only when the dipole has one: the isotropic
-    weight is 1.  Each part of a chunk is pooled into running moments
-    (``_pool``).
+    Sample j takes draws 2j and 2j + 1 of ``_stream(seed)`` for cos(theta)
+    and azimuth, and chunks of SAMPLE_CHUNK samples address their draws
+    by index, so memory does not grow with n_samples.  In a chunk, only
+    the cap samples, selected by cos(theta) alone, get an azimuth and go
+    straight to ``_cap_terms``.  A band sample counts its polarization
+    weight to gamma and 0 to the shift, and gets an azimuth only when the
+    dipole has a direction: the isotropic weight is 1.  Each part of a
+    chunk is pooled into running moments (``_pool``).
     """
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 10_000):
         raise ValueError(f"n_samples must be an integer of at least 10^4, "
@@ -606,28 +582,26 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     kr_sq = float(kr @ kr)
     cos_theta = math.cos(effective_theta(config))
     isotropic = orientation.unit_vector is None
-    z_rng = np.random.default_rng(seed)
-    az_rng = np.random.default_rng(seed)
-    az_rng.bit_generator.advance(int(n_samples))  # past the cos(theta) draws
+    draw = _stream(seed)
     gamma = shift = (0, 0.0, 0.0)
     for start in range(0, n_samples, SAMPLE_CHUNK):
-        size = min(SAMPLE_CHUNK, n_samples - start)
-        z = z_rng.uniform(-1.0, 1.0, size)
-        az = az_rng.uniform(0.0, 2.0 * math.pi, size)
+        j = np.arange(start, min(start + SAMPLE_CHUNK, n_samples),
+                      dtype=np.uint64)
+        z = 2.0 * draw(2 * j) - 1.0
         in_cap = np.abs(z) >= cos_theta
         cap = np.flatnonzero(in_cap)
-        ox, oy, oz, w = _weighted_directions(z.take(cap), az.take(cap),
-                                             orientation)
+        ox, oy, oz, w = _weighted_directions(
+            z.take(cap), draw(2 * j.take(cap) + 1), orientation)
         u = ox * kx + oy * ky + oz * kz
         phi = ray_phase(phi0, kr_sq, u, config.k_r_mirror)
         g, s, _, _ = _cap_terms(config.rho, phi, u)
-        n_band = size - len(u)
+        n_band = len(j) - len(u)
         if isotropic:
             band = (n_band, 1.0, 0.0)
         else:
             rest = np.flatnonzero(~in_cap)
             band = _moments(_weighted_directions(
-                z.take(rest), az.take(rest), orientation)[3])
+                z.take(rest), draw(2 * j.take(rest) + 1), orientation)[3])
         gamma = _pool(_pool(gamma, _moments(w * g)), band)
         shift = _pool(_pool(shift, _moments(w * s)), (n_band, 0.0, 0.0))
 
@@ -638,10 +612,40 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     return Response(gamma[1], shift[1]), (error(gamma), error(shift))
 
 
-def _weighted_directions(z, az, orientation: DipoleOrientation):
+def _mix64(x):
+    """SplitMix64's output hash (Steele, Lea & Flood, OOPSLA 2014) of each
+    word of the numpy uint64 array x."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def _stream(seed):
+    """The SplitMix64 stream of ``seed``, an integer >= 0 of any size, as
+    a function of an index array: draw i, uniform on [0, 1), is
+    (mix64(key + (i + 1) 0x9E3779B97F4A7C15) >> 11) 2^-53 in uint64
+    arithmetic, a hash of i with no state to advance.  The key folds the
+    seed's 64-bit words from the top, key -> mix64(key) ^ word: it is the
+    seed itself below 2^64."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in range((seed.bit_length() - 1) & -64, -1, -64):
+        key = _mix64(key) ^ ((seed >> shift) & (2**64 - 1))
+
+    def draws(index):
+        x = np.asarray(index, dtype=np.uint64) + 1
+        x = _mix64(x * 0x9E3779B97F4A7C15 + key) >> 11
+        return x.view(np.int64) * 2.0 ** -53  # exact, as x < 2^53
+    return draws
+
+
+def _weighted_directions(z, a, orientation: DipoleOrientation):
     """(ox, oy, oz, w): the unit directions of the samples cos(theta) = z
-    and azimuth az, and their polarization weights."""
+    and azimuth 2 pi a, and their polarization weights."""
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    az = 2.0 * math.pi * a
     ox, oy = s * np.cos(az), s * np.sin(az)
     return ox, oy, z, _pol_weight(orientation, ox, oy, z)
 

@@ -21,7 +21,8 @@ Each check hands ``integrate_sphere`` its positions as one block per
 dipole orientation (the parity pairs, a point and its turns about the
 axis, the points of the rule and Monte-Carlo checks, the Richardson
 stencil); a row's bits do not depend on its block, so each is the call
-at that position alone.
+at that position alone.  Every seeded point and Monte-Carlo sample is a
+draw of ``quadrature._stream``, addressed by its index.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ from .fields import response_at
 from .quadrature import (
     BLOCK_NODES,
     AngularGrid,
+    ConvergenceError,
     integrate_sphere,
     monte_carlo_reference,
 )
-from .quadrature import _integrate_once, _pol_weight
+from .quadrature import _integrate_once, _pol_weight, _stream
 
 _ORIENTATIONS = (
     DipoleOrientation.parallel(),
@@ -77,6 +79,25 @@ class CheckResult(_Record):
         self.name = name
         self.passed = passed
         self.detail = {} if detail is None else detail
+
+
+def _check(name: str):
+    """Decorator of a check that returns (passed, detail): the check then
+    returns its CheckResult under ``name``.  A ConvergenceError inside it
+    fails the check, its detail the error with its rows and its change in
+    (gamma, shift), and the other checks still run."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                passed, detail = body(*args, **kwargs)
+            except ConvergenceError as err:
+                passed, detail = False, {
+                    "error": str(err), "rows": err.rows,
+                    "change": [np.asarray(c).tolist() for c in err.change]}
+            return CheckResult(name, passed, detail)
+        return check
+    return decorate
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,8 +200,8 @@ def richardson_gradient(position, orientation: DipoleOrientation,
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def check_closed_form_vs_quadrature(config: CavityConfig,
-                                    phi0: float) -> CheckResult:
+@_check("closed_form_vs_quadrature")
+def check_closed_form_vs_quadrature(config: CavityConfig, phi0: float):
     worst = 0.0
     for orientation in _ORIENTATIONS:
         resp = integrate_sphere([0.0, 0.0, 0.0], orientation, config, phi0,
@@ -189,14 +210,12 @@ def check_closed_form_vs_quadrature(config: CavityConfig,
         cs = float(center_shift(orientation, config, phi0))
         worst = max(worst, abs(resp.gamma_ratio - cg) / max(1.0, abs(cg)))
         worst = max(worst, abs(resp.shift_ratio - cs) / max(1.0, abs(cs)))
-    return CheckResult("closed_form_vs_quadrature",
-                       worst < CLOSED_FORM_TOLERANCE,
-                       {"worst_relative_error": worst,
-                        "tolerance": CLOSED_FORM_TOLERANCE})
+    return worst < CLOSED_FORM_TOLERANCE, {
+        "worst_relative_error": worst, "tolerance": CLOSED_FORM_TOLERANCE}
 
 
-def check_orientation_decomposition(config: CavityConfig,
-                                    phi0: float) -> CheckResult:
+@_check("orientation_decomposition")
+def check_orientation_decomposition(config: CavityConfig, phi0: float):
     """(par + 2 perp) / 3 = iso at the center, for the damping relative
     to the isotropic value and for the shift floored at 1."""
     errors = []
@@ -205,11 +224,11 @@ def check_orientation_decomposition(config: CavityConfig,
         errors.append(abs((par + 2.0 * perp) / 3.0 - iso)
                       / max(floor, abs(iso)))
     worst = max(errors)
-    return CheckResult("orientation_decomposition", worst < 1e-12,
-                       {"worst_relative_error": worst, "tolerance": 1e-12})
+    return worst < 1e-12, {"worst_relative_error": worst, "tolerance": 1e-12}
 
 
-def check_fsr_sum_rule(config: CavityConfig) -> CheckResult:
+@_check("fsr_sum_rule")
+def check_fsr_sum_rule(config: CavityConfig):
     """Mean of the center damping over one free spectral range must be 1
     and of the center shift 0 (periodic trapezoid over one pi period).
 
@@ -232,53 +251,60 @@ def check_fsr_sum_rule(config: CavityConfig) -> CheckResult:
         sum_shift += float(np.sum(center_shift(iso, config, phases)))
     mean_gamma, mean_shift = sum_gamma / n_phase, sum_shift / n_phase
     ok = abs(mean_gamma - 1.0) < 1e-6 and abs(mean_shift) < 1e-6
-    return CheckResult("fsr_sum_rule", ok,
-                       {"mean_gamma": mean_gamma, "mean_shift": mean_shift,
-                        "tolerance": 1e-6})
+    return ok, {"mean_gamma": mean_gamma, "mean_shift": mean_shift,
+                "tolerance": 1e-6}
 
 
-def check_parity(config: CavityConfig, phi0: float, seed: int) -> CheckResult:
+def _seeded_points(seed: int, count: int, low: float,
+                   high: float) -> np.ndarray:
+    """``count`` points, four draws of the stream of ``seed`` each: a
+    direction from the cube [-1, 1)^3, scaled to a radius uniform on
+    [low, high)."""
+    u = _stream(seed)(np.arange(4 * count)).reshape(count, 4)
+    kr = 2.0 * u[:, :3] - 1.0
+    radius = low + (high - low) * u[:, 3]
+    norm = np.maximum(np.linalg.norm(kr, axis=1), 1e-12)
+    return kr * (radius / norm)[:, None]
+
+
+@_check("parity")
+def check_parity(config: CavityConfig, phi0: float, seed: int):
     """Inversion kr -> -kr must not move any result: the five pairs are
     one block of ten rows per dipole, each row on its own default
     grid."""
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(5):
-        kr = rng.uniform(-1.0, 1.0, 3)
-        kr *= rng.uniform(0.0, 40.0) / max(np.linalg.norm(kr), 1e-12)
-        points += [kr, -kr]
+    kr = _seeded_points(seed, 5, 0.0, 40.0)
+    points = np.stack([kr, -kr], axis=1).reshape(10, 3)
     worst = 0.0
     for orientation in _ORIENTATIONS:
-        pairs = integrate_sphere(np.array(points), orientation, config, phi0)
+        pairs = integrate_sphere(points, orientation, config, phi0)
         for values in (pairs.gamma_ratio, pairs.shift_ratio):
             gaps = np.abs(values[::2] - values[1::2])
             worst = max(worst, float(gaps.max()))
-    return CheckResult("parity", worst < 1e-10,
-                       {"worst_abs_difference": worst, "tolerance": 1e-10})
+    return worst < 1e-10, {"worst_abs_difference": worst, "tolerance": 1e-10}
 
 
-def check_rotation_symmetry(config: CavityConfig, phi0: float,
-                            seed: int) -> CheckResult:
+@_check("rotation_symmetry")
+def check_rotation_symmetry(config: CavityConfig, phi0: float, seed: int):
     """Rotating an off-axis position about the cavity axis must not move
     axis-symmetric results (axis-parallel or isotropic dipole).  The
-    base point and its three turns are one block of four rows."""
-    rng = np.random.default_rng(seed)
+    base point and its three turns are one block of four rows, five
+    draws of the stream of ``seed`` a dipole: r_perp, z and the turns."""
+    draws = _stream(seed)(np.arange(10)).reshape(2, 5)
     worst = 0.0
-    for orientation in (_ORIENTATIONS[0], _ORIENTATIONS[2]):
-        r_perp, z = rng.uniform(1.0, 30.0), rng.uniform(-30.0, 30.0)
+    for orientation, u in zip((_ORIENTATIONS[0], _ORIENTATIONS[2]), draws):
+        r_perp, z = 1.0 + 29.0 * u[0], 60.0 * u[1] - 30.0
         turns = [[r_perp, 0.0, z]] + [
             [r_perp * math.cos(angle), r_perp * math.sin(angle), z]
-            for angle in rng.uniform(0.0, 2.0 * math.pi, 3)]
+            for angle in 2.0 * math.pi * u[2:]]
         rot = integrate_sphere(np.array(turns), orientation, config, phi0)
         for values in (rot.gamma_ratio, rot.shift_ratio):
             gaps = np.abs(values[1:] - values[0])
             worst = max(worst, float(gaps.max()))
-    return CheckResult("rotation_symmetry", worst < 1e-8,
-                       {"worst_abs_difference": worst, "tolerance": 1e-8})
+    return worst < 1e-8, {"worst_abs_difference": worst, "tolerance": 1e-8}
 
 
-def check_zonal_vs_sphere_rule(config: CavityConfig,
-                               phi0: float) -> CheckResult:
+@_check("zonal_vs_sphere_rule")
+def check_zonal_vs_sphere_rule(config: CavityConfig, phi0: float):
     """The zonal rule of every integral against the 2-D reference rule,
     gradient included, on and off the axis, each on the default grid of
     its position.  The zonal side is one block of the five points per
@@ -299,12 +325,11 @@ def check_zonal_vs_sphere_rule(config: CavityConfig,
                         abs(a.shift_ratio[i].item() - b.shift_ratio),
                         *np.abs(a.shift_gradient[i]
                                 - b.shift_gradient).tolist())
-    return CheckResult("zonal_vs_sphere_rule", worst < 1e-10,
-                       {"worst_abs_difference": worst, "tolerance": 1e-10})
+    return worst < 1e-10, {"worst_abs_difference": worst, "tolerance": 1e-10}
 
 
-def check_monte_carlo(config: CavityConfig, phi0: float,
-                      seed: int) -> CheckResult:
+@_check("monte_carlo_agreement")
+def check_monte_carlo(config: CavityConfig, phi0: float, seed: int):
     """Quadrature against seeded Monte-Carlo sampling of
     MONTE_CARLO_SAMPLES directions at three points, whose quadrature is
     one block.
@@ -314,13 +339,8 @@ def check_monte_carlo(config: CavityConfig, phi0: float,
     3 would fail on about 1.6% of them.
     """
     max_z = 5.0
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(3):
-        kr = rng.uniform(-1.0, 1.0, 3)
-        kr *= rng.uniform(0.0, 30.0) / max(np.linalg.norm(kr), 1e-12)
-        points.append(kr)
-    quad = integrate_sphere(np.array(points), _ORIENTATIONS[2], config, phi0)
+    points = _seeded_points(seed, 3, 0.0, 30.0)
+    quad = integrate_sphere(points, _ORIENTATIONS[2], config, phi0)
     worst_z = 0.0
     for i, (kr, gamma, shift) in enumerate(zip(
             points, quad.gamma_ratio.tolist(), quad.shift_ratio.tolist())):
@@ -330,27 +350,22 @@ def check_monte_carlo(config: CavityConfig, phi0: float,
         z_g = abs(gamma - mc.gamma_ratio) / max(se_g, 1e-12)
         z_s = abs(shift - mc.shift_ratio) / max(se_s, 1e-12)
         worst_z = max(worst_z, z_g, z_s)
-    return CheckResult("monte_carlo_agreement", worst_z < max_z,
-                       {"worst_z_score": worst_z, "tolerance": max_z,
-                        "n_samples": MONTE_CARLO_SAMPLES, "seed": seed})
+    return worst_z < max_z, {"worst_z_score": worst_z, "tolerance": max_z,
+                             "n_samples": MONTE_CARLO_SAMPLES, "seed": seed}
 
 
-def check_gradient(config: CavityConfig, detuning: Detuning,
-                   seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+@_check("gradient_vs_finite_difference")
+def check_gradient(config: CavityConfig, detuning: Detuning, seed: int):
     orientation = _ORIENTATIONS[2]
     worst = 0.0
-    for _ in range(2):
-        kr = rng.uniform(-1.0, 1.0, 3)
-        kr *= rng.uniform(2.0, 40.0) / max(np.linalg.norm(kr), 1e-12)
+    for kr in _seeded_points(seed, 2, 2.0, 40.0):
         analytic = response_at(kr, orientation, config, detuning,
                                with_gradient=True).shift_gradient
         fd = richardson_gradient(kr, orientation, config, detuning)
         rel = (np.linalg.norm(analytic - fd)
                / max(np.linalg.norm(analytic), 1e-12))
         worst = max(worst, float(rel))
-    return CheckResult("gradient_vs_finite_difference", worst < 1e-4,
-                       {"worst_relative_error": worst, "tolerance": 1e-4})
+    return worst < 1e-4, {"worst_relative_error": worst, "tolerance": 1e-4}
 
 
 def run_validation_suite(config: CavityConfig, detuning: Detuning,

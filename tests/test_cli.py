@@ -420,6 +420,19 @@ def test_cli_import_loads_no_thread_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_validate_loads_no_numpy_random():
+    # every draw of the oracles is a SplitMix64 hash of its index in
+    # numpy integer arrays, so validate runs without numpy.random, some
+    # 5 MB of memory and 12 ms of start-up
+    code = ("import os, sys, vactrap.cli; "
+            "status = vactrap.cli.main(['validate', '--out', os.devnull]); "
+            "print(status, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
 def test_output_file_not_written_on_config_error(tmp_path):
     config = write(tmp_path / "bad.ini", "[mirrors]\nrho = 1.5\n")
     out = tmp_path / "never.csv"

@@ -22,6 +22,7 @@ from vactrap.cavity import (
     center_shift,
     effective_theta,
     phase_fwhm,
+    ray_phase,
 )
 from vactrap.config import RunConfig
 from vactrap.fields import ScanSpec, _scan_points
@@ -29,7 +30,8 @@ from vactrap.quadrature import (
     MAX_POLAR_NODES,
     AngularGrid,
     ConvergenceError,
-    _sample_terms,
+    _cap_terms,
+    _pol_weight,
     azimuth_node_floor,
     integrate_sphere,
     monte_carlo_reference,
@@ -58,6 +60,23 @@ def brute_force_case():
 
 
 # ----------------------------------------------------------- integrand
+
+def _sample_terms(dirs, kr, orientation, config, phi0):
+    """The integrand pointwise over an (n, 3) array of unit directions,
+    with the cap selected direction by direction: the reference form of
+    what the Monte-Carlo oracle evaluates in chunks."""
+    w = _pol_weight(orientation, dirs[:, 0], dirs[:, 1], dirs[:, 2])
+    gamma = w.copy()
+    shift = np.zeros_like(w)
+    inside = np.abs(dirs[:, 2]) >= math.cos(effective_theta(config))
+    if np.any(inside):
+        u = dirs[inside] @ kr
+        phi = ray_phase(phi0, float(kr @ kr), u, config.k_r_mirror)
+        g, s, _, _ = _cap_terms(config.rho, phi, u)
+        gamma[inside] = w[inside] * g
+        shift[inside] = w[inside] * s
+    return gamma, shift
+
 
 def integrand_at(omega, kr, orientation, config, phi0):
     """(gamma, shift) integrands at one direction."""
@@ -1020,6 +1039,62 @@ def test_convergence_error_reports_estimate():
 
 # --------------------------------------------------------- monte carlo
 
+def splitmix64(seed, i):
+    """Output i of SplitMix64 for ``seed`` in Python integers: the key is
+    the seed's 64-bit words folded from the top, each key before the
+    next word through the output hash."""
+    mask = 2**64 - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    words, key = [], 0
+    while seed:
+        words.append(seed & mask)
+        seed >>= 64
+    for word in reversed(words):
+        key = mix(key) ^ word
+    return mix((key + (i + 1) * 0x9E3779B97F4A7C15) & mask)
+
+
+def test_stream_is_splitmix64_by_index():
+    # the integer reference gives the published first outputs of seed
+    # 1234567; each draw is its top 53 bits over 2^53, at any index and
+    # any seed, a numpy integer or one of 64 bits and more
+    assert [splitmix64(1234567, i) for i in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+    index = [0, 1, 2, 4, 1000, 2**40 + 3, 2**63 + 5]
+    for seed in (0, 1, 1234567, np.int64(42), np.uint64(2**64 - 1), 2**64,
+                 2**64 + 7, 3 * 2**128 + 5):
+        expected = [(splitmix64(int(seed), i) >> 11) * 2.0**-53
+                    for i in index]
+        draws = quadrature._stream(seed)(np.array(index, dtype=np.uint64))
+        assert draws.tolist() == expected
+    # seeds of more than 64 bits are not folded onto their low word
+    assert (quadrature._stream(2**64)(np.arange(4)).tolist()
+            != quadrature._stream(0)(np.arange(4)).tolist())
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        quadrature._stream(-1)
+    with pytest.raises(TypeError):
+        quadrature._stream(1.0)
+
+
+@pytest.mark.parametrize("seed, start", [(0, 0), (3, 2**40), (2**64 + 1, 0)])
+def test_stream_mean_variance_and_lag_one(seed, start):
+    # 200,000 draws: mean 1/2, variance 1/12 and no lag-1 correlation,
+    # each within 5 standard errors of a uniform independent sample
+    n = 200_000
+    u = quadrature._stream(seed)(np.arange(start, start + n))
+    assert np.all((u >= 0.0) & (u < 1.0))
+    assert abs(u.mean() - 0.5) < 5.0 * math.sqrt(1.0 / 12.0 / n)
+    assert abs(u.var() - 1.0 / 12.0) < 5.0 * math.sqrt(
+        (1.0 / 80.0 - 1.0 / 144.0) / n)
+    assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 5.0 / math.sqrt(n)
+
+
 def test_monte_carlo_free_space():
     config = CavityConfig(rho=0.0)
     resp, (se_g, se_s) = monte_carlo_reference(
@@ -1070,11 +1145,12 @@ def test_monte_carlo_error_scaling():
 ])
 def test_monte_carlo_matches_the_full_array_formula(orientation, rho,
                                                     monkeypatch):
-    # the oracle streams its draws in chunks and builds directions for
-    # the cap samples only; from the same draws taken at once, the
-    # integrand over every direction must give the same means and errors,
-    # also at the fewest samples allowed and with a last chunk of one
-    # sample.  It never reads the band's closed-form share
+    # the oracle runs in chunks and draws azimuths for the cap samples
+    # only; from the same draws taken at once by index (sample j: draws
+    # 2j and 2j + 1 of the stream), the integrand over every direction
+    # must give the same means and errors, also at the fewest samples
+    # allowed and with a last chunk of one sample.  It never reads the
+    # band's closed-form share
     def refuse(*args):
         raise AssertionError("the band share must be sampled")
 
@@ -1084,9 +1160,9 @@ def test_monte_carlo_matches_the_full_array_formula(orientation, rho,
     for n in (50_000, 10_000, 3 * quadrature.SAMPLE_CHUNK + 1):
         mc, errors = monte_carlo_reference(kr, orientation, config, 0.01, n,
                                            seed)
-        rng = np.random.default_rng(seed)
-        z = rng.uniform(-1.0, 1.0, n)
-        az = rng.uniform(0.0, 2.0 * math.pi, n)
+        draws = quadrature._stream(seed)(np.arange(2 * n)).reshape(n, 2)
+        z = 2.0 * draws[:, 0] - 1.0
+        az = 2.0 * math.pi * draws[:, 1]
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         dirs = np.column_stack([s * np.cos(az), s * np.sin(az), z])
         samples = _sample_terms(dirs, kr, orientation, config, 0.01)

@@ -1,17 +1,17 @@
 """Spontaneous-emission modification and vacuum-induced trapping for a
 two-level atom near the center of a wide-aperture spherical-mirror
-cavity: resonance factors, center closed forms, sphere quadrature with a
-Monte-Carlo oracle, shift gradients, forces and trap profiles."""
+cavity: the Fabry-Perot cap kernel, center closed forms, sphere
+quadrature with a Monte-Carlo oracle, shift gradients, forces and trap
+profiles."""
 
 from .cavity import (
-    AiryFactors,
     CavityConfig,
     Detuning,
     DipoleOrientation,
     Position,
     Response,
     ValidityWarning,
-    airy_factors,
+    cap_brackets,
     center_gamma,
     center_shift,
     detuning_to_phase,
@@ -39,7 +39,6 @@ from .quadrature import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryFactors",
     "AngularGrid",
     "CavityConfig",
     "ConvergenceError",
@@ -52,7 +51,7 @@ __all__ = [
     "ScanSpec",
     "ValidityWarning",
     "WeakExcitationError",
-    "airy_factors",
+    "cap_brackets",
     "center_gamma",
     "center_shift",
     "detuning_to_phase",

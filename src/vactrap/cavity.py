@@ -1,4 +1,4 @@
-"""Domain types, Fabry-Perot factors and cavity-center closed forms.
+"""Domain types, the Fabry-Perot cap kernel and the center closed forms.
 
 Geometry: two spherical mirror caps (amplitude reflectivity ``rho``,
 power transmission ``T = 1 - rho**2``) share a common center; each cap
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -324,41 +323,44 @@ class Response(_Frozen):
                   shift_gradient=shift_gradient)
 
 
-class AiryFactors(NamedTuple):
-    """Resonance factors of the two standing-wave families.
+def cap_brackets(rho: float, phi, u=0.0, with_gradient: bool = False):
+    """The damping and shift brackets of a ray inside the reflective caps:
+    the ray's own two-mirror interferometer at round-trip half phase phi,
+    with standing-wave phase u = omega_hat . kr.  phi and u may be arrays.
 
-    l_* are the damping (transmission
-    resonance) factors, d_* the dispersive ones; 'odd' modes have an
-    anti-node at the center, 'even' modes a node.
-    """
+    The odd modes (an anti-node at the center, weight cos^2 u) and the
+    even modes (a node, sin^2 u) share one denominator,
+    D = |1 - rho^2 e^{4i phi}|^2 = T^2 + 4 rho^2 sin^2(2 phi), a sum of
+    squares that cannot cancel, with T = 1 - rho^2 taken as
+    (1 - rho)(1 + rho):
 
-    l_odd: float | np.ndarray
-    l_even: float | np.ndarray
-    d_odd: float | np.ndarray
-    d_even: float | np.ndarray
+        gamma = T (1 + rho^2 + 2 rho cos(2u) cos(2 phi)) / D
+        shift = rho sin(2 phi) ((1 + rho^2) cos(2u) + 2 rho cos(2 phi)) / D
 
-
-def airy_factors(rho: float, phi) -> AiryFactors:
-    """Evaluate the four resonance factors at round-trip half phase phi.
-
-    l_odd = T/|1-rho e^{2i phi}|^2, l_even = T/|1+rho e^{2i phi}|^2,
-    d_odd = rho sin(2 phi)/|1-rho e^{2i phi}|^2 and d_even carries the
-    opposite sign with the even-mode denominator.  phi may be an array.
+    At u = 0 they are the odd-mode Airy factors T / |1 - rho e^{2i phi}|^2
+    and rho sin(2 phi) / |1 - rho e^{2i phi}|^2, the center's.  Returns
+    (gamma, shift, u_part, phase_part): with ``with_gradient`` the
+    chain-rule pieces of d(shift)/d(kr), else None.  ``u_part`` is
+    d(shift)/du, which multiplies omega_hat, and ``phase_part`` is
+    d(shift)/dphi, which multiplies grad(phi) = (kr - u omega_hat) / kR.
+    A rho outside [0, 1) raises ValueError.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must satisfy 0 <= rho < 1, got {rho}")
-    phi = np.asarray(phi, dtype=float)
-    t = 1.0 - rho * rho
-    sin_phi_sq = np.sin(phi) ** 2
-    denom_odd = (1.0 - rho) ** 2 + 4.0 * rho * sin_phi_sq
-    denom_even = (1.0 + rho) ** 2 - 4.0 * rho * sin_phi_sq
-    sin_2phi = np.sin(2.0 * phi)
-    return AiryFactors(
-        l_odd=t / denom_odd,
-        l_even=t / denom_even,
-        d_odd=rho * sin_2phi / denom_odd,
-        d_even=-rho * sin_2phi / denom_even,
-    )
+    phi, u = np.asarray(phi, dtype=float), np.asarray(u, dtype=float)
+    t, q = (1.0 - rho) * (1.0 + rho), 1.0 + rho * rho
+    # c + i s = 2 rho e^{2i phi}, so D = t^2 + s^2
+    c, s = 2.0 * rho * np.cos(2.0 * phi), 2.0 * rho * np.sin(2.0 * phi)
+    cos_2u = np.cos(2.0 * u)
+    denom = t * t + s * s
+    mix = q * cos_2u + c
+    gamma = t * (q + c * cos_2u) / denom
+    shift = 0.5 * s * mix / denom
+    if not with_gradient:
+        return gamma, shift, None, None
+    u_part = -q * s * np.sin(2.0 * u) / denom
+    phase_part = (c * mix - s * s - 4.0 * s * c * shift) / denom
+    return gamma, shift, u_part, phase_part
 
 
 def ray_phase(phi0, kr_sq, u, k_r_mirror: float):
@@ -425,19 +427,22 @@ def aperture_weights(orientation: DipoleOrientation,
 def center_gamma(orientation: DipoleOrientation, config: CavityConfig, phi0):
     """Damping ratio Gamma(0)/Gamma_vac at the cavity center.
 
-    Only odd modes contribute at the center (even modes have a node
-    there), so the result is vacuum_weight + cavity_weight * l_odd.  The
-    weights depend on the dipole only through d_z**2, as the caps are
-    symmetric about the axis, so this holds for every orientation,
-    fixed dipoles included.  phi0 may be an array for detuning scans.
+    At the center u = 0, so every ray sees only the odd modes (the even
+    ones have a node there) and the result is vacuum_weight +
+    cavity_weight * the damping bracket of ``cap_brackets`` at u = 0, the
+    kernel that the quadrature integrates.  The weights depend on the
+    dipole only through d_z**2, as the caps are symmetric about the
+    axis, so this holds for every orientation, fixed dipoles included.
+    phi0 may be an array for detuning scans.
     """
     vac, cav = aperture_weights(orientation,
                                 math.cos(effective_theta(config)))
-    return vac + cav * airy_factors(config.rho, phi0).l_odd
+    return vac + cav * cap_brackets(config.rho, phi0)[0]
 
 
 def center_shift(orientation: DipoleOrientation, config: CavityConfig, phi0):
-    """Level-shift ratio Delta'(0)/Gamma_vac at the cavity center, for
-    every orientation as ``center_gamma``."""
+    """Level-shift ratio Delta'(0)/Gamma_vac at the cavity center: the
+    cavity weight times the shift bracket of ``cap_brackets`` at u = 0,
+    for every orientation as ``center_gamma``."""
     _, cav = aperture_weights(orientation, math.cos(effective_theta(config)))
-    return cav * airy_factors(config.rho, phi0).d_odd
+    return cav * cap_brackets(config.rho, phi0)[1]

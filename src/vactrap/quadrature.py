@@ -1,24 +1,20 @@
 """Sphere quadrature of the damping/shift direction integrals.
 
-The integrand at direction omega_hat is
-
-    gamma:  w * (l_odd cos^2(u) + l_even sin^2(u))
-    shift:  w * (d_odd cos^2(u) + d_even sin^2(u))
-
-with u = omega_hat . kr, w the polarization weight (1 for the isotropic
-average) and the resonance factors of ``cavity.airy_factors`` evaluated
-at the aberration phase ``cavity.ray_phase`` of the ray through kr.  The
-mirror reflectivity applies only inside the double cap
+The integrand at direction omega_hat is w times the damping and shift
+brackets of ``cavity.cap_brackets``, the one Fabry-Perot kernel, at
+u = omega_hat . kr and the aberration phase ``cavity.ray_phase`` of the
+ray through kr; w is the polarization weight (1 for the isotropic
+average).  The mirror reflectivity applies only inside the double cap
 |cos(theta)| >= cos(theta_eff).  Outside it, in the vacuum band, the
-factors are exactly (1, 0), so the sample is (w, 0) whatever kr is.
+brackets are exactly (1, 0), so the sample is (w, 0) whatever kr is.
 
 Only the caps are integrated numerically; the band contributes the
 position-independent constant ``cavity.aperture_weights`` to gamma and
 nothing to the shift or its gradient.  Inversion omega_hat -> -omega_hat
 maps the south cap onto the north one and leaves every integrand
-unchanged (u enters only as u^2 and as sin(2u) omega_hat, the dipole only
-as (d . omega_hat)^2), so the north cap with doubled weights carries
-both.  One integrator, ``_integrate_once``, makes one pass over the
+unchanged (u enters only as cos(2u) and as sin(2u) omega_hat, the dipole
+only as (d . omega_hat)^2), so the north cap with doubled weights
+carries both.  One integrator, ``_integrate_once``, makes one pass over the
 directions and weights of a rule, and one rule serves every position:
 the zonal rule, whose nodes are rings about kr.  On such a ring u is
 constant, so its integral over the arc inside the cap is closed form, and
@@ -73,8 +69,8 @@ from .cavity import (
     Response,
     _Frozen,
     _admit,
-    airy_factors,
     aperture_weights,
+    cap_brackets,
     effective_theta,
     ray_phase,
 )
@@ -252,30 +248,6 @@ def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):
     return 1.5 * (1.0 - cos * cos)
 
 
-def _cap_terms(rho: float, phi, u, with_gradient: bool = False):
-    """Gamma and shift brackets inside the reflective caps.
-
-    With ``with_gradient`` also the chain-rule pieces of d(shift)/d(kr),
-    else None: ``u_part`` multiplies omega_hat (standing-wave factors),
-    ``phase_part`` multiplies grad(phi) = (kr - u omega_hat)/kR, with
-    d(d_odd)/dphi = 2 rho cos(2 phi) l_odd/T - 4 d_odd^2 and
-    d(d_even)/dphi = -2 rho cos(2 phi) l_even/T - 4 d_even^2.
-    """
-    f = airy_factors(rho, phi)
-    cos_u_sq = np.cos(u) ** 2
-    sin_u_sq = 1.0 - cos_u_sq
-    gamma = f.l_odd * cos_u_sq + f.l_even * sin_u_sq
-    shift = f.d_odd * cos_u_sq + f.d_even * sin_u_sq
-    if not with_gradient:
-        return gamma, shift, None, None
-    slope = 2.0 * rho * np.cos(2.0 * phi) / (1.0 - rho * rho)
-    dd_odd = slope * f.l_odd - 4.0 * f.d_odd ** 2
-    dd_even = -slope * f.l_even - 4.0 * f.d_even ** 2
-    phase_part = dd_odd * cos_u_sq + dd_even * sin_u_sq
-    u_part = (f.d_even - f.d_odd) * np.sin(2.0 * u)
-    return gamma, shift, u_part, phase_part
-
-
 def _cone_angle(kr):
     """beta, the angle of each row of the (P, 3) block kr from the axis
     of its folded cap, sign(kz) z: in [0, pi/2], and 0 at kr = 0."""
@@ -411,7 +383,8 @@ def _integrate_once(kr, config, phi0, directions, weighted, with_gradient):
     ox, oy, oz = directions
     u = ox * kx + oy * ky + oz * kz
     phi = ray_phase(phi0[:, None], kx * kx + ky * ky + kz * kz, u, kR)
-    g, sh, u_part, phase_part = _cap_terms(config.rho, phi, u, with_gradient)
+    g, sh, u_part, phase_part = cap_brackets(config.rho, phi, u,
+                                            with_gradient)
     terms = []
     if with_gradient:
         terms = [u_part * o + phase_part * (k - u * o) / kR
@@ -569,7 +542,7 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
     and azimuth, and chunks of SAMPLE_CHUNK samples address their draws
     by index, so memory does not grow with n_samples.  In a chunk, only
     the cap samples, selected by cos(theta) alone, get an azimuth and go
-    straight to ``_cap_terms``.  A band sample counts its polarization
+    straight to ``cap_brackets``.  A band sample counts its polarization
     weight to gamma and 0 to the shift, and gets an azimuth only when the
     dipole has a direction: the isotropic weight is 1.  Each part of a
     chunk is pooled into running moments (``_pool``).
@@ -594,7 +567,7 @@ def monte_carlo_reference(kr, orientation: DipoleOrientation,
             z.take(cap), draw(2 * j.take(cap) + 1), orientation)
         u = ox * kx + oy * ky + oz * kz
         phi = ray_phase(phi0, kr_sq, u, config.k_r_mirror)
-        g, s, _, _ = _cap_terms(config.rho, phi, u)
+        g, s, _, _ = cap_brackets(config.rho, phi, u)
         n_band = len(j) - len(u)
         if isotropic:
             band = (n_band, 1.0, 0.0)

@@ -1,4 +1,4 @@
-"""Domain types, resonance factors and the center closed forms."""
+"""Domain types, the cap kernel and the center closed forms."""
 
 import math
 import re
@@ -14,7 +14,7 @@ from vactrap.cavity import (
     DipoleOrientation,
     Position,
     ValidityWarning,
-    airy_factors,
+    cap_brackets,
     center_gamma,
     center_shift,
     detuning_to_phase,
@@ -40,49 +40,95 @@ ORIENTATIONS = (
 
 # ---------------------------------------------------------------- airy
 
+def _two_denominator_brackets(rho, phi, u):
+    """The brackets and gradient parts as the odd- and even-mode Airy
+    factors, each over its own denominator, mixed by cos^2 u and sin^2 u:
+    an independent form, accurate away from the even resonance."""
+    t = 1.0 - rho * rho
+    sin_phi_sq = np.sin(phi) ** 2
+    denom_odd = (1.0 - rho) ** 2 + 4.0 * rho * sin_phi_sq
+    denom_even = (1.0 + rho) ** 2 - 4.0 * rho * sin_phi_sq
+    l_odd, l_even = t / denom_odd, t / denom_even
+    d_odd = rho * np.sin(2.0 * phi) / denom_odd
+    d_even = -rho * np.sin(2.0 * phi) / denom_even
+    cos_sq = np.cos(u) ** 2
+    sin_sq = 1.0 - cos_sq
+    slope = 2.0 * rho * np.cos(2.0 * phi) / t
+    dd_odd = slope * l_odd - 4.0 * d_odd ** 2
+    dd_even = -slope * l_even - 4.0 * d_even ** 2
+    return (l_odd * cos_sq + l_even * sin_sq, d_odd * cos_sq + d_even * sin_sq,
+            (d_even - d_odd) * np.sin(2.0 * u),
+            dd_odd * cos_sq + dd_even * sin_sq)
+
+
 def test_airy_free_space():
-    for phi in (0.0, 0.3, math.pi / 2, 2.0):
-        f = airy_factors(0.0, phi)
-        assert f.l_odd == 1.0
-        assert f.l_even == 1.0
-        assert f.d_odd == 0.0
-        assert f.d_even == 0.0
+    # without mirrors every ray is free space: (1, 0) exactly, gradient 0
+    phi = np.array([0.0, 0.3, math.pi / 2, 2.0, -1.1])
+    u = np.array([0.0, 0.7, -3.0, math.pi / 2, 25.0])
+    gamma, shift, u_part, phase_part = cap_brackets(0.0, phi, u, True)
+    assert np.all(gamma == 1.0)
+    assert np.all(shift == 0.0)
+    assert np.all(u_part == 0.0)
+    assert np.all(phase_part == 0.0)
 
 
 def test_airy_resonance_peak():
-    f = airy_factors(0.98, 0.0)
-    assert_allclose(f.l_odd, 0.0396 / 0.0004, rtol=1e-12)
-    assert f.d_odd == 0.0
-    # F = pi sqrt(rho) / (1 - rho) finesse sanity: peak ~ (2F/pi)^2 * T-ish
-    assert f.l_odd > 90
+    # the odd resonance at u = 0 and the even one at u = pi/2 both peak
+    # at (1 + rho) / (1 - rho), for finesse up to rho = 0.9999; the shift
+    # crosses zero there (pi/2 is not a float, so exactly only at phi = 0)
+    for rho in (0.3, 0.9, 0.98, 0.995, 0.999, 0.9995, 0.9999):
+        peak = (1.0 + rho) / (1.0 - rho)
+        for phi, u in ((0.0, 0.0), (math.pi / 2, math.pi / 2)):
+            gamma = cap_brackets(rho, phi, u)[0]
+            assert abs(gamma - peak) <= 1e-15 * peak, (rho, phi, gamma)
+        assert cap_brackets(rho, 0.0)[1] == 0.0
+    assert cap_brackets(0.98, 0.0)[0] > 90
 
 
 def test_airy_antiresonance_swap():
-    f = airy_factors(0.98, math.pi / 2)
-    assert_allclose(f.l_odd, 0.0396 / 3.9204, rtol=1e-12)
-    assert_allclose(f.l_even, 99.0, rtol=1e-9)
+    # half a period off either resonance, the odd modes at u = 0 and the
+    # even ones at u = pi/2 give T / (1 + rho)^2 = (1 - rho) / (1 + rho)
+    for phi, u in ((math.pi / 2, 0.0), (0.0, math.pi / 2)):
+        gamma, _, _, _ = cap_brackets(0.98, phi, u)
+        assert_allclose(gamma, 0.02 / 1.98, rtol=1e-12)
 
 
 def test_airy_swap_identity():
+    # half a period in both phases swaps the odd and even modes and
+    # leaves both brackets unchanged
     rng = np.random.default_rng(3)
     phi = rng.uniform(-math.pi, math.pi, 50)
-    for rho in (0.3, 0.9, 0.98):
-        shifted = airy_factors(rho, phi + math.pi / 2)
-        plain = airy_factors(rho, phi)
-        assert_allclose(shifted.l_odd, plain.l_even, rtol=1e-9)
-        assert_allclose(shifted.l_even, plain.l_odd, rtol=1e-9)
+    u = rng.uniform(-math.pi, math.pi, 50)
+    for rho in (0.3, 0.9, 0.98, 0.9999):
+        shifted = cap_brackets(rho, phi + math.pi / 2, u + math.pi / 2)
+        plain = cap_brackets(rho, phi, u)
+        for a, b in zip(shifted[:2], plain[:2]):
+            assert_allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
 def test_airy_fsr_means():
-    # over one free spectral range the damping factors average to exactly
-    # one and the dispersive factors to zero
+    # over one free spectral range the damping bracket averages to one
+    # and the shift bracket to zero, at the anti-node and at the node
     phi = math.pi * np.arange(8192) / 8192
     for rho in (0.5, 0.9, 0.98):
-        f = airy_factors(rho, phi)
-        assert abs(np.mean(f.l_odd) - 1.0) < 1e-6
-        assert abs(np.mean(f.l_even) - 1.0) < 1e-6
-        assert abs(np.mean(f.d_odd)) < 1e-6
-        assert abs(np.mean(f.d_even)) < 1e-6
+        for u in (0.0, math.pi / 2):
+            gamma, shift, _, _ = cap_brackets(rho, phi, u)
+            assert abs(np.mean(gamma) - 1.0) < 1e-6
+            assert abs(np.mean(shift)) < 1e-6
+
+
+def test_cap_brackets_match_two_denominator_form():
+    # away from the even resonance the one-denominator kernel is the
+    # Airy factors of both mode families mixed by cos^2 u and sin^2 u
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(-0.5, 0.5, 400)
+    u = rng.uniform(-40.0, 40.0, 400)
+    for rho in (0.0, 0.3, 0.9, 0.98, 0.99):
+        want = _two_denominator_brackets(rho, phi, u)
+        got = cap_brackets(rho, phi, u, with_gradient=True)
+        peak = (1.0 + rho) / (1.0 - rho)
+        for a, b, scale in zip(got, want, (peak, peak, peak, peak * peak)):
+            assert np.all(np.abs(a - b) <= 1e-12 * scale), rho
 
 
 def test_fixed_orientation_refuses_nan():
@@ -93,10 +139,9 @@ def test_fixed_orientation_refuses_nan():
 
 
 def test_airy_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        airy_factors(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        airy_factors(1.0, 0.0)
+    for rho in (-0.1, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="0 <= rho < 1"):
+            cap_brackets(rho, 0.0)
 
 
 def test_fsr_sum_rule_check_tracks_finesse():
@@ -240,7 +285,7 @@ def test_center_thirty_fold_enhancement():
     assert_allclose(value, CENTER_GAMMA_ISO, rtol=1e-12)
     # with the solid-angle fraction rounded to 0.3 the enhancement reads
     # 0.7 + 0.3 * 99 = 30.4, i.e. "more than 30-fold"
-    rounded = 0.7 + 0.3 * airy_factors(0.98, 0.0).l_odd
+    rounded = 0.7 + 0.3 * cap_brackets(0.98, 0.0)[0]
     assert_allclose(rounded, 30.4, rtol=1e-12)
     assert rounded > 30.0
 

@@ -17,6 +17,7 @@ from vactrap.cavity import (
     Position,
     _admit,
     aperture_weights,
+    cap_brackets,
     effective_theta,
     ray_phase,
 )
@@ -32,7 +33,6 @@ from vactrap.fields import (
 from vactrap.quadrature import (
     AngularGrid,
     ConvergenceError,
-    _cap_terms,
     _leggauss,
     _pol_weight,
     integrate_sphere,
@@ -83,7 +83,7 @@ def _weighted_terms(omega, kr, orientation, rho, phi0, k_r_mirror):
     u = omega @ kr
     w = _pol_weight(orientation, omega[:, 0], omega[:, 1], omega[:, 2])
     phi = ray_phase(phi0, float(kr @ kr), u, k_r_mirror)
-    g, sh, u_part, phase_part = _cap_terms(rho, phi, u, with_gradient=True)
+    g, sh, u_part, phase_part = cap_brackets(rho, phi, u, with_gradient=True)
     grad = (u_part[:, None] * omega
             + phase_part[:, None] * (kr[None, :] - u[:, None] * omega)
             / k_r_mirror)

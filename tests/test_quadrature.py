@@ -18,6 +18,7 @@ from vactrap.cavity import (
     DipoleOrientation,
     ValidityWarning,
     _radius,
+    cap_brackets,
     center_gamma,
     center_shift,
     effective_theta,
@@ -30,7 +31,6 @@ from vactrap.quadrature import (
     MAX_POLAR_NODES,
     AngularGrid,
     ConvergenceError,
-    _cap_terms,
     _pol_weight,
     azimuth_node_floor,
     integrate_sphere,
@@ -72,7 +72,7 @@ def _sample_terms(dirs, kr, orientation, config, phi0):
     if np.any(inside):
         u = dirs[inside] @ kr
         phi = ray_phase(phi0, float(kr @ kr), u, config.k_r_mirror)
-        g, s, _, _ = _cap_terms(config.rho, phi, u)
+        g, s, _, _ = cap_brackets(config.rho, phi, u)
         gamma[inside] = w[inside] * g
         shift[inside] = w[inside] * s
     return gamma, shift

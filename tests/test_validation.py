@@ -366,13 +366,16 @@ def test_fsr_sum_rule_in_bounded_blocks():
 
 def test_a_check_that_does_not_converge_fails_alone(monkeypatch):
     # a ConvergenceError inside a check fails that check, with the
-    # error, its rows and its change as plain JSON, and the others run
+    # error, its rows and its change as plain JSON, and the others run;
+    # only the gradient check integrates at DEFAULT_TOLERANCE
     def unconverged(*args, **kwargs):
+        if kwargs.get("tolerance") != validation.DEFAULT_TOLERANCE:
+            return integrate_sphere(*args, **kwargs)
         raise quadrature.ConvergenceError(
             "sphere integral did not converge", estimate=Response(1.0, 0.0),
             change=(np.array([0.0, 3e-7]), np.array([0.0, 4e-7])), rows=[1])
 
-    monkeypatch.setattr(validation, "response_at", unconverged)
+    monkeypatch.setattr(validation, "integrate_sphere", unconverged)
     checks = validation.run_validation_suite(DEFAULT, Detuning(0.0))
     assert [c.passed for c in checks] == [True] * 7 + [False]
     assert checks[-1].name == "gradient_vs_finite_difference"
@@ -401,6 +404,45 @@ def test_validate_reports_a_gradient_point_that_does_not_converge(
     assert "did not converge at |kr|=5.77" in gradient["detail"]["error"]
     assert len(gradient["detail"]["change"]) == 2
     assert "gradient_vs_finite_difference" in err
+
+
+def test_gradient_check_names_the_point_that_does_not_converge():
+    # seed 16 draws its second gradient point at |kr| = 2.00, where the
+    # doubling check fails here; both points are one block, so the
+    # report names row 1, not the row of a one-point call
+    config = CavityConfig(rho=0.999, k_r_mirror=1.0e3)
+    check = validation.check_gradient(config, Detuning(-0.5), 16)
+    assert not check.passed
+    assert check.detail["rows"] == [1]
+    assert "did not converge at |kr|=2.00" in check.detail["error"]
+
+
+def test_orientation_check_holds_through_the_zonal_rule():
+    # x, y and z dipoles average to the isotropic result at the rule
+    # points, also at a 70-degree aperture and at high finesse
+    for config in (DEFAULT, CavityConfig(rho=0.98, theta_m=math.radians(70)),
+                   CavityConfig(rho=0.9999)):
+        check = validation.check_orientation_decomposition(config, 0.0)
+        assert check.passed
+        assert check.detail["worst_relative_error"] < 5e-15
+
+
+def test_orientation_check_sees_one_dipole_rule_scaled(monkeypatch):
+    # the sum rule is no identity of the weights: scaling the zonal
+    # weights of the y dipole alone by 1 + 1e-9 fails the check
+    zonal = quadrature._zonal_rule
+    y_axis = DipoleOrientation.fixed((0.0, 1.0, 0.0))
+
+    def scaled(orientation, *args):
+        ox, oy, oz, weight = zonal(orientation, *args)
+        if orientation == y_axis:
+            weight = weight * (1.0 + 1e-9)
+        return ox, oy, oz, weight
+
+    monkeypatch.setattr(quadrature, "_zonal_rule", scaled)
+    check = validation.check_orientation_decomposition(DEFAULT, 0.0)
+    assert not check.passed
+    assert check.detail["worst_relative_error"] > 1e-10
 
 
 def test_validate_takes_a_seed_of_64_bits_and_more(capsys):
@@ -443,3 +485,19 @@ def test_validate_passes_where_the_ring_sweeps_many_linewidths(
     assert cli.main(["validate", "--config", str(config)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
+
+
+def test_validate_passes_at_the_even_resonance_at_high_finesse(
+        tmp_path, capsys):
+    # -15,700 linewidths put phi0 near -pi/2, the even resonance, where
+    # the two-denominator Airy factors lost digits to cancellation: the
+    # zonal and reference rules then parted by 4.5e-9 and validate
+    # exited 4
+    config = tmp_path / "even.ini"
+    config.write_text("[mirrors]\nrho = 0.9999\n[detuning]\n"
+                      "linewidths = -15700\n", encoding="utf-8")
+    assert cli.main(["validate", "--config", str(config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (zonal,) = [check for check in report["checks"]
+                if check["name"] == "zonal_vs_sphere_rule"]
+    assert zonal["detail"]["worst_abs_difference"] < 1e-10

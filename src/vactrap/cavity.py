@@ -301,9 +301,7 @@ class Detuning(_Frozen):
             raise ValueError(f"detuning must be finite, got {self.linewidths}")
 
     def phase(self, rho: float) -> float:
-        if rho == 0.0:
-            # free space has no resonance to be detuned from
-            return 0.0
+        """``detuning_to_phase`` of this detuning: 0.0 in free space."""
         return detuning_to_phase(self.linewidths, rho)
 
 
@@ -373,12 +371,20 @@ def ray_phase(phi0, kr_sq, u, k_r_mirror: float):
     return phi0 + (kr_sq - u * u) / (2.0 * k_r_mirror)
 
 
+def _half_width(rho: float) -> float:
+    """delta = (1 - rho) / (2 sqrt(rho)), inf at rho = 0: the sine of the
+    half width in round-trip half phase of the odd-mode damping
+    resonance, so the half width itself for a narrow line, and the one
+    scale by which the finesse sizes phases and node counts."""
+    return (1.0 - rho) / (2.0 * math.sqrt(rho)) if rho > 0.0 else math.inf
+
+
 def phase_fwhm(rho: float) -> float:
     """Full width (in round-trip half phase) at half maximum of the
-    odd-mode damping resonance: 2 arcsin((1-rho)/(2 sqrt(rho)))."""
+    odd-mode damping resonance: 2 arcsin(delta), delta = ``_half_width``."""
     if rho <= 0.0:
         raise ValueError("linewidth is undefined without reflectivity")
-    arg = (1.0 - rho) / (2.0 * math.sqrt(rho))
+    arg = _half_width(rho)
     if arg > 1.0:
         raise ValueError(
             f"reflectivity {rho} is too low for a resolved resonance "
@@ -387,22 +393,29 @@ def phase_fwhm(rho: float) -> float:
     return 2.0 * math.asin(arg)
 
 
-def detuning_to_phase(linewidths: float, rho: float) -> float:
-    """Map a detuning in cavity linewidths to the phase offset phi_0.
+def detuning_to_phase(linewidths, rho: float):
+    """Map a detuning in cavity linewidths, a number or an array, to the
+    phase offset phi_0 = linewidths * 2 arcsin(delta), a float or an
+    array of floats.
 
     Positive detuning (atom above the cavity resonance) gives a positive
-    phase offset.  Zero detuning maps to zero for any reflectivity,
-    including rho = 0 where the linewidth itself is undefined.
+    phase offset.  A zero detuning maps to +0.0 for any reflectivity, and
+    every detuning to +0.0 in free space (rho = 0), which has no
+    resonance to be detuned from.  Otherwise a rho without a resolved
+    resonance (delta > 1) raises ``phase_fwhm``'s ValueError, and so does
+    the first detuning outside the single-resonance window
+    |phi_0| <= pi/2.
     """
-    if linewidths == 0.0:
-        return 0.0
-    phi0 = linewidths * phase_fwhm(rho)
-    if not abs(phi0) <= math.pi / 2:
-        raise ValueError(
-            f"detuning of {linewidths} linewidths leaves the "
-            "single-resonance window (|phi0| > pi/2)"
-        )
-    return phi0
+    lw = np.asarray(linewidths, dtype=float)
+    phi0 = np.zeros(lw.shape)
+    if rho != 0.0 and lw.any():
+        phi0 = np.where(lw == 0.0, 0.0, lw * phase_fwhm(rho))
+        for i in np.flatnonzero(~(np.abs(phi0) <= math.pi / 2))[:1]:
+            raise ValueError(
+                f"detuning of {lw.flat[i].item()} linewidths leaves the "
+                "single-resonance window (|phi0| > pi/2)"
+            )
+    return phi0 if lw.ndim else phi0.item()
 
 
 def aperture_weights(orientation: DipoleOrientation,

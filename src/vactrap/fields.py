@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .cavity import (CavityConfig, Detuning, DipoleOrientation, Position,
-                     Response, _Frozen, _Record, phase_fwhm)
+                     Response, _Frozen, _Record, detuning_to_phase)
 from .quadrature import ConvergenceError, integrate_sphere
 
 DEFAULT_TOLERANCE = 1e-9
@@ -263,13 +263,7 @@ def _scan_points(spec: ScanSpec):
     c = spec.coordinates()
     rho = spec.config.rho
     if spec.axis == "detuning":
-        phi0 = np.zeros(len(c))  # Detuning(v).phase(rho), as one array
-        if rho != 0.0:
-            phi0 = np.where(c == 0.0, 0.0, c * phase_fwhm(rho))
-            bad = np.flatnonzero(~(np.abs(phi0) <= math.pi / 2))
-            if bad.size:  # refused as Detuning.phase refuses it
-                Detuning(float(c[bad[0]])).phase(rho)
-        return c[:, None], phi0, np.zeros((len(c), 3))
+        return c[:, None], detuning_to_phase(c, rho), np.zeros((len(c), 3))
     coords = (np.column_stack([np.repeat(c, len(c)), np.tile(c, len(c))])
               if spec.axis == "plane" else c[:, None])
     kr = np.zeros((len(coords), 3))

@@ -69,6 +69,7 @@ from .cavity import (
     Response,
     _Frozen,
     _admit,
+    _half_width,
     aperture_weights,
     cap_brackets,
     effective_theta,
@@ -164,18 +165,18 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
     """Gauss-Legendre nodes per panel of the default grid at |kr|.
 
     The polar floor, or four nodes per resonance linewidth that the
-    aberration phase sweeps where that is more:
-    2 |kr|^2 sqrt(rho) / (kR (1 - rho)), as the sweep is at most
-    |kr|^2 / (2 kR) and a linewidth about (1 - rho) / sqrt(rho) in phase.
-    With the default mirrors that term stays below the floor.  The floor
-    is taken at |kr| times max(1, 4 theta_eff / pi): it was sized for
-    panels at most pi/2 wide, and a cut-ring panel is up to 2 theta_eff
-    wide, so apertures above 45 degrees take more nodes.  The count is
-    rounded up to a multiple of MIN_POLAR_NODES, whole sub-panels of the
-    composite rule.  Above MAX_POLAR_NODES it raises ValueError.
+    aberration phase sweeps where that is more: |kr|^2 / (kR delta), as
+    the sweep is at most |kr|^2 / (2 kR) and a linewidth about 2 delta
+    in phase, with delta = ``cavity._half_width`` (inf, so no term,
+    without mirrors).  With the default mirrors that term stays below
+    the floor.  The floor is taken at |kr| times
+    max(1, 4 theta_eff / pi): it was sized for panels at most pi/2 wide,
+    and a cut-ring panel is up to 2 theta_eff wide, so apertures above
+    45 degrees take more nodes.  The count is rounded up to a multiple of
+    MIN_POLAR_NODES, whole sub-panels of the composite rule.  Above
+    MAX_POLAR_NODES it raises ValueError.
     """
-    sweep = (2.0 * kr_norm ** 2 * math.sqrt(config.rho)
-             / (config.k_r_mirror * (1.0 - config.rho)))
+    sweep = kr_norm ** 2 / (config.k_r_mirror * _half_width(config.rho))
     wide = max(1.0, 4.0 * effective_theta(config) / math.pi)
     need = max(polar_node_floor(wide * kr_norm), math.ceil(sweep))
     n_polar = MIN_POLAR_NODES * -(-need // MIN_POLAR_NODES)
@@ -226,16 +227,17 @@ class AngularGrid(_Frozen):
         panel, and for the 2-D reference rule the azimuth floor plus a
         margin of 16 (the periodic rule needs ~16 modes beyond the
         integrand's band edge before its spectral tail dies), or 32
-        per linewidth that a cap ring's phase sweeps in half a turn,
-        <= k_perp (|kz| + k_perp) / kR, if more.  The position or block
-        is admitted as ``integrate_sphere`` admits it: a bad shape or row
-        raises ValueError, and a block beyond the warning radius warns
-        once."""
+        per linewidth 2 delta (``cavity._half_width``) that a cap ring's
+        phase sweeps in half a turn, <= k_perp (|kz| + k_perp) / kR, if
+        more: 16 k_perp (|kz| + k_perp) / (kR delta).  The position or
+        block is admitted as ``integrate_sphere`` admits it: a bad shape
+        or row raises ValueError, and a block beyond the warning radius
+        warns once."""
         kr, radii = _admit(kr)
         far = np.argmax(radii)
         k_perp, kz = math.hypot(*kr[far, :2]), abs(kr[far, 2])
-        sweep = (32.0 * k_perp * (kz + k_perp) * math.sqrt(config.rho)
-                 / (config.k_r_mirror * (1.0 - config.rho)))
+        sweep = (16.0 * k_perp * (kz + k_perp)
+                 / (config.k_r_mirror * _half_width(config.rho)))
         return cls(polar_node_count(float(radii[far]), config),
                    max(azimuth_node_floor(k_perp) + 16, math.ceil(sweep)))
 

@@ -230,6 +230,18 @@ def test_detuning_to_phase_examples():
                     rtol=1e-12)
     assert_allclose(detuning_to_phase(-0.5, 0.98), -PHASE_FWHM_098 / 2,
                     rtol=1e-12)
+    # an array maps element by element, bit for bit the scalar call, with
+    # -0.0 to +0.0 and everything to +0.0 in free space
+    lw = np.array([-1.5, -0.0, 0.0, 0.25, 1.0])
+    for rho in (0.98, 0.0):
+        phases = detuning_to_phase(lw, rho)
+        assert phases.tobytes() == np.array(
+            [detuning_to_phase(float(v), rho) for v in lw]).tobytes()
+    assert not np.signbit(detuning_to_phase(lw, 0.98)[1])
+    assert detuning_to_phase(lw, 0.0).tobytes() == np.zeros(5).tobytes()
+    # the first detuning outside the window is named, as a Python float
+    with pytest.raises(ValueError, match=r"^detuning of 90\.0 linewidths "):
+        detuning_to_phase(np.array([0.0, 1.0, 90.0, -95.0]), 0.98)
 
 
 def test_detuning_sign_convention():
@@ -257,15 +269,16 @@ def test_detuning_refuses_non_finite_counts(linewidths):
 
 
 def test_detuning_low_reflectivity_domain():
-    # (1 - rho)/(2 sqrt(rho)) > 1 for rho below 3 - 2 sqrt(2)
-    with pytest.raises(ValueError):
+    # (1 - rho)/(2 sqrt(rho)) > 1 for rho below 3 - 2 sqrt(2); free space
+    # has no resonance to be detuned from, so every detuning maps to 0
+    with pytest.raises(ValueError, match="too low for a resolved resonance"):
         detuning_to_phase(1.0, 0.1)
-    with pytest.raises(ValueError):
-        detuning_to_phase(1.0, 0.0)
+    assert detuning_to_phase(0.0, 0.1) == 0.0
+    assert detuning_to_phase(1.0, 0.0) == 0.0
 
 
 def test_detuning_type_free_space_convention():
-    assert Detuning(0.7).phase(0.0) == 0.0
+    assert detuning_to_phase(0.7, 0.0) == Detuning(0.7).phase(0.0) == 0.0
     assert_allclose(Detuning(0.5).phase(0.98), PHASE_FWHM_098 / 2, rtol=1e-12)
 
 

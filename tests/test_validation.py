@@ -406,6 +406,26 @@ def test_validate_reports_a_gradient_point_that_does_not_converge(
     assert "gradient_vs_finite_difference" in err
 
 
+def test_validate_reports_checks_over_the_polar_node_cap(monkeypatch,
+                                                         capsys):
+    # a check's own point above the polar node cap once ended validate
+    # with exit 2 and an empty stdout, though the config was accepted;
+    # now that check fails with the cap's message and the others run
+    monkeypatch.setattr(quadrature, "MAX_POLAR_NODES", 64)
+    assert cli.main(["validate"]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    passed = {c["name"]: c["passed"] for c in report["checks"]}
+    assert [name for name, ok in passed.items() if ok] == [
+        "closed_form_vs_quadrature", "fsr_sum_rule"]
+    for check in report["checks"]:
+        if not check["passed"]:
+            assert list(check["detail"]) == ["error"]
+            assert check["detail"]["error"].endswith(
+                "polar nodes with these mirrors, above the cap of 64")
+            assert check["name"] in err
+
+
 def test_gradient_check_names_the_point_that_does_not_converge():
     # seed 16 draws its second gradient point at |kr| = 2.00, where the
     # doubling check fails here; both points are one block, so the

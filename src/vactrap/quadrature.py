@@ -31,10 +31,10 @@ The production rule in one variable is composite: one 32-node
 Gauss-Legendre base rule, built once at import by Newton's method on the
 Legendre recurrence, shifted onto each of n / 32 equal sub-panels of
 [-1, 1] (``_leggauss``).  Tiling it takes microseconds, so no rule is
-stored between calls; within one, passes whose rows are one position
-share its one-row rule.  The 2-D reference rule takes Fejer's first
-rule in closed form instead, so the two sides of that check share no
-node.
+stored between calls; within one, passes whose rows share the rule's
+inputs share its one-row rule.  The 2-D reference rule takes Fejer's
+first rule in closed form instead, so the two sides of that check share
+no node.
 
 An ``AngularGrid`` is node counts only; the cap edge comes from the
 cavity configuration.  The integrand oscillates with spatial frequency up
@@ -48,11 +48,16 @@ a grid is given for every row, whose count it checks against the polar
 floor of the farthest row; a whole scan is one call.  Its positions
 are admitted, their |kr| taken and the ValidityWarning issued once a
 call by ``cavity._admit``, the one admission that ``Position`` uses too.
-It runs the block in passes through the kernel over (points x nodes)
-arrays, each over rows of one polar count and one panel kind and at most
-BLOCK_NODES nodes.  Every operation is elementwise along the rows and
-each row is summed on its own in a fixed order, so a row's bits do not
-depend on its block or pass.
+A row's zonal integrand reads the row only through its key: |kr|, the
+cone angle of kr from the cap axis, phi0, the polar count, the panel
+kind and the dipole in the frame of the rings about kr.  The block's
+rows of one key, such as the mirror images of a point in a scan, take
+one kernel row, integrated in the ring frame; each row turns its
+gradient back by its own frame.  The kernel runs in passes over
+(rows x nodes) arrays, each over rows of one polar count and one panel
+kind and at most BLOCK_NODES nodes.  Every operation is elementwise
+along the rows and each row is summed on its own in a fixed order, so a
+row's bits do not depend on its block or pass.
 """
 
 from __future__ import annotations
@@ -250,29 +255,61 @@ def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):
     return 1.5 * (1.0 - cos * cos)
 
 
-def _cone_angle(kr):
-    """beta, the angle of each row of the (P, 3) block kr from the axis
-    of its folded cap, sign(kz) z: in [0, pi/2], and 0 at kr = 0."""
-    kr = np.asarray(kr, dtype=float)
-    return np.arctan2(np.hypot(kr[:, 0], kr[:, 1]), np.abs(kr[:, 2]))
+def _ring_frame(kr):
+    """(beta, frame): the cone angle of each row of the (P, 3) block kr,
+    in [0, pi/2] and 0 at kr = 0, and the frame (r, e1, e2) of the rings
+    about it, of shape (3, P, 3), axis by row by x, y, z.  r = kr/|kr| is
+    at beta from the axis n = sign(kz) z of the row's folded cap (r = n
+    at kr = 0), e1 is normal to r towards n and e2 normal to both."""
+    kx, ky, kz = kr.T.copy()
+    k_perp = np.hypot(kx, ky)
+    beta = np.arctan2(k_perp, np.abs(kz))
+    sign = np.where(kz < 0.0, -1.0, 1.0)
+    on_axis = k_perp == 0.0
+    k_perp[on_axis] = 1.0
+    cos_p = np.where(on_axis, 1.0, kx / k_perp)
+    sin_p = np.where(on_axis, 0.0, ky / k_perp)
+    cb, sb = np.cos(beta), np.sin(beta)
+    frame = np.array([(sb * cos_p, sb * sin_p, sign * cb),  # r
+                      (-cb * cos_p, -cb * sin_p, sign * sb),  # e1
+                      (-sin_p, cos_p, np.zeros_like(cb))])  # e2
+    return beta, frame.transpose(0, 2, 1)
 
 
-def _zonal_rule(orientation, n_polar, theta, kr, whole, cut):
-    """(ox, oy, oz, weight), each of shape (P, n_polar) or (P, 2 n_polar),
-    with one node per ring about r = kr/|kr| for each row of the (P, 3)
-    block kr.
+def _ring_dipole(orientation, frame):
+    """q, the dipole's D = d d^T (I/3 for the isotropic average) in the
+    ``_ring_frame`` frame of each row, as (P, 6) columns q_rr, q_r1,
+    q_r2, q_11, q_12 and q_22.  Adding 0.0 turns a -0.0 into +0.0, so
+    that rows whose q differs only there, as a dipole along the axis
+    has at kz and -kz, read one q."""
+    d = orientation.unit_vector
+    if d is None:
+        third = 1.0 / 3.0
+        return np.broadcast_to([third, 0.0, 0.0, third, 0.0, third],
+                               (frame.shape[1], 6))
+    v = [f[:, 0] * d[0] + f[:, 1] * d[1] + f[:, 2] * d[2] for f in frame]
+    return np.stack([v[0] * v[0], v[0] * v[1], v[0] * v[2],
+                     v[1] * v[1], v[1] * v[2], v[2] * v[2]], axis=1) + 0.0
+
+
+def _zonal_rule(n_polar, theta, beta, q, whole, cut, with_gradient):
+    """(cos(alpha), weight), and with the gradient (cos(alpha), weight,
+    t1, t2), each of shape (P, n_polar) or (P, 2 n_polar), with one node
+    per ring about r for each row of a block, the row read only through
+    its cone angle beta (P,) and its dipole q (P, 6) in the ring frame
+    (``_ring_frame``, ``_ring_dipole``).
 
     The folded cap is taken about n = sign(kz) z, at the angle
-    beta <= pi/2 from r (r = n at kr = 0).  On the ring at angle alpha
-    from r, omega = cos(alpha) r + sin(alpha) (cos(psi) e1 + sin(psi) e2)
-    with e1 towards n, so u = |kr| cos(alpha) is constant and the ring
-    meets the cap on the arc |psi| <= psi0.  The node carries
-    W = integral of w dpsi over the arc and the direction V / W, with
+    beta <= pi/2 from r.  On the ring at angle alpha from r,
+    omega = cos(alpha) r + sin(alpha) (cos(psi) e1 + sin(psi) e2), so
+    u = |kr| cos(alpha) is constant and the ring meets the cap on the
+    arc |psi| <= psi0.  The node carries W = integral of w dpsi over the
+    arc and the direction V / W = cos(alpha) r + t1 e1 + t2 e2, with
     V = integral of w omega dpsi: kr . V / W = u, and every integrand,
     gradient included, is w f(u) or linear in omega, so the node
     reproduces the ring exactly.  The moments of 1, cos, cos^2, sin^2,
     cos^3 and cos sin^2 over the arc are closed forms, and so are W and V
-    (w is quadratic in omega).
+    (w is quadratic in omega).  Only the gradient reads t1 and t2.
 
     Alpha runs over up to two panels of the n_polar-node composite rule
     (``_leggauss``: 32-node Gauss-Legendre sub-panels) each: whole rings
@@ -286,38 +323,19 @@ def _zonal_rule(orientation, n_polar, theta, kr, whole, cut):
                          / (sin(s) sin(s - theta))),
     its small factors taken from the map, not by subtraction.
 
-    The rows of kr share one kind, which ``integrate_sphere`` passes
-    with them: ``whole`` and ``cut`` say whether their whole-ring and
+    The rows share one kind, which ``integrate_sphere`` passes with
+    them: ``whole`` and ``cut`` say whether their whole-ring and
     cut-ring panels have widths above 0.  Every operation is elementwise
     along the rows, so a row's values do not depend on the other rows of
     its block.
     """
-    kx, ky, kz = kr.T.copy()
-    k_perp = np.hypot(kx, ky)
-    beta = _cone_angle(kr)
-    sign = np.where(kz < 0.0, -1.0, 1.0)
-    on_axis = k_perp == 0.0
-    k_perp[on_axis] = 1.0
-    cos_p = np.where(on_axis, 1.0, kx / k_perp)
-    sin_p = np.where(on_axis, 0.0, ky / k_perp)
-    cb, sb = np.cos(beta), np.sin(beta)
-    frame = ((sb * cos_p, sb * sin_p, sign * cb),  # r
-             (-cb * cos_p, -cb * sin_p, sign * sb),  # e1
-             (-sin_p, cos_p, np.zeros_like(cb)))  # e2
-    # w = 1.5 (1 - omega . D omega) with D = d d^T, or I/3 for the
-    # isotropic average; q is D in the frame (r, e1, e2), one value per
-    # row.  The ring integrals below spend trace(D) = 1 so that nothing
-    # cancels: the form 1.5 (m0 - integral of omega . D omega) gives 0/0
-    # for a dipole along r.
-    d = orientation.unit_vector
-    if d is None:
-        q = [[1.0 / 3.0 if i == j else 0.0 for j in range(3)]
-             for i in range(3)]
-    else:
-        v = [f[0] * d[0] + f[1] * d[1] + f[2] * d[2] for f in frame]
-        q = [[(v[i] * v[j])[:, None] for j in range(3)] for i in range(3)]
-    k_c, k_s = 1.5 * (q[1][1] + q[2][2]), 1.5 * q[0][0]
-    k_cs, k_1, k_2 = -3.0 * q[0][1], 1.5 * q[1][1], 1.5 * q[2][2]
+    # w = 1.5 (1 - omega . D omega).  The ring integrals below spend
+    # trace(D) = 1 so that nothing cancels: the form
+    # 1.5 (m0 - integral of omega . D omega) gives 0/0 for a dipole
+    # along r.
+    q_rr, q_r1, q_r2, q_11, q_12, q_22 = (col[:, None] for col in q.T)
+    k_c, k_s = 1.5 * (q_11 + q_22), 1.5 * q_rr
+    k_cs, k_1, k_2 = -3.0 * q_r1, 1.5 * q_11, 1.5 * q_22
 
     x, w_gl = _leggauss(n_polar)
     half_tau = 0.25 * math.pi * (x + 1.0)
@@ -349,48 +367,49 @@ def _zonal_rule(orientation, n_polar, theta, kr, whole, cut):
         # moments of 1, cos, cos^2, sin^2, cos sin^2 and cos^3 on the arc
         m0, mc = 2.0 * psi0, 2.0 * sin0
         mcc, mss = psi0 + sin0 * cos0, psi0 - sin0 * cos0
-        mcss = 2.0 * sin0 ** 3 / 3.0
-        mccc = mc - mcss
         c, s = np.cos(alpha), np.sin(alpha)
         cs, ss = c * s, s * s
         tilt = k_c * c * c + k_s * ss
         ring = tilt * m0 + cs * (k_cs * mc) + ss * (k_1 * mss + k_2 * mcc)
-        ring_c = tilt * mc + cs * (k_cs * mcc) + ss * (k_1 * mcss + k_2 * mccc)
-        ring_s = cs * (-3.0 * q[0][2] * mss) + ss * (-3.0 * q[1][2] * mcss)
-        nodes.append((c, s * ring_c / ring, s * ring_s / ring,
-                      s * d_weight * ring))
-    c, t1, t2, weight = (np.concatenate(part, axis=1) for part in zip(*nodes))
-    ox, oy, oz = (c * r[:, None] + t1 * e[:, None] + t2 * f[:, None]
-                  for r, e, f in zip(*frame))
-    return ox, oy, oz, weight
+        node = [c, s * d_weight * ring]
+        if with_gradient:
+            mcss = 2.0 * sin0 ** 3 / 3.0
+            mccc = mc - mcss
+            ring_c = (tilt * mc + cs * (k_cs * mcc)
+                      + ss * (k_1 * mcss + k_2 * mccc))
+            ring_s = cs * (-3.0 * q_r2 * mss) + ss * (-3.0 * q_12 * mcss)
+            node += [s * ring_c / ring, s * ring_s / ring]
+        nodes.append(node)
+    return tuple(np.concatenate(part, axis=1) for part in zip(*nodes))
 
 
-def _integrate_once(kr, config, phi0, directions, weighted, with_gradient):
-    """The folded cap by quadrature for each row of the (P, 3) block kr,
-    in one pass through the kernel over (P, n) arrays, plus the vacuum
-    band's closed-form share.  ``directions`` is a rule's (ox, oy, oz),
-    each (P, n), or (1, n) for a rule that serves every row; ``weighted``
-    yields one (weight, band share) pair per dipole, each summing the one
-    kernel pass.
+def _integrate_once(kr_sq, u, axes, phi0, config, weighted, with_gradient):
+    """The folded cap by quadrature for each row of a block, in one pass
+    through the kernel over (P, n) arrays, plus the vacuum band's
+    closed-form share.  A row is read through kr_sq = kr . kr and its
+    phase phi0, each (P, 1), and u = omega_hat . kr at its nodes, (P, n);
+    the gradient also through ``axes``, one pair (o, k) for each axis of
+    an orthonormal frame: the component along it of the nodes' directions
+    ((P, n), or (1, n) for a rule that serves every row) and of kr ((P, 1)
+    or a number).  ``weighted`` yields one (weight, band share) pair per
+    dipole, each summing the one kernel pass.
 
     The gradient is d(shift)/d(kr) = sum of
     weight * (u_part omega_hat + phase_part (kr - u omega_hat) / kR),
-    whose integrand is also even under omega_hat -> -omega_hat.  Each row
-    is summed on its own along the contiguous node axis, so its bits do
-    not depend on the block.  Returns, per pair, (P,) gamma and shift and
-    the (P, 3) gradient or None.
+    whose integrand is also even under omega_hat -> -omega_hat, taken in
+    the frame of ``axes``.  Each row is summed on its own along the
+    contiguous node axis, so its bits do not depend on the block.
+    Returns, per pair, (P,) gamma and shift and the (P, 3) gradient or
+    None.
     """
     kR = config.k_r_mirror
-    kx, ky, kz = (k[:, None] for k in kr.T.copy())
-    ox, oy, oz = directions
-    u = ox * kx + oy * ky + oz * kz
-    phi = ray_phase(phi0[:, None], kx * kx + ky * ky + kz * kz, u, kR)
+    phi = ray_phase(phi0, kr_sq, u, kR)
     g, sh, u_part, phase_part = cap_brackets(config.rho, phi, u,
                                             with_gradient)
     terms = []
     if with_gradient:
         terms = [u_part * o + phase_part * (k - u * o) / kR
-                 for o, k in zip(directions, (kx, ky, kz))]
+                 for o, k in axes]
     return [(band + np.sum(weight * g, axis=-1), np.sum(weight * sh, axis=-1),
              np.stack([np.sum(weight * t, axis=-1) for t in terms], axis=-1)
              if terms else None) for weight, band in weighted]
@@ -414,12 +433,15 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     the polar floor of the farthest row.  Its Response holds (P,) ratios
     and a (P, 3) gradient, and each row is bit-identical to a call at
     that row alone with the same n_polar: one position is the block of
-    one.  The block is integrated in passes over rows of one polar count
-    and one panel kind, at most BLOCK_NODES // (4 n_polar) of them (at
-    least one), whose results are scattered back to the block's rows; so
-    a block of any size and mix holds at most one pass's arrays.  A pass
-    whose rows are one position (equal bytes) runs on its one-row rule,
-    which later passes at it reuse.
+    one.  Rows whose keys (|kr|, cone angle, phi0, polar count, panel
+    kind and q, see ``_ring_dipole``) are equal bytes are integrated
+    once, at the first of them.  The distinct rows are integrated in
+    passes over rows of one polar count and one panel kind, at most
+    BLOCK_NODES // (4 n_polar) of them (at least one), whose results are
+    scattered back to the block's rows; so a block of any size and mix
+    holds at most one pass's arrays.  A pass whose rows share the rule's
+    inputs (count, kind, cone angle and q) runs on its one-row rule,
+    which later passes with those inputs reuse.
     A phase that is not finite, a count of phases other than one or P
     and a ``tolerance`` that is not positive raise ValueError.
 
@@ -458,19 +480,35 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                          f"got {phi0[bad[0]]}")
 
     theta = effective_theta(config)
-    # the kernel passes: rows of one polar count and one panel kind
-    # (whole rings only, both panels, cut rings only), at most
-    # BLOCK_NODES nodes of the doubled pass.  A row has a panel if its
-    # width, as ``_zonal_rule`` builds it, is above 0: a row a hair off
-    # the axis, whose cut width rounds to 0, has whole rings only.
-    beta = _cone_angle(kr)
+    beta, frame = _ring_frame(kr)
+    q = _ring_dipole(orientation, frame)
+    # A row has a panel if its width, as ``_zonal_rule`` builds it, is
+    # above 0: a row a hair off the axis, whose cut width rounds to 0, has
+    # whole rings only.
     whole, cut = theta - beta > 0.0, theta + beta - abs(theta - beta) > 0.0
+    # A row's integrand reads its polar count, panel kind, cone angle and
+    # q (its rule's inputs), |kr| and phi0, and nothing else: a row whose
+    # key is, bit for bit, an earlier row's takes that row's kernel
+    # result.  A dict of the key bytes finds them: np.unique's first call
+    # alone adds a quarter MB of peak memory.
+    key = np.ascontiguousarray(
+        np.column_stack([counts, whole, cut, beta, q, radii, phi0]))
+    packed = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    packed = packed.ravel().tolist()
+    first = dict(zip(reversed(packed), range(len(kr) - 1, -1, -1)))
+    source = np.fromiter(map(first.__getitem__, packed), np.intp, len(kr))
+    distinct = source == np.arange(len(kr))
+    rule_key = key[:, :-2].view(np.int64)
+
+    # the kernel passes: distinct rows of one polar count and one panel
+    # kind (whole rings only, both panels, cut rings only), at most
+    # BLOCK_NODES nodes of the doubled pass
     passes = []
-    for n_polar in sorted(set(counts.tolist())):
+    for n_polar in sorted(set(counts[distinct].tolist())):
         cap = max(1, BLOCK_NODES // (4 * n_polar))  # rows a pass
         for kind in ((True, False), (True, True), (False, True)):
-            rows = np.flatnonzero((counts == n_polar) & (whole == kind[0])
-                                  & (cut == kind[1]))
+            rows = np.flatnonzero(distinct & (counts == n_polar)
+                                  & (whole == kind[0]) & (cut == kind[1]))
             passes += [(n_polar, kind, rows[i:i + cap])
                        for i in range(0, len(rows), cap)]
 
@@ -479,24 +517,32 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     def once(scale):
         gamma, shift = np.empty((2, len(kr)))
         grad = np.empty(kr.shape) if with_gradient else None
-        shared = None, None  # the last repeated position and its rule
+        shared = None, None  # the last repeated rule key and its rule
         for n_polar, kind, rows in passes:
-            points = kr[rows]
-            bits = points.view(np.int64)
-            if (bits == bits[0]).all():  # a position fixes count and kind
+            bits = rule_key[rows]
+            if (bits == bits[0]).all():
                 if bits[0].tobytes() != shared[0]:
                     shared = bits[0].tobytes(), _zonal_rule(
-                        orientation, scale * n_polar, theta, points[:1], *kind)
-                nodes = shared[1]
+                        scale * n_polar, theta, beta[rows[:1]], q[rows[:1]],
+                        *kind, with_gradient)
+                c, weight, *tangents = shared[1]
             else:
-                nodes = _zonal_rule(orientation, scale * n_polar, theta,
-                                    points, *kind)
+                c, weight, *tangents = _zonal_rule(
+                    scale * n_polar, theta, beta[rows], q[rows], *kind,
+                    with_gradient)
+            norm = radii[rows, None]
+            # the gradient in the ring frame: kr = |kr| r
+            axes = [(c, norm)] + [(t, 0.0) for t in tangents]
             (gamma[rows], shift[rows], part), = _integrate_once(
-                points, config, phi0[rows], nodes[:3], [(nodes[3], band)],
-                with_gradient)
+                norm * norm, norm * c, axes, phi0[rows, None], config,
+                [(weight, band)], with_gradient)
             if with_gradient:
                 grad[rows] = part
-        return gamma, shift, grad
+        if with_gradient:  # each row turns the frame sums by its own frame
+            r, e1, e2 = frame
+            grad = grad[source]
+            grad = grad[:, :1] * r + grad[:, 1:2] * e1 + grad[:, 2:] * e2
+        return gamma[source], shift[source], grad
 
     gamma, shift, grad = once(1)
     failed = []

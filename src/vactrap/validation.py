@@ -79,6 +79,12 @@ CLOSED_FORM_TOLERANCE = 1e-6
 MONTE_CARLO_SAMPLES = 200_000
 # Richardson's larger step h, in 1/k; the smaller is h/2.
 RICHARDSON_STEP = 1e-3
+# Most nodes, n_polar x n_azimuth, of the 2-D reference rule at one rule
+# point: nine times the 462,144 that (-12, 5, 16) takes at rho = 0.995,
+# kR = 1e3, where a ring sweeps 41.5 linewidths.  At rho = 0.9999 with
+# that kR it would take 1,026,836,608 nodes and minutes of work; a point
+# above the cap fails the check instead.
+MAX_REFERENCE_NODES = 4_194_304
 
 
 class CheckResult(_Record):
@@ -100,7 +106,8 @@ def _check(name: str):
     (gamma, shift), and the other checks still run.  So does a ValueError,
     its detail the error alone: the configuration and detuning were
     admitted before any check ran, so it refuses a point of the check's
-    own, as the polar node cap refuses one that needs more nodes."""
+    own, as the polar node cap and MAX_REFERENCE_NODES refuse one that
+    needs more nodes."""
     def decorate(body):
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
@@ -182,15 +189,19 @@ def _reference_pass(kr, orientations, config, phi0, grid) -> list[Response]:
     and each dipole's sums add up the blocks in order after its band
     share."""
     theta = effective_theta(config)
-    kr, phi0 = np.array([kr], dtype=float), np.array([phi0], dtype=float)
+    kx, ky, kz = np.array(kr, dtype=float).reshape(3, 1, 1)
+    phi0 = np.array([[phi0]], dtype=float)
     sums = [[aperture_weights(o, math.cos(theta))[0], 0.0, 0.0]
             for o in orientations]
     for directions, weight in _sphere_rule(grid.n_polar, grid.n_azimuth,
                                            theta):
+        ox, oy, oz = directions
         weighted = ((weight * _pol_weight(o, *directions), 0.0)
                     for o in orientations)
         for total, parts in zip(sums, _integrate_once(
-                kr, config, phi0, directions, weighted, True)):
+                kx * kx + ky * ky + kz * kz, ox * kx + oy * ky + oz * kz,
+                zip(directions, (kx, ky, kz)), phi0, config, weighted,
+                True)):
             for i, (part,) in enumerate(parts):
                 total[i] += part
     return [Response(float(gamma), float(shift), grad)
@@ -335,16 +346,23 @@ def check_zonal_vs_sphere_rule(config: CavityConfig, phi0: float):
     """The zonal rule of every integral against the 2-D reference rule,
     gradient included, on and off the axis, each on the default grid of
     its position.  The zonal side is one block of the five points per
-    dipole, the reference one pass per point for the three dipoles.  The
-    differences are kept as Python floats, so that the report is plain
-    JSON."""
+    dipole, the reference one pass per point for the three dipoles.  A
+    point whose reference grid is above MAX_REFERENCE_NODES fails the
+    check before any pass, with its node count.  The differences are kept
+    as Python floats, so that the report is plain JSON."""
+    grids = [AngularGrid.for_position(kr, config) for kr in _RULE_POINTS]
+    for kr, grid in zip(_RULE_POINTS, grids):
+        nodes = grid.n_polar * grid.n_azimuth
+        if nodes > MAX_REFERENCE_NODES:
+            raise ValueError(f"the reference rule at kr = {kr.tolist()} "
+                             f"needs {nodes} nodes, above the cap of "
+                             f"{MAX_REFERENCE_NODES}")
     zonal = [integrate_sphere(_RULE_POINTS, orientation, config, phi0,
                               with_gradient=True)
              for orientation in _ORIENTATIONS]
     worst = 0.0
-    for i, kr in enumerate(_RULE_POINTS):
-        reference = _reference_pass(kr, _ORIENTATIONS, config, phi0,
-                                    AngularGrid.for_position(kr, config))
+    for i, (kr, grid) in enumerate(zip(_RULE_POINTS, grids)):
+        reference = _reference_pass(kr, _ORIENTATIONS, config, phi0, grid)
         for a, b in zip(zonal, reference):
             worst = max(worst, abs(a.gamma_ratio[i].item() - b.gamma_ratio),
                         abs(a.shift_ratio[i].item() - b.shift_ratio),

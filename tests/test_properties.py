@@ -3,6 +3,7 @@ rules."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +211,56 @@ def test_zonal_rule_matches_sphere_rule(kr, rho, phi0):
                      *zip(sphere.shift_gradient, zonal.shift_gradient)):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (orientation, x, y)
 
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# the dipoles of the mirror test, and the kernel rows that a point, its
+# kz and kx mirrors, their inversions and a repeat of it take for each
+MIRRORED = ((DipoleOrientation.isotropic(), 1),
+            (DipoleOrientation.parallel(), 1),
+            (DipoleOrientation.perpendicular(), 2), (FIXED_DIPOLES[0], 3))
+SIGNED = st.floats(0.5, 20.0).flatmap(lambda x: st.sampled_from((x, -x)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(points=st.lists(st.tuples(SIGNED, SIGNED, SIGNED), min_size=1,
+                       max_size=3, unique_by=lambda p: tuple(map(abs, p))),
+       phi0=st.floats(-0.3, 0.3))
+def test_mirror_rows_share_kernel_rows_bit_for_bit(points, phi0):
+    # a block's rows share a kernel row where, and only where, their
+    # integrands read equal bits: the mirrors, inversions and repeats of
+    # a point share one row for the isotropic and parallel dipoles; the
+    # kx mirror turns the sign of the perpendicular dipole's off-diagonal
+    # q, so two rows; a fixed dipole's two mirrors each have a q of their
+    # own, so three, as an inversion turns the ring frame over and leaves
+    # q.  Every row of the block keeps the bits of its call alone
+    config = CavityConfig(rho=0.98)
+    block = []
+    for x, y, z in points:
+        base = [(x, y, z), (x, y, -z), (-x, y, z)]
+        block += base + [(-a, -b, -c) for a, b, c in base] + [(x, y, z)]
+    block = np.array(block)
+    kw = dict(tolerance=DEFAULT_TOLERANCE, with_gradient=True)
+    once = quadrature._integrate_once
+    sent = []
+
+    def counted(kr_sq, *args):
+        sent.append(len(kr_sq))
+        return once(kr_sq, *args)
+
+    for orientation, per_point in MIRRORED:
+        sent.clear()
+        with mock.patch.object(quadrature, "_integrate_once", counted):
+            rows = integrate_sphere(block, orientation, config, phi0, **kw)
+        assert sum(sent) == 2 * per_point * len(points)  # two scales
+        for i, kr in enumerate(block):
+            alone = integrate_sphere(kr, orientation, config, phi0, **kw)
+            assert _bits(rows.gamma_ratio[i]) == _bits(alone.gamma_ratio)
+            assert _bits(rows.shift_ratio[i]) == _bits(alone.shift_ratio)
+            assert _bits(rows.shift_gradient[i]) == _bits(
+                alone.shift_gradient)
 
 def _row_alone(coords, kr, phi0, spec, drive):
     """A scan row from one integrate_sphere call at its point, with its

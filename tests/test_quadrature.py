@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss, legval
 from numpy.testing import assert_allclose, assert_array_equal
 
-from vactrap import fields, quadrature, validation
+from vactrap import cli, fields, quadrature, validation
 from vactrap.cavity import (
     CavityConfig,
     Detuning,
@@ -323,12 +323,12 @@ print(sorted(calls), "numpy.polynomial" in sys.modules,
 
 def planned_blocks(monkeypatch, spec):
     """The (n_polar, rows) of every kernel pass, before the doubling
-    check, of the scan of spec, recorded by ``rule_passes``.  Rows are
-    positions: the rows of a detuning scan share one.  Checks on the way
-    that ``run_scan`` makes one ``integrate_sphere`` call for the whole
-    scan, that each pass holds rows of one panel kind and at most the
-    budget's rows, and that the doubling check runs the same passes at
-    twice their counts."""
+    check, of the scan of spec, recorded by ``rule_passes``: each row
+    is a kernel row's (|kr|, beta, phi0).  Checks on the way that
+    ``run_scan`` makes one ``integrate_sphere`` call for the whole scan,
+    that each pass holds rows of one panel kind and at most the budget's
+    rows, and that the doubling check runs the same passes at twice
+    their counts."""
     calls = []
     integrate = fields.integrate_sphere
 
@@ -346,7 +346,7 @@ def planned_blocks(monkeypatch, spec):
         assert_array_equal(rows2, rows)
         assert (n2, kind2) == (2 * n, kind)
         assert len(rows) <= max(1, quadrature.BLOCK_NODES // (4 * n))
-        assert panel_kinds(rows, spec.config) == {kind}
+        assert panel_kinds(rows[:, 1], spec.config) == {kind}
     return [(n, rows) for rows, n, _, _ in base]
 
 
@@ -394,16 +394,19 @@ def test_plan_sizes_rows_as_each_row_alone(monkeypatch, axis, half_width,
     config = RunConfig.defaults().cavity
     spec = ScanSpec(axis, -half_width, half_width, n_points, config,
                     DipoleOrientation.isotropic())
-    _, _, kr = _scan_points(spec)
+    _, phi0, kr = _scan_points(spec)
     # one integrate_sphere call for the whole scan, whatever its size,
-    # split into passes of one count: every row in one pass
+    # split into passes of one count: for the isotropic dipole a row's
+    # integrand is its |kr|, beta and phi0, and each distinct one is in
+    # one pass, once
     blocks = planned_blocks(monkeypatch, spec)
-    assert sorted(map(tuple, np.concatenate([rows for _, rows in blocks]))
-                  ) == sorted(map(tuple, kr))
-    for n, rows in blocks:
-        for row in rows:
-            assert AngularGrid.for_position(row, config).n_polar == n
-            assert round_up_n_polar(row, config) == n
+    sent = [tuple(row) for _, rows in blocks for row in rows]
+    keys = list(zip(_radius(kr), cone_angle(kr), phi0))
+    assert sorted(sent) == sorted(set(keys))
+    count = {tuple(row): n for n, rows in blocks for row in rows}
+    for row, key in zip(kr, keys):
+        assert AngularGrid.for_position(row, config).n_polar == count[key]
+        assert round_up_n_polar(row, config) == count[key]
     assert_array_equal(_radius(kr), [_radius(row) for row in kr])
 
 
@@ -489,7 +492,7 @@ def test_block_mixing_panel_kinds_matches_rows_alone(orientation,
     # kind each, so a row's rule has only its own panels and the row
     # keeps the bits it gets alone
     config = CavityConfig(rho=0.98)
-    beta = quadrature._cone_angle(MIXED_BLOCK)
+    beta = cone_angle(MIXED_BLOCK)
     theta = effective_theta(config)
     assert set(zip(beta < theta, beta > 0.0)) == {
         (True, False), (True, True), (False, True)}
@@ -513,27 +516,34 @@ def test_block_mixing_panel_kinds_matches_rows_alone(orientation,
 
 def rule_passes(monkeypatch, builds=None):
     """Record, for each kernel pass from now on (each ``_integrate_once``
-    call), its rows, the polar count and panel kind of the zonal rule it
-    runs on, and the width of its kernel arrays.  Each rule build (each
-    ``_zonal_rule`` call) is appended to ``builds``, when given, as its
-    rows, count and kind: the rule of a pass whose rows are one position
-    is built for one row, and the next passes at it may share it."""
+    call), its rows as (|kr|, beta, phi0), the polar count and panel kind
+    of the zonal rule it runs on, and the width of its kernel arrays.
+    Each rule build (each ``_zonal_rule`` call) is appended to
+    ``builds``, when given, as its rows' cone angles and dipoles q, its
+    count and kind: the rule of a pass whose rows share those inputs is
+    built for one row, and the next passes may share it."""
     zonal_rule = quadrature._zonal_rule
     integrate_once = quadrature._integrate_once
     rules, passes = {}, []
 
-    def rule(orientation, n_polar, theta, kr, whole, cut):
-        nodes = zonal_rule(orientation, n_polar, theta, kr, whole, cut)
-        rules[id(nodes[0])] = nodes, n_polar, (whole, cut)
+    def rule(n_polar, theta, beta, q, whole, cut, with_gradient):
+        nodes = zonal_rule(n_polar, theta, beta, q, whole, cut,
+                           with_gradient)
+        rules[id(nodes[0])] = nodes, beta.copy(), n_polar, (whole, cut)
         if builds is not None:
-            builds.append((kr.copy(), n_polar, (whole, cut)))
+            builds.append((beta.copy(), q.copy(), n_polar, (whole, cut)))
         return nodes
 
-    def once(kr, config, phi0, directions, weighted, with_gradient):
-        nodes, n_polar, kind = rules[id(directions[0])]
-        assert directions[0] is nodes[0]
-        passes.append((kr.copy(), n_polar, kind, directions[0].shape[1]))
-        return integrate_once(kr, config, phi0, directions, weighted,
+    def once(kr_sq, u, axes, phi0, config, weighted, with_gradient):
+        axes = list(axes)
+        (c, norm), *_ = axes
+        nodes, beta, n_polar, kind = rules[id(c)]
+        assert c is nodes[0]
+        assert_array_equal(kr_sq, norm * norm)
+        rows = np.column_stack([norm[:, 0], np.broadcast_to(beta, len(norm)),
+                                phi0[:, 0]])
+        passes.append((rows, n_polar, kind, c.shape[1]))
+        return integrate_once(kr_sq, u, axes, phi0, config, weighted,
                               with_gradient)
 
     monkeypatch.setattr(quadrature, "_zonal_rule", rule)
@@ -541,10 +551,14 @@ def rule_passes(monkeypatch, builds=None):
     return passes
 
 
-def panel_kinds(kr, config):
-    """The panel kinds (whole rings?, cut rings?) of the rows of kr: a
-    row has a panel if the panel's width is above 0."""
-    beta = quadrature._cone_angle(kr)
+def cone_angle(kr):
+    """The cone angle beta of each row of the (P, 3) block kr."""
+    return quadrature._ring_frame(kr)[0]
+
+
+def panel_kinds(beta, config):
+    """The panel kinds (whole rings?, cut rings?) of rows at the cone
+    angles beta: a row has a panel if the panel's width is above 0."""
     theta = effective_theta(config)
     return set(zip((theta - beta > 0.0).tolist(),
                    (theta + beta - np.abs(theta - beta) > 0.0).tolist()))
@@ -556,10 +570,9 @@ def kernel_widths(monkeypatch, spec):
     kernel's arrays."""
     passes = rule_passes(monkeypatch)
     fields.run_scan(spec, pi_e=0.05)
-    # each rule is followed by one pass through the kernel, and is given
-    # the kind of its rows
-    assert all(len(p) == 4 for p in passes)
-    kinds = [panel_kinds(kr, spec.config) for kr, _, _, _ in passes]
+    # each pass runs on a rule of the kind of its rows
+    kinds = [panel_kinds(rows[:, 1], spec.config)
+             for rows, _, _, _ in passes]
     assert all(kind == {given}
                for kind, (_, _, given, _) in zip(kinds, passes))
     return [(kind, n, width)
@@ -609,20 +622,22 @@ def test_caller_block_passes_hold_one_kind_and_budget(monkeypatch,
     kr[13] = [1e-17, 0.0, 1.0]
     kr[17] = [5.551115123125783e-17, 0.0, -2.0]
     phi0 = rng.uniform(-0.5, 0.5, len(kr))
-    assert len(panel_kinds(kr, config)) == 3
-    assert panel_kinds(kr[[13, 17]], config) == {(True, False)}
+    beta = cone_angle(kr)
+    assert len(panel_kinds(beta, config)) == 3
+    assert panel_kinds(beta[[13, 17]], config) == {(True, False)}
     grid = AngularGrid(96, 16)
     budget = quadrature.BLOCK_NODES // (4 * grid.n_polar)
     passes = rule_passes(monkeypatch)
     block = integrate_sphere(kr, orientation, config, phi0, grid=grid,
                              tolerance=1e-9, with_gradient=True)
     assert {n for _, n, _, _ in passes} == {96, 192}
-    for n in (96, 192):
+    for n in (96, 192):  # every row its own kernel row: the phases differ
         rows = np.concatenate([rows for rows, m, _, _ in passes if m == n])
-        assert sorted(map(tuple, rows)) == sorted(map(tuple, kr))
+        assert sorted(map(tuple, rows)) == sorted(
+            zip(_radius(kr), beta, phi0))
     for rows, n, given, width in passes:
         assert len(rows) <= budget
-        assert panel_kinds(rows, config) == {given}
+        assert panel_kinds(rows[:, 1], config) == {given}
         whole, cut = given
         assert width == n * (whole + cut)
     assert np.all(np.isfinite(block.gamma_ratio))
@@ -667,10 +682,11 @@ def test_repeated_position_builds_one_rule_per_count(
     block = integrate_sphere(kr, orientation, config, phi0, **kw)
     scales = (1,) if tolerance is None else (1, 2)
     assert len(passes) == 4 * len(scales)
-    assert [(n, kind) for _, n, kind in builds] == [
+    assert [(n, kind) for _, _, n, kind in builds] == [
         (32 * scale, passes[0][2]) for scale in scales]
-    for rows, _, _ in builds:
-        assert_array_equal(rows, [position])
+    for beta, q, _, _ in builds:
+        assert_array_equal(beta, cone_angle(np.array([position])))
+        assert len(q) == 1
     monkeypatch.undo()
     assert_rows_alone(block, kr, orientation, config, phi0, **kw)
 
@@ -682,27 +698,39 @@ def test_block_shares_rules_only_where_a_pass_repeats(monkeypatch,
                                                      tolerance):
     # on one grid (32 rows a pass): 3 axis rows of one position, a pass
     # alone; 64 rows of position a in two passes, one rule; a pass of a
-    # with one row of b, built for its rows; then 32 rows of a again,
-    # which share a's rule, the last repeated one
+    # with one row of b, at a's cone angle: the fixed dipole's q differs
+    # there, so that rule is built for its rows, while the isotropic
+    # pass shares a's; then 32 rows of a again, which share a's rule, the
+    # last repeated one
     config = CavityConfig(rho=0.98)
     a, b, axis = [1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [0.0, 0.0, 5.0]
     kr = np.array([a] * 40 + [axis] * 3 + [a] * 44 + [b] + [a] * 43)
     phi0 = np.linspace(-0.3, 0.3, len(kr))
     grid = AngularGrid(32, 16)
     kw = dict(grid=grid, tolerance=tolerance, with_gradient=with_gradient)
+    scales = (1,) if tolerance is None else (1, 2)
     builds = []
     passes = rule_passes(monkeypatch, builds)
-    block = integrate_sphere(kr, FIXED, config, phi0, **kw)
-    scales = (1,) if tolerance is None else (1, 2)
-    assert [len(rows) for rows, _, _, _ in passes] == (
-        [3, 32, 32, 32, 32] * len(scales))
-    assert [(len(rows), n) for rows, n, _ in builds] == [
-        (m, 32 * scale) for scale in scales for m in (1, 1, 32)]
-    mixed = [a] * 20 + [b] + [a] * 11
-    for (rows, _, _), expected in zip(builds, [[axis], [a], mixed] * 2):
-        assert_array_equal(rows, expected)
+    blocks = []
+    for orientation in (FIXED, DipoleOrientation.isotropic()):
+        del builds[:], passes[:]
+        blocks.append(integrate_sphere(kr, orientation, config, phi0, **kw))
+        assert [len(rows) for rows, _, _, _ in passes] == (
+            [3, 32, 32, 32, 32] * len(scales))
+        built = [[axis], [a], [a] * 20 + [b] + [a] * 11]
+        if orientation == DipoleOrientation.isotropic():
+            built = built[:2]
+        assert [(len(beta), n) for beta, _, n, _ in builds] == [
+            (len(rows), 32 * scale) for scale in scales for rows in built]
+        for (beta, q, _, _), rows in zip(builds, built * 2):
+            want_beta, frame = quadrature._ring_frame(np.array(rows))
+            assert_array_equal(beta, want_beta)
+            assert_array_equal(q, quadrature._ring_dipole(orientation,
+                                                          frame))
     monkeypatch.undo()
-    assert_rows_alone(block, kr, FIXED, config, phi0, **kw)
+    for block, orientation in zip(blocks, (FIXED,
+                                           DipoleOrientation.isotropic())):
+        assert_rows_alone(block, kr, orientation, config, phi0, **kw)
 
 
 def test_detuning_scan_builds_one_rule_per_dipole_and_scale(monkeypatch):
@@ -717,7 +745,35 @@ def test_detuning_scan_builds_one_rule_per_dipole_and_scale(monkeypatch):
         fields.run_scan(ScanSpec("detuning", -3.0, 3.0, 241, config,
                                  orientation))
     assert len(passes) == 32
-    assert [n for _, n, _ in builds] == [32, 64, 32, 64]
+    assert [n for _, _, n, _ in builds] == [32, 64, 32, 64]
+
+
+@pytest.mark.parametrize("argv, distinct, calls", [
+    (["plane"], 441, 1), (["axial"], 201, 1),
+    (["center", "--quadrature"], 241, 2)], ids=["plane", "axial", "center"])
+def test_cli_scans_send_each_distinct_row_once(monkeypatch, capsys, argv,
+                                               distinct, calls):
+    # the default plane's 1,681 rows hold 441 distinct integrands, as the
+    # kz and kx mirrors and the inversion of a row read the same |kr|,
+    # beta and phi0, and the axial scan's 401 rows 201; every row of
+    # center --quadrature has a phase of its own.  Each integrate_sphere
+    # call sends its distinct rows to the kernel once a scale
+    starts = []
+    integrate = fields.integrate_sphere
+
+    def counted(*args, **kwargs):
+        starts.append(len(passes))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "integrate_sphere", counted)
+    passes = rule_passes(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(starts) == calls
+    for start, end in zip(starts, starts[1:] + [len(passes)]):
+        sent = [len(rows) for rows, _, _, _ in passes[start:end]]
+        half = len(sent) // 2  # the doubling check repeats every pass
+        assert sum(sent[:half]) == sum(sent[half:]) == distinct
 
 
 @pytest.mark.parametrize("orientation", [DipoleOrientation.isotropic(),
@@ -733,8 +789,9 @@ def test_rows_a_hair_off_the_axis_have_whole_rings_only(orientation, kz):
                                **kw)
     for kx in (1e-17, 5.551115123125783e-17):
         kr = np.array([[kx, 0.0, kz]])
-        assert quadrature._cone_angle(kr)[0] > 0.0
-        assert panel_kinds(kr, config) == {(True, False)}
+        beta = cone_angle(kr)
+        assert beta[0] > 0.0
+        assert panel_kinds(beta, config) == {(True, False)}
         near = integrate_sphere(kr[0], orientation, config, 0.1, **kw)
         assert_allclose(near.gamma_ratio, on_axis.gamma_ratio, rtol=1e-14)
         assert_allclose(near.shift_ratio, on_axis.shift_ratio, rtol=1e-14)

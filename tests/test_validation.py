@@ -296,9 +296,9 @@ def test_reference_pass_in_blocks_agrees_with_one_block(kr, monkeypatch):
     kernel_calls = []
     integrate_once = validation._integrate_once
 
-    def counted(*args):
-        kernel_calls.append(args[3][0].size)
-        return integrate_once(*args)
+    def counted(kr_sq, u, *args):
+        kernel_calls.append(u.size)
+        return integrate_once(kr_sq, u, *args)
 
     monkeypatch.setattr(validation, "_integrate_once", counted)
 
@@ -426,6 +426,40 @@ def test_validate_reports_checks_over_the_polar_node_cap(monkeypatch,
             assert check["name"] in err
 
 
+
+def test_validate_reports_a_reference_grid_over_its_cap(tmp_path, capsys,
+                                                        monkeypatch):
+    # at rho = 0.9999 and kR = 1e3 the reference grid at (-12, 5, 16) has
+    # 1,026,836,608 nodes, which took some 140 s; the check now fails at
+    # once with the point and its count, never skipped, and validate
+    # still exits 4
+    config = tmp_path / "narrow.ini"
+    config.write_text("[mirrors]\nrho = 0.9999\nkR = 1.0e3\n",
+                      encoding="utf-8")
+    passes = []
+    monkeypatch.setattr(validation, "_reference_pass",
+                        lambda *args: passes.append(args))
+    assert cli.main(["validate", "--config", str(config)]) == \
+        cli.EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    (zonal,) = [check for check in report["checks"]
+                if check["name"] == "zonal_vs_sphere_rule"]
+    assert zonal == {"name": "zonal_vs_sphere_rule", "passed": False,
+                     "detail": {"error": (
+                         "the reference rule at kr = [-12.0, 5.0, 16.0] "
+                         "needs 1026836608 nodes, above the cap of 4194304")}}
+    assert passes == []
+    # the default grids are far below the cap: the largest, 96 x 72 at
+    # (-12, 5, 16), passes at a cap of its own size and fails one below
+    grid = AngularGrid.for_position(validation._RULE_POINTS[-1], DEFAULT)
+    assert (grid.n_polar, grid.n_azimuth) == (96, 72)
+    monkeypatch.undo()
+    for cap, passed in ((96 * 72, True), (96 * 72 - 1, False)):
+        monkeypatch.setattr(validation, "MAX_REFERENCE_NODES", cap)
+        check = validation.check_zonal_vs_sphere_rule(DEFAULT, 0.0)
+        assert check.passed is passed
+        assert ("error" not in check.detail) is passed
+
 def test_gradient_check_names_the_point_that_does_not_converge():
     # seed 16 draws its second gradient point at |kr| = 2.00, where the
     # doubling check fails here; both points are one block, so the
@@ -449,16 +483,24 @@ def test_orientation_check_holds_through_the_zonal_rule():
 
 def test_orientation_check_sees_one_dipole_rule_scaled(monkeypatch):
     # the sum rule is no identity of the weights: scaling the zonal
-    # weights of the y dipole alone by 1 + 1e-9 fails the check
-    zonal = quadrature._zonal_rule
+    # weights of the y dipole alone by 1 + 1e-9 fails the check.  The
+    # rule reads the dipole through q, so the dipole of the call is
+    # noted where q is taken
+    zonal, ring_dipole = quadrature._zonal_rule, quadrature._ring_dipole
     y_axis = DipoleOrientation.fixed((0.0, 1.0, 0.0))
+    dipole = []
 
-    def scaled(orientation, *args):
-        ox, oy, oz, weight = zonal(orientation, *args)
-        if orientation == y_axis:
+    def noted(orientation, frame):
+        dipole[:] = [orientation]
+        return ring_dipole(orientation, frame)
+
+    def scaled(*args):
+        c, weight, *tangents = zonal(*args)
+        if dipole[0] == y_axis:
             weight = weight * (1.0 + 1e-9)
-        return ox, oy, oz, weight
+        return c, weight, *tangents
 
+    monkeypatch.setattr(quadrature, "_ring_dipole", noted)
     monkeypatch.setattr(quadrature, "_zonal_rule", scaled)
     check = validation.check_orientation_decomposition(DEFAULT, 0.0)
     assert not check.passed

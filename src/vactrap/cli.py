@@ -1,22 +1,11 @@
 """Command-line front end.
 
-Subcommands and the flags each one reads
-    center     damping/shift at the cavity center vs detuning
-               (scan flags, plus --quadrature)
-    axial      damping/shift along the cavity axis (scan flags)
-    plane      damping/shift on a (z, x) grid through the center
-               (scan flags)
-    force      vacuum-force profile along [scan] type, axial or
-               transverse (scan flags; needs a [drive] section)
-    potential  trapping-potential profile, as force
-    validate   run the internal oracle suite, emit a JSON report
-               (base flags, plus --seed)
-
-Base flags are --config, --out and --timings; scan flags are the base
-flags plus --format, --tolerance and --threads.  --threads is accepted
-for compatibility; scans run on one thread.  A flag that a command does
-not read is rejected like an unknown one.  axial and plane ignore
-[drive] and [scan] type.
+``COMMANDS`` declares each command once: its help line, the flags it
+reads, its [scan] defaults, the columns it writes and its runner.  A run
+builds the parser of the command it names, and only that; a flag the
+command does not read is rejected like an unknown one.  A line that
+names no command first goes to the top-level parser, which prints help
+or a usage error.
 
 Exit codes: 0 success, 2 configuration error or unwritable output
 (stdout too), 3 numerical trouble (non-converged or out-of-regime rows;
@@ -33,6 +22,7 @@ only appear in JSON metadata when --timings is passed explicitly, and
 from __future__ import annotations
 
 import argparse
+import collections
 import errno
 import math
 import os
@@ -53,14 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
-
-_SCAN_DEFAULTS = {
-    "center": (-3.0, 3.0, 241),
-    "axial": (-100.0, 100.0, 401),
-    "plane": (-20.0, 20.0, 41),
-    "force": (-50.0, 50.0, 201),
-    "potential": (-50.0, 50.0, 201),
-}
 
 
 def _positive(kind, most=math.inf):
@@ -97,63 +79,62 @@ def _path(text: str) -> str:
     return text
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser.  It rejects the arguments it does not take
-    itself, so the error names the command and shows its usage, not the
-    top-level parser's."""
+# Every flag once, as ``add_argument`` takes it; a command names the ones
+# it reads.
+_FLAGS = {
+    "--config": dict(metavar="PATH",
+                     help="configuration file (defaults used if omitted)"),
+    "--out": dict(metavar="PATH", type=_path,
+                  help="output file (stdout if omitted)"),
+    "--timings": dict(action="store_true",
+                      help="include wall-clock timings in JSON metadata "
+                           "(breaks byte-for-byte reproducibility)"),
+    "--format": dict(choices=("csv", "json"),
+                     help="output format (default csv)"),
+    "--tolerance": dict(type=_positive(float), default=DEFAULT_TOLERANCE,
+                        help="quadrature doubling tolerance (default "
+                             f"{DEFAULT_TOLERANCE:g})"),
+    "--threads": dict(type=_positive(int, MAX_THREADS), default=1,
+                      help="accepted for compatibility; scans run on one "
+                           f"thread (default 1, at most {MAX_THREADS})"),
+    "--quadrature": dict(action="store_true",
+                         help="force full sphere quadrature where closed "
+                              "forms would be used"),
+    "--seed": dict(type=_seed, default=0,
+                   help="seed for Monte-Carlo checks (default 0)"),
+}
+_SCAN_FLAGS = ("--config", "--out", "--timings", "--format", "--tolerance",
+               "--threads")
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
+
+# A command's entry in ``COMMANDS``: its line in the top-level --help,
+# the ``_FLAGS`` it reads in --help's order, its [scan] start, stop and
+# n_points defaults (None: it scans nothing), the value columns it writes
+# after the coordinates (None: all of its scan's) and its runner,
+# run(args, RunConfig) -> exit code.
+Command = collections.namedtuple("Command", "help flags scan columns run")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command``: the flags it reads, and no other."""
+    parser = argparse.ArgumentParser(prog=f"vactrap {command}")
+    for flag in COMMANDS[command].flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
+def _top_level_parser() -> argparse.ArgumentParser:
+    """The parser of a line that does not start with a command: its bare
+    command entries only list the commands, so it prints help or a usage
+    error, and exits."""
     parser = argparse.ArgumentParser(
         prog="vactrap",
         description="Cavity-modified spontaneous emission and "
                     "vacuum-induced trapping near a spherical-mirror "
                     "cavity center.")
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--config", metavar="PATH",
-                      help="configuration file (defaults used if omitted)")
-    base.add_argument("--out", metavar="PATH", type=_path,
-                      help="output file (stdout if omitted)")
-    base.add_argument("--timings", action="store_true",
-                      help="include wall-clock timings in JSON metadata "
-                           "(breaks byte-for-byte reproducibility)")
-    scan = argparse.ArgumentParser(add_help=False, parents=[base])
-    scan.add_argument("--format", choices=("csv", "json"), default=None,
-                      help="output format (default csv)")
-    scan.add_argument("--tolerance", type=_positive(float),
-                      default=DEFAULT_TOLERANCE,
-                      help="quadrature doubling tolerance (default "
-                           f"{DEFAULT_TOLERANCE:g})")
-    scan.add_argument("--threads", type=_positive(int, MAX_THREADS),
-                      default=1,
-                      help="accepted for compatibility; scans run on one "
-                           f"thread (default 1, at most {MAX_THREADS})")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
-    sub.add_parser(
-        "center", parents=[scan],
-        help="detuning scan of the center damping and shift",
-    ).add_argument("--quadrature", action="store_true",
-                   help="force full sphere quadrature where closed forms "
-                        "would be used")
-    for name, help_text in [
-        ("axial", "on-axis spatial scan"),
-        ("plane", "(z, x) plane scan"),
-        ("force", "vacuum-force profile"),
-        ("potential", "trapping-potential profile"),
-    ]:
-        sub.add_parser(name, parents=[scan], help=help_text)
-    validate = sub.add_parser("validate", parents=[base],
-                              help="run the internal consistency suite")
-    validate.add_argument("--seed", type=_seed, default=0,
-                          help="seed for Monte-Carlo checks (default 0)")
-    validate.set_defaults(format="json")  # the report is always JSON
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in COMMANDS.items():
+        sub.add_parser(name, help=entry.help, add_help=False)
     return parser
 
 
@@ -163,7 +144,7 @@ def _scan_range(run: RunConfig, command: str) -> tuple[float, float, int]:
     given = (run.scan_start, run.scan_stop, run.scan_points)
     start, stop, n_points = (
         default if value is None else value
-        for value, default in zip(given, _SCAN_DEFAULTS[command]))
+        for value, default in zip(given, COMMANDS[command].scan))
     try:
         _check_span(start, stop)
     except ValueError:
@@ -294,8 +275,7 @@ def cmd_center(args, run: RunConfig) -> int:
              for d in (DipoleOrientation.parallel(),
                        DipoleOrientation.perpendicular())]
     coords, phases, _ = _scan_points(specs[0])
-    columns = ("detuning_linewidths", "gamma_parallel", "gamma_perpendicular",
-               "shift_parallel", "shift_perpendicular")
+    columns = ("detuning_linewidths",) + COMMANDS["center"].columns
     non_converged: list[int] = []
     if args.quadrature:
         res_par, res_perp = (run_scan(spec, tolerance=args.tolerance)
@@ -312,19 +292,12 @@ def cmd_center(args, run: RunConfig) -> int:
                        non_converged=non_converged)
 
 
-# The value columns that force and potential keep of a force scan.
-_PROFILE_COLUMNS = {
-    "force": ("force_x", "force_y", "force_z", "potential"),
-    "potential": ("potential",),
-}
-
-
 def cmd_spatial(args, run: RunConfig) -> int:
     """axial and plane scan the response; force and potential scan a
     drive's profile along [scan] type (axial unless transverse)."""
     started = time.perf_counter()
     command = args.command
-    profile = _PROFILE_COLUMNS.get(command)
+    profile = COMMANDS[command].columns
     axis, drive = command, {}
     if profile:
         if run.pi_e is None and run.weak_drive is None:
@@ -373,28 +346,43 @@ def cmd_validate(args, run: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "center": cmd_center,
-    "axial": cmd_spatial,
-    "plane": cmd_spatial,
-    "force": cmd_spatial,
-    "potential": cmd_spatial,
-    "validate": cmd_validate,
+COMMANDS = {
+    "center": Command("detuning scan of the center damping and shift",
+                      _SCAN_FLAGS + ("--quadrature",), (-3.0, 3.0, 241),
+                      ("gamma_parallel", "gamma_perpendicular",
+                       "shift_parallel", "shift_perpendicular"), cmd_center),
+    "axial": Command("on-axis spatial scan", _SCAN_FLAGS,
+                     (-100.0, 100.0, 401), None, cmd_spatial),
+    "plane": Command("(z, x) plane scan", _SCAN_FLAGS, (-20.0, 20.0, 41),
+                     None, cmd_spatial),
+    "force": Command("vacuum-force profile", _SCAN_FLAGS, (-50.0, 50.0, 201),
+                     ("force_x", "force_y", "force_z", "potential"),
+                     cmd_spatial),
+    "potential": Command("trapping-potential profile", _SCAN_FLAGS,
+                         (-50.0, 50.0, 201), ("potential",), cmd_spatial),
+    "validate": Command("run the internal consistency suite",
+                        ("--config", "--out", "--timings", "--seed"), None,
+                        None, cmd_validate),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        _top_level_parser().parse_args(argv)  # exits
+    args = _parser(argv[0]).parse_args(argv[1:])
+    args.command = argv[0]
     try:
         run = load_config(args.config) if args.config else RunConfig.defaults()
-        args.format = args.format or run.out_format
+        # validate reads no --format: its report is always JSON
+        args.format = getattr(args, "format", "json") or run.out_format
         run.out_format = args.format  # metadata records the format written
         if args.out is None:
             args.out = run.out_path
         if args.timings and args.format != "json":
             raise ConfigError("--timings needs JSON output "
                               "(--format json or [output] format = json)")
-        return _COMMANDS[args.command](args, run)
+        return COMMANDS[args.command].run(args, run)
     except (ConfigError, ValueError) as err:
         _say(f"vactrap: {err}")
         return EXIT_CONFIG

@@ -307,37 +307,48 @@ def _seeded_points(seed: int, count: int, low: float,
 
 @_check("parity")
 def check_parity(config: CavityConfig, phi0: float, seed: int):
-    """Inversion kr -> -kr must not move any result: the five pairs are
-    one block of ten rows per dipole, each row on its own default
-    grid."""
+    """Inversion kr -> -kr must not move the damping or the shift and
+    must reverse the shift gradient: the five pairs are one block of ten
+    rows per dipole, each row on its own default grid.  A pair shares its
+    ring-frame sums, so the gradient tests that each row turns them by
+    its own frame."""
     kr = _seeded_points(seed, 5, 0.0, 40.0)
     points = np.stack([kr, -kr], axis=1).reshape(10, 3)
     worst = 0.0
     for orientation in _ORIENTATIONS:
-        pairs = integrate_sphere(points, orientation, config, phi0)
-        for values in (pairs.gamma_ratio, pairs.shift_ratio):
-            gaps = np.abs(values[::2] - values[1::2])
-            worst = max(worst, float(gaps.max()))
+        pairs = integrate_sphere(points, orientation, config, phi0,
+                                 with_gradient=True)
+        grad = pairs.shift_gradient
+        for gaps in (pairs.gamma_ratio[::2] - pairs.gamma_ratio[1::2],
+                     pairs.shift_ratio[::2] - pairs.shift_ratio[1::2],
+                     grad[::2] + grad[1::2]):
+            worst = max(worst, float(np.abs(gaps).max()))
     return _bounded("worst_abs_difference", worst, 1e-10)
 
 
 @_check("rotation_symmetry")
 def check_rotation_symmetry(config: CavityConfig, phi0: float, seed: int):
     """Rotating an off-axis position about the cavity axis must not move
-    axis-symmetric results (axis-parallel or isotropic dipole).  The
-    base point and its three turns are one block of four rows, five
-    draws of the stream of ``seed`` a dipole: r_perp, z and the turns."""
+    axis-symmetric results (axis-parallel or isotropic dipole), and must
+    turn the shift gradient with it.  The base point and its three turns
+    are one block of four rows, five draws of the stream of ``seed`` a
+    dipole: r_perp, z and the turns."""
     draws = _stream(seed)(np.arange(10)).reshape(2, 5)
     worst = 0.0
     for orientation, u in zip((_ORIENTATIONS[0], _ORIENTATIONS[2]), draws):
         r_perp, z = 1.0 + 29.0 * u[0], 60.0 * u[1] - 30.0
-        turns = [[r_perp, 0.0, z]] + [
-            [r_perp * math.cos(angle), r_perp * math.sin(angle), z]
-            for angle in 2.0 * math.pi * u[2:]]
-        rot = integrate_sphere(np.array(turns), orientation, config, phi0)
-        for values in (rot.gamma_ratio, rot.shift_ratio):
-            gaps = np.abs(values[1:] - values[0])
-            worst = max(worst, float(gaps.max()))
+        turns = [(math.cos(angle), math.sin(angle))
+                 for angle in 2.0 * math.pi * u[2:]]
+        points = [[r_perp, 0.0, z]] + [[r_perp * c, r_perp * s, z]
+                                       for c, s in turns]
+        rot = integrate_sphere(np.array(points), orientation, config, phi0,
+                               with_gradient=True)
+        gx, gy, gz = rot.shift_gradient[0]
+        turned = [[c * gx - s * gy, s * gx + c * gy, gz] for c, s in turns]
+        for gaps in (rot.gamma_ratio[1:] - rot.gamma_ratio[0],
+                     rot.shift_ratio[1:] - rot.shift_ratio[0],
+                     rot.shift_gradient[1:] - turned):
+            worst = max(worst, float(np.abs(gaps).max()))
     return _bounded("worst_abs_difference", worst, 1e-8)
 
 

@@ -530,7 +530,7 @@ def test_thread_cap_named(capsys):
     assert f"must be at most {cli.MAX_THREADS}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_help_lists_only_the_flags_read(command, capsys):
     with pytest.raises(SystemExit):
         cli.main([command, "--help"])

@@ -110,8 +110,8 @@ def assert_rows_alone(block, phi0, **kwargs):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parity_pair_block_matches_per_row_calls(seed, monkeypatch):
     # parity holds bit for bit, so the detail alone reads 0 either way:
-    # the five pairs are one 10-row block per dipole, and each row is
-    # also checked against its own call
+    # the five pairs are one 10-row block per dipole, with the gradient,
+    # and each row is also checked against its own call
     phi0 = Detuning(0.0).phase(DEFAULT.rho)
     blocks = recorded_blocks(monkeypatch)
     detail = check_parity(DEFAULT, phi0, seed).detail
@@ -124,10 +124,11 @@ def test_parity_pair_block_matches_per_row_calls(seed, monkeypatch):
     assert [o for _, o, _ in blocks] == list(validation._ORIENTATIONS)
     for block in blocks:
         assert_array_equal(block[0], points)
-        alone = assert_rows_alone(block, phi0)
+        alone = assert_rows_alone(block, phi0, with_gradient=True)
         for plus, minus in zip(alone[::2], alone[1::2]):
             worst = max(worst, abs(plus.gamma_ratio - minus.gamma_ratio),
-                        abs(plus.shift_ratio - minus.shift_ratio))
+                        abs(plus.shift_ratio - minus.shift_ratio),
+                        *abs(plus.shift_gradient + minus.shift_gradient))
     assert detail == {"worst_abs_difference": worst, "tolerance": 1e-10}
 
 
@@ -164,11 +165,57 @@ def test_rotation_block_matches_per_row_calls(seed, monkeypatch):
         turns = [[r_perp * math.cos(a), r_perp * math.sin(a), z]
                  for a in 2.0 * math.pi * u[2:]]
         assert_array_equal(block[0], [[r_perp, 0.0, z]] + turns)
-        base, *rotated = assert_rows_alone(block, phi0)
-        for rot in rotated:
+        base, *rotated = assert_rows_alone(block, phi0, with_gradient=True)
+        gx, gy, gz = base.shift_gradient
+        for rot, a in zip(rotated, 2.0 * math.pi * u[2:], strict=True):
+            c, s = math.cos(a), math.sin(a)
+            turned = np.array([c * gx - s * gy, s * gx + c * gy, gz])
             worst = max(worst, abs(rot.gamma_ratio - base.gamma_ratio),
-                        abs(rot.shift_ratio - base.shift_ratio))
+                        abs(rot.shift_ratio - base.shift_ratio),
+                        *abs(rot.shift_gradient - turned))
     assert detail == {"worst_abs_difference": worst, "tolerance": 1e-8}
+
+
+def _turn_only_corruption(monkeypatch, coordinate):
+    """Make ``integrate_sphere`` turn the ring-frame sums of the rows
+    whose kr has a negative ``coordinate`` (0, 1, 2: x, y, z) by a frame
+    whose e1 is flipped, while the dipole is still read in the true
+    frame: rows whose keys are equal keep sharing one kernel row, and
+    only the gradient's turn is wrong."""
+    ring_frame, ring_dipole = quadrature._ring_frame, quadrature._ring_dipole
+
+    def flipped(kr):
+        beta, frame = ring_frame(kr)
+        frame = frame.copy()
+        frame[1, kr[:, coordinate] < 0.0] *= -1.0
+        return beta, frame
+
+    def true_dipole(orientation, frame):
+        # r is untouched, so it tells the flipped rows
+        frame = frame.copy()
+        frame[1, frame[0, :, coordinate] < 0.0] *= -1.0
+        return ring_dipole(orientation, frame)
+
+    monkeypatch.setattr(quadrature, "_ring_frame", flipped)
+    monkeypatch.setattr(quadrature, "_ring_dipole", true_dipole)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("check, coordinate", [
+    (check_parity, 2),  # kz < 0: one row of each pair
+    (check_rotation_symmetry, 1),  # ky < 0: some turns, never the base
+], ids=["parity", "rotation_symmetry"])
+def test_check_sees_a_wrong_turn_of_the_ring_frame(check, coordinate, seed,
+                                                   monkeypatch):
+    # a pair, or a point and its turns, share ring-frame sums whose turn
+    # by the row's own frame only the gradient shows; the damping and
+    # the shift stay exact, so the check fails on the gradient alone
+    phi0 = Detuning(-0.5).phase(DEFAULT.rho)
+    assert check(DEFAULT, phi0, seed).passed
+    _turn_only_corruption(monkeypatch, coordinate)
+    result = check(DEFAULT, phi0, seed)
+    assert not result.passed
+    assert result.detail["worst_abs_difference"] > 1e-3
 
 
 def test_zonal_rule_block_and_reference_pass_per_point(monkeypatch):

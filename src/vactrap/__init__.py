@@ -2,7 +2,11 @@
 two-level atom near the center of a wide-aperture spherical-mirror
 cavity: the Fabry-Perot cap kernel, center closed forms, sphere
 quadrature with a Monte-Carlo oracle, shift gradients, forces and trap
-profiles."""
+profiles.
+
+``AngularGrid`` and ``monte_carlo_reference`` belong to the oracle suite,
+``vactrap.validation``, which this package loads on their first use, so
+that ``import vactrap`` and every scan run without it."""
 
 from .cavity import (
     CavityConfig,
@@ -29,12 +33,7 @@ from .fields import (
     run_scan,
     trap_minimum,
 )
-from .quadrature import (
-    AngularGrid,
-    ConvergenceError,
-    integrate_sphere,
-    monte_carlo_reference,
-)
+from .quadrature import ConvergenceError, integrate_sphere
 
 __version__ = "0.1.0"
 
@@ -66,3 +65,10 @@ __all__ = [
     "trap_minimum",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in ("AngularGrid", "monte_carlo_reference"):
+        from . import validation
+        return getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

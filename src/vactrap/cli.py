@@ -65,7 +65,7 @@ def _positive(kind, most=math.inf):
 
 def _seed(text: str) -> int:
     """argparse type: a non-negative integer of any size, as the oracle
-    stream (``quadrature._stream``) takes."""
+    stream (``validation._stream``) takes."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")

@@ -21,11 +21,13 @@ constant, so its integral over the arc inside the cap is closed form, and
 what is left is a 1-D Gauss-Legendre integral over the ring angle in one
 or two panels (a Funk-Hecke reduction restricted to a cap; Atkinson &
 Han, Spherical Harmonics and Approximations on the Unit Sphere, LNM 2044).
-``integrate_sphere`` runs that rule and no other.  The independent
-reference that ``validate`` and the tests compare it with, a 2-D rule of
-Fejer nodes in cos(theta) times a uniform azimuth rule, is
-``validation``'s own code and passes its nodes to ``_integrate_once``,
-each pass for every dipole.
+``integrate_sphere`` runs that rule and no other.  This module is that
+engine alone.  The oracles that ``validate`` and the tests compare it
+with are ``validation``'s own code: the 2-D reference rule of Fejer nodes
+in cos(theta) times a uniform azimuth rule, which passes its nodes to
+``_integrate_once``, each pass for every dipole, its node counts
+(``AngularGrid``), and the Monte-Carlo sampler with its counter-based
+stream.
 
 The production rule in one variable is composite: one 32-node
 Gauss-Legendre base rule, built once at import by Newton's method on the
@@ -36,18 +38,18 @@ inputs share its one-row rule.  The 2-D reference rule takes Fejer's
 first rule in closed form instead, so the two sides of that check share
 no node.
 
-An ``AngularGrid`` is node counts only; the cap edge comes from the
-cavity configuration.  The integrand oscillates with spatial frequency up
-to |kr| across the sphere, so node counts scale linearly in |kr| (with a
-floor, and with the aperture above 45 degrees); the polar count also
-grows with the resonance linewidths that the aberration phase sweeps,
-and is rounded up to whole 32-node sub-panels.  ``integrate_sphere``
-integrates a block of positions, one position being a block of one, and
-sizes each row itself, by ``polar_node_count`` of its own radius, unless
-a grid is given for every row, whose count it checks against the polar
-floor of the farthest row; a whole scan is one call.  Its positions
-are admitted, their |kr| taken and the ValidityWarning issued once a
-call by ``cavity._admit``, the one admission that ``Position`` uses too.
+The integrand oscillates with spatial frequency up to |kr| across the
+sphere, so the polar node count scales linearly in |kr| (with a floor,
+and with the aperture above 45 degrees); it also grows with the
+resonance linewidths that the aberration phase sweeps, and is rounded up
+to whole 32-node sub-panels.  ``integrate_sphere`` integrates a block of
+positions, one position being a block of one, and sizes each row itself,
+by ``polar_node_count`` of its own radius, unless a grid is given for
+every row, of which it reads only ``n_polar``; it checks that count
+against the polar floor of the farthest row; a whole scan is one call.
+Its positions are admitted, their |kr| taken and the ValidityWarning
+issued once a call by ``cavity._admit``, the one admission that
+``Position`` uses too.
 A row's zonal integrand reads the row only through its key: |kr|, the
 cone angle of kr from the cap axis, phi0, the polar count, the panel
 kind and the dipole in the frame of the rings about kr.  The block's
@@ -63,16 +65,13 @@ row's bits do not depend on its block or pass.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .cavity import (
     CavityConfig,
     DipoleOrientation,
-    Position,
     Response,
-    _Frozen,
     _admit,
     _half_width,
     aperture_weights,
@@ -114,13 +113,6 @@ MAX_POLAR_NODES = 16_384
 # and one of 8,192 had the same fastest run and twice the traced peak
 # memory, 1.6 MB against 0.84 MB.
 BLOCK_NODES = 4096
-
-# Samples that one chunk of ``monte_carlo_reference`` draws and
-# evaluates: its arrays, and so its memory, have at most this length
-# whatever n_samples is.  16,384 doubles are exactly glibc's default
-# 128 KiB mmap threshold; 8,192 keeps every temporary below it, at half
-# the memory and no measurable cost in time on 200,000 samples.
-SAMPLE_CHUNK = 8192
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,69 +182,6 @@ def polar_node_count(kr_norm: float, config: CavityConfig) -> int:
             f"|kr| = {kr_norm:.1f} needs {n_polar} polar nodes with these "
             f"mirrors, above the cap of {MAX_POLAR_NODES}")
     return n_polar
-
-
-def azimuth_node_floor(kr_perp: float) -> int:
-    """Minimum uniform azimuth nodes, scaled by the transverse offset."""
-    return max(16, math.ceil(4.0 * (kr_perp + 1.0)))
-
-
-class AngularGrid(_Frozen):
-    """Node counts: nodes per panel of the zonal rule's composite
-    Gauss-Legendre rule, whole sub-panels of MIN_POLAR_NODES (and
-    Fejer nodes in cos(theta) for the 2-D reference rule), and
-    uniform azimuth nodes of the 2-D rule.  ``integrate_sphere`` reads
-    n_polar only; n_azimuth is read by ``validation``'s reference rule
-    and by the benchmark's traced child, which counts nodes with it.
-    Where the cap ends is not part of the grid; the integrator reads it
-    from the cavity configuration."""
-
-    _fields = ("n_polar", "n_azimuth")
-
-    def __init__(self, n_polar: int, n_azimuth: int):
-        self._set(n_polar=n_polar, n_azimuth=n_azimuth)
-        if not all(isinstance(n, (int, np.integer))
-                   for n in (self.n_polar, self.n_azimuth)):
-            raise ValueError(f"grid node counts must be integers: {self}")
-        if self.n_polar < MIN_POLAR_NODES or self.n_azimuth < 1:
-            raise ValueError(f"a grid needs n_polar >= {MIN_POLAR_NODES} and "
-                             f"n_azimuth >= 1, got {self.n_polar} and "
-                             f"{self.n_azimuth}")
-        if self.n_polar % MIN_POLAR_NODES:
-            raise ValueError(f"n_polar={self.n_polar} is not a multiple of "
-                             f"{MIN_POLAR_NODES}, the nodes of one sub-panel")
-        if self.n_polar > 2 * MAX_POLAR_NODES:
-            raise ValueError(f"n_polar={self.n_polar} is above the cap of "
-                             f"{2 * MAX_POLAR_NODES}")
-
-    @classmethod
-    def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
-        """Default grid for a position (3,), or for the farthest row of a
-        block (P, 3), and mirrors: ``polar_node_count`` nodes per polar
-        panel, and for the 2-D reference rule the azimuth floor plus a
-        margin of 16 (the periodic rule needs ~16 modes beyond the
-        integrand's band edge before its spectral tail dies), or 32
-        per linewidth 2 delta (``cavity._half_width``) that a cap ring's
-        phase sweeps in half a turn, <= k_perp (|kz| + k_perp) / kR, if
-        more: 16 k_perp (|kz| + k_perp) / (kR delta).  The position or
-        block is admitted as ``integrate_sphere`` admits it: a bad shape
-        or row raises ValueError, and a block beyond the warning radius
-        warns once."""
-        kr, radii = _admit(kr)
-        far = np.argmax(radii)
-        k_perp, kz = math.hypot(*kr[far, :2]), abs(kr[far, 2])
-        sweep = (16.0 * k_perp * (kz + k_perp)
-                 / (config.k_r_mirror * _half_width(config.rho)))
-        return cls(polar_node_count(float(radii[far]), config),
-                   max(azimuth_node_floor(k_perp) + 16, math.ceil(sweep)))
-
-
-def _pol_weight(orientation: DipoleOrientation, ox, oy, oz):
-    d = orientation.unit_vector
-    if d is None:
-        return np.ones_like(oz)  # isotropic: weight is identically 1
-    cos = ox * d[0] + oy * d[1] + oz * d[2]
-    return 1.5 * (1.0 - cos * cos)
 
 
 def _ring_frame(kr):
@@ -416,8 +345,7 @@ def _integrate_once(kr_sq, u, axes, phi0, config, weighted, with_gradient):
 
 
 def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
-                     phi0, grid: AngularGrid | None = None,
-                     tolerance: float | None = None,
+                     phi0, grid=None, tolerance: float | None = None,
                      with_gradient: bool = False) -> Response:
     """Average both integrands over the full solid angle, at one position
     or at each row of a block.
@@ -429,8 +357,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     row, and a row beyond the warning radius warns once a call, for the
     farthest row.  Without a grid each row takes ``polar_node_count`` of
     its own radius, so a block of any radii, a whole scan among them, is
-    one call; with a grid every row takes its n_polar, which must reach
-    the polar floor of the farthest row.  Its Response holds (P,) ratios
+    one call; with a grid, which is read through its ``n_polar`` alone
+    (``validation.AngularGrid`` is one), every row takes that count,
+    which must reach the polar floor of the farthest row and, with a
+    ``tolerance``, be doubled within the cap.  Its Response holds (P,) ratios
     and a (P, 3) gradient, and each row is bit-identical to a call at
     that row alone with the same n_polar: one position is the block of
     one.  Rows whose keys (|kr|, cone angle, phi0, polar count, panel
@@ -467,8 +397,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
         if grid.n_polar < polar_node_floor(far):
             raise ValueError(f"n_polar={grid.n_polar} is below the floor "
                              f"{polar_node_floor(far)} for |kr|={far:.2f}")
-        if tolerance is not None:  # the doubling pass keeps a grid's cap
-            AngularGrid(2 * grid.n_polar, grid.n_azimuth)
+        if tolerance is not None and grid.n_polar > MAX_POLAR_NODES:
+            # the doubling pass keeps a grid's cap
+            raise ValueError(f"n_polar={2 * grid.n_polar} is above the cap "
+                             f"of {2 * MAX_POLAR_NODES}")
         counts = np.full(len(kr), grid.n_polar)
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape not in ((), (len(kr),)):
@@ -576,120 +508,11 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     return result
 
 
-def monte_carlo_reference(kr, orientation: DipoleOrientation,
-                          config: CavityConfig, phi0: float,
-                          n_samples: int, seed: int
-                          ) -> tuple[Response, tuple[float, float]]:
-    """Uniform-on-sphere Monte-Carlo estimate of both integrals.
-
-    Returns the mean Response and the standard error of each component.
-    Deterministic for a fixed seed; intended as an independent oracle for
-    integrate_sphere, not for production use.
-
-    Sample j takes draws 2j and 2j + 1 of ``_stream(seed)`` for cos(theta)
-    and azimuth, and chunks of SAMPLE_CHUNK samples address their draws
-    by index, so memory does not grow with n_samples.  In a chunk, only
-    the cap samples, selected by cos(theta) alone, get an azimuth and go
-    straight to ``cap_brackets``.  A band sample counts its polarization
-    weight to gamma and 0 to the shift, and gets an azimuth only when the
-    dipole has a direction: the isotropic weight is 1.  Each part of a
-    chunk is pooled into running moments (``_pool``).
-    """
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 10_000):
-        raise ValueError(f"n_samples must be an integer of at least 10^4, "
-                         f"got {n_samples!r}")
-    kr = Position.of(kr).vec
-    kx, ky, kz = (float(k) for k in kr)
-    kr_sq = float(kr @ kr)
-    cos_theta = math.cos(effective_theta(config))
-    isotropic = orientation.unit_vector is None
-    draw = _stream(seed)
-    gamma = shift = (0, 0.0, 0.0)
-    for start in range(0, n_samples, SAMPLE_CHUNK):
-        j = np.arange(start, min(start + SAMPLE_CHUNK, n_samples),
-                      dtype=np.uint64)
-        z = 2.0 * draw(2 * j) - 1.0
-        in_cap = np.abs(z) >= cos_theta
-        cap = np.flatnonzero(in_cap)
-        ox, oy, oz, w = _weighted_directions(
-            z.take(cap), draw(2 * j.take(cap) + 1), orientation)
-        u = ox * kx + oy * ky + oz * kz
-        phi = ray_phase(phi0, kr_sq, u, config.k_r_mirror)
-        g, s, _, _ = cap_brackets(config.rho, phi, u)
-        n_band = len(j) - len(u)
-        if isotropic:
-            band = (n_band, 1.0, 0.0)
-        else:
-            rest = np.flatnonzero(~in_cap)
-            band = _moments(_weighted_directions(
-                z.take(rest), draw(2 * j.take(rest) + 1), orientation)[3])
-        gamma = _pool(_pool(gamma, _moments(w * g)), band)
-        shift = _pool(_pool(shift, _moments(w * s)), (n_band, 0.0, 0.0))
-
-    def error(moments):
-        n, _, squares = moments
-        return math.sqrt(squares / (n - 1)) / math.sqrt(n)
-
-    return Response(gamma[1], shift[1]), (error(gamma), error(shift))
-
-
-def _mix64(x):
-    """SplitMix64's output hash (Steele, Lea & Flood, OOPSLA 2014) of each
-    word of the numpy uint64 array x."""
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-    return x ^ (x >> 31)
-
-
-def _stream(seed):
-    """The SplitMix64 stream of ``seed``, an integer >= 0 of any size, as
-    a function of an index array: draw i, uniform on [0, 1), is
-    (mix64(key + (i + 1) 0x9E3779B97F4A7C15) >> 11) 2^-53 in uint64
-    arithmetic, a hash of i with no state to advance.  The key folds the
-    seed's 64-bit words from the top, key -> mix64(key) ^ word: it is the
-    seed itself below 2^64."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    key = np.zeros(1, dtype=np.uint64)
-    for shift in range((seed.bit_length() - 1) & -64, -1, -64):
-        key = _mix64(key) ^ ((seed >> shift) & (2**64 - 1))
-
-    def draws(index):
-        x = np.asarray(index, dtype=np.uint64) + 1
-        x = _mix64(x * 0x9E3779B97F4A7C15 + key) >> 11
-        return x.view(np.int64) * 2.0 ** -53  # exact, as x < 2^53
-    return draws
-
-
-def _weighted_directions(z, a, orientation: DipoleOrientation):
-    """(ox, oy, oz, w): the unit directions of the samples cos(theta) = z
-    and azimuth 2 pi a, and their polarization weights."""
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    az = 2.0 * math.pi * a
-    ox, oy = s * np.cos(az), s * np.sin(az)
-    return ox, oy, z, _pol_weight(orientation, ox, oy, z)
-
-
-def _moments(x: np.ndarray) -> tuple[int, float, float]:
-    """Count, mean and sum of squared deviations of the samples x."""
-    if not len(x):
-        return 0, 0.0, 0.0
-    mean = float(np.sum(x)) / len(x)
-    return len(x), mean, float(np.sum((x - mean) ** 2))
-
-
-def _pool(a: tuple[int, float, float], b: tuple[int, float, float]
-          ) -> tuple[int, float, float]:
-    """The moments of two sample sets pooled, each (count, mean, sum of
-    squared deviations): the pairwise update of Chan, Golub & LeVeque
-    (Am. Stat. 37, 242, 1983), exact in exact arithmetic."""
-    (n_a, mean_a, sq_a), (n_b, mean_b, sq_b) = a, b
-    if not n_b:
-        return a
-    if not n_a:
-        return b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return (n, mean_a + delta * n_b / n,
-            sq_a + sq_b + delta * delta * n_a * n_b / n)
+def __getattr__(name):
+    # The benchmark imports these two from here.  They live in
+    # ``validation``, and this lookup goes once the benchmark imports them
+    # from there (the benchmark half of ROADMAP item 17).
+    if name in ("AngularGrid", "monte_carlo_reference"):
+        from . import validation
+        return getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,8 +19,8 @@ from vactrap.cavity import (
     phase_fwhm,
 )
 from vactrap.fields import force_at, response_at
-from vactrap.quadrature import integrate_sphere, monte_carlo_reference
-from vactrap.validation import richardson_gradient
+from vactrap.quadrature import integrate_sphere
+from vactrap.validation import monte_carlo_reference, richardson_gradient
 
 DEFAULT = CavityConfig(rho=0.98)  # theta_m 45 deg, kR 8e4, no correction
 PAR = DipoleOrientation.parallel()

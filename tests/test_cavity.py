@@ -22,7 +22,8 @@ from vactrap.cavity import (
     phase_fwhm,
     ray_phase,
 )
-from vactrap.quadrature import _pol_weight, integrate_sphere
+from vactrap.quadrature import integrate_sphere
+from vactrap.validation import _pol_weight
 
 # frozen oracle values (direct arithmetic / dense reference integration)
 PHASE_FWHM_098 = 0.020203394496123118

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes,
 determinism."""
 
+import ast
 import errno
 import gc
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -405,19 +407,57 @@ def test_thread_count_determinism(tmp_path):
     assert outputs[0].returncode == outputs[1].returncode == 0
 
 
-def test_cli_import_loads_no_thread_pool():
+def test_cli_import_loads_no_thread_pool(tmp_path):
     # scans run on the calling thread; concurrent.futures would also load
     # logging, some 8 ms of every command's start-up.  The validation
-    # suite and json load only in the commands that use them, and nothing
-    # loads numpy.random where numpy itself does not (numpy 1.x does)
-    code = ("import sys, numpy; before = set(sys.modules); "
-            "import vactrap.cli; "
-            "print(sorted({'concurrent.futures', 'vactrap.validation', "
-            "'json', 'numpy.random'} & (set(sys.modules) - before)))")
+    # suite and json load only in the commands that use them, not in
+    # importing the package or the CLI nor in a scan, and nothing loads
+    # numpy.random where numpy itself does not (numpy 1.x does)
+    drive = write(tmp_path / "drive.ini", "[drive]\npi_e = 0.05\n")
+    code = f"""
+import os, sys, numpy
+watch, before = {{'concurrent.futures', 'vactrap.validation', 'json',
+                 'numpy.random'}}, set(sys.modules)
+def loaded():
+    print(sorted(watch & (set(sys.modules) - before)))
+import vactrap
+loaded()
+import vactrap.cli
+loaded()
+for argv in (["axial"], ["plane"], ["force", "--config", {drive!r}],
+             ["center", "--quadrature"]):
+    assert vactrap.cli.main(argv + ["--out", os.devnull]) == 0, argv
+loaded()
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]"] * 3
+    # the oracles' two public names live in validation; the package, and
+    # quadrature for the benchmark's imports, reach them by a lookup on
+    # first use, and no other name
+    import vactrap
+    import vactrap.quadrature as quadrature
+    moved = ("AngularGrid", "monte_carlo_reference")
+    for name in moved:
+        assert getattr(vactrap, name) is getattr(validation, name)
+        assert getattr(quadrature, name) is getattr(validation, name)
+    for module, name in ((vactrap, "nosuch"), (quadrature, "nosuch"),
+                         (quadrature, "_stream"),
+                         (quadrature, "SAMPLE_CHUNK")):
+        with pytest.raises(AttributeError, match=f"has no attribute "
+                           f"'{name}'$"):
+            getattr(module, name)
+    # and no module of the package imports them from quadrature
+    for path in Path(vactrap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module in ("quadrature", "vactrap.quadrature"):
+                assert not {alias.name for alias in node.names} & \
+                    set(moved), path.name
+            if isinstance(node, ast.Attribute) and node.attr in moved:
+                assert getattr(node.value, "id", None) != "quadrature", \
+                    path.name
 
 
 def test_validate_loads_no_numpy_random():

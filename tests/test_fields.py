@@ -30,8 +30,7 @@ from vactrap.fields import (
     trap_minimum,
 )
 import vactrap.quadrature as quadrature
-from vactrap.quadrature import monte_carlo_reference
-from vactrap.validation import richardson_gradient
+from vactrap.validation import monte_carlo_reference, richardson_gradient
 
 DEFAULT = CavityConfig(rho=0.98)
 ISO = DipoleOrientation.isotropic()

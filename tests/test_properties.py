@@ -31,14 +31,8 @@ from vactrap.fields import (
     excited_population,
     run_scan,
 )
-from vactrap.quadrature import (
-    AngularGrid,
-    ConvergenceError,
-    _leggauss,
-    _pol_weight,
-    integrate_sphere,
-)
-from vactrap.validation import _reference_pass
+from vactrap.quadrature import ConvergenceError, _leggauss, integrate_sphere
+from vactrap.validation import AngularGrid, _pol_weight, _reference_pass
 
 # fixed dipoles off every symmetry axis of the cavity, and on two of them
 FIXED_DIPOLES = tuple(

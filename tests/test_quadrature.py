@@ -29,13 +29,15 @@ from vactrap.config import RunConfig
 from vactrap.fields import ScanSpec, _scan_points
 from vactrap.quadrature import (
     MAX_POLAR_NODES,
-    AngularGrid,
     ConvergenceError,
+    integrate_sphere,
+    polar_node_floor,
+)
+from vactrap.validation import (
+    AngularGrid,
     _pol_weight,
     azimuth_node_floor,
-    integrate_sphere,
     monte_carlo_reference,
-    polar_node_floor,
 )
 
 ORIENTATIONS = (
@@ -1128,15 +1130,15 @@ def test_stream_is_splitmix64_by_index():
                  2**64 + 7, 3 * 2**128 + 5):
         expected = [(splitmix64(int(seed), i) >> 11) * 2.0**-53
                     for i in index]
-        draws = quadrature._stream(seed)(np.array(index, dtype=np.uint64))
+        draws = validation._stream(seed)(np.array(index, dtype=np.uint64))
         assert draws.tolist() == expected
     # seeds of more than 64 bits are not folded onto their low word
-    assert (quadrature._stream(2**64)(np.arange(4)).tolist()
-            != quadrature._stream(0)(np.arange(4)).tolist())
+    assert (validation._stream(2**64)(np.arange(4)).tolist()
+            != validation._stream(0)(np.arange(4)).tolist())
     with pytest.raises(ValueError, match="seed must be non-negative"):
-        quadrature._stream(-1)
+        validation._stream(-1)
     with pytest.raises(TypeError):
-        quadrature._stream(1.0)
+        validation._stream(1.0)
 
 
 @pytest.mark.parametrize("seed, start", [(0, 0), (3, 2**40), (2**64 + 1, 0)])
@@ -1144,7 +1146,7 @@ def test_stream_mean_variance_and_lag_one(seed, start):
     # 200,000 draws: mean 1/2, variance 1/12 and no lag-1 correlation,
     # each within 5 standard errors of a uniform independent sample
     n = 200_000
-    u = quadrature._stream(seed)(np.arange(start, start + n))
+    u = validation._stream(seed)(np.arange(start, start + n))
     assert np.all((u >= 0.0) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 5.0 * math.sqrt(1.0 / 12.0 / n)
     assert abs(u.var() - 1.0 / 12.0) < 5.0 * math.sqrt(
@@ -1211,13 +1213,13 @@ def test_monte_carlo_matches_the_full_array_formula(orientation, rho,
     def refuse(*args):
         raise AssertionError("the band share must be sampled")
 
-    monkeypatch.setattr(quadrature, "aperture_weights", refuse)
+    monkeypatch.setattr(validation, "aperture_weights", refuse)
     config = CavityConfig(rho=rho)
     kr, seed = np.array([3.0, -2.0, 5.0]), 11
-    for n in (50_000, 10_000, 3 * quadrature.SAMPLE_CHUNK + 1):
+    for n in (50_000, 10_000, 3 * validation.SAMPLE_CHUNK + 1):
         mc, errors = monte_carlo_reference(kr, orientation, config, 0.01, n,
                                            seed)
-        draws = quadrature._stream(seed)(np.arange(2 * n)).reshape(n, 2)
+        draws = validation._stream(seed)(np.arange(2 * n)).reshape(n, 2)
         z = 2.0 * draws[:, 0] - 1.0
         az = 2.0 * math.pi * draws[:, 1]
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))

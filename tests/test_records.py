@@ -12,8 +12,7 @@ from vactrap.cavity import (CavityConfig, Detuning, DipoleOrientation,
                             Position, Response)
 from vactrap.config import RunConfig
 from vactrap.fields import ForceResult, ScanResult, ScanSpec
-from vactrap.quadrature import AngularGrid
-from vactrap.validation import CheckResult
+from vactrap.validation import AngularGrid, CheckResult
 
 REQUIRED = inspect.Parameter.empty
 FRESH = object()  # a default that is a new empty list or dict per call

@@ -16,8 +16,9 @@ import vactrap.quadrature as quadrature
 import vactrap.validation as validation
 from vactrap.cavity import (CavityConfig, Detuning, DipoleOrientation,
                             Response, center_gamma, center_shift)
-from vactrap.quadrature import AngularGrid, integrate_sphere
+from vactrap.quadrature import integrate_sphere
 from vactrap.validation import (
+    AngularGrid,
     check_monte_carlo,
     check_parity,
     check_rotation_symmetry,
@@ -116,7 +117,7 @@ def test_parity_pair_block_matches_per_row_calls(seed, monkeypatch):
     blocks = recorded_blocks(monkeypatch)
     detail = check_parity(DEFAULT, phi0, seed).detail
     # four draws a pair: a direction in the cube and a radius below 40
-    u = quadrature._stream(seed)(np.arange(20)).reshape(5, 4)
+    u = validation._stream(seed)(np.arange(20)).reshape(5, 4)
     kr = 2.0 * u[:, :3] - 1.0
     kr *= (40.0 * u[:, 3] / np.linalg.norm(kr, axis=1))[:, None]
     points = [p for plus in kr for p in (plus, -plus)]
@@ -156,7 +157,7 @@ def test_rotation_block_matches_per_row_calls(seed, monkeypatch):
     blocks = recorded_blocks(monkeypatch)
     detail = check_rotation_symmetry(DEFAULT, phi0, seed).detail
     # five draws a dipole: r_perp in [1, 30), z in [-30, 30), three turns
-    draws = quadrature._stream(seed)(np.arange(10)).reshape(2, 5)
+    draws = validation._stream(seed)(np.arange(10)).reshape(2, 5)
     worst = 0.0
     assert [o for _, o, _ in blocks] == [validation._ORIENTATIONS[0],
                                          validation._ORIENTATIONS[2]]
@@ -477,35 +478,58 @@ def test_validate_reports_checks_over_the_polar_node_cap(monkeypatch,
 def test_validate_reports_a_reference_grid_over_its_cap(tmp_path, capsys,
                                                         monkeypatch):
     # at rho = 0.9999 and kR = 1e3 the reference grid at (-12, 5, 16) has
-    # 1,026,836,608 nodes, which took some 140 s; the check now fails at
-    # once with the point and its count, never skipped, and validate
-    # still exits 4
+    # 1,026,836,608 nodes, which took some 140 s.  That point is skipped
+    # and named, the other four are still compared, and the check fails
+    # however well they agree: validate exits 4
     config = tmp_path / "narrow.ini"
     config.write_text("[mirrors]\nrho = 0.9999\nkR = 1.0e3\n",
                       encoding="utf-8")
-    passes = []
-    monkeypatch.setattr(validation, "_reference_pass",
-                        lambda *args: passes.append(args))
+    passes, reference_pass = [], validation._reference_pass
+    monkeypatch.setattr(validation, "_reference_pass", lambda kr, *args: (
+        passes.append(kr.tolist()) or reference_pass(kr, *args)))
     assert cli.main(["validate", "--config", str(config)]) == \
         cli.EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
     (zonal,) = [check for check in report["checks"]
                 if check["name"] == "zonal_vs_sphere_rule"]
-    assert zonal == {"name": "zonal_vs_sphere_rule", "passed": False,
-                     "detail": {"error": (
-                         "the reference rule at kr = [-12.0, 5.0, 16.0] "
-                         "needs 1026836608 nodes, above the cap of 4194304")}}
-    assert passes == []
+    assert zonal["passed"] is False
+    detail = zonal["detail"]
+    assert list(detail) == ["worst_abs_difference", "tolerance", "skipped"]
+    assert detail["worst_abs_difference"] < detail["tolerance"] == 1e-10
+    assert detail["skipped"] == [{"kr": [-12.0, 5.0, 16.0],
+                                  "nodes": 1026836608}]
+    assert passes == validation._RULE_POINTS[:-1].tolist()
+    # at rho = 0.999 the cap hid a real error of the 32-node zonal rule at
+    # (0, 0, 3.7), on resonance: it is now reported next to the skipped
+    # point
+    check = validation.check_zonal_vs_sphere_rule(
+        CavityConfig(rho=0.999, k_r_mirror=1.0e3), 0.0)
+    assert check.passed is False
+    assert 1e-7 < check.detail["worst_abs_difference"] < 1e-6
+    assert check.detail["skipped"] == [{"kr": [-12.0, 5.0, 16.0],
+                                        "nodes": 10418112}]
+
+
+def test_zonal_check_below_a_low_reference_cap(monkeypatch):
     # the default grids are far below the cap: the largest, 96 x 72 at
-    # (-12, 5, 16), passes at a cap of its own size and fails one below
+    # (-12, 5, 16), passes at a cap of its own size.  One below it, the
+    # point is skipped and the check fails with both the worst difference
+    # of the other points and the skipped one; below the 96 x 32 grid at
+    # (0, 0, -21) that point is skipped too.  A report with no skipped
+    # point has no "skipped" key
     grid = AngularGrid.for_position(validation._RULE_POINTS[-1], DEFAULT)
     assert (grid.n_polar, grid.n_azimuth) == (96, 72)
-    monkeypatch.undo()
-    for cap, passed in ((96 * 72, True), (96 * 72 - 1, False)):
+    for cap, skipped in ((96 * 72, []),
+                         (96 * 72 - 1, [([-12.0, 5.0, 16.0], 6912)]),
+                         (3071, [([0.0, 0.0, -21.0], 3072),
+                                 ([-12.0, 5.0, 16.0], 6912)])):
         monkeypatch.setattr(validation, "MAX_REFERENCE_NODES", cap)
         check = validation.check_zonal_vs_sphere_rule(DEFAULT, 0.0)
-        assert check.passed is passed
-        assert ("error" not in check.detail) is passed
+        assert check.passed is not skipped
+        assert 0.0 < check.detail["worst_abs_difference"] < 1e-12
+        assert check.detail.get("skipped", []) == [
+            {"kr": kr, "nodes": nodes} for kr, nodes in skipped]
+
 
 def test_gradient_check_names_the_point_that_does_not_converge():
     # seed 16 draws its second gradient point at |kr| = 2.00, where the

@@ -45,8 +45,10 @@ resonance linewidths that the aberration phase sweeps, and is rounded up
 to whole 32-node sub-panels.  ``integrate_sphere`` integrates a block of
 positions, one position being a block of one, and sizes each row itself,
 by ``polar_node_count`` of its own radius, unless a grid is given for
-every row, of which it reads only ``n_polar``; it checks that count
-against the polar floor of the farthest row; a whole scan is one call.
+every row, of which it reads only ``n_polar``; it admits that count by
+``_check_polar_count``, the one statement of the counts that the
+composite rule can tile, and checks it against the polar floor of the
+farthest row; a whole scan is one call.
 Its positions are admitted, their |kr| taken and the ValidityWarning
 issued once a call by ``cavity._admit``, the one admission that
 ``Position`` uses too.
@@ -150,6 +152,23 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     center = np.arange(1 - panels, panels, 2, dtype=float)[:, None]
     nodes = (center + _BASE_NODES) / panels
     return nodes.ravel(), np.tile(_BASE_WEIGHTS / panels, panels)
+
+
+def _check_polar_count(n_polar) -> None:
+    """Refuse, with ValueError, a polar count that the composite rule
+    cannot tile: one that is not an integer (Python's or numpy's) of at
+    least MIN_POLAR_NODES, not whole sub-panels of MIN_POLAR_NODES, or
+    above 2 * MAX_POLAR_NODES, a default grid doubled."""
+    if not (isinstance(n_polar, (int, np.integer))
+            and n_polar >= MIN_POLAR_NODES):
+        raise ValueError(f"n_polar={n_polar} is not an integer of at least "
+                         f"{MIN_POLAR_NODES}")
+    if n_polar % MIN_POLAR_NODES:
+        raise ValueError(f"n_polar={n_polar} is not a multiple of "
+                         f"{MIN_POLAR_NODES}, the nodes of one sub-panel")
+    if n_polar > 2 * MAX_POLAR_NODES:
+        raise ValueError(f"n_polar={n_polar} is above the cap of "
+                         f"{2 * MAX_POLAR_NODES}")
 
 
 def polar_node_floor(kr_norm: float) -> int:
@@ -358,20 +377,24 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     farthest row.  Without a grid each row takes ``polar_node_count`` of
     its own radius, so a block of any radii, a whole scan among them, is
     one call; with a grid, which is read through its ``n_polar`` alone
-    (``validation.AngularGrid`` is one), every row takes that count,
-    which must reach the polar floor of the farthest row and, with a
-    ``tolerance``, be doubled within the cap.  Its Response holds (P,) ratios
-    and a (P, 3) gradient, and each row is bit-identical to a call at
-    that row alone with the same n_polar: one position is the block of
-    one.  Rows whose keys (|kr|, cone angle, phi0, polar count, panel
-    kind and q, see ``_ring_dipole``) are equal bytes are integrated
-    once, at the first of them.  The distinct rows are integrated in
-    passes over rows of one polar count and one panel kind, at most
-    BLOCK_NODES // (4 n_polar) of them (at least one), whose results are
-    scattered back to the block's rows; so a block of any size and mix
-    holds at most one pass's arrays.  A pass whose rows share the rule's
-    inputs (count, kind, cone angle and q) runs on its one-row rule,
-    which later passes with those inputs reuse.
+    (``validation.AngularGrid`` is one), every row takes that count.
+    The count must be one the composite rule can tile
+    (``_check_polar_count``: an integer, whole 32-node sub-panels, from
+    32 to the cap of 2 * MAX_POLAR_NODES), reach the polar floor of the
+    farthest row and, with a ``tolerance``, stay within that cap when
+    doubled; a count that fails is refused with ValueError before any
+    kernel pass.  Its
+    Response holds (P,) ratios and a (P, 3) gradient, and each row is
+    bit-identical to a call at that row alone with the same n_polar: one
+    position is the block of one.  Rows whose keys (|kr|, cone angle,
+    phi0, polar count, panel kind and q, see ``_ring_dipole``) are equal
+    bytes are integrated once, at the first of them.  The distinct rows
+    are integrated in passes over rows of one polar count and one panel
+    kind, at most BLOCK_NODES // (4 n_polar) of them (at least one), whose
+    results are scattered back to the block's rows; so a block of any
+    size and mix holds at most one pass's arrays.  A pass whose rows
+    share the rule's inputs (count, kind, cone angle and q) runs on its
+    one-row rule, which later passes with those inputs reuse.
     A phase that is not finite, a count of phases other than one or P
     and a ``tolerance`` that is not positive raise ValueError.
 
@@ -393,14 +416,13 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                  for r in sorted(set(radii.tolist()), reverse=True)}
         counts = np.array([sizes[r] for r in radii.tolist()])
     else:
+        _check_polar_count(grid.n_polar)
         far = float(radii.max())
         if grid.n_polar < polar_node_floor(far):
             raise ValueError(f"n_polar={grid.n_polar} is below the floor "
                              f"{polar_node_floor(far)} for |kr|={far:.2f}")
-        if tolerance is not None and grid.n_polar > MAX_POLAR_NODES:
-            # the doubling pass keeps a grid's cap
-            raise ValueError(f"n_polar={2 * grid.n_polar} is above the cap "
-                             f"of {2 * MAX_POLAR_NODES}")
+        if tolerance is not None:  # the doubling pass keeps the cap
+            _check_polar_count(2 * grid.n_polar)
         counts = np.full(len(kr), grid.n_polar)
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape not in ((), (len(kr),)):

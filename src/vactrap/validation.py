@@ -59,13 +59,11 @@ from .cavity import (
 from .fields import DEFAULT_TOLERANCE
 from .quadrature import (
     BLOCK_NODES,
-    MAX_POLAR_NODES,
-    MIN_POLAR_NODES,
     ConvergenceError,
     integrate_sphere,
     polar_node_count,
 )
-from .quadrature import _integrate_once
+from .quadrature import _check_polar_count, _integrate_once
 
 _ORIENTATIONS = (
     DipoleOrientation.parallel(),
@@ -154,31 +152,24 @@ def azimuth_node_floor(kr_perp: float) -> int:
 
 class AngularGrid(_Frozen):
     """Node counts: nodes per panel of the zonal rule's composite
-    Gauss-Legendre rule, whole sub-panels of MIN_POLAR_NODES (and
-    Fejer nodes in cos(theta) for the 2-D reference rule), and
-    uniform azimuth nodes of the 2-D rule.  ``integrate_sphere`` reads
-    n_polar only; n_azimuth is read by the reference rule here and by
-    the benchmark's traced child, which counts nodes with it.
-    Where the cap ends is not part of the grid; the integrator reads it
-    from the cavity configuration."""
+    Gauss-Legendre rule (and Fejer nodes in cos(theta) for the 2-D
+    reference rule), and uniform azimuth nodes of the 2-D rule.
+    n_polar is admitted by the engine's one count rule, the check that
+    ``integrate_sphere`` makes of a grid too: an integer, whole 32-node
+    sub-panels, from 32 to the doubled cap.  n_azimuth is an integer of
+    at least 1.  ``integrate_sphere`` reads n_polar only; n_azimuth is
+    read by the reference rule here and by the benchmark's traced child,
+    which counts nodes with it.  Where the cap ends is not part of the
+    grid; the integrator reads it from the cavity configuration."""
 
     _fields = ("n_polar", "n_azimuth")
 
     def __init__(self, n_polar: int, n_azimuth: int):
+        _check_polar_count(n_polar)
+        if not isinstance(n_azimuth, (int, np.integer)) or n_azimuth < 1:
+            raise ValueError(f"n_azimuth={n_azimuth} is not an integer of "
+                             "at least 1")
         self._set(n_polar=n_polar, n_azimuth=n_azimuth)
-        if not all(isinstance(n, (int, np.integer))
-                   for n in (self.n_polar, self.n_azimuth)):
-            raise ValueError(f"grid node counts must be integers: {self}")
-        if self.n_polar < MIN_POLAR_NODES or self.n_azimuth < 1:
-            raise ValueError(f"a grid needs n_polar >= {MIN_POLAR_NODES} and "
-                             f"n_azimuth >= 1, got {self.n_polar} and "
-                             f"{self.n_azimuth}")
-        if self.n_polar % MIN_POLAR_NODES:
-            raise ValueError(f"n_polar={self.n_polar} is not a multiple of "
-                             f"{MIN_POLAR_NODES}, the nodes of one sub-panel")
-        if self.n_polar > 2 * MAX_POLAR_NODES:
-            raise ValueError(f"n_polar={self.n_polar} is above the cap of "
-                             f"{2 * MAX_POLAR_NODES}")
 
     @classmethod
     def for_position(cls, kr, config: CavityConfig) -> "AngularGrid":
@@ -329,9 +320,8 @@ def _pool(a: tuple[int, float, float], b: tuple[int, float, float]
             sq_a + sq_b + delta * delta * n_a * n_b / n)
 
 
-@functools.lru_cache(maxsize=16)
 def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fejer's first n-point rule on [-1, 1], nodes ascending, read-only:
+    """Fejer's first n-point rule on [-1, 1], nodes ascending:
     x_k = cos(theta_k), theta_k = (2k - 1) pi / (2n), and
     w_k = (2/n) (1 - 2 sum_{j=1}^{n//2} cos(2 j theta_k) / (4 j^2 - 1))
     (Waldvogel, BIT 46 (2006) 195).  It is exact below degree n, its
@@ -349,7 +339,6 @@ def _fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.cos(theta), (2.0 / n) * (1.0 - 2.0 * total)
     x = np.concatenate([-x, x[:n // 2][::-1]])
     w = np.concatenate([w, w[:n // 2][::-1]])
-    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

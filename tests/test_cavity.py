@@ -199,6 +199,36 @@ def test_aberration_phase_transverse():
     assert_allclose(phi, 0.2 + 0.0625, rtol=1e-14)
 
 
+@pytest.mark.parametrize("k_r_mirror", [1e3, 8e4, 1e6])
+def test_aberration_phase_is_the_half_chord_to_second_order(k_r_mirror):
+    # the aberration term is the second-order term of how much shorter
+    # than R half the chord through r along omega is,
+    # k (R - sqrt(R^2 - r^2 + (omega . r)^2)), here s / (kR + sqrt(kR^2 - s))
+    # with s = |kr|^2 - u^2, which does not cancel.  The chord's series in
+    # x = s / kR^2 has positive terms, each under the one before, so what
+    # is left is the quartic term s^2 / (8 kR^3), then at least the next
+    # term s^3 / (16 kR^5) and at most that over 1 - x
+    rng = np.random.default_rng(16)
+    kr = rng.normal(size=(2000, 3))
+    kr *= (300.0 * rng.uniform(size=(2000, 1)) ** (1.0 / 3.0)
+           / np.linalg.norm(kr, axis=1, keepdims=True))
+    omega = rng.normal(size=(2000, 3))
+    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+    kr[0], omega[0] = (300.0, 0.0, 0.0), (0.0, 0.0, 1.0)  # s at its most
+    kr_sq, u = np.sum(kr * kr, axis=1), np.sum(omega * kr, axis=1)
+    s = kr_sq - u * u
+    half_chord = s / (k_r_mirror + np.sqrt(k_r_mirror ** 2 - s))
+    left = half_chord - ray_phase(0.0, kr_sq, u, k_r_mirror)
+    quartic = s ** 2 / (8.0 * k_r_mirror ** 3)
+    next_term = s ** 3 / (16.0 * k_r_mirror ** 5)
+    ulps = 4.0 * np.spacing(half_chord)
+    assert np.all(left - quartic >= next_term - ulps)
+    assert np.all(left - quartic
+                  <= next_term / (1.0 - s / k_r_mirror ** 2) + ulps)
+    if k_r_mirror == 1e3:  # where the model's phase is a radian short
+        assert quartic[0] > 0.99
+
+
 # ----------------------------------------------------- effective theta
 
 def test_effective_theta_corrected():
@@ -222,6 +252,9 @@ def test_diffraction_angle_full_transmission():
 
 def test_phase_fwhm_value():
     assert_allclose(phase_fwhm(0.98), PHASE_FWHM_098, rtol=1e-12)
+    with pytest.raises(ValueError, match="^linewidth is undefined without "
+                       "reflectivity$"):
+        phase_fwhm(0.0)
 
 
 def test_detuning_to_phase_examples():
@@ -406,6 +439,12 @@ def test_orientation_invariants():
         DipoleOrientation.fixed([1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         DipoleOrientation("sideways")
+    with pytest.raises(ValueError, match="^fixed orientation requires a "
+                       "direction$"):
+        DipoleOrientation("fixed")
+    with pytest.raises(ValueError, match="^parallel orientation takes no "
+                       "vector$"):
+        DipoleOrientation("parallel", (0.0, 0.0, 1.0))
     vec = np.array([3.0, 4.0, 12.0]) / 13.0
     fixed = DipoleOrientation.fixed(vec)
     assert_allclose(fixed.unit_vector, vec, rtol=1e-15)

@@ -207,6 +207,11 @@ def test_comments_and_case():
      "diffraction_correction = on: diffraction correction removes"),
     ("[mirrors]\nKr = abc\n", 2, "Kr must be a finite number"),
     ("[drive]\npi_e = 0.9\n", 2, "pi_e = 0.9: pi_e must lie in [0, 1/2]"),
+    ("[scan]\nn_points = abc\n", 2, "n_points must be an integer, got 'abc'"),
+    ("[output]\nprecision = 1.5\n", 2,
+     "precision must be an integer, got '1.5'"),
+    ("[dipole]\norientation = a b c\n", 2,
+     "orientation components must be numbers, got 'a b c'"),
 ])
 def test_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ConfigError) as excinfo:
@@ -285,3 +290,9 @@ def test_metadata_round_trip():
     assert meta["dipole"]["orientation"] == "parallel"
     assert meta["drive"] == {"pi_e": 0.02}
     assert meta["scan"]["n_points"] == 61
+    # a weak drive is recorded as its pair alone, and "off" reads false
+    meta = parse_config("[mirrors]\ndiffraction_correction = off\n"
+                        "[drive]\nrabi = 0.1\nlaser_detuning = 0.0\n"
+                        ).to_metadata()
+    assert meta["drive"] == {"rabi": 0.1, "laser_detuning": 0.0}
+    assert meta["mirrors"]["diffraction_correction"] is False

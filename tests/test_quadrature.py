@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -804,12 +805,13 @@ def test_rows_a_hair_off_the_axis_have_whole_rings_only(orientation, kz):
 def test_grid_invariants():
     with pytest.raises(ValueError):
         AngularGrid(0, 16)
-    with pytest.raises(ValueError):
-        AngularGrid(32, 0)
     # the smallest grid is the polar floor at the center
-    with pytest.raises(ValueError, match=r"^a grid needs n_polar >= 32 and "
-                       r"n_azimuth >= 1, got 31 and 16$"):
+    with pytest.raises(ValueError, match=r"^n_polar=31 is not an integer "
+                       r"of at least 32$"):
         AngularGrid(31, 16)
+    with pytest.raises(ValueError, match=r"^n_azimuth=0 is not an integer "
+                       r"of at least 1$"):
+        AngularGrid(32, 0)
     assert AngularGrid(32, 16).n_polar == polar_node_floor(0.0)
     # the composite rule tiles whole 32-node sub-panels
     with pytest.raises(ValueError, match=r"^n_polar=48 is not a multiple "
@@ -833,8 +835,33 @@ def test_grid_invariants():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 26, 31])
 def test_grid_below_the_polar_floor_refused(n):
-    with pytest.raises(ValueError, match=f"got {n} and 16$"):
+    with pytest.raises(ValueError, match=f"^n_polar={n} is not an integer "
+                       f"of at least 32$"):
         AngularGrid(n, 16)
+
+
+@pytest.mark.parametrize("n_polar, message", [
+    (40, "n_polar=40 is not a multiple of 32, the nodes of one sub-panel"),
+    (48, "n_polar=48 is not a multiple of 32, the nodes of one sub-panel"),
+    (64.0, "n_polar=64.0 is not an integer of at least 32"),
+    (32_800, "n_polar=32800 is above the cap of 32768"),
+])
+@pytest.mark.parametrize("tolerance", [None, 1e-9])
+def test_grid_the_rule_cannot_tile_refused(n_polar, message, tolerance,
+                                           monkeypatch):
+    # integrate_sphere admits a grid's count by the rule AngularGrid
+    # admits it by, before any kernel pass, with or without a tolerance
+    def no_pass(*args):
+        raise AssertionError("a kernel pass ran")
+
+    monkeypatch.setattr(quadrature, "_zonal_rule", no_pass)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integrate_sphere([0.0, 0.0, 1.0], DipoleOrientation.isotropic(),
+                         CavityConfig(rho=0.98), 0.0,
+                         grid=SimpleNamespace(n_polar=n_polar),
+                         tolerance=tolerance)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AngularGrid(n_polar, 16)
 
 
 def test_undersized_grid_rejected():
@@ -853,10 +880,13 @@ def test_undersized_grid_rejected():
 
 
 def test_grid_counts_must_be_integers():
-    # a float count was accepted and failed later, in the rule's tiling
-    for counts in ((64.0, 16), (64, 16.0), (np.float64(64), 16)):
-        with pytest.raises(ValueError, match=r"^grid node counts must be "
-                           r"integers: AngularGrid\(n_polar="):
+    # a float count was accepted and failed later, in the rule's tiling;
+    # the refusal names the count
+    for counts, refused in (((64.0, 16), "n_polar=64.0"),
+                            ((64, 16.0), "n_azimuth=16.0"),
+                            ((np.float64(64), 16), "n_polar=64.0")):
+        with pytest.raises(ValueError, match=f"^{refused} is not an "
+                           "integer of at least"):
             AngularGrid(*counts)
     # Python and numpy integers are both counts, with the same bits
     config, iso = CavityConfig(rho=0.98), DipoleOrientation.isotropic()

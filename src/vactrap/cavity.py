@@ -48,6 +48,16 @@ class ValidityWarning(UserWarning):
     """Inputs outside the regime where the ray model is accurate."""
 
 
+def _floats(vector) -> tuple:
+    """The components of ``vector`` as a tuple of Python floats, so that
+    records built from a list, an array or a tuple hash and compare
+    alike: ``vector`` itself if it already is one."""
+    vector = tuple(vector)
+    if all(type(x) is float for x in vector):
+        return vector
+    return tuple(map(float, vector))
+
+
 class _Record:
     """Base of the package's records.  The class names its fields, in
     constructor order, in ``_fields``; they give the repr
@@ -156,6 +166,10 @@ class DipoleOrientation(_Frozen):
         if self.kind == FIXED:
             if self.d_hat is None:
                 raise ValueError("fixed orientation requires a direction")
+            self._set(d_hat=_floats(self.d_hat))
+            if len(self.d_hat) != 3:
+                raise ValueError(f"fixed dipole direction must have 3 "
+                                 f"components, got {len(self.d_hat)}")
             norm = math.sqrt(sum(x * x for x in self.d_hat))
             if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
                 raise ValueError(
@@ -178,8 +192,7 @@ class DipoleOrientation(_Frozen):
 
     @classmethod
     def fixed(cls, d_hat) -> "DipoleOrientation":
-        x, y, z = (float(v) for v in d_hat)
-        return cls(FIXED, (x, y, z))
+        return cls(FIXED, d_hat)
 
     @property
     def unit_vector(self) -> np.ndarray | None:
@@ -267,17 +280,14 @@ class Position(_Frozen):
     _fields = ("kr",)
 
     def __init__(self, kr: tuple[float, float, float]):
-        self._set(kr=kr)
         _admit(kr, block=False)
+        self._set(kr=_floats(kr))
 
     @classmethod
     def of(cls, value) -> "Position":
         """The Position itself, or the Position of a value of shape (3,);
         any other shape raises ValueError naming it."""
-        if isinstance(value, Position):
-            return value
-        kr = np.asarray(value, dtype=float)  # __init__ checks its shape
-        return cls(tuple(kr.tolist()) if kr.ndim == 1 else kr)
+        return value if isinstance(value, Position) else cls(value)
 
     @property
     def vec(self) -> np.ndarray:

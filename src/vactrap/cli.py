@@ -37,7 +37,6 @@ from .cavity import DipoleOrientation, center_gamma, center_shift
 from .config import ConfigError, RunConfig, load_config
 from .fields import (DEFAULT_TOLERANCE, MAX_THREADS, ScanSpec, _check_span,
                      _scan_points, run_scan, trap_minimum)
-from .quadrature import ConvergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -386,9 +385,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         _say(f"vactrap: {err}")
         return EXIT_CONFIG
-    except ConvergenceError as err:
-        _say(f"vactrap: {err}")
-        return EXIT_NUMERICAL
 
 
 def _say(line: str, file=None) -> None:

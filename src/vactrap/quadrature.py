@@ -52,16 +52,17 @@ farthest row; a whole scan is one call.
 Its positions are admitted, their |kr| taken and the ValidityWarning
 issued once a call by ``cavity._admit``, the one admission that
 ``Position`` uses too.
-A row's zonal integrand reads the row only through its key: |kr|, the
-cone angle of kr from the cap axis, phi0, the polar count, the panel
-kind and the dipole in the frame of the rings about kr.  The block's
-rows of one key, such as the mirror images of a point in a scan, take
-one kernel row, integrated in the ring frame; each row turns its
-gradient back by its own frame.  The kernel runs in passes over
-(rows x nodes) arrays, each over rows of one polar count and one panel
-kind and at most BLOCK_NODES nodes.  Every operation is elementwise
-along the rows and each row is summed on its own in a fixed order, so a
-row's bits do not depend on its block or pass.
+A row's zonal integrand reads the row only through its key: the cone
+angle of kr from the cap axis, the dipole in the frame of the rings
+about kr, |kr| and phi0; its polar count and panel kind follow from
+these within one call.  The block's rows of one key, such as the
+mirror images of a point in a scan, take one kernel row, integrated in
+the ring frame; each row turns its gradient back by its own frame.  The
+kernel runs in passes over (rows x nodes) arrays, each over rows of one
+polar count and one panel kind and at most BLOCK_NODES nodes.  Every
+operation is elementwise along the rows and each row is summed on its
+own in a fixed order, so a row's bits do not depend on its block or
+pass.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ from .cavity import (
 
 class ConvergenceError(RuntimeError):
     """Doubling the node counts moved the result more than the requested
-    tolerance.  Carries the refined estimate, the observed change and
-    ``rows``, the rows of a block that failed ([0] for one position)."""
+    tolerance.  Carries the refined estimate, ``change``, the observed
+    change of each quantity judged (gamma, the shift and, when it was
+    computed, the gradient's norm), and ``rows``, the rows of a block
+    that failed ([0] for one position)."""
 
     def __init__(self, message: str, estimate: Response, change: tuple,
                  rows: list[int]):
@@ -386,9 +389,10 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     kernel pass.  Its
     Response holds (P,) ratios and a (P, 3) gradient, and each row is
     bit-identical to a call at that row alone with the same n_polar: one
-    position is the block of one.  Rows whose keys (|kr|, cone angle,
-    phi0, polar count, panel kind and q, see ``_ring_dipole``) are equal
-    bytes are integrated once, at the first of them.  The distinct rows
+    position is the block of one.  Rows whose keys (cone angle, q, see
+    ``_ring_dipole``, |kr| and phi0: the integrand's inputs, from which
+    the polar count and panel kind follow) are equal bytes are
+    integrated once, at the first of them.  The distinct rows
     are integrated in passes over rows of one polar count and one panel
     kind, at most BLOCK_NODES // (4 n_polar) of them (at least one), whose
     results are scattered back to the block's rows; so a block of any
@@ -399,10 +403,14 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     and a ``tolerance`` that is not positive raise ValueError.
 
     With a ``tolerance``, each pass is run again at twice its count and
-    the refined result is returned; if the two estimates of a row
-    disagree by more than the tolerance (relative, floored at 1 in
-    absolute terms) a ConvergenceError is raised carrying the refined
-    estimate of every row and the rows that failed.
+    the refined result is returned.  The check judges gamma, the shift
+    and, with ``with_gradient``, the gradient's norm; if the two
+    estimates of a row disagree in any of them by more than the
+    tolerance (relative, floored at 1 in absolute terms) a
+    ConvergenceError is raised carrying the refined estimate of every
+    row, the change of each quantity judged (one float each for a
+    position, one array each for a block), named in its message, and
+    the rows that failed.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -438,15 +446,16 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     q = _ring_dipole(orientation, frame)
     # A row has a panel if its width, as ``_zonal_rule`` builds it, is
     # above 0: a row a hair off the axis, whose cut width rounds to 0, has
-    # whole rings only.
-    whole, cut = theta - beta > 0.0, theta + beta - abs(theta - beta) > 0.0
-    # A row's integrand reads its polar count, panel kind, cone angle and
-    # q (its rule's inputs), |kr| and phi0, and nothing else: a row whose
-    # key is, bit for bit, an earlier row's takes that row's kernel
-    # result.  A dict of the key bytes finds them: np.unique's first call
-    # alone adds a quarter MB of peak memory.
-    key = np.ascontiguousarray(
-        np.column_stack([counts, whole, cut, beta, q, radii, phi0]))
+    # whole rings only.  The kind is 1 for whole rings only, 2 for cut
+    # rings only and 3 for both.
+    kinds = (theta - beta > 0.0) + 2 * (theta + beta > abs(theta - beta))
+    # A row's integrand reads its cone angle and q (its rule's inputs),
+    # |kr| and phi0, and nothing else: within one call its polar count
+    # follows from |kr| (or the grid) and its kind from its cone angle.
+    # A row whose key is, bit for bit, an earlier row's takes that row's
+    # kernel result.  A dict of the key bytes finds them: np.unique's
+    # first call alone adds a quarter MB of peak memory.
+    key = np.ascontiguousarray(np.column_stack([beta, q, radii, phi0]))
     packed = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
     packed = packed.ravel().tolist()
     first = dict(zip(reversed(packed), range(len(kr) - 1, -1, -1)))
@@ -455,28 +464,27 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     rule_key = key[:, :-2].view(np.int64)
 
     # the kernel passes: distinct rows of one polar count and one panel
-    # kind (whole rings only, both panels, cut rings only), at most
-    # BLOCK_NODES nodes of the doubled pass
+    # kind, at most BLOCK_NODES nodes of the doubled pass, each with the
+    # panels of its kind (whole rings?, cut rings?)
     passes = []
-    for n_polar in sorted(set(counts[distinct].tolist())):
+    for n_polar, kind in sorted(set(zip(counts[distinct].tolist(),
+                                        kinds[distinct].tolist()))):
         cap = max(1, BLOCK_NODES // (4 * n_polar))  # rows a pass
-        for kind in ((True, False), (True, True), (False, True)):
-            rows = np.flatnonzero(distinct & (counts == n_polar)
-                                  & (whole == kind[0]) & (cut == kind[1]))
-            passes += [(n_polar, kind, rows[i:i + cap])
-                       for i in range(0, len(rows), cap)]
+        rows = np.flatnonzero(distinct & (counts == n_polar) & (kinds == kind))
+        passes += [(n_polar, (kind != 2, kind != 1), rows[i:i + cap])
+                   for i in range(0, len(rows), cap)]
 
     band, _ = aperture_weights(orientation, math.cos(theta))
 
     def once(scale):
         gamma, shift = np.empty((2, len(kr)))
         grad = np.empty(kr.shape) if with_gradient else None
-        shared = None, None  # the last repeated rule key and its rule
+        shared = None, None  # the last repeated (count, kind, rule key)
         for n_polar, kind, rows in passes:
             bits = rule_key[rows]
             if (bits == bits[0]).all():
-                if bits[0].tobytes() != shared[0]:
-                    shared = bits[0].tobytes(), _zonal_rule(
+                if (n_polar, kind, bits[0].tobytes()) != shared[0]:
+                    shared = (n_polar, kind, bits[0].tobytes()), _zonal_rule(
                         scale * n_polar, theta, beta[rows[:1]], q[rows[:1]],
                         *kind, with_gradient)
                 c, weight, *tangents = shared[1]
@@ -501,16 +509,16 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
     gamma, shift, grad = once(1)
     failed = []
     if tolerance is not None:
-        gamma2, shift2, grad2 = once(2)
-        d_gamma = np.abs(gamma2 - gamma)
-        d_shift = np.abs(shift2 - shift)
-        ok = ((d_gamma <= tolerance * np.maximum(1.0, np.abs(gamma2)))
-              & (d_shift <= tolerance * np.maximum(1.0, np.abs(shift2))))
+        refined = once(2)
+        # (change, refined size) of each quantity judged; a NaN fails
+        judged = [(np.abs(fine - coarse), np.abs(fine)) for coarse, fine
+                  in ((gamma, refined[0]), (shift, refined[1]))]
         if with_gradient:
-            d_grad = np.linalg.norm(grad2 - grad, axis=1)
-            ok &= d_grad <= tolerance * np.maximum(
-                1.0, np.linalg.norm(grad2, axis=1))
-        gamma, shift, grad = gamma2, shift2, grad2
+            judged.append((np.linalg.norm(refined[2] - grad, axis=1),
+                           np.linalg.norm(refined[2], axis=1)))
+        ok = np.logical_and.reduce(
+            [d <= tolerance * np.maximum(1.0, size) for d, size in judged])
+        gamma, shift, grad = refined
         failed = np.flatnonzero(~ok).tolist()
     if block:
         result = Response(gamma, shift, grad)
@@ -519,14 +527,14 @@ def integrate_sphere(kr, orientation: DipoleOrientation, config: CavityConfig,
                           None if grad is None else grad[0])
     if failed:
         i = failed[0]
-        change = ((d_gamma, d_shift) if block
-                  else (float(d_gamma[0]), float(d_shift[0])))
+        names = ", ".join(("gamma", "shift", "gradient")[:len(judged)])
+        by = ", ".join(f"{d[i]:.3e}" for d, _ in judged)
         raise ConvergenceError(
-            f"sphere integral did not converge at |kr|="
-            f"{radii[i]:.2f}: doubling changed "
-            f"(gamma, shift) by ({d_gamma[i]:.3e}, {d_shift[i]:.3e}) "
-            f"with tolerance {tolerance:g}",
-            estimate=result, change=change, rows=failed)
+            f"sphere integral did not converge at |kr|={radii[i]:.2f}: "
+            f"doubling changed ({names}) by ({by}) with tolerance "
+            f"{tolerance:g}", estimate=result,
+            change=tuple(d if block else float(d[0]) for d, _ in judged),
+            rows=failed)
     return result
 
 

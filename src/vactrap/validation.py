@@ -119,10 +119,11 @@ def _check(name: str):
     """Decorator of a check that returns (passed, detail): the check then
     returns its CheckResult under ``name``.  A ConvergenceError inside it
     fails the check, its detail the error with its rows and its change in
-    (gamma, shift), and the other checks still run.  So does a ValueError,
-    its detail the error alone: the configuration and detuning were
-    admitted before any check ran, so it refuses a point of the check's
-    own, as the polar node cap refuses one that needs more nodes."""
+    each quantity judged, and the other checks still run.  So does a
+    ValueError, its detail the error alone: the configuration and
+    detuning were admitted before any check ran, so it refuses a point of
+    the check's own, as the polar node cap refuses one that needs more
+    nodes."""
     def decorate(body):
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:

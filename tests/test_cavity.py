@@ -449,6 +449,15 @@ def test_orientation_invariants():
     fixed = DipoleOrientation.fixed(vec)
     assert_allclose(fixed.unit_vector, vec, rtol=1e-15)
     assert DipoleOrientation.isotropic().unit_vector is None
+    # a fixed direction is three components, even one of unit norm: two
+    # once failed in the kernel, and four were read as their first three
+    for d_hat in ((1.0, 0.0), (0.6, 0.8, 0.0, 0.0)):
+        message = (f"^fixed dipole direction must have 3 components, got "
+                   f"{len(d_hat)}$")
+        with pytest.raises(ValueError, match=message):
+            DipoleOrientation("fixed", d_hat)
+        with pytest.raises(ValueError, match=message):
+            DipoleOrientation.fixed(d_hat)
 
 
 def test_position_limits():
@@ -479,6 +488,9 @@ def test_position_limits():
     p = Position.of((1.0, 2.0, 3.0))
     assert Position.of(p) is p
     assert_allclose(p.vec, [1.0, 2.0, 3.0])
+    # built from an array, a list or integers, it is the same position
+    assert Position(np.array([1.0, 2.0, 3.0])) == Position.of((1, 2, 3)) == p
+    assert Position([1.0, 2.0, 3.0]).kr == (1.0, 2.0, 3.0)
 
 
 def test_position_warns_once():

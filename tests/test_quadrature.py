@@ -1126,6 +1126,33 @@ def test_convergence_error_reports_estimate():
     assert resp.gamma_ratio > 0
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+def test_convergence_error_reports_the_gradient_it_judged(block):
+    # at theta_m = 65 degrees, (4.5, 0, 0) passes the doubling check in
+    # gamma and the shift and fails it on the gradient alone, which moves
+    # 1.666e-9: the error reports that change and names the gradient
+    config = CavityConfig(rho=0.98, theta_m=math.radians(65.0))
+    phi0 = Detuning(-0.5).phase(config.rho)
+    kr = [[4.5, 0.0, 0.0]] if block else [4.5, 0.0, 0.0]
+    iso = DipoleOrientation.isotropic()
+    with pytest.raises(ConvergenceError) as excinfo:
+        integrate_sphere(kr, iso, config, phi0, tolerance=1e-9,
+                         with_gradient=True)
+    err = excinfo.value
+    assert err.rows == [0]
+    d_gamma, d_shift, d_grad = (np.asarray(c).item() for c in err.change)
+    assert [type(c) for c in err.change] == (
+        [np.ndarray] * 3 if block else [float] * 3)
+    assert d_gamma < 1e-9 and d_shift < 1e-9
+    assert d_grad == pytest.approx(1.666e-9, abs=1e-12)
+    assert str(err) == (
+        "sphere integral did not converge at |kr|=4.50: doubling changed "
+        "(gamma, shift, gradient) by (9.781e-10, 4.644e-10, 1.666e-09) "
+        "with tolerance 1e-09")
+    # without the gradient the point passes
+    integrate_sphere(kr, iso, config, phi0, tolerance=1e-9)
+
+
 # --------------------------------------------------------- monte carlo
 
 def splitmix64(seed, i):

@@ -142,6 +142,24 @@ def test_value_types_compare_and_hash_by_field(cls):
     assert a != tuple(kwargs.values())
 
 
+@pytest.mark.parametrize("cls, name, kwargs", [
+    (DipoleOrientation, "d_hat", dict(kind="fixed")),
+    (Position, "kr", {})], ids=["DipoleOrientation", "Position"])
+@pytest.mark.parametrize("built", [list, np.array, tuple],
+                         ids=["list", "array", "tuple"])
+def test_vectors_are_stored_as_tuples_of_floats(cls, name, kwargs, built):
+    # a record built from a list, an array or a tuple stores a tuple of
+    # three Python floats: it hashes and equals the one built from floats
+    vector = (0, 0.6, 0.8)
+    record = cls(**kwargs, **{name: built(vector)})
+    stored = getattr(record, name)
+    assert type(stored) is tuple
+    assert [type(x) for x in stored] == [float] * 3
+    floats = cls(**kwargs, **{name: (0.0, 0.6, 0.8)})
+    assert record == floats and hash(record) == hash(floats)
+    assert repr(record) == repr(floats)
+
+
 @pytest.mark.parametrize("cls", IDENTITY, ids=lambda c: c.__name__)
 def test_results_compare_by_identity(cls):
     a, b = cls(**IDENTITY[cls]), cls(**IDENTITY[cls])

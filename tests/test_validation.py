@@ -449,7 +449,9 @@ def test_validate_reports_a_gradient_point_that_does_not_converge(
     assert gradient["passed"] is False
     assert gradient["detail"]["rows"] == [0]
     assert "did not converge at |kr|=5.77" in gradient["detail"]["error"]
-    assert len(gradient["detail"]["change"]) == 2
+    # the check integrates with the gradient, so its change is judged too
+    assert "(gamma, shift, gradient)" in gradient["detail"]["error"]
+    assert len(gradient["detail"]["change"]) == 3
     assert "gradient_vs_finite_difference" in err
 
 
